@@ -9,19 +9,17 @@ fault and disturbance sweeps.
 """
 
 from .a64g2 import (
-    A64G2State,
     AdaptiveRatioDetector,
     Calibration64RAT,
     DetectorConfig,
     FixedRatioDetector,
-    Ng64G2State,
     RatioKafState,
+    RatioSchemeState,
     SchemeTrace,
-    a64g2_step,
     calibrate_64rat,
     kaf_update,
-    ng64g2_step,
     operate_restraint,
+    ratio_step,
     write_trace_csv,
 )
 from .a64s import (
@@ -57,9 +55,9 @@ from .harness import (
     emit_report,
     load_config,
     run_scenario,
+    simulate_waveforms,
     sweep_security,
     sweep_sensitivity,
-    thread_budget,
 )
 from .plantsim import (
     DISTURBANCE_KINDS,
@@ -72,6 +70,7 @@ from .plantsim import (
     constant_speed,
     e3_of_operating_point,
     emf_split_fraction,
+    frames_from_64g2_waveforms,
     grounding_resistor_sizing,
     neutral_60hz_component,
     ramp_speed,
@@ -90,7 +89,7 @@ from .signalcore import (
     write_csv,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "__version__",
@@ -103,11 +102,11 @@ __all__ = [
     "grounding_resistor_sizing", "third_harmonic_solve", "subharmonic_transfer",
     "neutral_60hz_component", "e3_of_operating_point", "emf_split_fraction",
     "constant_speed", "ramp_speed", "simulate_64s_timeseries",
-    "simulate_64g2_scenario",
+    "simulate_64g2_scenario", "frames_from_64g2_waveforms",
     # third-harmonic ratio schemes
     "RatioKafState", "DetectorConfig", "Calibration64RAT", "kaf_update",
-    "operate_restraint", "A64G2State", "Ng64G2State", "a64g2_step",
-    "ng64g2_step", "calibrate_64rat", "SchemeTrace", "AdaptiveRatioDetector",
+    "operate_restraint", "RatioSchemeState", "ratio_step", "calibrate_64rat",
+    "SchemeTrace", "AdaptiveRatioDetector",
     "FixedRatioDetector", "write_trace_csv",
     # injection scheme
     "HEALTHY_SENTINEL", "CalibrationError", "SubharmonicFrame", "ThetaKafState",
@@ -118,7 +117,7 @@ __all__ = [
     "A64SEstimator", "write_a64s_trace_csv",
     # orchestration
     "ConfigError", "ScenarioResult", "SweepGrid", "ReliabilityReport",
-    "load_config", "run_scenario", "calibrate_from_config",
+    "load_config", "run_scenario", "simulate_waveforms", "calibrate_from_config",
     "default_security_catalog", "sweep_sensitivity", "sweep_security",
-    "emit_report", "thread_budget",
+    "emit_report",
 ]

@@ -24,12 +24,10 @@ __all__ = [
     "DetectorConfig",
     "Calibration64RAT",
     "SchemeTrace",
-    "A64G2State",
-    "Ng64G2State",
+    "RatioSchemeState",
     "kaf_update",
     "operate_restraint",
-    "a64g2_step",
-    "ng64g2_step",
+    "ratio_step",
     "calibrate_64rat",
     "AdaptiveRatioDetector",
     "FixedRatioDetector",
@@ -221,19 +219,20 @@ class SchemeTrace:
         return worst
 
 
-def _freeze_windows(state) -> Tuple[float, float]:
-    cfg = state.cfg
-    return operate_restraint(state.residuals, state.vn3s, cfg, state.t)
-
-
 @dataclass
-class A64G2State:
-    """Mutable run state of the adaptive scheme."""
+class RatioSchemeState:
+    """Mutable run state of a ratio scheme.
+
+    The residual's ratio comes from the Kalman filter when kaf_template is
+    set (adaptive scheme: the filter starts at the first valid frame, from
+    ``ratio`` or, when that is None, from that frame's own ratio) and is
+    otherwise the frozen ``ratio`` setting (fixed scheme).
+    """
 
     cfg: DetectorConfig
-    kaf: Optional[RatioKafState]
-    kaf_template: RatioKafState
-    rho0: Optional[float]
+    ratio: Optional[float]
+    kaf_template: Optional[RatioKafState] = None
+    kaf: Optional[RatioKafState] = None
     residuals: Deque[float] = field(default_factory=deque)
     vn3s: Deque[float] = field(default_factory=deque)
     t: int = 0
@@ -247,88 +246,48 @@ class A64G2State:
         self.residuals = deque(self.residuals, maxlen=maxlen)
         self.vn3s = deque(self.vn3s, maxlen=maxlen)
 
-
-@dataclass
-class Ng64G2State:
-    """Mutable run state of the fixed-ratio scheme."""
-
-    cfg: DetectorConfig
-    ratio: float
-    residuals: Deque[float] = field(default_factory=deque)
-    vn3s: Deque[float] = field(default_factory=deque)
-    t: int = 0
-    streak: int = 0
-    tripped: bool = False
-    last_operate: float = 0.0
-    last_restraint: float = 0.0
-
-    def __post_init__(self):
-        maxlen = self.cfg.window + 1
-        self.residuals = deque(self.residuals, maxlen=maxlen)
-        self.vn3s = deque(self.vn3s, maxlen=maxlen)
+    @property
+    def rho(self) -> float:
+        """Ratio the trace reports: the tracked estimate once the filter
+        runs, else the setting (0.0 for an adaptive scheme still waiting
+        to seed its filter from the first valid frame)."""
+        if self.kaf is not None:
+            return self.kaf.rho_hat
+        return self.ratio or 0.0
 
 
-def _score_and_latch(state, residual: float, v_n3: float) -> Tuple[float, float]:
-    """Shared post-residual machinery: window bookkeeping, energies, and
-    the persistence trip latch."""
-    state.t += 1
-    state.residuals.append(residual)
-    state.vn3s.append(v_n3)
-    jao, jar = operate_restraint(state.residuals, state.vn3s, state.cfg, state.t)
-    if not state.tripped:
-        if jao > state.cfg.sensitivity * jar:
-            state.streak += 1
-        else:
-            state.streak = 0
-        if state.streak >= state.cfg.hold:
-            state.tripped = True
-    state.last_operate, state.last_restraint = jao, jar
-    return jao, jar
-
-
-def a64g2_step(
-    state: A64G2State, frame: HarmonicFrame, cfg: DetectorConfig, trace: SchemeTrace
-) -> SchemeTrace:
-    """Advance the adaptive scheme by one frame, appending to the trace.
+def ratio_step(state: RatioSchemeState, frame: HarmonicFrame, trace: SchemeTrace) -> SchemeTrace:
+    """Advance a ratio scheme by one frame, appending to the trace.
 
     Invalid frames (phasor warm-up, supervision dropout) are recorded but
     do not advance the filter, the windows, or the trip logic.
     """
-    if cfg is not state.cfg:
-        state.cfg = cfg
-    if not frame.valid:
-        rho = state.kaf.rho_hat if state.kaf is not None else (state.rho0 or 0.0)
-        trace.append(frame.t_index, frame.v_p3, frame.v_n3, rho, 0.0,
-                     state.last_operate, state.last_restraint, state.tripped, False)
-        return trace
-    if state.kaf is None:
-        rho0 = state.rho0
-        if rho0 is None:
-            rho0 = frame.v_n3 / frame.v_p3 if frame.v_p3 > 0 else 0.5
-        state.kaf = replace(state.kaf_template, rho_hat=rho0,
-                            variance=state.kaf_template.initial_variance, t=0)
-    state.kaf, residual = kaf_update(state.kaf, frame)
-    jao, jar = _score_and_latch(state, residual, frame.v_n3)
-    trace.append(frame.t_index, frame.v_p3, frame.v_n3, state.kaf.rho_hat,
-                 residual, jao, jar, state.tripped, True)
-    return trace
-
-
-def ng64g2_step(
-    state: Ng64G2State, frame: HarmonicFrame, cfg: DetectorConfig, trace: SchemeTrace
-) -> SchemeTrace:
-    """Advance the fixed-ratio scheme by one frame: identical machinery
-    to the adaptive step but the residual uses the frozen ratio."""
-    if cfg is not state.cfg:
-        state.cfg = cfg
-    if not frame.valid:
-        trace.append(frame.t_index, frame.v_p3, frame.v_n3, state.ratio, 0.0,
-                     state.last_operate, state.last_restraint, state.tripped, False)
-        return trace
-    residual = frame.v_n3 - state.ratio * frame.v_p3
-    jao, jar = _score_and_latch(state, residual, frame.v_n3)
-    trace.append(frame.t_index, frame.v_p3, frame.v_n3, state.ratio,
-                 residual, jao, jar, state.tripped, True)
+    residual = 0.0
+    if frame.valid:
+        if state.kaf_template is None:
+            residual = frame.v_n3 - state.ratio * frame.v_p3
+        else:
+            if state.kaf is None:
+                rho0 = state.ratio
+                if rho0 is None:
+                    rho0 = frame.v_n3 / frame.v_p3 if frame.v_p3 > 0 else 0.5
+                state.kaf = replace(state.kaf_template, rho_hat=rho0,
+                                    variance=state.kaf_template.initial_variance, t=0)
+            state.kaf, residual = kaf_update(state.kaf, frame)
+        state.t += 1
+        state.residuals.append(residual)
+        state.vn3s.append(frame.v_n3)
+        jao, jar = operate_restraint(state.residuals, state.vn3s, state.cfg, state.t)
+        if not state.tripped:
+            if jao > state.cfg.sensitivity * jar:
+                state.streak += 1
+            else:
+                state.streak = 0
+            if state.streak >= state.cfg.hold:
+                state.tripped = True
+        state.last_operate, state.last_restraint = jao, jar
+    trace.append(frame.t_index, frame.v_p3, frame.v_n3, state.rho, residual,
+                 state.last_operate, state.last_restraint, state.tripped, frame.valid)
     return trace
 
 
@@ -363,7 +322,7 @@ def calibrate_64rat(
 
 
 class AdaptiveRatioDetector:
-    """Batch/streaming wrapper over a64g2_step."""
+    """Batch/streaming wrapper over ratio_step with a Kalman-tracked ratio."""
 
     def __init__(
         self,
@@ -383,9 +342,8 @@ class AdaptiveRatioDetector:
         )
         self._rho0 = rho0
 
-    def new_state(self) -> A64G2State:
-        return A64G2State(cfg=self.cfg, kaf=None, kaf_template=self._template,
-                          rho0=self._rho0)
+    def new_state(self) -> RatioSchemeState:
+        return RatioSchemeState(cfg=self.cfg, ratio=self._rho0, kaf_template=self._template)
 
     def run(
         self,
@@ -397,12 +355,12 @@ class AdaptiveRatioDetector:
                             onset_index=onset_index)
         state = self.new_state()
         for frame in frames:
-            a64g2_step(state, frame, self.cfg, trace)
+            ratio_step(state, frame, trace)
         return trace
 
 
 class FixedRatioDetector:
-    """Batch/streaming wrapper over ng64g2_step."""
+    """Batch/streaming wrapper over ratio_step with a frozen ratio."""
 
     def __init__(self, ratio: float, cfg: Optional[DetectorConfig] = None):
         if ratio <= 0:
@@ -420,8 +378,8 @@ class FixedRatioDetector:
                              persistence=persistence)
         return cls(ratio=calibration.ratio, cfg=cfg)
 
-    def new_state(self) -> Ng64G2State:
-        return Ng64G2State(cfg=self.cfg, ratio=self.ratio)
+    def new_state(self) -> RatioSchemeState:
+        return RatioSchemeState(cfg=self.cfg, ratio=self.ratio)
 
     def run(
         self,
@@ -433,7 +391,7 @@ class FixedRatioDetector:
                             onset_index=onset_index)
         state = self.new_state()
         for frame in frames:
-            ng64g2_step(state, frame, self.cfg, trace)
+            ratio_step(state, frame, trace)
         return trace
 
 

@@ -80,23 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# every top-level key any subcommand reads; one scenario file is meant
-# to be reusable across simulate/detect/calibrate, so the check is
-# shared rather than per command
-_CONFIG_KEYS = frozenset((
-    "kind", "seed", "noise", "profile", "machine", "sub64s", "fault",
-    "disturbances", "schemes", "calibration", "kaf", "detector",
-    "estimator", "onset_sample", "grid", "scenarios",
-))
-
-
 def _load(args) -> dict:
     config = harness.load_config(args.config) if args.config else {}
-    unknown = set(config) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(
-            f"unknown top-level keys {sorted(unknown)}; "
-            f"recognized: {sorted(_CONFIG_KEYS)}")
     if args.seed is not None:
         config["seed"] = args.seed
     return config
@@ -112,53 +97,16 @@ def _emit_and_print(obj, args, default_dir: str):
 
 
 def _cmd_simulate(args) -> int:
-    config = _load(args)
-    kind = config.get("kind", "64g2")
+    kind, channels, onset_index = harness.simulate_waveforms(_load(args))
     out = Path(args.out or "statorguard_out")
     out.mkdir(parents=True, exist_ok=True)
+    path = out / "waveforms.csv"
+    write_csv(path, channels)
+    first = next(iter(channels.values()))
+    summary = {"kind": kind, "samples": len(first), "fs": first.fs,
+               "written": [str(path)]}
     if kind == "64g2":
-        from .plantsim import (DisturbanceSpec, FaultSpec, MachineConfig,
-                               simulate_64g2_scenario)
-        machine = harness._machine_from(config)
-        fault_section = config.get("fault")
-        fault = harness._build(FaultSpec, fault_section, "fault") if fault_section else None
-        disturbances = [harness._build(DisturbanceSpec, d, f"disturbances[{i}]")
-                        for i, d in enumerate(config.get("disturbances", []))]
-        profile = harness._profile_from(config)
-        sim = simulate_64g2_scenario(
-            machine, fault, disturbances,
-            load_pu=float(profile.get("load_pu", 1.0)),
-            pf=float(profile.get("pf", 1.0)),
-            duration=float(profile.get("duration", 1.0)),
-            fs=float(profile.get("fs", 1000.0)),
-            noise_std=harness._noise_from(config),
-            seed=int(config.get("seed", 0)),
-        )
-        path = out / "waveforms.csv"
-        write_csv(path, {"vp3": sim.v_p3_wave, "vn3": sim.v_n3_wave})
-        summary = {"kind": kind, "samples": len(sim.v_p3_wave),
-                   "fs": sim.fs, "onset_index": sim.onset_index,
-                   "written": [str(path)]}
-    elif kind == "64s":
-        from .plantsim import FaultSpec, simulate_64s_timeseries
-        circuit = harness._circuit_from(config)
-        fault_section = config.get("fault")
-        fault = harness._build(FaultSpec, fault_section, "fault") if fault_section else None
-        profile = harness._profile_from(config)
-        v_ts, i_ts = simulate_64s_timeseries(
-            circuit, [fault] if fault else [],
-            duration=float(profile.get("duration", 3.0)),
-            fs=float(profile.get("fs", 1000.0)),
-            noise_std=harness._noise_from(config),
-            speed_profile=harness._speed_profile_from(profile),
-            seed=int(config.get("seed", 0)),
-        )
-        path = out / "waveforms.csv"
-        write_csv(path, {"vn": v_ts, "in": i_ts})
-        summary = {"kind": kind, "samples": len(v_ts), "fs": v_ts.fs,
-                   "written": [str(path)]}
-    else:
-        raise ConfigError(f"'kind' must be '64g2' or '64s', got {kind!r}")
+        summary["onset_index"] = onset_index
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -206,23 +154,19 @@ def _cmd_calibrate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        harness._write_json(out / "calibration.json", payload)
+        harness.write_json(out / "calibration.json", payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
 
 def _cmd_sweep_sensitivity(args) -> int:
-    config = _load(args)
-    grid_section = config.get("grid", {})
-    grid = harness._build(harness.SweepGrid, grid_section, "grid") if grid_section else None
-    report = harness.sweep_sensitivity(grid, config)
+    report = harness.sweep_sensitivity(None, _load(args))
     _emit_and_print(report, args, "statorguard_out")
     return 0
 
 
 def _cmd_sweep_security(args) -> int:
-    config = _load(args)
-    report = harness.sweep_security(config.get("scenarios"), config)
+    report = harness.sweep_security(None, _load(args))
     _emit_and_print(report, args, "statorguard_out")
     return 0
 

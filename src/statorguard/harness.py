@@ -10,12 +10,12 @@ JSON/CSV artifacts.
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field, fields as dc_fields
+import math
+import numbers
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,16 +40,18 @@ from .a64s import (
 from .plantsim import (
     DisturbanceSpec,
     FaultSpec,
-    HarmonicFrame,
     MachineConfig,
+    Scenario64G2Result,
     Subharmonic64SConfig,
     constant_speed,
+    frames_from_64g2_waveforms,
     ramp_speed,
     simulate_64g2_scenario,
     simulate_64s_timeseries,
-    third_harmonic_solve,
 )
-from .signalcore import TimeSeries, extract_phasor
+# extract_phasor is not called here; it stays importable from harness
+# because perfbench/tracing.py wraps it by that binding.
+from .signalcore import TimeSeries, extract_phasor  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -58,13 +60,14 @@ __all__ = [
     "ReliabilityReport",
     "load_config",
     "run_scenario",
+    "simulate_waveforms",
     "calibrate_from_config",
     "default_calibration_points",
     "default_security_catalog",
     "sweep_sensitivity",
     "sweep_security",
     "emit_report",
-    "thread_budget",
+    "write_json",
     "DETECTION_WINDOW_S",
     "DEFAULT_ONSET_SAMPLE",
 ]
@@ -72,6 +75,30 @@ __all__ = [
 # A fault counts as detected when the trip lands within this long of onset.
 DETECTION_WINDOW_S = 0.5
 DEFAULT_ONSET_SAMPLE = 270
+
+# Allowed keys of every config level read here by hand.  Sections backed
+# by a dataclass (machine, sub64s, fault, disturbances, detector, grid,
+# estimator.detector) reject unknown keys through its constructor.  One
+# scenario file is meant to be reusable across simulate, detect,
+# calibrate and the sweeps, so the top level admits every section any of
+# them reads.
+_KEYS = {
+    "config": frozenset((
+        "kind", "seed", "noise", "profile", "machine", "sub64s", "fault",
+        "disturbances", "schemes", "calibration", "kaf", "detector",
+        "estimator", "onset_sample", "grid", "scenarios",
+    )),
+    "profile": frozenset((
+        "duration", "fs", "load_pu", "pf", "speed", "window_cycles",
+        "supervision_frac",
+    )),
+    "profile.speed": frozenset(("t_start", "t_end", "start", "end")),
+    "calibration": frozenset(("ratio", "beta_ng", "guard", "points", "duration")),
+    "calibration.points": frozenset(("load_pu", "pf")),
+    "kaf": frozenset(("process_noise", "measurement_noise", "initial_variance", "rho0")),
+    "estimator": frozenset(f.name for f in dc_fields(A64SEstimatorConfig)),
+    "scenarios": frozenset(("name", "kind", "disturbances", "profile", "fault")),
+}
 
 
 class ConfigError(ValueError):
@@ -92,6 +119,59 @@ def load_config(path) -> Dict[str, Any]:
     return data
 
 
+def _check_keys(value, level: str) -> None:
+    """Reject a value that is not an object holding only keys of level."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{level} must be an object")
+    unknown = set(value) - _KEYS[level]
+    if unknown:
+        raise ConfigError(f"{level}: unknown keys {sorted(unknown)}; "
+                          f"recognized: {sorted(_KEYS[level])}")
+
+
+def _section(config: Dict[str, Any], name: str) -> Dict[str, Any]:
+    """Section name of a checked config; absent or null reads as empty."""
+    return config.get(name) or {}
+
+
+def _number(section: Dict[str, Any], key: str, default, where: str, cast=float):
+    """section[key] (or default) as a finite number converted by cast."""
+    value = section.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"'{where}{key}' must be a finite number, got {value!r}")
+    return cast(value)
+
+
+def _check_config(config) -> str:
+    """Reject unknown keys at every level read by hand and an incomplete
+    calibration setting; returns the scenario kind."""
+    _check_keys(config, "config")
+    for name in ("profile", "calibration", "kaf", "estimator"):
+        if config.get(name) is not None:
+            _check_keys(config[name], name)
+    speed = _section(config, "profile").get("speed")
+    if isinstance(speed, dict):
+        _check_keys(speed, "profile.speed")
+    calibration = _section(config, "calibration")
+    points = calibration.get("points") or []
+    if not isinstance(points, list):
+        raise ConfigError("calibration.points must be a list")
+    for point in points:
+        _check_keys(point, "calibration.points")
+    if ("ratio" in calibration) != ("beta_ng" in calibration):
+        raise ConfigError("calibration needs both 'ratio' and 'beta_ng' (a fixed "
+                          "setting) or neither (commission from healthy runs)")
+    kind = config.get("kind", "64g2")
+    if kind not in ("64g2", "64s"):
+        raise ConfigError(f"'kind' must be '64g2' or '64s', got {kind!r}")
+    if kind == "64g2" and "sub64s" in config and "machine" not in config:
+        raise ConfigError("64g2 scenario given only a sub64s section; wrong kind?")
+    if kind == "64s" and "machine" in config and "sub64s" not in config:
+        raise ConfigError("64s scenario given only a machine section; wrong kind?")
+    return kind
+
+
 def _build(cls, data: Dict[str, Any], section: str):
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be an object")
@@ -101,29 +181,13 @@ def _build(cls, data: Dict[str, Any], section: str):
             kwargs[key] = tuple(value)
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"section {section!r}: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"section {section!r}: {exc}") from exc
 
 
 def _derive_seed(base_seed: int, *branch: int) -> int:
     return int(np.random.SeedSequence([int(base_seed), *[int(b) for b in branch]])
                .generate_state(1)[0])
-
-
-def thread_budget() -> int:
-    """Worker cap for sweeps; STATORGUARD_THREADS overrides the default."""
-    raw = os.environ.get("STATORGUARD_THREADS")
-    if raw is None:
-        return max(1, min(8, os.cpu_count() or 1))
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"STATORGUARD_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError("STATORGUARD_THREADS must be >= 1")
-    return value
 
 
 @dataclass
@@ -204,58 +268,46 @@ class ReliabilityReport:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _seed(config: Dict[str, Any]) -> int:
+    return _number(config, "seed", 0, "", int)
+
+
+def _noise_from(config: Dict[str, Any]) -> float:
+    noise = _number(config, "noise", 0.05, "")
+    if noise < 0:
+        raise ConfigError("'noise' must be a number >= 0")
+    return noise
+
+
 def _machine_from(config: Dict[str, Any]) -> MachineConfig:
     return _build(MachineConfig, config.get("machine", {}), "machine")
 
 
-def _circuit_from(config: Dict[str, Any]) -> Subharmonic64SConfig:
-    return _build(Subharmonic64SConfig, config.get("sub64s", {}), "sub64s")
-
-
-def _profile_from(config: Dict[str, Any]) -> Dict[str, Any]:
-    profile = config.get("profile", {})
-    if not isinstance(profile, dict):
-        raise ConfigError("section 'profile' must be an object")
-    return profile
-
-
-def _noise_from(config: Dict[str, Any]) -> float:
-    noise = config.get("noise", 0.05)
-    if not isinstance(noise, (int, float)) or noise < 0:
-        raise ConfigError("'noise' must be a number >= 0")
-    return float(noise)
-
-
-def _detector_cfg_from(config: Dict[str, Any]) -> DetectorConfig:
-    return _build(DetectorConfig, config.get("detector", {}), "detector")
+def _fault_from(config: Dict[str, Any]) -> Optional[FaultSpec]:
+    section = config.get("fault")
+    return _build(FaultSpec, section, "fault") if section else None
 
 
 def _speed_profile_from(profile: Dict[str, Any]):
     spec = profile.get("speed")
     if spec is None:
         return None
-    if isinstance(spec, (int, float)):
-        return constant_speed(float(spec))
-    if isinstance(spec, dict):
-        try:
-            return ramp_speed(float(spec["t_start"]), float(spec["t_end"]),
-                              float(spec["start"]), float(spec["end"]))
-        except KeyError as exc:
-            raise ConfigError(f"speed ramp needs t_start/t_end/start/end: missing {exc}")
-        except ValueError as exc:
-            raise ConfigError(f"speed ramp: {exc}") from exc
-    raise ConfigError("'profile.speed' must be null, a number, or a ramp object")
+    if not isinstance(spec, dict):
+        return constant_speed(_number(profile, "speed", None, "profile."))
+    t_start, t_end, start, end = (_number(spec, key, None, "profile.speed.")
+                                  for key in ("t_start", "t_end", "start", "end"))
+    try:
+        return ramp_speed(t_start, t_end, start, end)
+    except ValueError as exc:
+        raise ConfigError(f"speed ramp: {exc}") from exc
 
 
-def _check_kind(config: Dict[str, Any]) -> str:
-    kind = config.get("kind", "64g2")
-    if kind not in ("64g2", "64s"):
-        raise ConfigError(f"'kind' must be '64g2' or '64s', got {kind!r}")
-    if kind == "64g2" and "sub64s" in config and "machine" not in config:
-        raise ConfigError("64g2 scenario given only a sub64s section; wrong kind?")
-    if kind == "64s" and "machine" in config and "sub64s" not in config:
-        raise ConfigError("64s scenario given only a machine section; wrong kind?")
-    return kind
+def _channels(input_channels: Dict[str, TimeSeries], *names: str) -> List[TimeSeries]:
+    lower = {k.lower(): v for k, v in input_channels.items()}
+    if any(name not in lower for name in names):
+        quoted = " and ".join(repr(name) for name in names)
+        raise ConfigError(f"input CSV must provide {quoted} channels")
+    return [lower[name] for name in names]
 
 
 def default_calibration_points() -> List[Tuple[float, float]]:
@@ -272,24 +324,21 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
     """Commission the fixed-ratio scheme from healthy runs across the
     calibration operating points; returns the calibration and the
     per-point medians that produced it."""
+    _check_config(config)
     machine = _machine_from(config)
     noise = _noise_from(config)
-    seed = int(config.get("seed", 0))
-    cal_section = config.get("calibration", {}) or {}
-    if not isinstance(cal_section, dict):
-        raise ConfigError("section 'calibration' must be an object")
-    guard = float(cal_section.get("guard", 0.15))
+    seed = _seed(config)
+    cal_section = _section(config, "calibration")
+    guard = _number(cal_section, "guard", 0.15, "calibration.")
     points_spec = cal_section.get("points")
     if points_spec is None:
         op_points = default_calibration_points()
     else:
-        try:
-            op_points = [(float(p["load_pu"]), float(p["pf"])) for p in points_spec]
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(f"calibration points need load_pu and pf: {exc}")
-    profile = _profile_from(config)
-    fs = float(profile.get("fs", 1000.0))
-    duration = float(cal_section.get("duration", 0.35))
+        op_points = [(_number(p, "load_pu", None, "calibration.points."),
+                      _number(p, "pf", None, "calibration.points."))
+                     for p in points_spec]
+    fs = _number(_section(config, "profile"), "fs", 1000.0, "profile.")
+    duration = _number(cal_section, "duration", 0.35, "calibration.")
 
     measured: List[Tuple[float, float]] = []
     details: List[Dict[str, float]] = []
@@ -311,186 +360,142 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
 
 
 def _resolve_calibration(config: Dict[str, Any]) -> Calibration64RAT:
-    section = config.get("calibration", {}) or {}
-    if isinstance(section, dict) and "ratio" in section and "beta_ng" in section:
-        return Calibration64RAT(ratio=float(section["ratio"]),
-                                beta_ng=float(section["beta_ng"]))
+    section = _section(config, "calibration")
+    if "ratio" in section and "beta_ng" in section:
+        return Calibration64RAT(ratio=_number(section, "ratio", None, "calibration."),
+                                beta_ng=_number(section, "beta_ng", None, "calibration."))
     calibration, _ = calibrate_from_config(config)
     return calibration
 
 
-def frames_from_64g2_waveforms(
-    vp3_wave: TimeSeries,
-    vn3_wave: TimeSeries,
-    machine: MachineConfig,
-    load_pu: float = 1.0,
-    pf: float = 1.0,
-    window_cycles: int = 3,
-    supervision_frac: float = 0.1,
-) -> List[HarmonicFrame]:
-    """Turn measured terminal/neutral waveforms into detector frames,
-    applying the same minimum-signal supervision as the simulator path."""
-    if vp3_wave.fs != vn3_wave.fs or len(vp3_wave) != len(vn3_wave):
-        raise ConfigError("terminal and neutral waveforms must share fs and length")
-    ph_p = extract_phasor(vp3_wave, 3.0 * machine.f1, window_cycles)
-    ph_n = extract_phasor(vn3_wave, 3.0 * machine.f1, window_cycles)
-    _, vp3_rated = third_harmonic_solve(machine, None, load_pu, pf)
-    floor = supervision_frac * abs(vp3_rated)
-    frames = []
-    for i in range(len(vp3_wave)):
-        ok = bool(ph_p.valid[i]) and ph_p.magnitude[i] >= floor
-        frames.append(HarmonicFrame(
-            t_index=i, v_p3=float(ph_p.magnitude[i]), v_n3=float(ph_n.magnitude[i]),
-            load_pu=load_pu, pf=pf, valid=ok,
-        ))
-    return frames
+def _fault_verdict(first: Optional[int], onset: Optional[int], fs: float) -> Dict[str, Any]:
+    """Latency and detection against the fault onset; without a fault,
+    whether the scheme misoperated."""
+    if onset is None:
+        return {"misoperation": first is not None}
+    latency = None if first is None else first - onset
+    return {
+        "latency_samples": latency,
+        "detected": latency is not None and 0 <= latency <= DETECTION_WINDOW_S * fs,
+    }
 
 
-def _run_64g2(config: Dict[str, Any], name: str,
-              input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
+def _scenario_64g2(config: Dict[str, Any],
+                   input_channels: Optional[Dict[str, TimeSeries]] = None) -> Scenario64G2Result:
+    """Frames of a 64g2 scenario, from ingested waveforms or the simulator."""
     machine = _machine_from(config)
-    fault_section = config.get("fault")
-    fault = _build(FaultSpec, fault_section, "fault") if fault_section else None
+    fault = _fault_from(config)
     disturbances = [
         _build(DisturbanceSpec, d, f"disturbances[{i}]")
         for i, d in enumerate(config.get("disturbances", []))
     ]
-    profile = _profile_from(config)
-    load_pu = float(profile.get("load_pu", 1.0))
-    pf = float(profile.get("pf", 1.0))
-    duration = float(profile.get("duration", 1.0))
-    fs = float(profile.get("fs", 1000.0))
+    profile = _section(config, "profile")
+    load_pu = _number(profile, "load_pu", 1.0, "profile.")
+    pf = _number(profile, "pf", 1.0, "profile.")
+    duration = _number(profile, "duration", 1.0, "profile.")
+    fs = _number(profile, "fs", 1000.0, "profile.")
+    window_cycles = _number(profile, "window_cycles", 3, "profile.", int)
+    supervision_frac = _number(profile, "supervision_frac", 0.1, "profile.")
     noise = _noise_from(config)
-    seed = int(config.get("seed", 0))
-    det_cfg = _detector_cfg_from(config)
-    kaf = config.get("kaf", {})
-    if not isinstance(kaf, dict):
-        raise ConfigError("section 'kaf' must be an object")
+    seed = _seed(config)
+
+    if input_channels is None:
+        return simulate_64g2_scenario(
+            machine, fault, disturbances, load_pu, pf, duration, fs, noise,
+            window_cycles=window_cycles, supervision_frac=supervision_frac, seed=seed,
+        )
+    vp3, vn3 = _channels(input_channels, "vp3", "vn3")
+    sim = frames_from_64g2_waveforms(vp3, vn3, machine, load_pu, pf,
+                                     window_cycles, supervision_frac)
+    onset = None if fault is None else int(round(fault.t_on * sim.fs))
+    return replace(sim, onset_index=onset)
+
+
+def _kaf_kwargs(config: Dict[str, Any]) -> Dict[str, float]:
+    kaf = _section(config, "kaf")
+    return {k: _number(kaf, k, None, "kaf.") for k, v in kaf.items() if v is not None}
+
+
+def _run_64g2(config: Dict[str, Any], name: str,
+              input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
+    det_cfg = _build(DetectorConfig, config.get("detector", {}), "detector")
+    kaf = _kaf_kwargs(config)
     schemes = config.get("schemes", ["adaptive", "fixed"])
     if not set(schemes) <= {"adaptive", "fixed"}:
         raise ConfigError(f"unknown schemes in {schemes}")
-
-    onset_index: Optional[int] = None
-    if input_channels is not None:
-        lower = {k.lower(): v for k, v in input_channels.items()}
-        if "vp3" not in lower or "vn3" not in lower:
-            raise ConfigError("input CSV must provide 'vp3' and 'vn3' channels")
-        frames = frames_from_64g2_waveforms(
-            lower["vp3"], lower["vn3"], machine, load_pu, pf,
-            window_cycles=int(profile.get("window_cycles", 3)),
-            supervision_frac=float(profile.get("supervision_frac", 0.1)),
-        )
-        fs = lower["vp3"].fs
-        if fault is not None:
-            onset_index = int(round(fault.t_on * fs))
-    else:
-        sim = simulate_64g2_scenario(
-            machine, fault, disturbances, load_pu, pf, duration, fs, noise,
-            window_cycles=int(profile.get("window_cycles", 3)),
-            supervision_frac=float(profile.get("supervision_frac", 0.1)),
-            seed=seed,
-        )
-        frames = sim.frames
-        onset_index = sim.onset_index
+    sim = _scenario_64g2(config, input_channels)
 
     verdicts: Dict[str, Dict[str, Any]] = {}
     traces: Dict[str, Any] = {}
     if "adaptive" in schemes:
-        detector = AdaptiveRatioDetector(cfg=det_cfg, **_kaf_kwargs(kaf))
-        trace = detector.run(frames, fs, onset_index=onset_index)
-        verdicts["a64g2"] = _verdict_64g2(trace, fault, fs)
+        detector = AdaptiveRatioDetector(cfg=det_cfg, **kaf)
+        trace = detector.run(sim.frames, sim.fs, onset_index=sim.onset_index)
+        verdicts["a64g2"] = _verdict_64g2(trace)
         traces["a64g2"] = trace
     if "fixed" in schemes:
         calibration = _resolve_calibration(config)
         fixed = FixedRatioDetector.from_calibration(
             calibration, window=det_cfg.window, persistence=det_cfg.persistence)
-        trace = fixed.run(frames, fs, onset_index=onset_index)
-        verdict = _verdict_64g2(trace, fault, fs)
+        trace = fixed.run(sim.frames, sim.fs, onset_index=sim.onset_index)
+        verdict = _verdict_64g2(trace)
         verdict["calibration"] = {"ratio": calibration.ratio,
                                   "beta_ng": calibration.beta_ng}
         verdicts["ng64g2"] = verdict
         traces["ng64g2"] = trace
-    return ScenarioResult(kind="64g2", name=name, seed=seed,
+    return ScenarioResult(kind="64g2", name=name, seed=_seed(config),
                           verdicts=verdicts, traces=traces)
 
 
-def _kaf_kwargs(kaf: Dict[str, Any]) -> Dict[str, float]:
-    allowed = {"process_noise", "measurement_noise", "initial_variance", "rho0"}
-    unknown = set(kaf) - allowed
-    if unknown:
-        raise ConfigError(f"section 'kaf': unknown keys {sorted(unknown)}")
-    return {k: float(v) for k, v in kaf.items() if v is not None}
-
-
-def _verdict_64g2(trace: SchemeTrace, fault: Optional[FaultSpec], fs: float) -> Dict[str, Any]:
+def _verdict_64g2(trace: SchemeTrace) -> Dict[str, Any]:
     first = trace.first_trip_index
-    verdict: Dict[str, Any] = {
+    return {
         "tripped": first is not None,
         "first_trip_index": first,
         "margin": trace.margin(),
+        **_fault_verdict(first, trace.onset_index, trace.fs),
     }
-    if fault is not None and trace.onset_index is not None:
-        latency = trace.detection_latency_samples
-        verdict["latency_samples"] = latency
-        verdict["detected"] = (
-            first is not None
-            and first >= trace.onset_index
-            and latency <= DETECTION_WINDOW_S * fs
-        )
-    else:
-        verdict["misoperation"] = first is not None
-    return verdict
 
 
 def _estimator_cfg_from(config: Dict[str, Any]) -> A64SEstimatorConfig:
-    section = config.get("estimator", {}) or {}
-    if not isinstance(section, dict):
-        raise ConfigError("section 'estimator' must be an object")
-    section = dict(section)
-    detector = _build(InsulationDetectorConfig, section.pop("detector", {}),
+    section = _section(config, "estimator")
+    detector = _build(InsulationDetectorConfig, section.get("detector", {}),
                       "estimator.detector")
-    allowed = {f.name for f in dc_fields(A64SEstimatorConfig)} - {"detector"}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"section 'estimator': unknown keys {sorted(unknown)}")
-    try:
-        return A64SEstimatorConfig(detector=detector,
-                                   **{k: float(v) for k, v in section.items()})
-    except ValueError as exc:
-        raise ConfigError(f"section 'estimator': {exc}") from exc
+    tunables = {k: _number(section, k, None, "estimator.")
+                for k in section if k != "detector"}
+    return A64SEstimatorConfig(detector=detector, **tunables)
+
+
+def _scenario_64s(config: Dict[str, Any],
+                  input_channels: Optional[Dict[str, TimeSeries]] = None,
+                  ) -> Tuple[Subharmonic64SConfig, TimeSeries, TimeSeries, Optional[int]]:
+    """Circuit, neutral voltage and current, and fault onset sample of a
+    64s scenario, from ingested waveforms or the simulator."""
+    circuit = _build(Subharmonic64SConfig, config.get("sub64s", {}), "sub64s")
+    fault = _fault_from(config)
+    if config.get("disturbances"):
+        raise ConfigError("64s scenarios model speed via profile.speed, not disturbances")
+    profile = _section(config, "profile")
+    duration = _number(profile, "duration", 3.0, "profile.")
+    fs = _number(profile, "fs", 1000.0, "profile.")
+    speed_profile = _speed_profile_from(profile)
+    noise = _noise_from(config)
+    seed = _seed(config)
+
+    if input_channels is None:
+        v_ts, i_ts = simulate_64s_timeseries(
+            circuit, [fault] if fault is not None else [], duration=duration, fs=fs,
+            noise_std=noise, speed_profile=speed_profile, seed=seed,
+        )
+    else:
+        v_ts, i_ts = _channels(input_channels, "vn", "in")
+    onset = None if fault is None else int(round(fault.t_on * v_ts.fs))
+    return circuit, v_ts, i_ts, onset
 
 
 def _run_64s(config: Dict[str, Any], name: str,
              input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
-    circuit = _circuit_from(config)
-    fault_section = config.get("fault")
-    fault = _build(FaultSpec, fault_section, "fault") if fault_section else None
-    if config.get("disturbances"):
-        raise ConfigError("64s scenarios model speed via profile.speed, not disturbances")
-    profile = _profile_from(config)
-    duration = float(profile.get("duration", 3.0))
-    fs = float(profile.get("fs", 1000.0))
-    noise = _noise_from(config)
-    seed = int(config.get("seed", 0))
     est_cfg = _estimator_cfg_from(config)
-
-    onset_index: Optional[int] = None
-    if input_channels is not None:
-        lower = {k.lower(): v for k, v in input_channels.items()}
-        if "vn" not in lower or "in" not in lower:
-            raise ConfigError("input CSV must provide 'vn' and 'in' channels")
-        v_ts, i_ts = lower["vn"], lower["in"]
-        fs = v_ts.fs
-        if fault is not None:
-            onset_index = int(round(fault.t_on * fs))
-    else:
-        events = [fault] if fault is not None else []
-        v_ts, i_ts = simulate_64s_timeseries(
-            circuit, events, duration=duration, fs=fs, noise_std=noise,
-            speed_profile=_speed_profile_from(profile), seed=seed,
-        )
-        if fault is not None:
-            onset_index = int(round(fault.t_on * fs))
+    circuit, v_ts, i_ts, onset_index = _scenario_64s(config, input_channels)
 
     estimator = A64SEstimator(circuit, est_cfg)
     trace = estimator.run_timeseries(v_ts, i_ts, onset_index=onset_index)
@@ -508,15 +513,8 @@ def _run_64s(config: Dict[str, Any], name: str,
     except ValueError:
         pass
     verdict["x_final"] = trace.final_location()
-    if fault is not None and onset_index is not None:
-        verdict["latency_samples"] = (first - onset_index) if first is not None else None
-        verdict["detected"] = (
-            first is not None and first >= onset_index
-            and (first - onset_index) <= DETECTION_WINDOW_S * fs
-        )
-    else:
-        verdict["misoperation"] = first is not None
-    return ScenarioResult(kind="64s", name=name, seed=seed,
+    verdict.update(_fault_verdict(first, onset_index, v_ts.fs))
+    return ScenarioResult(kind="64s", name=name, seed=_seed(config),
                           verdicts={"a64s": verdict}, traces={"a64s": trace})
 
 
@@ -524,53 +522,56 @@ def run_scenario(config: Dict[str, Any], name: str = "scenario",
                  input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
     """Execute one scenario end to end (simulate, or use ingested
     waveforms, then detect) and return verdicts plus traces."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a dict")
-    kind = _check_kind(config)
-    if kind == "64g2":
+    if _check_config(config) == "64g2":
         return _run_64g2(config, name, input_channels)
     return _run_64s(config, name, input_channels)
+
+
+def simulate_waveforms(config: Dict[str, Any]) -> Tuple[str, Dict[str, TimeSeries], Optional[int]]:
+    """Simulate a scenario's measurement waveforms, parsed exactly as
+    run_scenario parses them; returns the kind, the channels (vp3/vn3 for
+    64g2, vn/in for 64s) and the fault onset sample."""
+    kind = _check_config(config)
+    if kind == "64g2":
+        sim = _scenario_64g2(config)
+        return kind, {"vp3": sim.v_p3_wave, "vn3": sim.v_n3_wave}, sim.onset_index
+    _, v_ts, i_ts, onset = _scenario_64s(config)
+    return kind, {"vn": v_ts, "in": i_ts}, onset
 
 
 def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) -> ReliabilityReport:
     """Fault-coverage study: run every (tap, Rf, load, pf) cell through
     both ratio schemes and derive the blind zone at the minimum fault
-    resistance."""
-    grid = grid or SweepGrid()
+    resistance.  grid None takes the base config's 'grid' section, or
+    the default SweepGrid when it has none."""
     base = copy.deepcopy(base_config)
     base.setdefault("kind", "64g2")
-    if base["kind"] != "64g2":
+    if _check_config(base) != "64g2":
         raise ConfigError("sensitivity sweep applies to 64g2 configs")
-    seed = int(base.get("seed", 0))
-    fs = float(_profile_from(base).get("fs", 1000.0))
-    onset = int(base.get("onset_sample", DEFAULT_ONSET_SAMPLE))
+    if grid is None:
+        grid = _build(SweepGrid, base["grid"], "grid") if base.get("grid") else SweepGrid()
+    seed = _seed(base)
+    profile = _section(base, "profile")
+    fs = _number(profile, "fs", 1000.0, "profile.")
+    onset = _number(base, "onset_sample", DEFAULT_ONSET_SAMPLE, "", int)
     calibration = _resolve_calibration(base)
-    cells = grid.cells()
 
-    def run_cell(item):
-        index, (x, rf, load, pf) = item
+    rows: List[Dict[str, Any]] = []
+    for index, (x, rf, load, pf) in enumerate(grid.cells()):
         cfg = copy.deepcopy(base)
         cfg["fault"] = {"x": x, "rf": rf, "t_on": onset / fs}
-        cfg.setdefault("profile", {})
-        cfg["profile"]["load_pu"] = load
-        cfg["profile"]["pf"] = pf
-        cfg["profile"].setdefault("duration", (onset / fs) + DETECTION_WINDOW_S + 0.25)
+        cfg["profile"] = {"duration": (onset / fs) + DETECTION_WINDOW_S + 0.25,
+                          **profile, "load_pu": load, "pf": pf}
         cfg["seed"] = _derive_seed(seed, 1, index)
         cfg["calibration"] = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
         result = run_scenario(cfg, name=f"cell_{index}")
-        row = {
+        rows.append({
             "x": x, "rf": rf, "load_pu": load, "pf": pf,
             "detected_adaptive": bool(result.verdicts["a64g2"]["detected"]),
             "detected_fixed": bool(result.verdicts["ng64g2"]["detected"]),
             "latency_adaptive_samples": result.verdicts["a64g2"]["latency_samples"],
             "latency_fixed_samples": result.verdicts["ng64g2"]["latency_samples"],
-        }
-        return index, row
-
-    rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=thread_budget()) as pool:
-        for index, row in pool.map(run_cell, enumerate(cells)):
-            rows[index] = row
+        })
 
     min_rf = min(grid.rfs)
     blind_taps = []
@@ -671,14 +672,19 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
                    base_config: Dict[str, Any]) -> ReliabilityReport:
     """Misoperation study: run each non-fault scenario through the ratio
     schemes (and the injection scheme for speed scenarios); any trip is a
-    misoperation."""
-    catalog = scenarios if scenarios is not None else default_security_catalog()
+    misoperation.  scenarios None takes the base config's 'scenarios'
+    list, or the default catalog when it has none."""
     base = copy.deepcopy(base_config)
-    seed = int(base.get("seed", 0))
+    _check_config(base)
+    catalog = scenarios if scenarios is not None else base.get("scenarios")
+    if catalog is None:
+        catalog = default_security_catalog()
+    seed = _seed(base)
     calibration = _resolve_calibration({**base, "kind": "64g2"})
     rows: List[Dict[str, Any]] = []
     misoperations: List[Dict[str, Any]] = []
     for index, scenario in enumerate(catalog):
+        _check_keys(scenario, "scenarios")
         if scenario.get("fault"):
             raise ConfigError(
                 f"security scenario {scenario.get('name', index)!r} must not contain a fault")
@@ -688,7 +694,7 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
         cfg["kind"] = scenario.get("kind", "64g2")
         if "disturbances" in scenario:
             cfg["disturbances"] = copy.deepcopy(scenario["disturbances"])
-        profile = dict(cfg.get("profile", {}))
+        profile = dict(_section(cfg, "profile"))
         profile.update(scenario.get("profile", {}))
         cfg["profile"] = profile
         cfg["seed"] = _derive_seed(seed, 2, index)
@@ -734,14 +740,14 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
     if isinstance(obj, ReliabilityReport):
         payload = obj.to_dict()
         payload["digest"] = obj.digest()
-        written.append(_write_json(out / "report.json", payload))
+        written.append(write_json(out / "report.json", payload))
         if fmt == "csv":
             written.append(_write_rows_csv(out / "cells.csv", obj.cells))
             written.append(_write_rows_csv(out / "misoperations.csv", obj.misoperations))
         return written
 
     if isinstance(obj, ScenarioResult):
-        written.append(_write_json(out / "report.json", obj.to_dict()))
+        written.append(write_json(out / "report.json", obj.to_dict()))
         for scheme, trace in obj.traces.items():
             path = out / f"trace_{scheme}.csv"
             if isinstance(trace, SchemeTrace):
@@ -758,7 +764,9 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
     raise ConfigError(f"cannot emit a report for {type(obj).__name__}")
 
 
-def _write_json(path: Path, payload) -> str:
+def write_json(path: Path, payload) -> str:
+    """Write payload as sorted, indented JSON (identical inputs give
+    identical bytes); returns the path written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -22,7 +22,7 @@ config, solvers are exact for the stated lumped model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "neutral_60hz_component",
     "simulate_64s_timeseries",
     "simulate_64g2_scenario",
+    "frames_from_64g2_waveforms",
     "constant_speed",
     "ramp_speed",
 ]
@@ -221,8 +222,9 @@ class HarmonicFrame:
     valid: bool = True
 
     def __post_init__(self):
-        if self.v_p3 < 0 or self.v_n3 < 0:
-            raise ValueError("phasor magnitudes must be >= 0")
+        # chained comparisons are False for NaN, so NaN is rejected too
+        if not (0.0 <= self.v_p3 < math.inf and 0.0 <= self.v_n3 < math.inf):
+            raise ValueError("phasor magnitudes must be finite and >= 0")
 
 
 @dataclass
@@ -631,36 +633,65 @@ def simulate_64g2_scenario(
         wave_p = wave_p + rng.normal(0.0, noise_std, size=n)
         wave_n = wave_n + rng.normal(0.0, noise_std, size=n)
 
-    ts_p = TimeSeries(fs=fs, t0=0.0, samples=wave_p)
-    ts_n = TimeSeries(fs=fs, t0=0.0, samples=wave_n)
-    ph_p = extract_phasor(ts_p, 3.0 * cfg.f1, window_cycles)
-    ph_n = extract_phasor(ts_n, 3.0 * cfg.f1, window_cycles)
+    result = frames_from_64g2_waveforms(
+        TimeSeries(fs=fs, t0=0.0, samples=wave_p),
+        TimeSeries(fs=fs, t0=0.0, samples=wave_n),
+        cfg, load_pu, pf, window_cycles, supervision_frac,
+        load_t=load_t, pf_t=pf_t, in_band=np.abs(speed_t - 1.0) <= freq_band,
+    )
+    return replace(result, onset_index=onset, seed=seed)
+
+
+def frames_from_64g2_waveforms(
+    vp3_wave: TimeSeries,
+    vn3_wave: TimeSeries,
+    cfg: MachineConfig,
+    load_pu: float = 1.0,
+    pf: float = 1.0,
+    window_cycles: int = 3,
+    supervision_frac: float = 0.1,
+    load_t: Optional[np.ndarray] = None,
+    pf_t: Optional[np.ndarray] = None,
+    in_band: Optional[np.ndarray] = None,
+) -> Scenario64G2Result:
+    """Turn terminal/neutral third-harmonic waveforms into phasor streams
+    and detector frames.
+
+    Phasors are extracted at 3*f1 over window_cycles cycles.  A frame is
+    invalid during phasor warm-up, whenever the terminal magnitude sinks
+    below supervision_frac of its healthy value at the (load_pu, pf)
+    operating point (minimum-signal supervision), and wherever the
+    optional in_band mask is False.  Frames carry load_t/pf_t as their
+    per-sample operating point when given, else load_pu/pf.  The result
+    has no onset_index or seed; the simulator fills them in.
+    """
+    if vp3_wave.fs != vn3_wave.fs or len(vp3_wave) != len(vn3_wave):
+        raise ValueError("terminal and neutral waveforms must share fs and length")
+    n = len(vp3_wave)
+    ph_p = extract_phasor(vp3_wave, 3.0 * cfg.f1, window_cycles)
+    ph_n = extract_phasor(vn3_wave, 3.0 * cfg.f1, window_cycles)
 
     _, vp3_rated_c = third_harmonic_solve(cfg, None, load_pu, pf)
     vp3_rated = abs(vp3_rated_c)
-    floor = supervision_frac * vp3_rated
-    valid = (ph_p.valid & (ph_p.magnitude >= floor)
-             & (np.abs(speed_t - 1.0) <= freq_band))
-
+    valid = ph_p.valid & (ph_p.magnitude >= supervision_frac * vp3_rated)
+    if in_band is not None:
+        valid = valid & in_band
+    # one shared float per frame field when the operating point is fixed
+    loads = [float(load_pu)] * n if load_t is None else load_t.tolist()
+    pfs = [float(pf)] * n if pf_t is None else pf_t.tolist()
     frames = [
-        HarmonicFrame(
-            t_index=i,
-            v_p3=float(ph_p.magnitude[i]),
-            v_n3=float(ph_n.magnitude[i]),
-            load_pu=float(load_t[i]),
-            pf=float(pf_t[i]),
-            valid=bool(valid[i]),
-        )
-        for i in range(n)
+        HarmonicFrame(t_index=i, v_p3=v_p3, v_n3=v_n3, load_pu=load, pf=pf_i, valid=ok)
+        for i, (v_p3, v_n3, load, pf_i, ok) in enumerate(zip(
+            ph_p.magnitude.tolist(), ph_n.magnitude.tolist(), loads, pfs, valid.tolist()))
     ]
     return Scenario64G2Result(
         frames=frames,
-        v_p3_wave=ts_p,
-        v_n3_wave=ts_n,
+        v_p3_wave=vp3_wave,
+        v_n3_wave=vn3_wave,
         phasor_p=ph_p,
         phasor_n=ph_n,
-        fs=fs,
-        onset_index=onset,
+        fs=vp3_wave.fs,
+        onset_index=None,
         vp3_rated=vp3_rated,
-        seed=seed,
+        seed=None,
     )

@@ -229,7 +229,7 @@ def ingest_csv(path) -> Dict[str, TimeSeries]:
     """Read a waveform CSV with header ``t,<chan>[,<chan>...]``.
 
     The time column must be uniform within 1 ppm of its median step.
-    Missing cells and NaNs are rejected.  Returns one TimeSeries per
+    Missing cells and non-finite values (NaN, inf) are rejected.  Returns one TimeSeries per
     channel column, all sharing fs and t0.
     """
     with open(path, "r", newline="") as fh:
@@ -252,8 +252,8 @@ def ingest_csv(path) -> Dict[str, TimeSeries]:
                 vals = [float(c) for c in row]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})")
-            if any(math.isnan(v) for v in vals):
-                raise ValueError(f"{path}:{lineno}: NaN cell")
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"{path}:{lineno}: non-finite cell (NaN or inf)")
             rows.append(vals)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 samples")

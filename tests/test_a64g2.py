@@ -12,9 +12,11 @@ from statorguard.a64g2 import (
     DetectorConfig,
     FixedRatioDetector,
     RatioKafState,
+    SchemeTrace,
     calibrate_64rat,
     kaf_update,
     operate_restraint,
+    ratio_step,
 )
 from statorguard.plantsim import HarmonicFrame
 
@@ -186,6 +188,22 @@ def test_invalid_frames_freeze_the_detector():
     assert not trace.tripped
     rho = np.array(trace.rho_hat)
     assert np.allclose(rho[45:75], rho[39])  # held during the blocked stretch
+
+
+@pytest.mark.parametrize("detector", [
+    AdaptiveRatioDetector(cfg=DetectorConfig(window=12, sensitivity=0.005)),
+    FixedRatioDetector(ratio=1.0, cfg=DetectorConfig(window=12, sensitivity=0.005)),
+])
+def test_streaming_steps_match_batch_run(detector):
+    frames = [_frame(i, 1.0, 1.0, valid=i % 7 != 3) for i in range(60)]
+    frames += [_frame(i, 1.0, 2.5) for i in range(60, 120)]
+    batch = detector.run(frames, fs=1000.0)
+    assert batch.tripped
+    state = detector.new_state()
+    streamed = SchemeTrace(scheme=batch.scheme, fs=1000.0, sensitivity=batch.sensitivity)
+    for frame in frames:
+        ratio_step(state, frame, streamed)
+    assert streamed == batch
 
 
 def test_first_valid_frame_seeds_ratio():

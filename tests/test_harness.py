@@ -10,6 +10,7 @@ from statorguard.cli import main as cli_main
 from statorguard.harness import (
     ConfigError,
     ReliabilityReport,
+    calibrate_from_config,
     SweepGrid,
     default_calibration_points,
     default_security_catalog,
@@ -18,7 +19,6 @@ from statorguard.harness import (
     run_scenario,
     sweep_security,
     sweep_sensitivity,
-    thread_budget,
 )
 
 # Commissioning the fixed scheme from scratch costs eleven healthy runs;
@@ -113,17 +113,30 @@ def test_unknown_estimator_key_rejected():
         run_scenario(cfg)
 
 
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("STATORGUARD_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("STATORGUARD_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        thread_budget()
-    monkeypatch.setenv("STATORGUARD_THREADS", "0")
-    with pytest.raises(ConfigError):
-        thread_budget()
-    monkeypatch.delenv("STATORGUARD_THREADS")
-    assert thread_budget() >= 1
+@pytest.mark.parametrize("config", [
+    {"kind": "64g2", "profle": {"duration": 0.5}},
+    {"kind": "64g2", "profile": {"duraton": 0.5}, "calibration": dict(CAL)},
+    {"kind": "64g2", "profile": {"duration": 0.5}, "calibration": {"ratoi": 1.0}},
+    {"kind": "64s", "profile": {"duration": 0.5, "speed": {"t_strat": 0.1}}},
+])
+def test_unknown_keys_rejected_at_every_level(config):
+    # a typo must fail loudly, not fall back to defaults or to commissioning
+    with pytest.raises(ConfigError, match="unknown keys"):
+        run_scenario(config)
+
+
+@pytest.mark.parametrize("half", [{"ratio": 1.2}, {"beta_ng": 0.15}])
+def test_half_calibration_rejected(half):
+    cfg = _fault_config(calibration=half)
+    with pytest.raises(ConfigError, match="beta_ng"):
+        run_scenario(cfg)
+    with pytest.raises(ConfigError, match="beta_ng"):
+        calibrate_from_config(cfg)
+
+
+def test_non_numeric_profile_value_rejected():
+    with pytest.raises(ConfigError, match="duration"):
+        run_scenario(_fault_config(profile={"duration": "abc"}))
 
 
 def test_default_calibration_points_cover_load_and_pf():
@@ -202,14 +215,19 @@ def test_sensitivity_sweep_structure_and_dominance():
         assert 0.0 <= lo <= hi <= 1.0
 
 
-def test_sensitivity_sweep_digest_stable_across_thread_budgets(monkeypatch):
+def test_sensitivity_sweep_digest_stable_across_runs():
     base = {"seed": 5, "calibration": dict(CAL)}
-    monkeypatch.setenv("STATORGUARD_THREADS", "1")
-    serial = sweep_sensitivity(_small_grid(), base)
-    monkeypatch.setenv("STATORGUARD_THREADS", "4")
-    threaded = sweep_sensitivity(_small_grid(), base)
-    assert serial.digest() == threaded.digest()
-    assert serial.to_dict() == threaded.to_dict()
+    first = sweep_sensitivity(_small_grid(), base)
+    second = sweep_sensitivity(_small_grid(), base)
+    assert first.digest() == second.digest()
+    assert first.to_dict() == second.to_dict()
+
+
+def test_sensitivity_sweep_reads_grid_from_config():
+    grid = {"taps": [0.0, 0.5, 1.0], "rfs": [50.0], "loads": [1.0], "pfs": [1.0]}
+    base = {"seed": 5, "calibration": dict(CAL)}
+    from_config = sweep_sensitivity(None, {**base, "grid": grid})
+    assert from_config.digest() == sweep_sensitivity(_small_grid(), base).digest()
 
 
 def test_sensitivity_sweep_rejects_64s_config():
@@ -387,6 +405,26 @@ def test_cli_rejects_unknown_top_level_key(tmp_path, capsys):
     assert cli_main(["sweep-sensitivity", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "sweep" in err and "recognized" in err
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "64s", "disturbances": [{"kind": "load_step", "magnitude": 0.75, "t_on": 0.1}]},
+    {"kind": "64g2", "sub64s": {}},
+])
+def test_cli_simulate_rejects_what_detect_rejects(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    command = "detect-" + config["kind"]
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_non_numeric_profile_value_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "64g2", "profile": {"duration": "abc"}}))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_code(capsys):

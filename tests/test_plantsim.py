@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from statorguard.plantsim import (
     DisturbanceSpec,
     FaultSpec,
+    HarmonicFrame,
     MachineConfig,
     Subharmonic64SConfig,
     constant_speed,
     e3_of_operating_point,
     emf_split_fraction,
+    frames_from_64g2_waveforms,
     grounding_resistor_sizing,
     neutral_60hz_component,
     ramp_speed,
@@ -309,6 +311,24 @@ def test_64g2_fault_onset_index_and_step():
     settled = sim.frames[270 + 2 * sim.phasor_p.window_samples]
     assert settled.v_n3 == pytest.approx(abs(vn_f), rel=1e-6)
     assert settled.v_p3 == pytest.approx(abs(vp_f), rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_harmonic_frame_rejects_bad_magnitudes(bad):
+    with pytest.raises(ValueError):
+        HarmonicFrame(t_index=0, v_p3=bad, v_n3=1.0)
+    with pytest.raises(ValueError):
+        HarmonicFrame(t_index=0, v_p3=1.0, v_n3=bad)
+
+
+def test_64g2_replayed_waveforms_give_the_simulated_frames():
+    cfg = MachineConfig()
+    sim = simulate_64g2_scenario(cfg, FaultSpec(x=0.1, rf=200.0, t_on=0.3),
+                                 load_pu=0.8, pf=0.9, duration=0.6, seed=4)
+    replay = frames_from_64g2_waveforms(sim.v_p3_wave, sim.v_n3_wave, cfg,
+                                        load_pu=0.8, pf=0.9)
+    assert replay.frames == sim.frames
+    assert replay.vp3_rated == sim.vp3_rated
 
 
 def test_64g2_warmup_and_supervision():

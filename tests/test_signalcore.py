@@ -181,6 +181,14 @@ def test_ingest_rejects_nonuniform_time(tmp_path):
         ingest_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_ingest_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,x\n0.0,1.0\n0.001,{cell}\n0.002,3.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite"):
+        ingest_csv(path)
+
+
 def test_extract_phasor_validation():
     ts = synth_waveform([(60.0, 1.0, 0.0)], fs=1000.0, duration=0.04)
     with pytest.raises(ValueError):
