@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .plantsim import HarmonicFrame
+from .signalcore import write_table
 
 __all__ = [
     "RatioKafState",
@@ -201,12 +202,11 @@ class SchemeTrace:
     def tripped(self) -> bool:
         return self.first_trip_index is not None
 
-    @property
-    def detection_latency_samples(self) -> Optional[int]:
-        """Frames from onset to trip; None when either is missing."""
-        if self.onset_index is None or self.first_trip_index is None:
-            return None
-        return self.first_trip_index - self.onset_index
+    def columns(self) -> Dict[str, List]:
+        """Time in seconds and every per-frame signal, by CSV column name."""
+        return {"t": [i / self.fs for i in self.t_index], "VP3": self.v_p3,
+                "VN3": self.v_n3, "rho_hat": self.rho_hat, "residual": self.residual,
+                "JAO": self.operate, "JAR": self.restraint, "trip": self.trip}
 
     def margin(self, start_index: int = 0) -> float:
         """Largest operate/(sensitivity*restraint) seen from start_index
@@ -396,14 +396,5 @@ class FixedRatioDetector:
 
 
 def write_trace_csv(trace: SchemeTrace, path) -> None:
-    """Write a detector trace in the shared column layout."""
-    lines = ["t,VP3,VN3,rho_hat,residual,JAO,JAR,trip"]
-    for i in range(len(trace.t_index)):
-        t = trace.t_index[i] / trace.fs
-        lines.append(
-            f"{t!r},{trace.v_p3[i]!r},{trace.v_n3[i]!r},{trace.rho_hat[i]!r},"
-            f"{trace.residual[i]!r},{trace.operate[i]!r},{trace.restraint[i]!r},"
-            f"{int(trace.trip[i])}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a detector trace as CSV, one row per frame."""
+    write_table(path, trace.columns())

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .plantsim import Subharmonic64SConfig
-from .signalcore import TimeSeries, extract_phasor, reconstruct_narrowband
+from .signalcore import TimeSeries, extract_phasor, reconstruct_narrowband, write_table
 
 __all__ = [
     "SubharmonicFrame",
@@ -490,6 +490,15 @@ class A64STrace:
     def tripped(self) -> bool:
         return self.first_trip_index is not None
 
+    def columns(self) -> Dict[str, List]:
+        """Time in seconds and every per-sample signal, by CSV column name
+        (time constant in ms, resistance in ohms, capacitance in µF)."""
+        return {"t": [i / self.fs for i in self.t_index], "vn": self.v_n, "in": self.i_n,
+                "a0_hat": self.a0_hat, "kd_hat": self.kd_hat,
+                "tau0_hat_ms": [v * 1e3 for v in self.tau0_hat], "rs_hat_ohm": self.rs_hat,
+                "c0_hat_uF": [v * 1e6 for v in self.c0_hat], "x_hat": self.x_hat,
+                "trip": self.trip}
+
     def final_estimates(self, tail: int = 250) -> Tuple[float, float, float]:
         """(resistance, capacitance, time constant) medians over the last
         tail valid samples."""
@@ -614,15 +623,5 @@ class A64SEstimator:
 
 
 def write_a64s_trace_csv(trace: A64STrace, path) -> None:
-    """Write an estimator trace in the shared column layout (time
-    constant in ms, resistance in ohms, capacitance in microfarads)."""
-    lines = ["t,vn,in,a0_hat,kd_hat,tau0_hat_ms,rs_hat_ohm,c0_hat_uF,x_hat,trip"]
-    for i in range(len(trace.t_index)):
-        t = trace.t_index[i] / trace.fs
-        lines.append(
-            f"{t!r},{trace.v_n[i]!r},{trace.i_n[i]!r},{trace.a0_hat[i]!r},"
-            f"{trace.kd_hat[i]!r},{trace.tau0_hat[i] * 1e3!r},{trace.rs_hat[i]!r},"
-            f"{trace.c0_hat[i] * 1e6!r},{trace.x_hat[i]!r},{int(trace.trip[i])}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write an estimator trace as CSV, one row per sample."""
+    write_table(path, trace.columns())

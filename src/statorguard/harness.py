@@ -33,7 +33,6 @@ from .a64g2 import (
 from .a64s import (
     A64SEstimator,
     A64SEstimatorConfig,
-    A64STrace,
     InsulationDetectorConfig,
     write_a64s_trace_csv,
 )
@@ -51,7 +50,7 @@ from .plantsim import (
 )
 # extract_phasor is not called here; it stays importable from harness
 # because perfbench/tracing.py wraps it by that binding.
-from .signalcore import TimeSeries, extract_phasor  # noqa: F401
+from .signalcore import TimeSeries, extract_phasor, write_table  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -362,8 +361,12 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
 def _resolve_calibration(config: Dict[str, Any]) -> Calibration64RAT:
     section = _section(config, "calibration")
     if "ratio" in section and "beta_ng" in section:
-        return Calibration64RAT(ratio=_number(section, "ratio", None, "calibration."),
-                                beta_ng=_number(section, "beta_ng", None, "calibration."))
+        ratio, beta_ng = (_number(section, key, None, "calibration.")
+                          for key in ("ratio", "beta_ng"))
+        if not (ratio > 0 and beta_ng > 0):
+            raise ConfigError(f"a fixed calibration needs ratio > 0 and beta_ng > 0, "
+                              f"got ratio={ratio!r}, beta_ng={beta_ng!r}")
+        return Calibration64RAT(ratio=ratio, beta_ng=beta_ng)
     calibration, _ = calibrate_from_config(config)
     return calibration
 
@@ -407,8 +410,13 @@ def _scenario_64g2(config: Dict[str, Any],
     vp3, vn3 = _channels(input_channels, "vp3", "vn3")
     sim = frames_from_64g2_waveforms(vp3, vn3, machine, load_pu, pf,
                                      window_cycles, supervision_frac)
-    onset = None if fault is None else int(round(fault.t_on * sim.fs))
-    return replace(sim, onset_index=onset)
+    return replace(sim, onset_index=_onset_index(fault, vp3))
+
+
+def _onset_index(fault: Optional[FaultSpec], ts: TimeSeries) -> Optional[int]:
+    """Fault onset sample of a replayed or 64s record; the 64g2 simulator
+    applies the same FaultSpec.onset_index rule."""
+    return None if fault is None else fault.onset_index(ts.fs, len(ts))
 
 
 def _kaf_kwargs(config: Dict[str, Any]) -> Dict[str, float]:
@@ -488,8 +496,7 @@ def _scenario_64s(config: Dict[str, Any],
         )
     else:
         v_ts, i_ts = _channels(input_channels, "vn", "in")
-    onset = None if fault is None else int(round(fault.t_on * v_ts.fs))
-    return circuit, v_ts, i_ts, onset
+    return circuit, v_ts, i_ts, _onset_index(fault, v_ts)
 
 
 def _run_64s(config: Dict[str, Any], name: str,
@@ -750,12 +757,8 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
         written.append(write_json(out / "report.json", obj.to_dict()))
         for scheme, trace in obj.traces.items():
             path = out / f"trace_{scheme}.csv"
-            if isinstance(trace, SchemeTrace):
-                write_trace_csv(trace, path)
-            elif isinstance(trace, A64STrace):
-                write_a64s_trace_csv(trace, path)
-            else:
-                continue
+            writer = write_trace_csv if isinstance(trace, SchemeTrace) else write_a64s_trace_csv
+            writer(trace, path)
             written.append(str(path))
         if fmt == "csv":
             written.append(_write_long_csv(out / "long.csv", obj))
@@ -774,55 +777,22 @@ def write_json(path: Path, payload) -> str:
 
 
 def _write_rows_csv(path: Path, rows: List[Dict[str, Any]]) -> str:
-    lines = []
-    if rows:
-        keys = sorted(rows[0].keys())
-        lines.append(",".join(keys))
-        for row in rows:
-            lines.append(",".join(_csv_cell(row.get(k)) for k in keys))
-    else:
-        lines.append("")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    keys = sorted(rows[0]) if rows else []
+    write_table(path, {k: [row.get(k) for row in rows] for k in keys})
     return str(path)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_long_csv(path: Path, result: ScenarioResult) -> str:
-    lines = ["trace,signal,t,value"]
+    """Every trace signal as (trace, signal, t, value) rows, signals in
+    sorted order within each trace, values as floats."""
+    table: Dict[str, List] = {"trace": [], "signal": [], "t": [], "value": []}
     for scheme, trace in result.traces.items():
-        if isinstance(trace, SchemeTrace):
-            signals = {
-                "VP3": trace.v_p3, "VN3": trace.v_n3, "rho_hat": trace.rho_hat,
-                "residual": trace.residual, "JAO": trace.operate,
-                "JAR": trace.restraint, "trip": [int(b) for b in trace.trip],
-            }
-            indices, fs = trace.t_index, trace.fs
-        elif isinstance(trace, A64STrace):
-            signals = {
-                "vn": trace.v_n, "in": trace.i_n, "a0_hat": trace.a0_hat,
-                "kd_hat": trace.kd_hat,
-                "tau0_hat_ms": [v * 1e3 for v in trace.tau0_hat],
-                "rs_hat_ohm": trace.rs_hat,
-                "c0_hat_uF": [v * 1e6 for v in trace.c0_hat],
-                "x_hat": trace.x_hat, "trip": [int(b) for b in trace.trip],
-            }
-            indices, fs = trace.t_index, trace.fs
-        else:
-            continue
-        for name in sorted(signals):
-            series = signals[name]
-            for idx, value in zip(indices, series):
-                lines.append(f"{scheme},{name},{idx / fs!r},{_csv_cell(float(value))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        columns = trace.columns()
+        t = [repr(v) for v in columns.pop("t")]
+        for name in sorted(columns):
+            table["trace"] += [scheme] * len(t)
+            table["signal"] += [name] * len(t)
+            table["t"] += t
+            table["value"] += map(float, columns[name])
+    write_table(path, table)
     return str(path)

@@ -127,6 +127,13 @@ class FaultSpec:
         if self.t_on < 0:
             raise ValueError(f"t_on must be >= 0, got {self.t_on}")
 
+    def onset_index(self, fs: float, n: int) -> Optional[int]:
+        """First faulted sample of an n-sample record at fs, clamped to
+        [0, n]; None when rf is infinite (no fault)."""
+        if math.isinf(self.rf):
+            return None
+        return min(n, max(0, int(round(self.t_on * fs))))
+
 
 @dataclass
 class DisturbanceSpec:
@@ -453,11 +460,9 @@ def simulate_64s_timeseries(
             continue
         g_machine = 1.0 / cfg.rs
         for ev in events:
-            k_on = min(n, max(0, int(round(ev.t_on * fs))))
-            if k_on <= b0 and not math.isinf(ev.rf) and ev.rf > 0:
-                g_machine += 1.0 / ev.rf
-            elif k_on <= b0 and ev.rf == 0.0:
-                g_machine = math.inf
+            k_on = ev.onset_index(fs, n)
+            if k_on is not None and k_on <= b0:
+                g_machine = math.inf if ev.rf == 0.0 else g_machine + 1.0 / ev.rf
         drive = vs[b0:b1] / cfg.rbpf
         if math.isinf(g_machine):
             # Bolted fault clamps the node.
@@ -493,8 +498,8 @@ def simulate_64s_timeseries(
             resid = cfg.residual_60hz_frac * cfg.un * speed / cfg.turns_ratio
             v_out = v_out + resid * np.sin(phase_fund + 2.0)
         for ev in events:
-            k_on = min(n, max(0, int(round(ev.t_on * fs))))
-            if k_on >= n:
+            k_on = ev.onset_index(fs, n)
+            if k_on is None or k_on >= n:
                 continue
             amp = neutral_60hz_component(cfg, ev.x, ev.rf) / cfg.turns_ratio
             term = amp * speed * np.sin(phase_fund)
@@ -600,15 +605,14 @@ def simulate_64g2_scenario(
     sum_p, sum_q = float(p[1:].sum()), float(q[1:].sum())
     omega_t = 2.0 * math.pi * 3.0 * cfg.f1 * speed_t
 
-    onset = None
+    onset = None if fault is None else fault.onset_index(fs, n)
     active = np.zeros(n, dtype=bool)
-    if fault is not None and not math.isinf(fault.rf):
-        onset = min(n, max(0, int(round(fault.t_on * fs))))
+    if onset is not None:
         active[onset:] = True
 
     y_sum = 1j * omega_t * (cfg.cs + cfg.ct) + 1.0 / cfg.neutral_ground_ohms
     yc_sum = 1j * omega_t * (cfg.cs / m * (sum_p + sum_q * alpha_t) + cfg.ct)
-    if fault is not None and onset is not None:
+    if onset is not None:
         k = int(round(fault.x * m))
         c_k = p[k] + q[k] * alpha_t
         if fault.rf == 0.0:

@@ -1,9 +1,11 @@
-"""Waveform synthesis, sliding-window phasor extraction, and CSV ingestion.
+"""Waveform synthesis, sliding-window phasor extraction, and CSV input/output.
 
 Shared signal layer for the protection schemes.  Both the third-harmonic
 ratio scheme and the sub-harmonic injection scheme consume uniformly
 sampled waveforms and per-sample narrowband phasor streams; this module
-owns those two representations and the conversions between them.
+owns those two representations and the conversions between them, and
+the one CSV writer (``write_table``) behind every CSV file the package
+emits.
 
 Phase convention: a tone ``A*cos(2*pi*f*t + phi)`` extracts to magnitude
 ``A`` and phase ``phi``.
@@ -12,9 +14,10 @@ Phase convention: a tone ``A*cos(2*pi*f*t + phi)`` extracts to magnitude
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ __all__ = [
     "reconstruct_narrowband",
     "ingest_csv",
     "write_csv",
+    "write_table",
 ]
 
 # Max relative jitter of the time column accepted as "uniformly sampled".
@@ -276,15 +280,42 @@ def write_csv(path, channels: Mapping[str, TimeSeries]) -> None:
     """Write channels sharing one time base as ``t,<chan>,...`` CSV."""
     if not channels:
         raise ValueError("no channels to write")
+    if "t" in channels:
+        raise ValueError("channel name 't' is taken by the time column")
     series = list(channels.values())
     ref = series[0]
     for s in series[1:]:
         if abs(s.fs - ref.fs) > 1e-9 * ref.fs or abs(s.t0 - ref.t0) > 1e-12 or len(s) != len(ref):
             raise ValueError("all channels must share fs, t0 and length")
-    t = ref.times()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + list(channels.keys()))
-        cols = [s.samples for s in series]
-        for i in range(len(ref)):
-            writer.writerow([repr(float(t[i]))] + [repr(float(c[i])) for c in cols])
+    write_table(path, {"t": ref.times().tolist(),
+                       **{name: s.samples.tolist() for name, s in channels.items()}})
+
+
+# The one cell rule of every CSV file, as a %-conversion by value type:
+# floats by repr (round-trips exactly), bools as 0/1, ints in decimal,
+# strings as they are; None is an empty cell, anything else goes by str.
+_CELL = {float: "%r", bool: "%d", int: "%d", str: "%s"}
+
+
+def _cell(value) -> str:
+    return "" if value is None else _CELL.get(type(value), "%s") % (value,)
+
+
+def write_table(path, columns: Mapping[str, Sequence[Any]]) -> None:
+    """Write equal-length columns as CSV: a header line of the column
+    names, then one LF-terminated row per index, streamed to the file in
+    blocks of rows.  A column of one type puts its conversion into the
+    row template; any other column is converted cell by cell."""
+    if len({len(column) for column in columns.values()}) > 1:
+        raise ValueError("table columns differ in length")
+    template, values = [], []
+    for column in columns.values():
+        kinds = set(map(type, column))
+        conversion = _CELL.get(kinds.pop()) if len(kinds) == 1 else None
+        template.append(conversion or "%s")
+        values.append(column if conversion else [_cell(v) for v in column])
+    rows = map((",".join(template) + "\n").__mod__, zip(*values))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        while block := "".join(itertools.islice(rows, 4096)):
+            fh.write(block)

@@ -1,11 +1,14 @@
 """Scenario orchestration, sweeps, report emission, and the CLI."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from statorguard import harness
+from statorguard.a64s import A64STrace
 from statorguard.cli import main as cli_main
 from statorguard.harness import (
     ConfigError,
@@ -132,6 +135,20 @@ def test_half_calibration_rejected(half):
         run_scenario(cfg)
     with pytest.raises(ConfigError, match="beta_ng"):
         calibrate_from_config(cfg)
+
+
+@pytest.mark.parametrize("fixed", [
+    {"ratio": -1.0, "beta_ng": 0.1}, {"ratio": 0.0, "beta_ng": 0.1},
+    {"ratio": 1.2, "beta_ng": -0.1}, {"ratio": 1.2, "beta_ng": 0.0},
+])
+def test_non_positive_fixed_calibration_is_config_error(tmp_path, capsys, fixed):
+    cfg = _fault_config(calibration=fixed, schemes=["fixed"])
+    with pytest.raises(ConfigError, match="ratio > 0 and beta_ng > 0"):
+        run_scenario(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["detect-64g2", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_non_numeric_profile_value_rejected():
@@ -298,9 +315,10 @@ def test_emit_report_csv_adds_tables(tmp_path):
     written = emit_report(report, tmp_path, fmt="csv")
     names = {p.rsplit("/", 1)[-1] for p in written}
     assert names == {"report.json", "cells.csv", "misoperations.csv"}
-    lines = (tmp_path / "cells.csv").read_text().strip().splitlines()
-    assert lines[0] == "detected_adaptive,latency_adaptive_samples,rf,x"
-    assert lines[1] == "1,,50.0,0.0"
+    # a None latency is an empty cell; no rows leave only the empty header
+    assert (tmp_path / "cells.csv").read_bytes() == (
+        b"detected_adaptive,latency_adaptive_samples,rf,x\n1,,50.0,0.0\n")
+    assert (tmp_path / "misoperations.csv").read_bytes() == b"\n"
 
 
 def test_emit_scenario_result_traces(tmp_path):
@@ -312,6 +330,73 @@ def test_emit_scenario_result_traces(tmp_path):
     long_lines = (tmp_path / "long.csv").read_text().strip().splitlines()
     assert long_lines[0] == "trace,signal,t,value"
     assert any(line.startswith("a64g2,JAO,") for line in long_lines[1:])
+
+
+# A 64s fault that trips within a short noiseless run.
+_64S_FAULT = {"kind": "64s", "seed": 2, "noise": 0.0,
+              "fault": {"x": 0.25, "rf": 90.0, "t_on": 1.6},
+              "profile": {"duration": 2.5, "speed": 1.0}}
+
+
+@pytest.fixture(scope="module", params=["64g2", "64s"])
+def emitted(request, tmp_path_factory):
+    """One tripping scenario of each kind, emitted with fmt='csv'."""
+    result = run_scenario(_fault_config() if request.param == "64g2" else _64S_FAULT)
+    out = tmp_path_factory.mktemp(f"emit_{request.param}")
+    emit_report(result, out, fmt="csv")
+    return result, out
+
+
+def _read_csv(path):
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [line.split(",") for line in rows]
+
+
+def test_long_csv_holds_the_trace_cells_as_floats(emitted):
+    result, out = emitted
+    expected = []
+    for scheme in result.traces:
+        header, rows = _read_csv(out / f"trace_{scheme}.csv")
+        for name in sorted(header[1:]):
+            j = header.index(name)
+            expected += [[scheme, name, row[0], repr(float(row[j]))] for row in rows]
+    header, rows = _read_csv(out / "long.csv")
+    assert header == ["trace", "signal", "t", "value"]
+    assert rows == expected
+
+
+def test_trip_is_integer_in_trace_files_and_float_in_long_csv(emitted):
+    result, out = emitted
+    for scheme in result.traces:
+        header, rows = _read_csv(out / f"trace_{scheme}.csv")
+        assert {row[header.index("trip")] for row in rows} == {"0", "1"}
+    _, rows = _read_csv(out / "long.csv")
+    assert {row[3] for row in rows if row[1] == "trip"} == {"0.0", "1.0"}
+
+
+def test_every_emitted_csv_ends_lines_with_lf(emitted):
+    _, out = emitted
+    for path in out.glob("*.csv"):
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path.name
+
+
+def test_emit_report_writes_each_trace_through_its_module_binding(emitted, monkeypatch,
+                                                                  tmp_path):
+    # perfbench/tracing.py times trace emission by wrapping these two
+    # harness bindings; emission that bypassed them would read as 0 s.
+    result, _ = emitted
+    calls = []
+    for name in ("write_trace_csv", "write_a64s_trace_csv"):
+        def spy(trace, path, _name=name, _write=getattr(harness, name)):
+            calls.append((_name, trace))
+            _write(trace, path)
+        monkeypatch.setattr(harness, name, spy)
+    emit_report(result, tmp_path, fmt="csv")
+    expected = [("write_a64s_trace_csv" if isinstance(trace, A64STrace) else "write_trace_csv",
+                 trace) for trace in result.traces.values()]
+    assert [name for name, _ in calls] == [name for name, _ in expected]
+    assert all(got is want for (_, got), (_, want) in zip(calls, expected))
 
 
 def test_emit_report_validation(tmp_path):
@@ -337,8 +422,9 @@ def cli_workspace(tmp_path_factory):
 
 
 def test_cli_simulate_writes_waveforms(cli_workspace):
-    text = cli_workspace["waveforms"].read_text()
-    assert text.splitlines()[0] == "t,vp3,vn3"
+    data = cli_workspace["waveforms"].read_bytes()
+    assert data.startswith(b"t,vp3,vn3\n")
+    assert b"\r" not in data
 
 
 def test_cli_detect_matches_ingested_waveforms(cli_workspace, tmp_path, capsys):
@@ -355,6 +441,30 @@ def test_cli_detect_matches_ingested_waveforms(cli_workspace, tmp_path, capsys):
         assert (replay["report"]["verdicts"][scheme]["first_trip_index"]
                 == direct["report"]["verdicts"][scheme]["first_trip_index"])
     assert (tmp_path / "replay" / "trace_a64g2.csv").exists()
+
+
+@pytest.mark.parametrize("kind,duration", [("64g2", 0.9), ("64s", 2.0)])
+def test_infinite_fault_resistance_gives_one_verdict_simulated_or_replayed(
+        tmp_path, capsys, kind, duration):
+    # rf = inf is "no fault": both paths report misoperation, not latency
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "kind": kind, "seed": 3, "fault": {"x": 0.0, "rf": math.inf, "t_on": 0.3},
+        "profile": {"duration": duration},
+        **({"calibration": dict(CAL)} if kind == "64g2" else {}),
+    }))
+    assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    verdicts = []
+    for replay in ([], ["--input", str(tmp_path / "waveforms.csv")]):
+        assert cli_main([f"detect-{kind}", "--config", str(config),
+                         "--out", str(tmp_path / "detect"), *replay]) == 0
+        verdicts.append(json.loads(capsys.readouterr().out)["report"]["verdicts"])
+    simulated, replayed = verdicts
+    assert set(simulated) == set(replayed)
+    for scheme, verdict in simulated.items():
+        assert set(verdict) == set(replayed[scheme])
+        assert "misoperation" in verdict and "latency_samples" not in verdict
 
 
 def test_cli_detect_single_scheme_flag(cli_workspace, tmp_path, capsys):

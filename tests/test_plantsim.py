@@ -58,6 +58,12 @@ def test_fault_spec_validation():
         FaultSpec(x=0.5, rf=-1.0)
 
 
+def test_fault_onset_index_is_clamped_and_none_without_fault():
+    assert FaultSpec(x=0.5, rf=50.0, t_on=0.3).onset_index(1000.0, 900) == 300
+    assert FaultSpec(x=0.5, rf=50.0, t_on=2.0).onset_index(1000.0, 900) == 900
+    assert FaultSpec(x=0.5, rf=math.inf, t_on=0.3).onset_index(1000.0, 900) is None
+
+
 def test_disturbance_spec_validation():
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="unknown", magnitude=0.5, t_on=0.1)

@@ -14,6 +14,7 @@ from statorguard.signalcore import (
     reconstruct_narrowband,
     synth_waveform,
     write_csv,
+    write_table,
 )
 
 import oracles
@@ -172,6 +173,46 @@ def test_csv_roundtrip_is_exact(tmp_path):
         assert back[name].fs == pytest.approx(orig.fs, rel=1e-9)
         assert back[name].t0 == pytest.approx(orig.t0, abs=1e-12)
         assert np.array_equal(back[name].samples, orig.samples)
+
+
+def test_csv_lines_end_with_lf_and_ingest_reads_crlf_too(tmp_path):
+    ts = TimeSeries(fs=1000.0, t0=0.0, samples=np.arange(5.0))
+    path = tmp_path / "waves.csv"
+    write_csv(path, {"vn": ts})
+    lf = path.read_bytes()
+    assert lf.startswith(b"t,vn\n0.0,0.0\n") and b"\r" not in lf
+    path.write_bytes(lf.replace(b"\n", b"\r\n"))
+    assert np.array_equal(ingest_csv(path)["vn"].samples, ts.samples)
+
+
+def test_write_csv_rejects_a_channel_named_t(tmp_path):
+    ts = TimeSeries(fs=1000.0, t0=0.0, samples=np.ones(3))
+    with pytest.raises(ValueError, match="time column"):
+        write_csv(tmp_path / "w.csv", {"t": ts})
+
+
+def test_write_table_cell_rule(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, {
+        "f": [0.1, 1e-20, np.float64(1 / 3)],
+        "b": [True, False, True],
+        "i": [3, -4, 0],
+        "s": ["a", "b_c", ""],
+        "n": [None, 2.5, None],
+    })
+    assert path.read_bytes() == (b"f,b,i,s,n\n0.1,1,3,a,\n1e-20,0,-4,b_c,2.5\n"
+                                 b"0.3333333333333333,1,0,,\n")
+
+
+def test_write_table_without_columns_writes_an_empty_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_table(path, {})
+    assert path.read_bytes() == b"\n"
+
+
+def test_write_table_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "bad.csv", {"a": [1.0, 2.0], "b": [1.0]})
 
 
 def test_ingest_rejects_nonuniform_time(tmp_path):
