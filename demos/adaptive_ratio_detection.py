@@ -22,9 +22,10 @@ def commission_fixed(cfg, seed=100):
     for i, (load, pf) in enumerate([(0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (1.0, 0.85)]):
         sim = simulate_64g2_scenario(cfg, None, load_pu=load, pf=pf,
                                      duration=0.4, seed=seed + i)
-        frames = [f for f in sim.frames if f.valid]
-        vp = sorted(f.v_p3 for f in frames)[len(frames) // 2]
-        vn = sorted(f.v_n3 for f in frames)[len(frames) // 2]
+        frames = sim.frames
+        valid = [(p, n) for p, n, ok in zip(frames.v_p3, frames.v_n3, frames.valid) if ok]
+        vp = sorted(p for p, _ in valid)[len(valid) // 2]
+        vn = sorted(n for _, n in valid)[len(valid) // 2]
         points.append((vp, vn))
     return calibrate_64rat(points)
 

@@ -32,7 +32,7 @@ from .a64s import (
     DetectionEvent,
     ExtractorState,
     InsulationDetectorConfig,
-    SubharmonicFrame,
+    SubharmonicFrames,
     ThetaKafState,
     a64s_detect,
     c0_kaf_update,
@@ -63,7 +63,7 @@ from .plantsim import (
     DISTURBANCE_KINDS,
     DisturbanceSpec,
     FaultSpec,
-    HarmonicFrame,
+    HarmonicFrames,
     MachineConfig,
     Scenario64G2Result,
     Subharmonic64SConfig,
@@ -98,7 +98,7 @@ __all__ = [
     "reconstruct_narrowband", "ingest_csv", "write_csv",
     # plant models
     "MachineConfig", "FaultSpec", "DisturbanceSpec", "Subharmonic64SConfig",
-    "HarmonicFrame", "Scenario64G2Result", "DISTURBANCE_KINDS",
+    "HarmonicFrames", "Scenario64G2Result", "DISTURBANCE_KINDS",
     "grounding_resistor_sizing", "third_harmonic_solve", "subharmonic_transfer",
     "neutral_60hz_component", "e3_of_operating_point", "emf_split_fraction",
     "constant_speed", "ramp_speed", "simulate_64s_timeseries",
@@ -109,7 +109,7 @@ __all__ = [
     "SchemeTrace", "AdaptiveRatioDetector",
     "FixedRatioDetector", "write_trace_csv",
     # injection scheme
-    "HEALTHY_SENTINEL", "CalibrationError", "SubharmonicFrame", "ThetaKafState",
+    "HEALTHY_SENTINEL", "CalibrationError", "SubharmonicFrames", "ThetaKafState",
     "C0KafState", "ExtractorState", "InsulationDetectorConfig", "DetectionEvent",
     "tustin_coeffs", "regression_step", "theta_kaf_update", "extract_params",
     "c0_kaf_update", "locate_fault", "locator_consistent", "a64s_detect",

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from .plantsim import HarmonicFrame
+from .plantsim import HarmonicFrames
 from .signalcore import write_table
 
 __all__ = [
@@ -109,24 +109,22 @@ class Calibration64RAT:
         return self.beta_ng**2
 
 
-def kaf_update(state: RatioKafState, frame: HarmonicFrame) -> Tuple[RatioKafState, float]:
-    """One ratio-filter step on a valid frame; returns the new state and
-    the innovation (measured neutral magnitude minus prediction).
+def kaf_update(state: RatioKafState, v_p3: float, v_n3: float) -> Tuple[RatioKafState, float]:
+    """One ratio-filter step on a valid frame's terminal and neutral
+    magnitudes; returns the new state and the innovation (measured
+    neutral magnitude minus prediction).
 
     Variance is propagated first, then the gain is formed from the
     updated variance; a zero terminal magnitude degenerates gracefully
     (no correction, variance grows by the process noise).
     """
-    if not frame.valid:
-        raise ValueError("kaf_update requires a valid frame")
-    v_p3 = frame.v_p3
     variance = (
         state.variance * state.measurement_noise
         / (state.measurement_noise + state.variance * v_p3**2)
         + state.process_noise
     )
     gain = variance * v_p3 / state.measurement_noise
-    residual = frame.v_n3 - state.rho_hat * v_p3
+    residual = v_n3 - state.rho_hat * v_p3
     new_state = replace(
         state,
         rho_hat=state.rho_hat + gain * residual,
@@ -256,27 +254,32 @@ class RatioSchemeState:
         return self.ratio or 0.0
 
 
-def ratio_step(state: RatioSchemeState, frame: HarmonicFrame, trace: SchemeTrace) -> SchemeTrace:
+def ratio_step(state: RatioSchemeState, trace: SchemeTrace, t_index: int,
+               v_p3: float, v_n3: float, valid: bool) -> SchemeTrace:
     """Advance a ratio scheme by one frame, appending to the trace.
 
+    A negative or non-finite magnitude raises ValueError, valid or not.
     Invalid frames (phasor warm-up, supervision dropout) are recorded but
     do not advance the filter, the windows, or the trip logic.
     """
+    # chained comparisons are False for NaN, so NaN is rejected too
+    if not (0.0 <= v_p3 < math.inf and 0.0 <= v_n3 < math.inf):
+        raise ValueError("phasor magnitudes must be finite and >= 0")
     residual = 0.0
-    if frame.valid:
+    if valid:
         if state.kaf_template is None:
-            residual = frame.v_n3 - state.ratio * frame.v_p3
+            residual = v_n3 - state.ratio * v_p3
         else:
             if state.kaf is None:
                 rho0 = state.ratio
                 if rho0 is None:
-                    rho0 = frame.v_n3 / frame.v_p3 if frame.v_p3 > 0 else 0.5
+                    rho0 = v_n3 / v_p3 if v_p3 > 0 else 0.5
                 state.kaf = replace(state.kaf_template, rho_hat=rho0,
                                     variance=state.kaf_template.initial_variance, t=0)
-            state.kaf, residual = kaf_update(state.kaf, frame)
+            state.kaf, residual = kaf_update(state.kaf, v_p3, v_n3)
         state.t += 1
         state.residuals.append(residual)
-        state.vn3s.append(frame.v_n3)
+        state.vn3s.append(v_n3)
         jao, jar = operate_restraint(state.residuals, state.vn3s, state.cfg, state.t)
         if not state.tripped:
             if jao > state.cfg.sensitivity * jar:
@@ -286,8 +289,8 @@ def ratio_step(state: RatioSchemeState, frame: HarmonicFrame, trace: SchemeTrace
             if state.streak >= state.cfg.hold:
                 state.tripped = True
         state.last_operate, state.last_restraint = jao, jar
-    trace.append(frame.t_index, frame.v_p3, frame.v_n3, state.rho, residual,
-                 state.last_operate, state.last_restraint, state.tripped, frame.valid)
+    trace.append(t_index, v_p3, v_n3, state.rho, residual,
+                 state.last_operate, state.last_restraint, state.tripped, valid)
     return trace
 
 
@@ -321,8 +324,24 @@ def calibrate_64rat(
     return Calibration64RAT(ratio=ratio, beta_ng=worst * (1.0 + guard))
 
 
-class AdaptiveRatioDetector:
-    """Batch/streaming wrapper over ratio_step with a Kalman-tracked ratio."""
+class _RatioDetector:
+    """Batch/streaming wrapper over ratio_step; a subclass sets scheme and
+    cfg and builds its run state in new_state()."""
+
+    def run(self, frames: HarmonicFrames, fs: float,
+            onset_index: Optional[int] = None) -> SchemeTrace:
+        trace = SchemeTrace(scheme=self.scheme, fs=fs, sensitivity=self.cfg.sensitivity,
+                            onset_index=onset_index)
+        state = self.new_state()
+        for i, (v_p3, v_n3, valid) in enumerate(zip(frames.v_p3, frames.v_n3, frames.valid)):
+            ratio_step(state, trace, i, v_p3, v_n3, valid)
+        return trace
+
+
+class AdaptiveRatioDetector(_RatioDetector):
+    """Ratio scheme with a Kalman-tracked ratio."""
+
+    scheme = "a64g2"
 
     def __init__(
         self,
@@ -345,22 +364,11 @@ class AdaptiveRatioDetector:
     def new_state(self) -> RatioSchemeState:
         return RatioSchemeState(cfg=self.cfg, ratio=self._rho0, kaf_template=self._template)
 
-    def run(
-        self,
-        frames: Iterable[HarmonicFrame],
-        fs: float,
-        onset_index: Optional[int] = None,
-    ) -> SchemeTrace:
-        trace = SchemeTrace(scheme="a64g2", fs=fs, sensitivity=self.cfg.sensitivity,
-                            onset_index=onset_index)
-        state = self.new_state()
-        for frame in frames:
-            ratio_step(state, frame, trace)
-        return trace
 
+class FixedRatioDetector(_RatioDetector):
+    """Ratio scheme with a frozen ratio."""
 
-class FixedRatioDetector:
-    """Batch/streaming wrapper over ratio_step with a frozen ratio."""
+    scheme = "ng64g2"
 
     def __init__(self, ratio: float, cfg: Optional[DetectorConfig] = None):
         if ratio <= 0:
@@ -380,19 +388,6 @@ class FixedRatioDetector:
 
     def new_state(self) -> RatioSchemeState:
         return RatioSchemeState(cfg=self.cfg, ratio=self.ratio)
-
-    def run(
-        self,
-        frames: Iterable[HarmonicFrame],
-        fs: float,
-        onset_index: Optional[int] = None,
-    ) -> SchemeTrace:
-        trace = SchemeTrace(scheme="ng64g2", fs=fs, sensitivity=self.cfg.sensitivity,
-                            onset_index=onset_index)
-        state = self.new_state()
-        for frame in frames:
-            ratio_step(state, frame, trace)
-        return trace
 
 
 def write_trace_csv(trace: SchemeTrace, path) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .plantsim import Subharmonic64SConfig
 from .signalcore import TimeSeries, extract_phasor, reconstruct_narrowband, write_table
 
 __all__ = [
-    "SubharmonicFrame",
+    "SubharmonicFrames",
     "ThetaKafState",
     "C0KafState",
     "ExtractorState",
@@ -56,8 +56,9 @@ class CalibrationError(RuntimeError):
 
 
 @dataclass
-class SubharmonicFrame:
-    """One processed measurement sample for the injection scheme.
+class SubharmonicFrames:
+    """Processed measurement samples for the injection scheme, as columns;
+    a sample's index is its position.
 
     v_n and i_n are the injection-band (narrowband-filtered) neutral
     voltage and injected current on the relay side; v_n60 is the
@@ -65,15 +66,19 @@ class SubharmonicFrame:
     machine side, used only by the locator.
     """
 
-    t_index: int
-    v_n: float
-    i_n: float
-    v_n60: float = 0.0
-    valid: bool = True
+    v_n: List[float]
+    i_n: List[float]
+    v_n60: List[float]
+    valid: List[bool]
 
     def __post_init__(self):
-        if self.v_n60 < 0:
+        if any(len(col) != len(self.v_n) for col in (self.i_n, self.v_n60, self.valid)):
+            raise ValueError("frame columns must have equal length")
+        if any(v < 0 for v in self.v_n60):
             raise ValueError("v_n60 must be >= 0")
+
+    def __len__(self) -> int:
+        return len(self.v_n)
 
 
 @dataclass
@@ -206,18 +211,16 @@ def tustin_coeffs(k3: float, tau0: float, period: float) -> Tuple[float, float]:
 
 
 def regression_step(
-    state: ThetaKafState, frame: SubharmonicFrame
+    state: ThetaKafState, v_n: float, i_n: float
 ) -> Optional[Tuple[np.ndarray, float]]:
-    """Form the regression vector from consecutive samples and update the
-    signal memories.  Returns None on a priming sample (no usable prior),
-    otherwise (phi, summed current)."""
-    if not frame.valid:
-        raise ValueError("regression_step requires a valid frame")
+    """Form the regression vector from consecutive valid samples and
+    update the signal memories.  Returns None on a priming sample (no
+    usable prior), otherwise (phi, summed current)."""
     prev_vn, prev_in = state.prev_vn, state.prev_in
-    state.prev_vn, state.prev_in = frame.v_n, frame.i_n
+    state.prev_vn, state.prev_in = v_n, i_n
     if prev_vn is None or prev_in is None:
         return None
-    u = prev_in + frame.i_n
+    u = prev_in + i_n
     return np.array([-prev_vn, u]), u
 
 
@@ -409,7 +412,7 @@ def frames_from_timeseries(
     circuit: Subharmonic64SConfig,
     injection_cycles: int = 2,
     fundamental_cycles: int = 3,
-) -> List[SubharmonicFrame]:
+) -> SubharmonicFrames:
     """Pre-filter raw neutral-voltage / injected-current records into
     estimator frames.
 
@@ -426,20 +429,13 @@ def frames_from_timeseries(
     ph_60 = extract_phasor(v_ts, circuit.f1, fundamental_cycles)
     v_band = reconstruct_narrowband(ph_v).samples
     i_band = reconstruct_narrowband(ph_i).samples
-    v60 = ph_60.magnitude * circuit.turns_ratio
-    frames = []
-    for k in range(len(v_ts)):
-        ok = bool(ph_v.valid[k] and ph_i.valid[k] and ph_60.valid[k])
-        frames.append(
-            SubharmonicFrame(
-                t_index=k,
-                v_n=float(v_band[k]),
-                i_n=float(i_band[k]),
-                v_n60=float(v60[k]) if ok else 0.0,
-                valid=ok,
-            )
-        )
-    return frames
+    valid = ph_v.valid & ph_i.valid & ph_60.valid
+    return SubharmonicFrames(
+        v_n=v_band.tolist(),
+        i_n=i_band.tolist(),
+        v_n60=np.where(valid, ph_60.magnitude * circuit.turns_ratio, 0.0).tolist(),
+        valid=valid.tolist(),
+    )
 
 
 @dataclass(frozen=True)
@@ -536,7 +532,7 @@ class A64SEstimator:
         self.circuit = circuit
         self.cfg = cfg or A64SEstimatorConfig()
 
-    def run(self, frames: Iterable[SubharmonicFrame], fs: float,
+    def run(self, frames: SubharmonicFrames, fs: float,
             onset_index: Optional[int] = None) -> A64STrace:
         cfg = self.cfg
         period = 1.0 / fs
@@ -558,21 +554,18 @@ class A64SEstimator:
         det_count = 0
         r_n = self.circuit.r_n_primary
 
-        for frame in frames:
-            if not frame.valid:
-                theta.prev_vn = None
-                theta.prev_in = None
-                self._append(trace, frame, theta, extractor, c0, latch.tripped, False,
-                             HEALTHY_SENTINEL)
-                continue
-            reg = regression_step(theta, frame)
+        columns = zip(frames.v_n, frames.i_n, frames.v_n60, frames.valid)
+        for i, (v_n, i_n, v_n60, valid) in enumerate(columns):
+            if not valid:
+                theta.prev_vn = theta.prev_in = None
+            reg = regression_step(theta, v_n, i_n) if valid else None
             if reg is None:
-                self._append(trace, frame, theta, extractor, c0, latch.tripped, False,
+                self._append(trace, i, v_n, i_n, theta, extractor, c0, latch.tripped, False,
                              HEALTHY_SENTINEL)
                 continue
             phi, _ = reg
             was_tripped = latch.tripped
-            theta, _ = theta_kaf_update(theta, frame.v_n, phi)
+            theta, _ = theta_kaf_update(theta, v_n, phi)
             tau0, rs = extract_params(extractor, theta.theta_hat)
             c0 = c0_kaf_update(c0, tau0, rs)
             latch.update(det_count, rs)
@@ -586,8 +579,8 @@ class A64SEstimator:
                 extractor.gain_memory = None
             x_hat = HEALTHY_SENTINEL
             if latch.tripped and latch.baseline is not None:
-                x_hat = self._locate(frame.v_n60, rs, c0.c0_hat, latch.baseline, r_n)
-            self._append(trace, frame, theta, extractor, c0, latch.tripped, True, x_hat)
+                x_hat = self._locate(v_n60, rs, c0.c0_hat, latch.baseline, r_n)
+            self._append(trace, i, v_n, i_n, theta, extractor, c0, latch.tripped, True, x_hat)
         trace.baseline = latch.baseline
         return trace
 
@@ -608,10 +601,10 @@ class A64SEstimator:
                             fault_active=True, f1=self.circuit.f1)
 
     @staticmethod
-    def _append(trace, frame, theta, extractor, c0, tripped, valid, x_hat):
-        trace.t_index.append(frame.t_index)
-        trace.v_n.append(frame.v_n)
-        trace.i_n.append(frame.i_n)
+    def _append(trace, t_index, v_n, i_n, theta, extractor, c0, tripped, valid, x_hat):
+        trace.t_index.append(t_index)
+        trace.v_n.append(v_n)
+        trace.i_n.append(i_n)
         trace.a0_hat.append(float(theta.theta_hat[0]))
         trace.kd_hat.append(float(theta.theta_hat[1]))
         trace.tau0_hat.append(extractor.tau0_hat)

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -134,11 +135,14 @@ def _section(config: Dict[str, Any], name: str) -> Dict[str, Any]:
 
 
 def _number(section: Dict[str, Any], key: str, default, where: str, cast=float):
-    """section[key] (or default) as a finite number converted by cast."""
+    """section[key] (or default) as a finite number converted by cast; an
+    int cast also requires an integral value."""
     value = section.get(key, default)
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ConfigError(f"'{where}{key}' must be a finite number, got {value!r}")
+    if cast is int and value != int(value):
+        raise ConfigError(f"'{where}{key}' must be an integer, got {value!r}")
     return cast(value)
 
 
@@ -182,6 +186,16 @@ def _build(cls, data: Dict[str, Any], section: str):
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"section {section!r}: {exc}") from exc
+
+
+@contextmanager
+def _config_errors():
+    """Report a simulator's ValueError as a ConfigError: every argument a
+    simulator gets here comes from the config."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _derive_seed(base_seed: int, *branch: int) -> int:
@@ -268,7 +282,10 @@ class ReliabilityReport:
 
 
 def _seed(config: Dict[str, Any]) -> int:
-    return _number(config, "seed", 0, "", int)
+    seed = _number(config, "seed", 0, "", int)
+    if seed < 0:
+        raise ConfigError(f"'seed' must be >= 0, got {seed}")
+    return seed
 
 
 def _noise_from(config: Dict[str, Any]) -> float:
@@ -342,13 +359,14 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
     measured: List[Tuple[float, float]] = []
     details: List[Dict[str, float]] = []
     for i, (load, pf) in enumerate(op_points):
-        sim = simulate_64g2_scenario(
-            machine, fault=None, disturbances=(), load_pu=load, pf=pf,
-            duration=duration, fs=fs, noise_std=noise,
-            seed=_derive_seed(seed, 7000, i),
-        )
-        vp = np.array([f.v_p3 for f in sim.frames if f.valid])
-        vn = np.array([f.v_n3 for f in sim.frames if f.valid])
+        with _config_errors():
+            sim = simulate_64g2_scenario(
+                machine, fault=None, disturbances=(), load_pu=load, pf=pf,
+                duration=duration, fs=fs, noise_std=noise,
+                seed=_derive_seed(seed, 7000, i),
+            )
+        vp = np.array(sim.frames.v_p3)[sim.frames.valid]
+        vn = np.array(sim.frames.v_n3)[sim.frames.valid]
         if vp.size == 0:
             raise ConfigError(f"calibration point load={load}, pf={pf} produced no valid frames")
         point = (float(np.median(vp)), float(np.median(vn)))
@@ -403,10 +421,11 @@ def _scenario_64g2(config: Dict[str, Any],
     seed = _seed(config)
 
     if input_channels is None:
-        return simulate_64g2_scenario(
-            machine, fault, disturbances, load_pu, pf, duration, fs, noise,
-            window_cycles=window_cycles, supervision_frac=supervision_frac, seed=seed,
-        )
+        with _config_errors():
+            return simulate_64g2_scenario(
+                machine, fault, disturbances, load_pu, pf, duration, fs, noise,
+                window_cycles=window_cycles, supervision_frac=supervision_frac, seed=seed,
+            )
     vp3, vn3 = _channels(input_channels, "vp3", "vn3")
     sim = frames_from_64g2_waveforms(vp3, vn3, machine, load_pu, pf,
                                      window_cycles, supervision_frac)
@@ -490,10 +509,11 @@ def _scenario_64s(config: Dict[str, Any],
     seed = _seed(config)
 
     if input_channels is None:
-        v_ts, i_ts = simulate_64s_timeseries(
-            circuit, [fault] if fault is not None else [], duration=duration, fs=fs,
-            noise_std=noise, speed_profile=speed_profile, seed=seed,
-        )
+        with _config_errors():
+            v_ts, i_ts = simulate_64s_timeseries(
+                circuit, [fault] if fault is not None else [], duration=duration, fs=fs,
+                noise_std=noise, speed_profile=speed_profile, seed=seed,
+            )
     else:
         v_ts, i_ts = _channels(input_channels, "vn", "in")
     return circuit, v_ts, i_ts, _onset_index(fault, v_ts)

@@ -36,7 +36,7 @@ __all__ = [
     "DisturbanceSpec",
     "Subharmonic64SConfig",
     "Scenario64G2Result",
-    "HarmonicFrame",
+    "HarmonicFrames",
     "grounding_resistor_sizing",
     "e3_of_operating_point",
     "emf_split_fraction",
@@ -217,28 +217,31 @@ class Subharmonic64SConfig:
 
 
 @dataclass
-class HarmonicFrame:
-    """One third-harmonic measurement frame: terminal and neutral
-    magnitudes plus the operating point they were taken at."""
+class HarmonicFrames:
+    """Third-harmonic measurement frames as columns: terminal and neutral
+    magnitudes, the operating point they were taken at, and whether each
+    frame may advance a detector.  A frame's index is its position."""
 
-    t_index: int
-    v_p3: float
-    v_n3: float
-    load_pu: float = 1.0
-    pf: float = 1.0
-    valid: bool = True
+    v_p3: List[float]
+    v_n3: List[float]
+    load_pu: List[float]
+    pf: List[float]
+    valid: List[bool]
 
     def __post_init__(self):
-        # chained comparisons are False for NaN, so NaN is rejected too
-        if not (0.0 <= self.v_p3 < math.inf and 0.0 <= self.v_n3 < math.inf):
-            raise ValueError("phasor magnitudes must be finite and >= 0")
+        if any(len(col) != len(self.v_p3)
+               for col in (self.v_n3, self.load_pu, self.pf, self.valid)):
+            raise ValueError("frame columns must have equal length")
+
+    def __len__(self) -> int:
+        return len(self.v_p3)
 
 
 @dataclass
 class Scenario64G2Result:
     """Waveforms, phasor streams, and frames from one 64G2 scenario."""
 
-    frames: List[HarmonicFrame]
+    frames: HarmonicFrames
     v_p3_wave: TimeSeries
     v_n3_wave: TimeSeries
     phasor_p: PhasorSeries
@@ -246,7 +249,6 @@ class Scenario64G2Result:
     fs: float
     onset_index: Optional[int]
     vp3_rated: float
-    seed: Optional[int]
 
 
 def grounding_resistor_sizing(turns_ratio: float, f1: float, c_total: float) -> float:
@@ -450,8 +452,8 @@ def simulate_64s_timeseries(
     g_fixed = 1.0 / cfg.rbpf + 1.0 / cfg.rn
 
     # Piecewise-constant machine conductance: insulation plus active faults.
-    onsets = sorted({0} | {min(n, max(0, int(round(ev.t_on * fs)))) for ev in events})
-    bounds = onsets + [n]
+    onsets = [ev.onset_index(fs, n) for ev in events]
+    bounds = sorted({0} | {k for k in onsets if k is not None}) + [n]
     v_node = np.empty(n)
     v_prev = 0.0
     drive_prev = 0.0
@@ -459,8 +461,7 @@ def simulate_64s_timeseries(
         if b1 <= b0:
             continue
         g_machine = 1.0 / cfg.rs
-        for ev in events:
-            k_on = ev.onset_index(fs, n)
+        for ev, k_on in zip(events, onsets):
             if k_on is not None and k_on <= b0:
                 g_machine = math.inf if ev.rf == 0.0 else g_machine + 1.0 / ev.rf
         drive = vs[b0:b1] / cfg.rbpf
@@ -497,8 +498,7 @@ def simulate_64s_timeseries(
         if cfg.residual_60hz_frac > 0:
             resid = cfg.residual_60hz_frac * cfg.un * speed / cfg.turns_ratio
             v_out = v_out + resid * np.sin(phase_fund + 2.0)
-        for ev in events:
-            k_on = ev.onset_index(fs, n)
+        for ev, k_on in zip(events, onsets):
             if k_on is None or k_on >= n:
                 continue
             amp = neutral_60hz_component(cfg, ev.x, ev.rf) / cfg.turns_ratio
@@ -643,7 +643,7 @@ def simulate_64g2_scenario(
         cfg, load_pu, pf, window_cycles, supervision_frac,
         load_t=load_t, pf_t=pf_t, in_band=np.abs(speed_t - 1.0) <= freq_band,
     )
-    return replace(result, onset_index=onset, seed=seed)
+    return replace(result, onset_index=onset)
 
 
 def frames_from_64g2_waveforms(
@@ -667,7 +667,7 @@ def frames_from_64g2_waveforms(
     operating point (minimum-signal supervision), and wherever the
     optional in_band mask is False.  Frames carry load_t/pf_t as their
     per-sample operating point when given, else load_pu/pf.  The result
-    has no onset_index or seed; the simulator fills them in.
+    has no onset_index; the simulator fills it in.
     """
     if vp3_wave.fs != vn3_wave.fs or len(vp3_wave) != len(vn3_wave):
         raise ValueError("terminal and neutral waveforms must share fs and length")
@@ -680,16 +680,15 @@ def frames_from_64g2_waveforms(
     valid = ph_p.valid & (ph_p.magnitude >= supervision_frac * vp3_rated)
     if in_band is not None:
         valid = valid & in_band
-    # one shared float per frame field when the operating point is fixed
-    loads = [float(load_pu)] * n if load_t is None else load_t.tolist()
-    pfs = [float(pf)] * n if pf_t is None else pf_t.tolist()
-    frames = [
-        HarmonicFrame(t_index=i, v_p3=v_p3, v_n3=v_n3, load_pu=load, pf=pf_i, valid=ok)
-        for i, (v_p3, v_n3, load, pf_i, ok) in enumerate(zip(
-            ph_p.magnitude.tolist(), ph_n.magnitude.tolist(), loads, pfs, valid.tolist()))
-    ]
     return Scenario64G2Result(
-        frames=frames,
+        # one shared float per column when the operating point is fixed
+        frames=HarmonicFrames(
+            v_p3=ph_p.magnitude.tolist(),
+            v_n3=ph_n.magnitude.tolist(),
+            load_pu=[float(load_pu)] * n if load_t is None else load_t.tolist(),
+            pf=[float(pf)] * n if pf_t is None else pf_t.tolist(),
+            valid=valid.tolist(),
+        ),
         v_p3_wave=vp3_wave,
         v_n3_wave=vn3_wave,
         phasor_p=ph_p,
@@ -697,5 +696,4 @@ def frames_from_64g2_waveforms(
         fs=vp3_wave.fs,
         onset_index=None,
         vp3_rated=vp3_rated,
-        seed=None,
     )

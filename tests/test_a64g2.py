@@ -18,13 +18,22 @@ from statorguard.a64g2 import (
     operate_restraint,
     ratio_step,
 )
-from statorguard.plantsim import HarmonicFrame
+from statorguard.plantsim import HarmonicFrames
 
 import oracles
 
 
 def _frame(i, vp, vn, valid=True):
-    return HarmonicFrame(t_index=i, v_p3=vp, v_n3=vn, valid=valid)
+    """One frame row (t_index, v_p3, v_n3, valid)."""
+    return i, vp, vn, valid
+
+
+def _frames(rows):
+    """Column frames from rows whose t_index is their position."""
+    t_index, vp, vn, valid = (list(col) for col in zip(*rows))
+    assert t_index == list(range(len(rows)))
+    return HarmonicFrames(v_p3=vp, v_n3=vn, load_pu=[1.0] * len(rows),
+                          pf=[1.0] * len(rows), valid=valid)
 
 
 # ------------------------------------------------------------- ratio KAF
@@ -34,18 +43,21 @@ def test_kaf_update_worked_example():
     gives exactly P=0.5, K=0.5, rho=1.5."""
     state = RatioKafState(rho_hat=1.0, variance=1.0, process_noise=0.0,
                           measurement_noise=1.0)
-    new, residual = kaf_update(state, _frame(0, 1.0, 2.0))
+    new, residual = kaf_update(state, 1.0, 2.0)
     assert new.variance == 0.5
     assert residual == 1.0
     assert new.rho_hat == 1.5
 
 
 def test_kaf_update_rejects_invalid_frames():
-    state = RatioKafState()
+    """A negative magnitude stops the adaptive scheme's step before the
+    ratio filter takes it in."""
+    state = AdaptiveRatioDetector().new_state()
+    trace = SchemeTrace(scheme="a64g2", fs=1000.0, sensitivity=0.005)
     with pytest.raises(ValueError):
-        kaf_update(state, _frame(0, 1.0, 1.0, valid=False))
-    with pytest.raises(ValueError):
-        kaf_update(state, HarmonicFrame(t_index=0, v_p3=-1.0, v_n3=1.0))
+        ratio_step(state, trace, 0, -1.0, 1.0, True)
+    assert state.kaf is None
+    assert trace.t_index == []
 
 
 def test_kaf_zero_terminal_voltage_is_inert():
@@ -53,7 +65,7 @@ def test_kaf_zero_terminal_voltage_is_inert():
     variance by the process noise."""
     state = RatioKafState(rho_hat=0.7, variance=2.0, process_noise=0.1,
                           measurement_noise=1.0)
-    new, residual = kaf_update(state, _frame(0, 0.0, 5.0))
+    new, residual = kaf_update(state, 0.0, 5.0)
     assert new.rho_hat == 0.7
     assert new.variance == pytest.approx(2.1)
     assert residual == 5.0
@@ -74,7 +86,7 @@ def test_kaf_with_zero_process_noise_equals_batch_least_squares(seed, rho_true, 
     state = RatioKafState(rho_hat=0.0, variance=4.0, process_noise=0.0,
                           measurement_noise=2.5)
     for i, vp in enumerate(vps):
-        state, _ = kaf_update(state, _frame(i, float(vp), float(rho_true * vp)))
+        state, _ = kaf_update(state, float(vp), float(rho_true * vp))
     want_err = oracles.batch_scalar_rls_error(0.0 - rho_true, vps, 4.0, 2.5)
     assert state.rho_hat - rho_true == pytest.approx(want_err, abs=1e-9)
 
@@ -87,7 +99,7 @@ def test_kaf_variance_stays_positive_and_monotone_without_process_noise(seed):
     prev = state.variance
     for i in range(50):
         state, _ = kaf_update(
-            state, _frame(i, float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0))))
+            state, float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)))
         assert 0.0 < state.variance <= prev + 1e-15
         prev = state.variance
 
@@ -104,8 +116,8 @@ def test_kaf_scale_invariance():
         s_scaled = RatioKafState(rho_hat=0.5, variance=1.0, process_noise=1e-8,
                                  measurement_noise=1e-4 * c * c)
         for i, (vp, vn) in enumerate(frames):
-            s_base, r_base = kaf_update(s_base, _frame(i, vp, vn))
-            s_scaled, r_scaled = kaf_update(s_scaled, _frame(i, c * vp, c * vn))
+            s_base, r_base = kaf_update(s_base, vp, vn)
+            s_scaled, r_scaled = kaf_update(s_scaled, c * vp, c * vn)
             assert s_scaled.rho_hat == pytest.approx(s_base.rho_hat, rel=1e-12)
             assert r_scaled == pytest.approx(c * r_base, rel=1e-9)
 
@@ -144,7 +156,7 @@ def test_two_sample_crossover_never_trips():
     # ... then a much larger healthy signal swells the restraint, ending
     # the crossing while the burst is still inside the operate window
     frames += [_frame(i, 100.0, 100.0) for i in range(62, 140)]
-    trace = det.run(frames, fs=1000.0)
+    trace = det.run(_frames(frames), fs=1000.0)
     crossing = [jao > 0.005 * jar
                 for jao, jar in zip(trace.operate, trace.restraint)]
     assert crossing[60] and crossing[61]
@@ -162,7 +174,7 @@ def test_step_change_trips_after_persistence_count():
     frames = [_frame(i, 1.0, 1.0 if i < onset else 3.0) for i in range(120)]
     # nearly frozen gain: rho_hat stays ~1, every post-onset residual ~2
     det.process_noise = 0.0
-    trace = det.run(frames, fs=1000.0, onset_index=onset)
+    trace = det.run(_frames(frames), fs=1000.0, onset_index=onset)
     assert trace.tripped
     assert trace.first_trip_index == onset + cfg.window - 1
 
@@ -173,7 +185,7 @@ def test_trip_latches():
                                 measurement_noise=1e-4, rho0=1.0)
     frames = [_frame(i, 1.0, 1.0 if i < 40 else 3.0) for i in range(80)]
     frames += [_frame(i, 1.0, 1.0) for i in range(80, 160)]
-    trace = det.run(frames, fs=1000.0)
+    trace = det.run(_frames(frames), fs=1000.0)
     assert trace.tripped
     assert trace.trip[-1]  # still tripped after conditions clear
 
@@ -184,7 +196,7 @@ def test_invalid_frames_freeze_the_detector():
     frames = [_frame(i, 1.0, 1.0) for i in range(40)]
     frames += [_frame(i, 0.01, 5.0, valid=False) for i in range(40, 80)]
     frames += [_frame(i, 1.0, 1.0) for i in range(80, 140)]
-    trace = det.run(frames, fs=1000.0)
+    trace = det.run(_frames(frames), fs=1000.0)
     assert not trace.tripped
     rho = np.array(trace.rho_hat)
     assert np.allclose(rho[45:75], rho[39])  # held during the blocked stretch
@@ -197,19 +209,45 @@ def test_invalid_frames_freeze_the_detector():
 def test_streaming_steps_match_batch_run(detector):
     frames = [_frame(i, 1.0, 1.0, valid=i % 7 != 3) for i in range(60)]
     frames += [_frame(i, 1.0, 2.5) for i in range(60, 120)]
-    batch = detector.run(frames, fs=1000.0)
+    batch = detector.run(_frames(frames), fs=1000.0)
     assert batch.tripped
     state = detector.new_state()
     streamed = SchemeTrace(scheme=batch.scheme, fs=1000.0, sensitivity=batch.sensitivity)
-    for frame in frames:
-        ratio_step(state, frame, streamed)
+    for t_index, vp, vn, valid in frames:
+        ratio_step(state, streamed, t_index, vp, vn, valid)
     assert streamed == batch
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_ratio_schemes_reject_bad_magnitudes(bad):
+    """A non-finite or negative magnitude on either channel is an error in
+    both schemes' batch run and in the streaming step, valid or not."""
+    detectors = (AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.0))
+    for vp, vn in ((bad, 1.0), (1.0, bad)):
+        frames = _frames([_frame(0, 1.0, 1.0), _frame(1, vp, vn)])
+        for detector in detectors:
+            with pytest.raises(ValueError):
+                detector.run(frames, fs=1000.0)
+            for valid in (True, False):
+                trace = SchemeTrace(scheme=detector.scheme, fs=1000.0, sensitivity=0.005)
+                with pytest.raises(ValueError):
+                    ratio_step(detector.new_state(), trace, 0, vp, vn, valid)
+
+
+def test_harmonic_frames_reject_columns_of_unequal_length():
+    with pytest.raises(ValueError):
+        HarmonicFrames(v_p3=[1.0, 1.0], v_n3=[1.0], load_pu=[1.0, 1.0],
+                       pf=[1.0, 1.0], valid=[True, True])
+    with pytest.raises(ValueError):
+        HarmonicFrames(v_p3=[1.0], v_n3=[1.0], load_pu=[1.0], pf=[1.0],
+                       valid=[True, True])
+    assert len(_frames([_frame(0, 1.0, 1.0), _frame(1, 1.0, 1.0)])) == 2
 
 
 def test_first_valid_frame_seeds_ratio():
     det = AdaptiveRatioDetector(cfg=DetectorConfig(window=12, sensitivity=0.005))
     frames = [_frame(0, 2.0, 3.0)] + [_frame(i, 2.0, 3.0) for i in range(1, 30)]
-    trace = det.run(frames, fs=1000.0)
+    trace = det.run(_frames(frames), fs=1000.0)
     assert trace.rho_hat[0] == pytest.approx(1.5)
     assert not trace.tripped
 
@@ -246,12 +284,12 @@ def test_fixed_detector_uses_threshold_from_calibration():
     cal = Calibration64RAT(ratio=1.2, beta_ng=0.15)
     det = FixedRatioDetector.from_calibration(cal, window=12)
     frames = [_frame(i, 1.0, 1.2) for i in range(60)]
-    trace = det.run(frames, fs=1000.0)
+    trace = det.run(_frames(frames), fs=1000.0)
     assert not trace.tripped
     assert trace.scheme == "ng64g2"
     # a sustained deviation just past the guard band trips
     bad = [_frame(i, 1.0, 1.2 * (1.0 + 1.3 * 0.15)) for i in range(60, 140)]
-    trace2 = det.run(frames + bad, fs=1000.0, onset_index=60)
+    trace2 = det.run(_frames(frames + bad), fs=1000.0, onset_index=60)
     assert trace2.tripped
 
 
@@ -262,7 +300,7 @@ def test_fixed_scheme_margin_scales_with_guard():
     for beta in (0.2, 0.1):
         det = FixedRatioDetector.from_calibration(
             Calibration64RAT(ratio=1.2, beta_ng=beta), window=12)
-        m.append(det.run(frames, fs=1000.0).margin())
+        m.append(det.run(_frames(frames), fs=1000.0).margin())
     assert m[1] == pytest.approx(4.0 * m[0], rel=1e-9)
 
 
@@ -273,7 +311,7 @@ def test_trace_csv_roundtrip(tmp_path):
 
     det = AdaptiveRatioDetector(cfg=DetectorConfig(window=12, sensitivity=0.005))
     frames = [_frame(i, 2.0, 2.2) for i in range(40)]
-    trace = det.run(frames, fs=1000.0)
+    trace = det.run(_frames(frames), fs=1000.0)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().strip().splitlines()
@@ -287,5 +325,5 @@ def test_trace_csv_roundtrip(tmp_path):
 def test_margin_handles_zero_restraint():
     det = AdaptiveRatioDetector(cfg=DetectorConfig(window=12, sensitivity=0.005))
     frames = [_frame(i, 0.0, 0.0, valid=False) for i in range(20)]
-    trace = det.run(frames, fs=1000.0)
+    trace = det.run(_frames(frames), fs=1000.0)
     assert trace.margin() == 0.0

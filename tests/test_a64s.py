@@ -13,7 +13,7 @@ from statorguard.a64s import (
     CalibrationError,
     ExtractorState,
     InsulationDetectorConfig,
-    SubharmonicFrame,
+    SubharmonicFrames,
     ThetaKafState,
     a64s_detect,
     c0_kaf_update,
@@ -107,12 +107,11 @@ def _run_theta(kd, a0, n_steps, meas_noise, proc_noise, drive_seed=0):
     v = oracles.difference_equation_response(kd, a0, i_n)
     state = ThetaKafState(process_noise=proc_noise, measurement_noise=meas_noise)
     for t in range(n_steps):
-        frame = SubharmonicFrame(t_index=t, v_n=float(v[t]), i_n=float(i_n[t]))
-        reg = regression_step(state, frame)
+        reg = regression_step(state, float(v[t]), float(i_n[t]))
         if reg is None:
             continue
         phi, _ = reg
-        state, _ = theta_kaf_update(state, frame.v_n, phi)
+        state, _ = theta_kaf_update(state, float(v[t]), phi)
     return state, v, i_n
 
 
@@ -134,8 +133,7 @@ def test_theta_kaf_equals_batch_least_squares():
     state = ThetaKafState(process_noise=0.0, measurement_noise=meas)
     phis = []
     for t in range(60):
-        reg = regression_step(
-            state, SubharmonicFrame(t_index=t, v_n=float(v[t]), i_n=float(i_n[t])))
+        reg = regression_step(state, float(v[t]), float(i_n[t]))
         if reg is None:
             continue
         phi, _ = reg
@@ -149,10 +147,8 @@ def test_theta_kaf_equals_batch_least_squares():
 
 def test_regression_step_primes_on_first_sample():
     state = ThetaKafState()
-    f0 = SubharmonicFrame(t_index=0, v_n=1.0, i_n=2.0)
-    assert regression_step(state, f0) is None
-    f1 = SubharmonicFrame(t_index=1, v_n=3.0, i_n=4.0)
-    reg = regression_step(state, f1)
+    assert regression_step(state, 1.0, 2.0) is None
+    reg = regression_step(state, 3.0, 4.0)
     assert reg is not None
     phi, summed = reg
     assert np.allclose(phi, [-1.0, 6.0])
@@ -267,6 +263,21 @@ def test_frames_from_timeseries_validation():
     i = TimeSeries(fs=500.0, t0=0.0, samples=np.zeros(500))
     with pytest.raises(ValueError):
         frames_from_timeseries(v, i, Subharmonic64SConfig())
+
+
+def test_subharmonic_frames_check_columns_once_per_record():
+    with pytest.raises(ValueError):
+        SubharmonicFrames(v_n=[0.0, 0.0], i_n=[0.0], v_n60=[0.0, 0.0], valid=[True, True])
+    with pytest.raises(ValueError):
+        SubharmonicFrames(v_n=[0.0], i_n=[0.0], v_n60=[0.0], valid=[True, False])
+    with pytest.raises(ValueError):
+        SubharmonicFrames(v_n=[0.0, 0.0], i_n=[0.0, 0.0], v_n60=[0.0, -1.0],
+                          valid=[True, True])
+    cfg = Subharmonic64SConfig()
+    v, i = simulate_64s_timeseries(cfg, [], duration=0.5, noise_std=0.0, seed=0)
+    frames = frames_from_timeseries(v, i, cfg)
+    assert len(frames) == len(v) == 500
+    assert all(x == 0.0 for x, ok in zip(frames.v_n60, frames.valid) if not ok)
 
 
 def test_healthy_pipeline_estimates_and_sentinel():

@@ -32,7 +32,7 @@ from statorguard.a64s import (
 from statorguard.harness import SweepGrid, sweep_security, sweep_sensitivity
 from statorguard.plantsim import (
     FaultSpec,
-    HarmonicFrame,
+    HarmonicFrames,
     MachineConfig,
     Subharmonic64SConfig,
     constant_speed,
@@ -99,9 +99,10 @@ def test_criterion_02_learning_window_inhibit(announce):
         )
         # residual appears for exactly 2 frames, then a restraint swell
         # ends the crossover before persistence can be met
-        frames = [HarmonicFrame(t_index=i, v_p3=10.0, v_n3=10.0) for i in range(60)]
-        frames += [HarmonicFrame(t_index=60 + i, v_p3=10.0, v_n3=14.0) for i in range(2)]
-        frames += [HarmonicFrame(t_index=62 + i, v_p3=100.0, v_n3=100.0) for i in range(78)]
+        v_p3 = [10.0] * 60 + [10.0] * 2 + [100.0] * 78
+        v_n3 = [10.0] * 60 + [14.0] * 2 + [100.0] * 78
+        frames = HarmonicFrames(v_p3=v_p3, v_n3=v_n3, load_pu=[1.0] * 140,
+                                pf=[1.0] * 140, valid=[True] * 140)
         trace = FixedRatioDetector(ratio=1.0, cfg=cfg).run(frames, 1000.0)
         crossings = sum(
             jao > cfg.sensitivity * jar
@@ -121,8 +122,7 @@ def test_criterion_03_ratio_filter_worked_example(announce):
     try:
         state = RatioKafState(rho_hat=1.0, variance=1.0, process_noise=0.0,
                               measurement_noise=1.0)
-        new, residual = kaf_update(
-            state, HarmonicFrame(t_index=0, v_p3=1.0, v_n3=2.0))
+        new, residual = kaf_update(state, 1.0, 2.0)
         gain = (new.rho_hat - state.rho_hat) / residual
         detail = f"P={new.variance}, K={gain}, rho={new.rho_hat}, residual={residual}"
         ok = (new.variance == 0.5 and gain == 0.5 and new.rho_hat == 1.5

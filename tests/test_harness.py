@@ -156,6 +156,34 @@ def test_non_numeric_profile_value_rejected():
         run_scenario(_fault_config(profile={"duration": "abc"}))
 
 
+@pytest.mark.parametrize("overrides", [
+    {"seed": 1.5},
+    {"seed": -1},
+    {"profile": {"duration": 0.5, "window_cycles": 2.7}},
+    {"profile": {"duration": -1}},
+    {"profile": {"duration": 0.5, "fs": 100}},
+    {"profile": {"duration": 0.5, "pf": 0.5}},
+    {"profile": {"duration": 0.5, "window_cycles": 0}},
+])
+def test_out_of_range_or_non_integral_setting_is_config_error(overrides):
+    with pytest.raises(ConfigError):
+        run_scenario(_fault_config(**overrides))
+
+
+def test_integral_float_reads_as_its_integer():
+    cfg = _fault_config(profile={"duration": 0.4})
+    a = run_scenario({**cfg, "seed": 2.0})
+    b = run_scenario({**cfg, "seed": 2})
+    assert a.seed == b.seed == 2
+    assert a.verdicts == b.verdicts
+
+
+def test_sweep_onset_sample_must_be_an_integer():
+    grid = SweepGrid(taps=(0.0,), rfs=(50.0,), loads=(1.0,))
+    with pytest.raises(ConfigError, match="onset_sample"):
+        sweep_sensitivity(grid, {"onset_sample": 270.5, "calibration": dict(CAL)})
+
+
 def test_default_calibration_points_cover_load_and_pf():
     points = default_calibration_points()
     assert len(points) == 11
@@ -535,6 +563,50 @@ def test_cli_non_numeric_profile_value_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "64g2", "profile": {"duration": "abc"}}))
     assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("detect-64g2", {"profile": {"duration": -1}}),
+    ("detect-64g2", {"profile": {"fs": 100}}),
+    ("detect-64g2", {"profile": {"pf": 0.5}}),
+    ("detect-64g2", {"profile": {"window_cycles": 0}}),
+    ("detect-64s", {"kind": "64s", "profile": {"duration": -1}}),
+    ("simulate", {"profile": {"duration": -1}}),
+    ("simulate", {"kind": "64s", "profile": {"duration": -1}}),
+    ("sweep-sensitivity", {"grid": {"taps": [0.0], "rfs": [50.0], "loads": [1.0],
+                                    "pfs": [0.5]}}),
+    ("calibrate", {"calibration": {"points": [{"load_pu": 2.0, "pf": 1.0},
+                                              {"load_pu": 1.0, "pf": 1.0}]}}),
+    ("detect-64g2", {"seed": 1.5}),
+    ("detect-64g2", {"profile": {"window_cycles": 2.7}}),
+    ("sweep-sensitivity", {"onset_sample": 270.5}),
+])
+def test_cli_out_of_range_or_non_integral_setting_is_config_error(tmp_path, capsys,
+                                                                  command, config):
+    if command != "calibrate":
+        config = {"calibration": dict(CAL), **config}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_fault_config()))
+    assert cli_main(["detect-64g2", "--config", str(path), "--seed", "-1",
+                     "--out", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_replay_of_broken_data_stays_a_runtime_error(tmp_path, capsys):
+    recording = tmp_path / "short.csv"
+    recording.write_text("t,vp3,vn3\n0,1,1\n0.001,1,1\n0.002,1,1\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "64g2", "calibration": dict(CAL)}))
+    assert cli_main(["detect-64g2", "--config", str(path), "--input", str(recording),
+                     "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_code(capsys):

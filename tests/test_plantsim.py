@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from statorguard.plantsim import (
     DisturbanceSpec,
     FaultSpec,
-    HarmonicFrame,
     MachineConfig,
     Subharmonic64SConfig,
     constant_speed,
@@ -301,11 +300,20 @@ def test_64g2_frames_track_circuit_ratio():
     cfg = MachineConfig()
     sim = simulate_64g2_scenario(cfg, None, duration=0.5, noise_std=0.0, seed=0)
     vn, vp = third_harmonic_solve(cfg, None, 1.0, 1.0)
-    frames = [f for f in sim.frames if f.valid]
+    frames = [(p, n) for p, n, ok in zip(sim.frames.v_p3, sim.frames.v_n3, sim.frames.valid)
+              if ok]
     assert frames
-    for f in frames[::25]:
-        assert f.v_p3 == pytest.approx(abs(vp), rel=1e-6)
-        assert f.v_n3 == pytest.approx(abs(vn), rel=1e-6)
+    for v_p3, v_n3 in frames[::25]:
+        assert v_p3 == pytest.approx(abs(vp), rel=1e-6)
+        assert v_n3 == pytest.approx(abs(vn), rel=1e-6)
+
+
+def test_64g2_frames_hold_one_frame_per_sample():
+    sim = simulate_64g2_scenario(MachineConfig(), None, duration=0.5, seed=0)
+    assert len(sim.frames) == len(sim.v_p3_wave) == 500
+    for column in (sim.frames.v_p3, sim.frames.v_n3, sim.frames.load_pu,
+                   sim.frames.pf, sim.frames.valid):
+        assert len(column) == 500
 
 
 def test_64g2_fault_onset_index_and_step():
@@ -314,17 +322,9 @@ def test_64g2_fault_onset_index_and_step():
                                  duration=0.6, noise_std=0.0, seed=0)
     assert sim.onset_index == 270
     vn_f, vp_f = third_harmonic_solve(cfg, FaultSpec(x=0.0, rf=50.0), 1.0, 1.0)
-    settled = sim.frames[270 + 2 * sim.phasor_p.window_samples]
-    assert settled.v_n3 == pytest.approx(abs(vn_f), rel=1e-6)
-    assert settled.v_p3 == pytest.approx(abs(vp_f), rel=1e-6)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-def test_harmonic_frame_rejects_bad_magnitudes(bad):
-    with pytest.raises(ValueError):
-        HarmonicFrame(t_index=0, v_p3=bad, v_n3=1.0)
-    with pytest.raises(ValueError):
-        HarmonicFrame(t_index=0, v_p3=1.0, v_n3=bad)
+    settled = 270 + 2 * sim.phasor_p.window_samples
+    assert sim.frames.v_n3[settled] == pytest.approx(abs(vn_f), rel=1e-6)
+    assert sim.frames.v_p3[settled] == pytest.approx(abs(vp_f), rel=1e-6)
 
 
 def test_64g2_replayed_waveforms_give_the_simulated_frames():
@@ -344,9 +344,9 @@ def test_64g2_warmup_and_supervision():
         disturbances=[DisturbanceSpec(kind="gen_stop", t_on=0.1, t_off=1.1)],
         duration=1.5, noise_std=0.0, seed=0)
     warm = sim.phasor_p.window_samples - 1
-    assert not any(f.valid for f in sim.frames[:warm])
+    assert not any(sim.frames.valid[:warm])
     # by the end of the rundown the machine is at rest: blocked frames
-    assert not any(f.valid for f in sim.frames[-200:])
+    assert not any(sim.frames.valid[-200:])
 
 
 def test_64g2_freq_supervision_blocks_off_nominal_speed():
@@ -356,8 +356,8 @@ def test_64g2_freq_supervision_blocks_off_nominal_speed():
         disturbances=[DisturbanceSpec(kind="gen_start", t_on=0.0, t_off=1.0)],
         duration=1.5, noise_std=0.0, seed=0)
     # speed < 0.8 before t = 0.8 s: all frames blocked
-    assert not any(f.valid for f in sim.frames[:799])
-    assert any(f.valid for f in sim.frames[900:])
+    assert not any(sim.frames.valid[:799])
+    assert any(sim.frames.valid[900:])
 
 
 def test_64g2_pt_scale_multiplies_one_channel():
@@ -380,7 +380,7 @@ def test_64g2_pf_swing_passes_through_unity():
         cfg, None, disturbances=[DisturbanceSpec(kind="pf_swing", magnitude=-0.85,
                                                  t_on=0.1, t_off=0.5)],
         load_pu=1.0, pf=0.85, duration=0.7, noise_std=0.0, seed=0)
-    pfs = np.array([f.pf for f in sim.frames])
+    pfs = np.array(sim.frames.pf)
     assert np.min(np.abs(pfs)) >= 0.85 - 1e-9
     assert np.max(np.abs(pfs)) <= 1.0 + 1e-12
     assert pfs[0] == pytest.approx(0.85)
