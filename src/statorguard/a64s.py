@@ -74,7 +74,10 @@ class SubharmonicFrames:
     def __post_init__(self):
         if any(len(col) != len(self.v_n) for col in (self.i_n, self.v_n60, self.valid)):
             raise ValueError("frame columns must have equal length")
-        if any(v < 0 for v in self.v_n60):
+        for name in ("v_n", "i_n", "v_n60"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} must be finite (no NaN or inf)")
+        if min(self.v_n60, default=0.0) < 0:
             raise ValueError("v_n60 must be >= 0")
 
     def __len__(self) -> int:
@@ -98,18 +101,12 @@ class ThetaKafState:
     def __post_init__(self):
         self.theta_hat = np.asarray(self.theta_hat, dtype=float).reshape(2)
         self.cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
+        if self.cov[0, 1] != self.cov[1, 0]:
+            raise ValueError("cov must be symmetric")
         if self.measurement_noise <= 0:
             raise ValueError("measurement_noise must be positive")
         if self.process_noise < 0:
             raise ValueError("process_noise must be >= 0")
-
-    def copy(self) -> "ThetaKafState":
-        return ThetaKafState(
-            theta_hat=self.theta_hat.copy(), cov=self.cov.copy(),
-            process_noise=self.process_noise,
-            measurement_noise=self.measurement_noise,
-            prev_vn=self.prev_vn, prev_in=self.prev_in, t=self.t,
-        )
 
 
 @dataclass
@@ -210,6 +207,67 @@ def tustin_coeffs(k3: float, tau0: float, period: float) -> Tuple[float, float]:
     return k3 * period / denom, (period - 2.0 * tau0) / denom
 
 
+# The per-sample chain as plain float arithmetic: A64SEstimator.run keeps
+# its state in locals and calls these directly; the streaming functions
+# below are thin views over them, so both run the same arithmetic.
+
+def _regressors(prev_vn: float, prev_in: float, i_n: float) -> Tuple[float, float]:
+    """Regression vector of a sample with a valid predecessor; the second
+    entry is the summed current."""
+    return -prev_vn, prev_in + i_n
+
+
+def _theta_step(a0, kd, p00, p01, p11, process_noise, measurement_noise, v_n, phi0, phi1):
+    """One 2-state filter step on (a0, kd) with the symmetric covariance
+    [[p00, p01], [p01, p11]]; returns (a0, kd, p00, p01, p11, innovation).
+
+    Covariance is propagated first (information-form shrink plus process
+    noise), then the gain derives from the updated covariance; this
+    reduces to the scalar recursion when one regressor vanishes.
+    """
+    pp0 = p00 * phi0 + p01 * phi1
+    pp1 = p01 * phi0 + p11 * phi1
+    denom = measurement_noise + (phi0 * pp0 + phi1 * pp1)
+    p00 = p00 - pp0 * pp0 / denom + process_noise
+    p01 = p01 - pp0 * pp1 / denom
+    p11 = p11 - pp1 * pp1 / denom + process_noise
+    innovation = v_n - (phi0 * a0 + phi1 * kd)
+    a0 += (p00 * phi0 + p01 * phi1) / measurement_noise * innovation
+    kd += (p01 * phi0 + p11 * phi1) / measurement_noise * innovation
+    return a0, kd, p00, p01, p11, innovation
+
+
+def _extract_step(a0, kd, ratio_memory, gain_memory, alpha, period, rs_scale):
+    """Smoothed, clamped (time constant, resistance) of (a0, kd); returns
+    (tau0, rs, ratio_memory, gain_memory, degenerate).  rs_scale is
+    turns_ratio**2 / period; a memory of None restarts its smoother."""
+    one_plus = 1.0 + a0
+    degenerate = abs(one_plus) < 1e-12
+    if not degenerate:
+        ratio_raw = (1.0 - a0) / one_plus
+        if ratio_memory is None:
+            ratio_memory = ratio_raw
+        else:
+            ratio_memory += alpha * (ratio_raw - ratio_memory)
+    ratio = ratio_memory or 0.0
+    tau0 = 0.5 * period * (0.0 if ratio < 0.0 else ratio)
+
+    gain_raw = (period + 2.0 * tau0) * kd
+    if gain_memory is None:
+        gain_memory = gain_raw
+    else:
+        gain_memory += alpha * (gain_raw - gain_memory)
+    rs = rs_scale * (0.0 if gain_memory < 0.0 else gain_memory)
+    return tau0, rs, ratio_memory, gain_memory, degenerate
+
+
+def _c0_step(c0_hat, variance, process_noise, measurement_noise, tau0, rs):
+    """One scalar capacitance step; returns (c0_hat, variance)."""
+    variance = (variance * measurement_noise / (measurement_noise + rs * rs * variance)
+                + process_noise)
+    return c0_hat + variance * rs / measurement_noise * (tau0 - rs * c0_hat), variance
+
+
 def regression_step(
     state: ThetaKafState, v_n: float, i_n: float
 ) -> Optional[Tuple[np.ndarray, float]]:
@@ -220,32 +278,26 @@ def regression_step(
     state.prev_vn, state.prev_in = v_n, i_n
     if prev_vn is None or prev_in is None:
         return None
-    u = prev_in + i_n
-    return np.array([-prev_vn, u]), u
+    phi0, u = _regressors(prev_vn, prev_in, i_n)
+    return np.array([phi0, u]), u
 
 
 def theta_kaf_update(
     state: ThetaKafState, v_n: float, phi: np.ndarray
 ) -> Tuple[ThetaKafState, float]:
     """One 2-state filter step; returns the new state and the innovation.
-
-    Covariance is propagated first (information-form shrink plus process
-    noise, re-symmetrized), then the gain derives from the updated
-    covariance; this reduces to the scalar recursion when one regressor
-    vanishes.
-    """
-    phi = np.asarray(phi, dtype=float).reshape(2)
-    p = state.cov
-    p_phi = p @ phi
-    denom = state.measurement_noise + float(phi @ p_phi)
-    cov = p - np.outer(p_phi, p_phi) / denom + state.process_noise * np.eye(2)
-    cov = 0.5 * (cov + cov.T)
-    gain = (cov @ phi) / state.measurement_noise
-    innovation = v_n - float(phi @ state.theta_hat)
-    new_state = state.copy()
-    new_state.theta_hat = state.theta_hat + gain * innovation
-    new_state.cov = cov
-    new_state.t = state.t + 1
+    A non-finite measurement or regressor is a ValueError."""
+    phi0, phi1 = (float(x) for x in np.asarray(phi, dtype=float).reshape(2))
+    v_n = float(v_n)
+    if not (math.isfinite(v_n) and math.isfinite(phi0) and math.isfinite(phi1)):
+        raise ValueError("v_n and phi must be finite")
+    cov = state.cov
+    a0, kd, p00, p01, p11, innovation = _theta_step(
+        float(state.theta_hat[0]), float(state.theta_hat[1]),
+        float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]),
+        state.process_noise, state.measurement_noise, v_n, phi0, phi1)
+    new_state = replace(state, theta_hat=np.array([a0, kd]),
+                        cov=np.array([[p00, p01], [p01, p11]]), t=state.t + 1)
     return new_state, innovation
 
 
@@ -256,31 +308,11 @@ def extract_params(state: ExtractorState, theta_hat: np.ndarray) -> Tuple[float,
     The feedback coefficient inverts to the time constant through the
     bilinear map; the drive gain then inverts to the resistance, referred
     across the neutral transformer.  A feedback coefficient at the
-    degenerate point -1 freezes the outputs for that step.
+    degenerate point -1 freezes the time constant for that step.
     """
-    a0_hat, kd_hat = float(theta_hat[0]), float(theta_hat[1])
-    alpha = state.smoothing_alpha
-    t_s = state.period
-
-    one_plus = 1.0 + a0_hat
-    if abs(one_plus) < 1e-12:
-        state.degenerate = True
-    else:
-        state.degenerate = False
-        ratio_raw = (1.0 - a0_hat) / one_plus
-        if state.ratio_memory is None:
-            state.ratio_memory = ratio_raw
-        else:
-            state.ratio_memory += alpha * (ratio_raw - state.ratio_memory)
-    tau0 = 0.5 * t_s * max(state.ratio_memory or 0.0, 0.0)
-
-    gain_raw = (t_s + 2.0 * tau0) * kd_hat
-    if state.gain_memory is None:
-        state.gain_memory = gain_raw
-    else:
-        state.gain_memory += alpha * (gain_raw - state.gain_memory)
-    rs = (state.turns_ratio**2 / t_s) * max(state.gain_memory, 0.0)
-
+    tau0, rs, state.ratio_memory, state.gain_memory, state.degenerate = _extract_step(
+        float(theta_hat[0]), float(theta_hat[1]), state.ratio_memory, state.gain_memory,
+        state.smoothing_alpha, state.period, state.turns_ratio**2 / state.period)
     state.tau0_hat = tau0
     state.rs_hat = rs
     return tau0, rs
@@ -288,17 +320,15 @@ def extract_params(state: ExtractorState, theta_hat: np.ndarray) -> Tuple[float,
 
 def c0_kaf_update(state: C0KafState, tau0_hat: float, rs_hat: float) -> C0KafState:
     """Scalar capacitance refinement step: regress the extracted time
-    constant on the extracted resistance."""
+    constant on the extracted resistance.  A non-finite input or a
+    negative resistance is a ValueError."""
+    if not (math.isfinite(tau0_hat) and math.isfinite(rs_hat)):
+        raise ValueError("tau0_hat and rs_hat must be finite")
     if rs_hat < 0:
         raise ValueError("rs_hat must be >= 0")
-    variance = (
-        state.variance * state.measurement_noise
-        / (state.measurement_noise + rs_hat**2 * state.variance)
-        + state.process_noise
-    )
-    gain = variance * rs_hat / state.measurement_noise
-    xi = tau0_hat - rs_hat * state.c0_hat
-    return replace(state, c0_hat=state.c0_hat + gain * xi, variance=variance)
+    c0_hat, variance = _c0_step(state.c0_hat, state.variance, state.process_noise,
+                                state.measurement_noise, tau0_hat, rs_hat)
+    return replace(state, c0_hat=c0_hat, variance=variance)
 
 
 def locate_fault(
@@ -536,8 +566,10 @@ class A64SEstimator:
             onset_index: Optional[int] = None) -> A64STrace:
         cfg = self.cfg
         period = 1.0 / fs
+        # the state objects check the settings; the loop keeps their values
+        # in locals and steps them through the kernels the streaming
+        # functions use
         theta = ThetaKafState(
-            theta_hat=np.zeros(2),
             cov=cfg.theta_initial_variance * np.eye(2),
             process_noise=cfg.theta_process_noise,
             measurement_noise=cfg.theta_measurement_noise,
@@ -549,38 +581,64 @@ class A64SEstimator:
             process_noise=cfg.c0_process_noise,
             measurement_noise=cfg.c0_measurement_noise,
         )
+        theta_q, theta_r = theta.process_noise, theta.measurement_noise
+        p_initial = float(theta.cov[0, 0])
+        a0 = kd = p01 = 0.0
+        p00 = p11 = p_initial
+        alpha = extractor.smoothing_alpha
+        rs_scale = extractor.turns_ratio**2 / period
+        ratio_memory = gain_memory = None
+        tau0 = rs = 0.0
+        c0_hat, c0_var = c0.c0_hat, c0.variance
+        c0_q, c0_r = c0.process_noise, c0.measurement_noise
+        prev_vn = prev_in = None
         latch = _DropLatch(cfg.detector)
-        trace = A64STrace(fs=fs, onset_index=onset_index)
+        tripped = False
         det_count = 0
         r_n = self.circuit.r_n_primary
+        sentinel = HEALTHY_SENTINEL
 
-        columns = zip(frames.v_n, frames.i_n, frames.v_n60, frames.valid)
-        for i, (v_n, i_n, v_n60, valid) in enumerate(columns):
-            if not valid:
-                theta.prev_vn = theta.prev_in = None
-            reg = regression_step(theta, v_n, i_n) if valid else None
-            if reg is None:
-                self._append(trace, i, v_n, i_n, theta, extractor, c0, latch.tripped, False,
-                             HEALTHY_SENTINEL)
-                continue
-            phi, _ = reg
-            was_tripped = latch.tripped
-            theta, _ = theta_kaf_update(theta, v_n, phi)
-            tau0, rs = extract_params(extractor, theta.theta_hat)
-            c0 = c0_kaf_update(c0, tau0, rs)
-            latch.update(det_count, rs)
-            det_count += 1
-            if latch.tripped and not was_tripped:
-                # the circuit just changed structurally; re-open the filter
-                # so the faulted parameters are re-identified quickly
-                # instead of creeping in at the steady tracking rate
-                theta.cov = cfg.theta_initial_variance * np.eye(2)
-                extractor.ratio_memory = None
-                extractor.gain_memory = None
-            x_hat = HEALTHY_SENTINEL
-            if latch.tripped and latch.baseline is not None:
-                x_hat = self._locate(v_n60, rs, c0.c0_hat, latch.baseline, r_n)
-            self._append(trace, i, v_n, i_n, theta, extractor, c0, latch.tripped, True, x_hat)
+        trace = A64STrace(fs=fs, onset_index=onset_index, t_index=list(range(len(frames))),
+                          v_n=list(frames.v_n), i_n=list(frames.i_n))
+        a0_col, kd_col, tau0_col, rs_col, c0_col, x_col, trip_col, valid_col = (
+            col.append for col in (trace.a0_hat, trace.kd_hat, trace.tau0_hat, trace.rs_hat,
+                                   trace.c0_hat, trace.x_hat, trace.trip, trace.valid))
+        for v_n, i_n, v_n60, valid in zip(frames.v_n, frames.i_n, frames.v_n60, frames.valid):
+            x_hat = sentinel
+            if valid and prev_vn is not None:
+                phi0, phi1 = _regressors(prev_vn, prev_in, i_n)
+                prev_vn, prev_in = v_n, i_n
+                a0, kd, p00, p01, p11, _ = _theta_step(a0, kd, p00, p01, p11,
+                                                       theta_q, theta_r, v_n, phi0, phi1)
+                tau0, rs, ratio_memory, gain_memory, _ = _extract_step(
+                    a0, kd, ratio_memory, gain_memory, alpha, period, rs_scale)
+                c0_hat, c0_var = _c0_step(c0_hat, c0_var, c0_q, c0_r, tau0, rs)
+                was_tripped = tripped
+                tripped = latch.update(det_count, rs)
+                det_count += 1
+                if tripped and not was_tripped:
+                    # the circuit just changed structurally; re-open the filter
+                    # so the faulted parameters are re-identified quickly
+                    # instead of creeping in at the steady tracking rate
+                    p00 = p11 = p_initial
+                    p01 = 0.0
+                    ratio_memory = gain_memory = None
+                if tripped and latch.baseline is not None:
+                    x_hat = self._locate(v_n60, rs, c0_hat, latch.baseline, r_n)
+                used = True
+            else:
+                # an invalid sample clears the regression memory; the next
+                # valid one only primes it
+                prev_vn, prev_in = (v_n, i_n) if valid else (None, None)
+                used = False
+            a0_col(a0)
+            kd_col(kd)
+            tau0_col(tau0)
+            rs_col(rs)
+            c0_col(c0_hat)
+            x_col(x_hat)
+            trip_col(tripped)
+            valid_col(used)
         trace.baseline = latch.baseline
         return trace
 
@@ -599,20 +657,6 @@ class A64SEstimator:
         tau0_f = rf_hat * max(c0_hat, 0.0)
         return locate_fault(v_n60, self.circuit.un, r_n, rf_hat, tau0_f,
                             fault_active=True, f1=self.circuit.f1)
-
-    @staticmethod
-    def _append(trace, t_index, v_n, i_n, theta, extractor, c0, tripped, valid, x_hat):
-        trace.t_index.append(t_index)
-        trace.v_n.append(v_n)
-        trace.i_n.append(i_n)
-        trace.a0_hat.append(float(theta.theta_hat[0]))
-        trace.kd_hat.append(float(theta.theta_hat[1]))
-        trace.tau0_hat.append(extractor.tau0_hat)
-        trace.rs_hat.append(extractor.rs_hat)
-        trace.c0_hat.append(c0.c0_hat)
-        trace.x_hat.append(x_hat)
-        trace.trip.append(bool(tripped))
-        trace.valid.append(bool(valid))
 
 
 def write_a64s_trace_csv(trace: A64STrace, path) -> None:

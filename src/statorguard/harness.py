@@ -11,6 +11,7 @@ JSON/CSV artifacts.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .plantsim import (
     MachineConfig,
     Scenario64G2Result,
     Subharmonic64SConfig,
+    check_operating_point,
     constant_speed,
     frames_from_64g2_waveforms,
     ramp_speed,
@@ -175,13 +177,25 @@ def _check_config(config) -> str:
     return kind
 
 
+@functools.cache
+def _int_fields(cls) -> frozenset:
+    """Names of the int (or optional int) fields of a config dataclass."""
+    hints = get_type_hints(cls)
+    return frozenset(f.name for f in dc_fields(cls) if hints[f.name] in (int, Optional[int]))
+
+
 def _build(cls, data: Dict[str, Any], section: str):
+    """cls built from a config section; lists become tuples and an int
+    field takes only an integral number, read as _number reads it."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be an object")
+    int_fields = _int_fields(cls)
     kwargs = dict(data)
     for key, value in kwargs.items():
         if isinstance(value, list):
             kwargs[key] = tuple(value)
+        elif key in int_fields and value is not None:
+            kwargs[key] = _number(kwargs, key, None, f"{section}.", int)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -419,6 +433,12 @@ def _scenario_64g2(config: Dict[str, Any],
     supervision_frac = _number(profile, "supervision_frac", 0.1, "profile.")
     noise = _noise_from(config)
     seed = _seed(config)
+    # settings are checked before any recording is read, so that a bad
+    # setting is a config error and only a bad recording a runtime one
+    if window_cycles < 1:
+        raise ConfigError(f"'profile.window_cycles' must be >= 1, got {window_cycles}")
+    with _config_errors():
+        check_operating_point(load_pu, pf)
 
     if input_channels is None:
         with _config_errors():

@@ -40,6 +40,7 @@ __all__ = [
     "grounding_resistor_sizing",
     "e3_of_operating_point",
     "emf_split_fraction",
+    "check_operating_point",
     "third_harmonic_solve",
     "subharmonic_transfer",
     "neutral_60hz_component",
@@ -261,7 +262,7 @@ def grounding_resistor_sizing(turns_ratio: float, f1: float, c_total: float) -> 
 
 def e3_of_operating_point(cfg: MachineConfig, load_pu: float, pf: float) -> float:
     """Third-harmonic EMF magnitude at an operating point (affine model)."""
-    _check_operating_point(load_pu, pf)
+    check_operating_point(load_pu, pf)
     c0, c1, c2 = cfg.e3_coeffs
     return cfg.e3 * (c0 + c1 * load_pu + c2 * (1.0 - abs(pf)))
 
@@ -269,13 +270,15 @@ def e3_of_operating_point(cfg: MachineConfig, load_pu: float, pf: float) -> floa
 def emf_split_fraction(cfg: MachineConfig, load_pu: float, pf: float) -> float:
     """Fraction of the triplen EMF developed in the neutral-side half of
     the winding; clipped away from the degenerate extremes."""
-    _check_operating_point(load_pu, pf)
+    check_operating_point(load_pu, pf)
     a0, a1, a2 = cfg.alpha_coeffs
     alpha = a0 + a1 * (load_pu - 0.75) + a2 * (1.0 - abs(pf)) * math.copysign(1.0, pf)
     return float(np.clip(alpha, 0.05, 0.95))
 
 
-def _check_operating_point(load_pu, pf) -> None:
+def check_operating_point(load_pu, pf) -> None:
+    """Reject a load (scalar or per-sample) outside [0, 1.2] pu or a power
+    factor with |pf| outside [0.8, 1]."""
     load_arr = np.asarray(load_pu, dtype=float)
     pf_arr = np.asarray(pf, dtype=float)
     if np.any(load_arr < 0) or np.any(load_arr > 1.2):
@@ -554,7 +557,7 @@ def simulate_64g2_scenario(
     value (minimum-signal supervision), and whenever per-unit speed is
     more than freq_band away from nominal (frequency supervision: the
     fixed-bin phasor extraction is only meaningful near rated speed)."""
-    _check_operating_point(load_pu, pf)
+    check_operating_point(load_pu, pf)
     if duration <= 0 or fs <= 0:
         raise ValueError("duration and fs must be positive")
     if fs <= 6.0 * cfg.f1:

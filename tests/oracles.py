@@ -109,3 +109,87 @@ def windowed_energy(values, window, t):
     """Sum of squares of values[t-window .. t] done longhand."""
     lo = t - window
     return float(sum(float(v) ** 2 for v in values[lo: t + 1]))
+
+
+def naive_a64s_run(v_n, i_n, v_n60, valid, fs, turns_ratio, un, r_n, f1, cfg):
+    """The full 64S estimation chain written longhand, with the 2-state
+    filter in its numpy matrix form (covariance shrink with an outer
+    product, explicit re-symmetrization, gain from the updated
+    covariance) and the capacitance filter as the textbook scalar update.
+
+    cfg is an A64SEstimatorConfig.  Follows the estimator's rules: an
+    invalid sample clears the regression memory and the next valid one
+    only primes it; the baseline is the median of the resistance over its
+    window of used samples; a trip needs persistence consecutive used
+    samples below drop_fraction of it and re-opens the filter covariance
+    and the smoothers once.  Returns the per-sample columns and the
+    baseline.
+    """
+    period = 1.0 / fs
+    det = cfg.detector
+    alpha = 1.0 - np.exp(-cfg.smoothing_rate * period)
+    theta = np.zeros(2)
+    cov = cfg.theta_initial_variance * np.eye(2)
+    c0, c0_var = cfg.c0_initial, cfg.c0_initial_variance
+    ratio_mem = gain_mem = None
+    tau0 = rs = 0.0
+    prev = None
+    rs_used = []
+    baseline = None
+    streak = 0
+    tripped = False
+    out = {k: [] for k in ("a0_hat", "kd_hat", "tau0_hat", "rs_hat", "c0_hat",
+                           "x_hat", "trip", "valid")}
+    for vn, cur, v60, ok in zip(v_n, i_n, v_n60, valid):
+        x = 2.0
+        used = ok and prev is not None
+        if not ok:
+            prev = None
+        elif prev is None:
+            prev = (vn, cur)
+        else:
+            phi = np.array([-prev[0], prev[1] + cur])
+            prev = (vn, cur)
+            p_phi = cov @ phi
+            cov = (cov - np.outer(p_phi, p_phi) / (cfg.theta_measurement_noise + phi @ p_phi)
+                   + cfg.theta_process_noise * np.eye(2))
+            cov = 0.5 * (cov + cov.T)
+            theta = theta + (cov @ phi) / cfg.theta_measurement_noise * (vn - phi @ theta)
+            a0, kd = float(theta[0]), float(theta[1])
+
+            if abs(1.0 + a0) >= 1e-12:
+                raw = (1.0 - a0) / (1.0 + a0)
+                ratio_mem = raw if ratio_mem is None else ratio_mem + alpha * (raw - ratio_mem)
+            tau0 = 0.5 * period * max(ratio_mem or 0.0, 0.0)
+            raw = (period + 2.0 * tau0) * kd
+            gain_mem = raw if gain_mem is None else gain_mem + alpha * (raw - gain_mem)
+            rs = turns_ratio**2 / period * max(gain_mem, 0.0)
+
+            c0_var = (c0_var * cfg.c0_measurement_noise
+                      / (cfg.c0_measurement_noise + rs**2 * c0_var) + cfg.c0_process_noise)
+            c0 = c0 + c0_var * rs / cfg.c0_measurement_noise * (tau0 - rs * c0)
+
+            rs_used.append(rs)
+            was = tripped
+            if baseline is None:
+                if len(rs_used) == det.baseline_start + det.baseline_window:
+                    baseline = float(np.median(rs_used[det.baseline_start:]))
+            elif not tripped:
+                streak = streak + 1 if rs < det.drop_fraction * baseline else 0
+                tripped = streak >= det.persistence
+            if tripped and not was:
+                cov = cfg.theta_initial_variance * np.eye(2)
+                ratio_mem = gain_mem = None
+            if tripped and 0 < rs < baseline:
+                rf = 1.0 / (1.0 / rs - 1.0 / baseline)
+                z = complex(r_n + rf, 2.0 * np.pi * f1 * r_n * rf * max(c0, 0.0))
+                x = v60 / (un * r_n) * abs(z)
+        out["a0_hat"].append(float(theta[0]))
+        out["kd_hat"].append(float(theta[1]))
+        out["tau0_hat"].append(tau0)
+        out["rs_hat"].append(rs)
+        out["c0_hat"].append(c0)
+        out["x_hat"].append(x)
+        out["trip"].append(tripped)
+        out["valid"].append(used)
+    return out, baseline

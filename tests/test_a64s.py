@@ -168,6 +168,22 @@ def test_theta_covariance_stays_symmetric_positive_definite(seed):
         assert eig.min() > 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_theta_kaf_update_rejects_non_finite_input(bad):
+    """One NaN taken in would make theta_hat NaN for good."""
+    state = ThetaKafState()
+    for v_n, phi in ((bad, [1.0, 2.0]), (1.0, [bad, 2.0]), (1.0, [1.0, bad])):
+        with pytest.raises(ValueError):
+            theta_kaf_update(state, v_n, np.array(phi))
+    assert np.array_equal(state.theta_hat, np.zeros(2))
+    assert np.array_equal(state.cov, np.eye(2))
+
+
+def test_theta_kaf_state_requires_symmetric_covariance():
+    with pytest.raises(ValueError):
+        ThetaKafState(cov=np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
 # ---------------------------------------------------------------- c0 filter
 
 def test_c0_kaf_fixed_point():
@@ -188,6 +204,14 @@ def test_c0_kaf_variance_positive():
     for _ in range(100):
         state = c0_kaf_update(state, 1e-2, 100.0)
         assert state.variance > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_c0_kaf_update_rejects_non_finite_input(bad):
+    state = C0KafState()
+    for tau0_hat, rs_hat in ((1.0, bad), (bad, 1.0)):
+        with pytest.raises(ValueError):
+            c0_kaf_update(state, tau0_hat, rs_hat)
 
 
 # ------------------------------------------------------------------ locator
@@ -273,11 +297,86 @@ def test_subharmonic_frames_check_columns_once_per_record():
     with pytest.raises(ValueError):
         SubharmonicFrames(v_n=[0.0, 0.0], i_n=[0.0, 0.0], v_n60=[0.0, -1.0],
                           valid=[True, True])
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("v_n", "i_n", "v_n60"):
+            columns = {"v_n": [0.0, 1.0], "i_n": [0.0, 1.0], "v_n60": [0.0, 1.0],
+                       "valid": [True, False]}
+            columns[name] = [0.0, bad]
+            with pytest.raises(ValueError, match=name):
+                SubharmonicFrames(**columns)
     cfg = Subharmonic64SConfig()
     v, i = simulate_64s_timeseries(cfg, [], duration=0.5, noise_std=0.0, seed=0)
     frames = frames_from_timeseries(v, i, cfg)
     assert len(frames) == len(v) == 500
     assert all(x == 0.0 for x, ok in zip(frames.v_n60, frames.valid) if not ok)
+
+
+# absolute floors for values that pass near 0: the filter starts at
+# theta = 0, and the located position is an O(1) quantity
+_ORACLE_ATOL = {"a0_hat": 1e-12, "kd_hat": 1e-12, "tau0_hat": 1e-15, "rs_hat": 1e-9,
+                "c0_hat": 1e-18, "x_hat": 1e-12}
+
+
+def test_estimator_matches_naive_matrix_oracle_through_a_trip():
+    """The scalar kernel run() uses agrees with the numpy matrix form of
+    the filter updates on a noisy record that trips, through the
+    post-trip covariance reset and the locator."""
+    cfg = Subharmonic64SConfig()
+    v, i = simulate_64s_timeseries(
+        cfg, [FaultSpec(x=0.67, rf=500.0, t_on=1.6)], duration=3.0, noise_std=0.01,
+        seed=4, speed_profile=lambda t: np.ones_like(t))
+    frames = frames_from_timeseries(v, i, cfg)
+    est = A64SEstimator(cfg)
+    trace = est.run(frames, 1000.0)
+    want, baseline = oracles.naive_a64s_run(
+        frames.v_n, frames.i_n, frames.v_n60, frames.valid, 1000.0,
+        cfg.turns_ratio, cfg.un, cfg.r_n_primary, cfg.f1, est.cfg)
+    assert trace.tripped
+    for name, atol in _ORACLE_ATOL.items():
+        np.testing.assert_allclose(getattr(trace, name), want[name], rtol=1e-9, atol=atol,
+                                   err_msg=name)
+    assert trace.trip == want["trip"]
+    assert trace.valid == want["valid"]
+    assert trace.first_trip_index == want["trip"].index(True)
+    assert trace.baseline == pytest.approx(baseline, rel=1e-9)
+
+
+def test_streaming_steps_reproduce_run_exactly():
+    """Chaining the public step functions over a no-fault record, with an
+    invalid stretch mid-record, gives run()'s columns bit for bit: both
+    go through one kernel."""
+    cfg = Subharmonic64SConfig()
+    v, i = simulate_64s_timeseries(cfg, [], duration=2.0, noise_std=0.01, seed=2)
+    frames = frames_from_timeseries(v, i, cfg)
+    frames.valid[1400:1420] = [False] * 20
+    est = A64SEstimator(cfg)
+    trace = est.run(frames, 1000.0)
+    assert not trace.tripped
+
+    est_cfg = est.cfg
+    theta = ThetaKafState(cov=est_cfg.theta_initial_variance * np.eye(2),
+                          process_noise=est_cfg.theta_process_noise,
+                          measurement_noise=est_cfg.theta_measurement_noise)
+    extractor = ExtractorState(period=1e-3, turns_ratio=cfg.turns_ratio,
+                               gamma=est_cfg.smoothing_rate)
+    c0 = C0KafState(c0_hat=est_cfg.c0_initial, variance=est_cfg.c0_initial_variance,
+                    process_noise=est_cfg.c0_process_noise,
+                    measurement_noise=est_cfg.c0_measurement_noise)
+    columns = {k: [] for k in ("a0_hat", "kd_hat", "tau0_hat", "rs_hat", "c0_hat", "valid")}
+    for v_n, i_n, valid in zip(frames.v_n, frames.i_n, frames.valid):
+        if not valid:
+            theta.prev_vn = theta.prev_in = None
+        reg = regression_step(theta, v_n, i_n) if valid else None
+        if reg is not None:
+            theta, _ = theta_kaf_update(theta, v_n, reg[0])
+            tau0, rs = extract_params(extractor, theta.theta_hat)
+            c0 = c0_kaf_update(c0, tau0, rs)
+        row = (float(theta.theta_hat[0]), float(theta.theta_hat[1]), extractor.tau0_hat,
+               extractor.rs_hat, c0.c0_hat, reg is not None)
+        for column, value in zip(columns.values(), row):
+            column.append(value)
+    for name, column in columns.items():
+        assert getattr(trace, name) == column, name
 
 
 def test_healthy_pipeline_estimates_and_sentinel():

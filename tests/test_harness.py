@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import statorguard
 from statorguard import harness
 from statorguard.a64s import A64STrace
 from statorguard.cli import main as cli_main
@@ -168,6 +171,25 @@ def test_non_numeric_profile_value_rejected():
 def test_out_of_range_or_non_integral_setting_is_config_error(overrides):
     with pytest.raises(ConfigError):
         run_scenario(_fault_config(**overrides))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"detector": {"persistence": 2.5}},
+    {"detector": {"window": 12.5}},
+    {"machine": {"segments": 96.5}},
+    {"kind": "64s", "estimator": {"detector": {"persistence": 2.5}}},
+    {"kind": "64s", "estimator": {"detector": {"baseline_window": True}}},
+])
+def test_non_integral_int_field_of_a_section_is_config_error(overrides):
+    with pytest.raises(ConfigError, match="must be an integer|must be a finite number"):
+        run_scenario(_fault_config(**overrides))
+
+
+def test_integral_float_int_field_reads_as_its_integer():
+    cfg = _fault_config(profile={"duration": 0.4})
+    a = run_scenario({**cfg, "detector": {"persistence": 3.0}, "machine": {"segments": 96.0}})
+    b = run_scenario({**cfg, "detector": {"persistence": 3}, "machine": {"segments": 96}})
+    assert a.verdicts == b.verdicts
 
 
 def test_integral_float_reads_as_its_integer():
@@ -580,6 +602,9 @@ def test_cli_non_numeric_profile_value_is_config_error(tmp_path, capsys):
     ("detect-64g2", {"seed": 1.5}),
     ("detect-64g2", {"profile": {"window_cycles": 2.7}}),
     ("sweep-sensitivity", {"onset_sample": 270.5}),
+    ("detect-64g2", {"detector": {"persistence": 2.5}}),
+    ("detect-64g2", {"machine": {"segments": 96.5}}),
+    ("detect-64s", {"kind": "64s", "estimator": {"detector": {"persistence": 2.5}}}),
 ])
 def test_cli_out_of_range_or_non_integral_setting_is_config_error(tmp_path, capsys,
                                                                   command, config):
@@ -596,6 +621,19 @@ def test_cli_negative_seed_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps(_fault_config()))
     assert cli_main(["detect-64g2", "--config", str(path), "--seed", "-1",
                      "--out", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile", [{"pf": 0.5}, {"window_cycles": 0}])
+def test_cli_replay_with_out_of_range_profile_is_config_error(cli_workspace, tmp_path,
+                                                             capsys, profile):
+    """A bad setting is a config error also when the frames come from a
+    recording, which is checked only after the settings."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "64g2", "calibration": dict(CAL),
+                                "profile": profile}))
+    assert cli_main(["detect-64g2", "--config", str(path),
+                     "--input", str(cli_workspace["waveforms"]), "--out", str(tmp_path)]) == 1
     assert "config error:" in capsys.readouterr().err
 
 
@@ -622,11 +660,15 @@ def test_cli_runtime_error_exit_code(cli_workspace, capsys):
 
 
 def test_cli_entry_point_subprocess(cli_workspace, tmp_path):
+    # the child imports the package these tests import, installed or not
+    package_root = str(Path(statorguard.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "statorguard.cli", "calibrate",
          "--config", str(cli_workspace["config"]),
          "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["ratio"] > 0
