@@ -109,6 +109,16 @@ class Calibration64RAT:
         return self.beta_ng**2
 
 
+def _kaf_step(rho_hat: float, variance: float, process_noise: float,
+              measurement_noise: float, v_p3: float, v_n3: float) -> Tuple[float, float, float]:
+    """The ratio filter's arithmetic: new ratio, variance and innovation."""
+    variance = (variance * measurement_noise / (measurement_noise + variance * v_p3**2)
+                + process_noise)
+    gain = variance * v_p3 / measurement_noise
+    residual = v_n3 - rho_hat * v_p3
+    return rho_hat + gain * residual, variance, residual
+
+
 def kaf_update(state: RatioKafState, v_p3: float, v_n3: float) -> Tuple[RatioKafState, float]:
     """One ratio-filter step on a valid frame's terminal and neutral
     magnitudes; returns the new state and the innovation (measured
@@ -118,28 +128,20 @@ def kaf_update(state: RatioKafState, v_p3: float, v_n3: float) -> Tuple[RatioKaf
     updated variance; a zero terminal magnitude degenerates gracefully
     (no correction, variance grows by the process noise).
     """
-    variance = (
-        state.variance * state.measurement_noise
-        / (state.measurement_noise + state.variance * v_p3**2)
-        + state.process_noise
-    )
-    gain = variance * v_p3 / state.measurement_noise
-    residual = v_n3 - state.rho_hat * v_p3
-    new_state = replace(
-        state,
-        rho_hat=state.rho_hat + gain * residual,
-        variance=variance,
-        t=state.t + 1,
-    )
-    return new_state, residual
+    rho_hat, variance, residual = _kaf_step(state.rho_hat, state.variance, state.process_noise,
+                                            state.measurement_noise, v_p3, v_n3)
+    return replace(state, rho_hat=rho_hat, variance=variance, t=state.t + 1), residual
 
 
-def operate_restraint(
-    residuals: Sequence[float],
-    vn3s: Sequence[float],
-    cfg: DetectorConfig,
-    t: int,
-) -> Tuple[float, float]:
+def _energies(residual_sq: Sequence[float], vn3_sq: Sequence[float],
+              window: int, t: int) -> Tuple[float, float]:
+    """Operate and restraint energies at frame count t from the windowed
+    squares: the operate energy is zero through the learning window."""
+    return (0.0 if t <= window else math.fsum(residual_sq)), math.fsum(vn3_sq)
+
+
+def operate_restraint(residuals: Sequence[float], vn3s: Sequence[float],
+                      cfg: DetectorConfig, t: int) -> Tuple[float, float]:
     """Operate and restraint energies at frame count t.
 
     The operate energy is identically zero through the learning window
@@ -148,12 +150,7 @@ def operate_restraint(
     neutral magnitudes during learning and the matching windowed sum
     afterwards.  Callers supply the last min(t, L+1) values of each.
     """
-    if t <= cfg.window:
-        return 0.0, math.fsum(v * v for v in vn3s)
-    return (
-        math.fsum(r * r for r in residuals),
-        math.fsum(v * v for v in vn3s),
-    )
+    return _energies([r * r for r in residuals], [v * v for v in vn3s], cfg.window, t)
 
 
 @dataclass
@@ -173,21 +170,6 @@ class SchemeTrace:
     trip: List[bool] = field(default_factory=list)
     valid: List[bool] = field(default_factory=list)
     onset_index: Optional[int] = None
-
-    def append(self, t_index, v_p3, v_n3, rho_hat, residual, operate, restraint, trip, valid):
-        if self.t_index and t_index <= self.t_index[-1]:
-            raise ValueError("t_index must be strictly increasing")
-        if operate < 0 or restraint < 0:
-            raise ValueError("operate and restraint energies must be >= 0")
-        self.t_index.append(t_index)
-        self.v_p3.append(v_p3)
-        self.v_n3.append(v_n3)
-        self.rho_hat.append(rho_hat)
-        self.residual.append(residual)
-        self.operate.append(operate)
-        self.restraint.append(restraint)
-        self.trip.append(bool(trip))
-        self.valid.append(bool(valid))
 
     @property
     def first_trip_index(self) -> Optional[int]:
@@ -221,76 +203,97 @@ class SchemeTrace:
 class RatioSchemeState:
     """Mutable run state of a ratio scheme.
 
-    The residual's ratio comes from the Kalman filter when kaf_template is
-    set (adaptive scheme: the filter starts at the first valid frame, from
-    ``ratio`` or, when that is None, from that frame's own ratio) and is
-    otherwise the frozen ``ratio`` setting (fixed scheme).
+    kaf holds the ratio filter's settings of the adaptive scheme; the
+    filter starts at the first valid frame from ``ratio`` or, when that
+    is None, from that frame's own ratio, and rho_hat and variance stay
+    None until then.  Without kaf (fixed scheme) the residual uses the
+    frozen ``ratio``.  The windows hold the squared residuals and squared
+    neutral magnitudes of the last L+1 valid frames.
     """
 
     cfg: DetectorConfig
     ratio: Optional[float]
-    kaf_template: Optional[RatioKafState] = None
     kaf: Optional[RatioKafState] = None
-    residuals: Deque[float] = field(default_factory=deque)
-    vn3s: Deque[float] = field(default_factory=deque)
+    rho_hat: Optional[float] = None
+    variance: Optional[float] = None
+    residual_sq: Deque[float] = field(default_factory=deque)
+    vn3_sq: Deque[float] = field(default_factory=deque)
     t: int = 0
     streak: int = 0
     tripped: bool = False
-    last_operate: float = 0.0
-    last_restraint: float = 0.0
 
     def __post_init__(self):
         maxlen = self.cfg.window + 1
-        self.residuals = deque(self.residuals, maxlen=maxlen)
-        self.vn3s = deque(self.vn3s, maxlen=maxlen)
+        self.residual_sq = deque(self.residual_sq, maxlen=maxlen)
+        self.vn3_sq = deque(self.vn3_sq, maxlen=maxlen)
 
-    @property
-    def rho(self) -> float:
-        """Ratio the trace reports: the tracked estimate once the filter
-        runs, else the setting (0.0 for an adaptive scheme still waiting
-        to seed its filter from the first valid frame)."""
-        if self.kaf is not None:
-            return self.kaf.rho_hat
-        return self.ratio or 0.0
+
+def _advance(state: RatioSchemeState, trace: SchemeTrace, t_index: Sequence[int],
+             v_p3: Sequence[float], v_n3: Sequence[float], valid: Sequence[bool]) -> None:
+    """Run a ratio scheme over frame columns, one trace row per frame.
+
+    A negative or non-finite magnitude raises ValueError, valid or not,
+    before that frame changes anything.  Invalid frames are recorded with
+    the last ratio and energies but do not advance the filter, the
+    windows, or the trip logic.
+    """
+    window, sensitivity, hold = state.cfg.window, state.cfg.sensitivity, state.cfg.hold
+    kaf, ratio = state.kaf, state.ratio
+    rho_hat, variance = state.rho_hat, state.variance
+    residual_sq, vn3_sq = state.residual_sq, state.vn3_sq
+    t, streak, tripped = state.t, state.streak, state.tripped
+    rho = rho_hat if rho_hat is not None else ratio or 0.0
+    jao, jar = _energies(residual_sq, vn3_sq, window, t)
+    push_residual, push_vn3 = residual_sq.append, vn3_sq.append
+    rho_col, residual_col, operate_col, restraint_col, trip_col = (
+        col.append for col in (trace.rho_hat, trace.residual, trace.operate,
+                               trace.restraint, trace.trip))
+    for vp, vn, ok in zip(v_p3, v_n3, valid):
+        # chained comparisons are False for NaN, so NaN is rejected too
+        if not (0.0 <= vp < math.inf and 0.0 <= vn < math.inf):
+            raise ValueError("phasor magnitudes must be finite and >= 0")
+        residual = 0.0
+        if ok:
+            if kaf is None:
+                residual = vn - ratio * vp
+            else:
+                if rho_hat is None:
+                    rho_hat = ratio if ratio is not None else vn / vp if vp > 0 else 0.5
+                    variance = kaf.initial_variance
+                rho_hat, variance, residual = _kaf_step(
+                    rho_hat, variance, kaf.process_noise, kaf.measurement_noise, vp, vn)
+                rho = rho_hat
+            t += 1
+            push_residual(residual * residual)
+            push_vn3(vn * vn)
+            jao, jar = _energies(residual_sq, vn3_sq, window, t)
+            if not tripped:
+                streak = streak + 1 if jao > sensitivity * jar else 0
+                tripped = streak >= hold
+        rho_col(rho)
+        residual_col(residual)
+        operate_col(jao)
+        restraint_col(jar)
+        trip_col(tripped)
+    trace.t_index.extend(t_index)
+    trace.v_p3.extend(v_p3)
+    trace.v_n3.extend(v_n3)
+    trace.valid.extend(map(bool, valid))
+    state.rho_hat, state.variance = rho_hat, variance
+    state.t, state.streak, state.tripped = t, streak, tripped
 
 
 def ratio_step(state: RatioSchemeState, trace: SchemeTrace, t_index: int,
                v_p3: float, v_n3: float, valid: bool) -> SchemeTrace:
     """Advance a ratio scheme by one frame, appending to the trace.
 
-    A negative or non-finite magnitude raises ValueError, valid or not.
-    Invalid frames (phasor warm-up, supervision dropout) are recorded but
-    do not advance the filter, the windows, or the trip logic.
+    Runs the batch detectors' loop on one frame.  A t_index not above the
+    trace's last one, or a negative or non-finite magnitude, raises
+    ValueError and leaves the state and the trace untouched.
     """
-    # chained comparisons are False for NaN, so NaN is rejected too
-    if not (0.0 <= v_p3 < math.inf and 0.0 <= v_n3 < math.inf):
-        raise ValueError("phasor magnitudes must be finite and >= 0")
-    residual = 0.0
-    if valid:
-        if state.kaf_template is None:
-            residual = v_n3 - state.ratio * v_p3
-        else:
-            if state.kaf is None:
-                rho0 = state.ratio
-                if rho0 is None:
-                    rho0 = v_n3 / v_p3 if v_p3 > 0 else 0.5
-                state.kaf = replace(state.kaf_template, rho_hat=rho0,
-                                    variance=state.kaf_template.initial_variance, t=0)
-            state.kaf, residual = kaf_update(state.kaf, v_p3, v_n3)
-        state.t += 1
-        state.residuals.append(residual)
-        state.vn3s.append(v_n3)
-        jao, jar = operate_restraint(state.residuals, state.vn3s, state.cfg, state.t)
-        if not state.tripped:
-            if jao > state.cfg.sensitivity * jar:
-                state.streak += 1
-            else:
-                state.streak = 0
-            if state.streak >= state.cfg.hold:
-                state.tripped = True
-        state.last_operate, state.last_restraint = jao, jar
-    trace.append(t_index, v_p3, v_n3, state.rho, residual,
-                 state.last_operate, state.last_restraint, state.tripped, valid)
+    if trace.t_index and t_index <= trace.t_index[-1]:
+        raise ValueError("t_index must be strictly increasing")
+    _advance(state, trace, (t_index,), (v_p3,), (v_n3,), (valid,))
     return trace
 
 
@@ -325,16 +328,16 @@ def calibrate_64rat(
 
 
 class _RatioDetector:
-    """Batch/streaming wrapper over ratio_step; a subclass sets scheme and
-    cfg and builds its run state in new_state()."""
+    """Batch runner: run() feeds a whole record to the loop that ratio_step
+    feeds one frame at a time.  A subclass sets scheme and cfg and builds
+    its run state in new_state()."""
 
     def run(self, frames: HarmonicFrames, fs: float,
             onset_index: Optional[int] = None) -> SchemeTrace:
         trace = SchemeTrace(scheme=self.scheme, fs=fs, sensitivity=self.cfg.sensitivity,
                             onset_index=onset_index)
-        state = self.new_state()
-        for i, (v_p3, v_n3, valid) in enumerate(zip(frames.v_p3, frames.v_n3, frames.valid)):
-            ratio_step(state, trace, i, v_p3, v_n3, valid)
+        _advance(self.new_state(), trace, range(len(frames)),
+                 frames.v_p3, frames.v_n3, frames.valid)
         return trace
 
 
@@ -352,17 +355,13 @@ class AdaptiveRatioDetector(_RatioDetector):
         rho0: Optional[float] = None,
     ):
         self.cfg = cfg or DetectorConfig()
-        self._template = RatioKafState(
-            rho_hat=rho0 if rho0 is not None else 0.5,
-            variance=initial_variance,
-            process_noise=process_noise,
-            measurement_noise=measurement_noise,
-            initial_variance=initial_variance,
-        )
+        self._kaf = RatioKafState(variance=initial_variance, initial_variance=initial_variance,
+                                  process_noise=process_noise,
+                                  measurement_noise=measurement_noise)
         self._rho0 = rho0
 
     def new_state(self) -> RatioSchemeState:
-        return RatioSchemeState(cfg=self.cfg, ratio=self._rho0, kaf_template=self._template)
+        return RatioSchemeState(cfg=self.cfg, ratio=self._rho0, kaf=self._kaf)
 
 
 class FixedRatioDetector(_RatioDetector):

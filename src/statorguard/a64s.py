@@ -485,6 +485,16 @@ class A64SEstimatorConfig:
     smoothing_rate: float = 10.0
     detector: InsulationDetectorConfig = field(default_factory=InsulationDetectorConfig)
 
+    def __post_init__(self):
+        # the rules of the filter and extractor states, checked once here
+        for name in ("theta_process_noise", "c0_process_noise"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("theta_measurement_noise", "theta_initial_variance", "c0_initial_variance",
+                     "c0_measurement_noise", "smoothing_rate"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+
 
 @dataclass
 class A64STrace:
@@ -566,31 +576,20 @@ class A64SEstimator:
             onset_index: Optional[int] = None) -> A64STrace:
         cfg = self.cfg
         period = 1.0 / fs
-        # the state objects check the settings; the loop keeps their values
-        # in locals and steps them through the kernels the streaming
-        # functions use
-        theta = ThetaKafState(
-            cov=cfg.theta_initial_variance * np.eye(2),
-            process_noise=cfg.theta_process_noise,
-            measurement_noise=cfg.theta_measurement_noise,
-        )
+        # the config has checked its tunables; the loop keeps them in locals
+        # and steps them through the kernels the streaming functions use
         extractor = ExtractorState(period=period, turns_ratio=self.circuit.turns_ratio,
                                    gamma=cfg.smoothing_rate)
-        c0 = C0KafState(
-            c0_hat=cfg.c0_initial, variance=cfg.c0_initial_variance,
-            process_noise=cfg.c0_process_noise,
-            measurement_noise=cfg.c0_measurement_noise,
-        )
-        theta_q, theta_r = theta.process_noise, theta.measurement_noise
-        p_initial = float(theta.cov[0, 0])
+        theta_q, theta_r = cfg.theta_process_noise, cfg.theta_measurement_noise
+        p_initial = float(cfg.theta_initial_variance)
         a0 = kd = p01 = 0.0
         p00 = p11 = p_initial
         alpha = extractor.smoothing_alpha
         rs_scale = extractor.turns_ratio**2 / period
         ratio_memory = gain_memory = None
         tau0 = rs = 0.0
-        c0_hat, c0_var = c0.c0_hat, c0.variance
-        c0_q, c0_r = c0.process_noise, c0.measurement_noise
+        c0_hat, c0_var = cfg.c0_initial, cfg.c0_initial_variance
+        c0_q, c0_r = cfg.c0_process_noise, cfg.c0_measurement_noise
         prev_vn = prev_in = None
         latch = _DropLatch(cfg.detector)
         tripped = False

@@ -77,6 +77,7 @@ __all__ = [
 # A fault counts as detected when the trip lands within this long of onset.
 DETECTION_WINDOW_S = 0.5
 DEFAULT_ONSET_SAMPLE = 270
+_SCHEMES = ("adaptive", "fixed")
 
 # Allowed keys of every config level read here by hand.  Sections backed
 # by a dataclass (machine, sub64s, fault, disturbances, detector, grid,
@@ -164,6 +165,9 @@ def _check_config(config) -> str:
         raise ConfigError("calibration.points must be a list")
     for point in points:
         _check_keys(point, "calibration.points")
+    schemes = config.get("schemes", [])
+    if not isinstance(schemes, list) or any(s not in _SCHEMES for s in schemes):
+        raise ConfigError(f"'schemes' must be a list drawn from {_SCHEMES}, got {schemes!r}")
     if ("ratio" in calibration) != ("beta_ng" in calibration):
         raise ConfigError("calibration needs both 'ratio' and 'beta_ng' (a fixed "
                           "setting) or neither (commission from healthy runs)")
@@ -204,8 +208,8 @@ def _build(cls, data: Dict[str, Any], section: str):
 
 @contextmanager
 def _config_errors():
-    """Report a simulator's ValueError as a ConfigError: every argument a
-    simulator gets here comes from the config."""
+    """Report a ValueError as a ConfigError, around a simulator or settings
+    object whose every argument here comes from the config."""
     try:
         yield
     except ValueError as exc:
@@ -458,25 +462,20 @@ def _onset_index(fault: Optional[FaultSpec], ts: TimeSeries) -> Optional[int]:
     return None if fault is None else fault.onset_index(ts.fs, len(ts))
 
 
-def _kaf_kwargs(config: Dict[str, Any]) -> Dict[str, float]:
-    kaf = _section(config, "kaf")
-    return {k: _number(kaf, k, None, "kaf.") for k, v in kaf.items() if v is not None}
-
-
 def _run_64g2(config: Dict[str, Any], name: str,
               input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
     det_cfg = _build(DetectorConfig, config.get("detector", {}), "detector")
-    kaf = _kaf_kwargs(config)
-    schemes = config.get("schemes", ["adaptive", "fixed"])
-    if not set(schemes) <= {"adaptive", "fixed"}:
-        raise ConfigError(f"unknown schemes in {schemes}")
+    schemes = config.get("schemes", _SCHEMES)
+    section = _section(config, "kaf")
+    kaf = {k: _number(section, k, None, "kaf.") for k, v in section.items() if v is not None}
+    with _config_errors():
+        adaptive = AdaptiveRatioDetector(cfg=det_cfg, **kaf)
     sim = _scenario_64g2(config, input_channels)
 
     verdicts: Dict[str, Dict[str, Any]] = {}
     traces: Dict[str, Any] = {}
     if "adaptive" in schemes:
-        detector = AdaptiveRatioDetector(cfg=det_cfg, **kaf)
-        trace = detector.run(sim.frames, sim.fs, onset_index=sim.onset_index)
+        trace = adaptive.run(sim.frames, sim.fs, onset_index=sim.onset_index)
         verdicts["a64g2"] = _verdict_64g2(trace)
         traces["a64g2"] = trace
     if "fixed" in schemes:
@@ -509,7 +508,8 @@ def _estimator_cfg_from(config: Dict[str, Any]) -> A64SEstimatorConfig:
                       "estimator.detector")
     tunables = {k: _number(section, k, None, "estimator.")
                 for k in section if k != "detector"}
-    return A64SEstimatorConfig(detector=detector, **tunables)
+    with _config_errors():
+        return A64SEstimatorConfig(detector=detector, **tunables)
 
 
 def _scenario_64s(config: Dict[str, Any],
@@ -595,6 +595,9 @@ def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) ->
     base.setdefault("kind", "64g2")
     if _check_config(base) != "64g2":
         raise ConfigError("sensitivity sweep applies to 64g2 configs")
+    if set(base.get("schemes", _SCHEMES)) != set(_SCHEMES):
+        raise ConfigError("the sensitivity sweep compares both ratio schemes; "
+                          "'schemes' must list 'adaptive' and 'fixed'")
     if grid is None:
         grid = _build(SweepGrid, base["grid"], "grid") if base.get("grid") else SweepGrid()
     seed = _seed(base)

@@ -240,13 +240,13 @@ class HarmonicFrames:
 
 @dataclass
 class Scenario64G2Result:
-    """Waveforms, phasor streams, and frames from one 64G2 scenario."""
+    """Waveforms, the terminal phasor stream, and frames from one 64G2
+    scenario."""
 
     frames: HarmonicFrames
     v_p3_wave: TimeSeries
     v_n3_wave: TimeSeries
     phasor_p: PhasorSeries
-    phasor_n: PhasorSeries
     fs: float
     onset_index: Optional[int]
     vp3_rated: float
@@ -695,7 +695,6 @@ def frames_from_64g2_waveforms(
         v_p3_wave=vp3_wave,
         v_n3_wave=vn3_wave,
         phasor_p=ph_p,
-        phasor_n=ph_n,
         fs=vp3_wave.fs,
         onset_index=None,
         vp3_rated=vp3_rated,

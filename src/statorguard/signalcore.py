@@ -153,7 +153,6 @@ def extract_phasor(
     ts: TimeSeries,
     f0: float,
     window_cycles: int = 3,
-    snap_orthogonal: bool = True,
     recompute_every: int = 10,
 ) -> PhasorSeries:
     """Sliding single-bin DFT of ts at frequency f0.
@@ -162,10 +161,10 @@ def extract_phasor(
     sample, drop the oldest) and re-anchored with an exact recomputation
     every ``recompute_every`` windows to bound float drift.
 
-    With snap_orthogonal the window length is nudged up from
-    window_cycles*fs/f0 to the nearest sample count making the bin exactly
-    self-orthogonal; for a pure f0 cosine the magnitude and phase are then
-    exact after one full window.  Tones at frequencies f with
+    The window length is nudged up from window_cycles*fs/f0 to the
+    nearest sample count making the bin exactly self-orthogonal (plain
+    rounding when none is near); for a pure f0 cosine the magnitude and
+    phase are then exact after one full window.  Tones at frequencies f with
     (f - f0)*N/fs and (f + f0)*N/fs both integral contribute exactly zero.
     """
     if f0 <= 0:
@@ -175,7 +174,7 @@ def extract_phasor(
     if window_cycles < 1:
         raise ValueError(f"window_cycles must be >= 1, got {window_cycles}")
     target = window_cycles * ts.fs / f0
-    n_win = _snap_window(target, f0, ts.fs) if snap_orthogonal else max(2, int(round(target)))
+    n_win = _snap_window(target, f0, ts.fs)
     n = len(ts)
     if n_win > n:
         raise ValueError(f"window of {n_win} samples exceeds series length {n}")

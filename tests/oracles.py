@@ -6,6 +6,9 @@ brute-force sums, and closed-form batch least squares.  Slow and
 obvious beats fast and clever for an oracle.
 """
 
+import math
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
@@ -109,6 +112,71 @@ def windowed_energy(values, window, t):
     """Sum of squares of values[t-window .. t] done longhand."""
     lo = t - window
     return float(sum(float(v) ** 2 for v in values[lo: t + 1]))
+
+
+_RatioFilter = namedtuple("_RatioFilter", "rho_hat variance")
+
+
+def naive_ratio_run(v_p3, v_n3, valid, window, sensitivity, hold, ratio=None, kaf=None):
+    """Either 64G2 ratio scheme frame by frame, longhand: the ratio filter
+    is a frozen tuple rebuilt on every update, and the operate and
+    restraint energies are summed afresh from the raw residuals and
+    neutral magnitudes of the last window+1 valid frames.
+
+    kaf (process noise, measurement noise, initial variance) selects the
+    adaptive scheme, whose filter starts at the first valid frame from
+    ratio or, when that is None, from that frame's own ratio.  Without
+    it, ratio is the fixed scheme's frozen setting.  Invalid frames
+    repeat the last ratio and energies with a zero residual.  Returns the
+    per-frame columns rho_hat, residual, operate, restraint and trip.
+    """
+    out = {name: [] for name in ("rho_hat", "residual", "operate", "restraint", "trip")}
+    filt = None
+    residuals, vn3s = [], []
+    t = streak = 0
+    tripped = False
+    operate = restraint = 0.0
+    for vp, vn, ok in zip(v_p3, v_n3, valid):
+        residual = 0.0
+        if ok:
+            if kaf is None:
+                residual = vn - ratio * vp
+            else:
+                process_noise, measurement_noise, initial_variance = kaf
+                if filt is None:
+                    if ratio is not None:
+                        filt = _RatioFilter(ratio, initial_variance)
+                    else:
+                        filt = _RatioFilter(vn / vp if vp > 0 else 0.5, initial_variance)
+                variance = (filt.variance * measurement_noise
+                            / (measurement_noise + filt.variance * vp**2) + process_noise)
+                gain = variance * vp / measurement_noise
+                residual = vn - filt.rho_hat * vp
+                filt = _RatioFilter(filt.rho_hat + gain * residual, variance)
+            t += 1
+            residuals.append(residual)
+            vn3s.append(vn)
+            restraint = math.fsum(v * v for v in vn3s[-(window + 1):])
+            if t <= window:
+                operate = 0.0
+            else:
+                operate = math.fsum(r * r for r in residuals[-(window + 1):])
+            if not tripped:
+                if operate > sensitivity * restraint:
+                    streak += 1
+                else:
+                    streak = 0
+                if streak >= hold:
+                    tripped = True
+        if filt is not None:
+            out["rho_hat"].append(filt.rho_hat)
+        else:
+            out["rho_hat"].append(ratio or 0.0)
+        out["residual"].append(residual)
+        out["operate"].append(operate)
+        out["restraint"].append(restraint)
+        out["trip"].append(tripped)
+    return out
 
 
 def naive_a64s_run(v_n, i_n, v_n60, valid, fs, turns_ratio, un, r_n, f1, cfg):

@@ -11,7 +11,7 @@ import pytest
 
 import statorguard
 from statorguard import harness
-from statorguard.a64s import A64STrace
+from statorguard.a64s import A64SEstimatorConfig, A64STrace
 from statorguard.cli import main as cli_main
 from statorguard.harness import (
     ConfigError,
@@ -614,6 +614,50 @@ def test_cli_out_of_range_or_non_integral_setting_is_config_error(tmp_path, caps
     path.write_text(json.dumps(config))
     assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+_BAD_KAF_AND_SCHEMES = [
+    ("detect-64g2", {"kaf": {"process_noise": -1}}),
+    ("detect-64g2", {"kaf": {"measurement_noise": 0}}),
+    ("detect-64g2", {"kaf": {"initial_variance": 0}}),
+    ("detect-64g2", {"schemes": 5}),
+    ("sweep-sensitivity", {"schemes": ["adaptive"]}),
+    ("sweep-sensitivity", {"schemes": ["fixed"]}),
+]
+_BAD_ESTIMATOR = [
+    {"theta_measurement_noise": 0},
+    {"smoothing_rate": -1},
+    {"c0_initial_variance": 0},
+    {"c0_measurement_noise": -1},
+    {"theta_initial_variance": -1},
+]
+
+
+@pytest.mark.parametrize("command,config", _BAD_KAF_AND_SCHEMES + [
+    ("detect-64s", {"kind": "64s", "estimator": estimator}) for estimator in _BAD_ESTIMATOR
+])
+def test_cli_bad_filter_setting_or_schemes_is_config_error(tmp_path, capsys, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"calibration": dict(CAL), **config}))
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config", _BAD_KAF_AND_SCHEMES)
+def test_bad_kaf_setting_or_schemes_is_config_error(command, config):
+    with pytest.raises(ConfigError):
+        if command == "detect-64g2":
+            run_scenario(_fault_config(**config))
+        else:
+            sweep_sensitivity(None, {"calibration": dict(CAL), **config})
+
+
+@pytest.mark.parametrize("estimator", _BAD_ESTIMATOR)
+def test_bad_estimator_setting_is_config_error(estimator):
+    with pytest.raises(ValueError):
+        A64SEstimatorConfig(**estimator)
+    with pytest.raises(ConfigError, match=next(iter(estimator))):
+        run_scenario({"kind": "64s", "estimator": estimator})
 
 
 def test_cli_negative_seed_is_config_error(tmp_path, capsys):
