@@ -358,6 +358,8 @@ class AdaptiveRatioDetector(_RatioDetector):
         self._kaf = RatioKafState(variance=initial_variance, initial_variance=initial_variance,
                                   process_noise=process_noise,
                                   measurement_noise=measurement_noise)
+        if rho0 is not None and not (math.isfinite(rho0) and rho0 > 0):
+            raise ValueError(f"rho0 must be a positive finite ratio, got {rho0}")
         self._rho0 = rho0
 
     def new_state(self) -> RatioSchemeState:
@@ -389,6 +391,7 @@ class FixedRatioDetector(_RatioDetector):
         return RatioSchemeState(cfg=self.cfg, ratio=self.ratio)
 
 
-def write_trace_csv(trace: SchemeTrace, path) -> None:
-    """Write a detector trace as CSV, one row per frame."""
-    write_table(path, trace.columns())
+def write_trace_csv(trace: SchemeTrace, path, long=None) -> None:
+    """Write a detector trace as CSV, one row per frame; ``long`` (an open
+    file and a label) also melts it into that file, as write_table does."""
+    write_table(path, trace.columns(), long)

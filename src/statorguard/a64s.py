@@ -491,7 +491,7 @@ class A64SEstimatorConfig:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("theta_measurement_noise", "theta_initial_variance", "c0_initial_variance",
-                     "c0_measurement_noise", "smoothing_rate"):
+                     "c0_measurement_noise", "smoothing_rate", "c0_initial"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -658,6 +658,8 @@ class A64SEstimator:
                             fault_active=True, f1=self.circuit.f1)
 
 
-def write_a64s_trace_csv(trace: A64STrace, path) -> None:
-    """Write an estimator trace as CSV, one row per sample."""
-    write_table(path, trace.columns())
+def write_a64s_trace_csv(trace: A64STrace, path, long=None) -> None:
+    """Write an estimator trace as CSV, one row per sample; ``long`` (an
+    open file and a label) also melts it into that file, as write_table
+    does."""
+    write_table(path, trace.columns(), long)

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import numbers
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, get_type_hints
@@ -165,9 +165,10 @@ def _check_config(config) -> str:
         raise ConfigError("calibration.points must be a list")
     for point in points:
         _check_keys(point, "calibration.points")
-    schemes = config.get("schemes", [])
-    if not isinstance(schemes, list) or any(s not in _SCHEMES for s in schemes):
-        raise ConfigError(f"'schemes' must be a list drawn from {_SCHEMES}, got {schemes!r}")
+    schemes = config.get("schemes", list(_SCHEMES))
+    if not isinstance(schemes, list) or not schemes or any(s not in _SCHEMES for s in schemes):
+        raise ConfigError(f"'schemes' must be a non-empty list drawn from {_SCHEMES}, "
+                          f"got {schemes!r}")
     if ("ratio" in calibration) != ("beta_ng" in calibration):
         raise ConfigError("calibration needs both 'ratio' and 'beta_ng' (a fixed "
                           "setting) or neither (commission from healthy runs)")
@@ -777,7 +778,9 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
     Always writes report.json (sorted keys, no timestamps, so identical
     inputs give identical bytes); scenario results also get per-scheme
     trace CSVs; fmt 'csv' adds tabular and long-format (trace, signal,
-    t, value) files."""
+    t, value) files.  Each trace writer also melts its trace into
+    long.csv, from the cell strings of the trace CSV: every signal of a
+    trace in sorted name order, values as floats."""
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
     out = Path(out_dir)
@@ -798,13 +801,19 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
 
     if isinstance(obj, ScenarioResult):
         written.append(write_json(out / "report.json", obj.to_dict()))
-        for scheme, trace in obj.traces.items():
-            path = out / f"trace_{scheme}.csv"
-            writer = write_trace_csv if isinstance(trace, SchemeTrace) else write_a64s_trace_csv
-            writer(trace, path)
-            written.append(str(path))
+        long_path = out / "long.csv"
+        opened = (open(long_path, "w", encoding="utf-8", newline="\n") if fmt == "csv"
+                  else nullcontext())
+        with opened as long:
+            if long:
+                long.write("trace,signal,t,value\n")
+            for scheme, trace in obj.traces.items():
+                path = out / f"trace_{scheme}.csv"
+                writer = write_trace_csv if isinstance(trace, SchemeTrace) else write_a64s_trace_csv
+                writer(trace, path, (long, scheme) if long else None)
+                written.append(str(path))
         if fmt == "csv":
-            written.append(_write_long_csv(out / "long.csv", obj))
+            written.append(str(long_path))
         return written
 
     raise ConfigError(f"cannot emit a report for {type(obj).__name__}")
@@ -822,20 +831,4 @@ def write_json(path: Path, payload) -> str:
 def _write_rows_csv(path: Path, rows: List[Dict[str, Any]]) -> str:
     keys = sorted(rows[0]) if rows else []
     write_table(path, {k: [row.get(k) for row in rows] for k in keys})
-    return str(path)
-
-
-def _write_long_csv(path: Path, result: ScenarioResult) -> str:
-    """Every trace signal as (trace, signal, t, value) rows, signals in
-    sorted order within each trace, values as floats."""
-    table: Dict[str, List] = {"trace": [], "signal": [], "t": [], "value": []}
-    for scheme, trace in result.traces.items():
-        columns = trace.columns()
-        t = [repr(v) for v in columns.pop("t")]
-        for name in sorted(columns):
-            table["trace"] += [scheme] * len(t)
-            table["signal"] += [name] * len(t)
-            table["t"] += t
-            table["value"] += map(float, columns[name])
-    write_table(path, table)
     return str(path)

@@ -14,10 +14,9 @@ Phase convention: a tone ``A*cos(2*pi*f*t + phi)`` extracts to magnitude
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -234,6 +233,10 @@ def ingest_csv(path) -> Dict[str, TimeSeries]:
     The time column must be uniform within 1 ppm of its median step.
     Missing cells and non-finite values (NaN, inf) are rejected.  Returns one TimeSeries per
     channel column, all sharing fs and t0.
+
+    numpy parses the body in one pass; when it refuses the body or finds a
+    non-finite cell, the row walk reads it again, skipping blank rows and
+    reading any cell ``float`` reads, and names the first bad line.
     """
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -245,22 +248,13 @@ def ingest_csv(path) -> Dict[str, TimeSeries]:
         if len(header) < 2 or header[0] != "t":
             raise ValueError(f"{path}: header must be 't,<chan>,...', got {header}")
         names = header[1:]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            try:
-                vals = [float(c) for c in row]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})")
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError(f"{path}:{lineno}: non-finite cell (NaN or inf)")
-            rows.append(vals)
-    if len(rows) < 2:
+        data = _loadtxt(fh, len(header))
+        if data is None:
+            fh.seek(0)
+            next(reader)  # back to the first row after the header
+            data = _walk_rows(path, reader, len(header))
+    if len(data) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
-    data = np.asarray(rows)
     t = data[:, 0]
     dt = np.diff(t)
     dt_med = float(np.median(dt))
@@ -273,6 +267,47 @@ def ingest_csv(path) -> Dict[str, TimeSeries]:
         name: TimeSeries(fs=fs, t0=float(t[0]), samples=data[:, i + 1].copy())
         for i, name in enumerate(names)
     }
+
+
+def _loadtxt(fh, width: int) -> Optional[np.ndarray]:
+    """The rest of fh as a (rows, width) array of finite floats, or None
+    when numpy cannot read it as one (the row walk then decides, and
+    raises any decoding error where it reaches the bad bytes)."""
+    try:
+        body = fh.read()
+    except UnicodeDecodeError:
+        return None
+    # numpy warns on a body without data; comments=None keeps '#' a bad
+    # cell; a list of lines costs less memory than a StringIO of the body
+    if not body or body.isspace():
+        return None
+    try:
+        data = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[1] != width or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _walk_rows(path, reader, width: int) -> np.ndarray:
+    """The csv rows after the header as floats, row by row: blank rows are
+    skipped, and the first ragged, non-numeric or non-finite row raises
+    with its line number."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
+        try:
+            vals = [float(c) for c in row]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"{path}:{lineno}: non-finite cell (NaN or inf)")
+        rows.append(vals)
+    return np.asarray(rows)
 
 
 def write_csv(path, channels: Mapping[str, TimeSeries]) -> None:
@@ -290,31 +325,60 @@ def write_csv(path, channels: Mapping[str, TimeSeries]) -> None:
                        **{name: s.samples.tolist() for name, s in channels.items()}})
 
 
-# The one cell rule of every CSV file, as a %-conversion by value type:
-# floats by repr (round-trips exactly), bools as 0/1, ints in decimal,
-# strings as they are; None is an empty cell, anything else goes by str.
-_CELL = {float: "%r", bool: "%d", int: "%d", str: "%s"}
+# The one cell rule of every CSV file, by value type: floats by repr
+# (round-trips exactly), bools as 0/1, ints in decimal, strings as they
+# are; None is an empty cell, anything else goes by str.
+_CELL = {float: float.__repr__, bool: int.__repr__, int: int.__repr__, str: str}
+
+# Rows formatted and written per block; at 4096 rows the cell strings of
+# a block raised the peak memory of a 60 s 64S replay by 6 MB.
+_BLOCK = 1024
 
 
 def _cell(value) -> str:
-    return "" if value is None else _CELL.get(type(value), "%s") % (value,)
+    return "" if value is None else _CELL.get(type(value), str)(value)
 
 
-def write_table(path, columns: Mapping[str, Sequence[Any]]) -> None:
+def _float_cell(value) -> str:
+    """A melted value: the cell as a float, None as an empty cell."""
+    return "" if value is None else repr(float(value))
+
+
+def write_table(path, columns: Mapping[str, Sequence[Any]],
+                long: Optional[Tuple[TextIO, str]] = None) -> None:
     """Write equal-length columns as CSV: a header line of the column
-    names, then one LF-terminated row per index, streamed to the file in
-    blocks of rows.  A column of one type puts its conversion into the
-    row template; any other column is converted cell by cell."""
+    names, then one LF-terminated row per index, formatted and written in
+    blocks of rows.  A column of one type is converted by that type's
+    rule; any other column cell by cell.
+
+    ``long``, an open text file and a label, also melts the table into
+    that file: for each column after the first, in sorted name order, one
+    ``label,<column>,<first column's cell>,<value>`` line per row, the
+    value as a float (None an empty cell).  A float cell's string serves
+    both files.  The
+    melted lines are joined per column and block and written once the
+    table is done."""
     if len({len(column) for column in columns.values()}) > 1:
         raise ValueError("table columns differ in length")
-    template, values = [], []
-    for column in columns.values():
+    names, data = list(columns), list(columns.values())
+    rules = []
+    for column in data:
         kinds = set(map(type, column))
-        conversion = _CELL.get(kinds.pop()) if len(kinds) == 1 else None
-        template.append(conversion or "%s")
-        values.append(column if conversion else [_cell(v) for v in column])
-    rows = map((",".join(template) + "\n").__mod__, zip(*values))
+        rules.append(_CELL.get(kinds.pop(), _cell) if len(kinds) == 1 else _cell)
+    sections: Dict[int, Tuple[str, list]] = {}
+    if long:
+        sink, label = long
+        for j in sorted(range(1, len(names)), key=names.__getitem__):
+            sections[j] = (f"{label},{names[j]},", [])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        while block := "".join(itertools.islice(rows, 4096)):
-            fh.write(block)
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(data[0]) if data else 0, _BLOCK):
+            block = [column[start:start + _BLOCK] for column in data]
+            cells = [list(map(rule, part)) for rule, part in zip(rules, block)]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            for j, (prefix, texts) in sections.items():
+                values = cells[j] if rules[j] is float.__repr__ else map(_float_cell, block[j])
+                texts.append(prefix + ("\n" + prefix).join(
+                    map(",".join, zip(cells[0], values))) + "\n")
+    for _, texts in sections.values():
+        sink.writelines(texts)

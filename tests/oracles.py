@@ -6,8 +6,10 @@ brute-force sums, and closed-form batch least squares.  Slow and
 obvious beats fast and clever for an oracle.
 """
 
+import csv
 import math
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse
@@ -261,3 +263,31 @@ def naive_a64s_run(v_n, i_n, v_n60, valid, fs, turns_ratio, un, r_n, f1, cfg):
         out["trip"].append(tripped)
         out["valid"].append(used)
     return out, baseline
+
+
+def naive_emit_csv(result, out_dir):
+    """The trace CSVs and long.csv of a scenario result, written row by
+    row through the csv module: floats by repr, bools as 0/1, None as an
+    empty cell; long.csv melts every trace, signals in sorted order,
+    values as floats."""
+    def cell(value):
+        if isinstance(value, bool):
+            return int(value)
+        return repr(value) if isinstance(value, float) else value
+
+    out = Path(out_dir)
+    with open(out / "long.csv", "w", newline="") as long_fh:
+        long = csv.writer(long_fh, lineterminator="\n")
+        long.writerow(["trace", "signal", "t", "value"])
+        for scheme, trace in result.traces.items():
+            columns = trace.columns()
+            with open(out / f"trace_{scheme}.csv", "w", newline="") as fh:
+                rows = csv.writer(fh, lineterminator="\n")
+                rows.writerow(list(columns))
+                for i in range(len(columns["t"])):
+                    rows.writerow([cell(column[i]) for column in columns.values()])
+            t = columns.pop("t")
+            for name in sorted(columns):
+                for ti, value in zip(t, columns[name]):
+                    long.writerow([scheme, name, repr(ti),
+                                   "" if value is None else repr(float(value))])

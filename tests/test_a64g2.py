@@ -348,6 +348,14 @@ def test_calibrate_input_validation():
         calibrate_64rat([(1.0, -0.5), (2.0, -0.7)])
 
 
+@pytest.mark.parametrize("rho0", [-5.0, 0.0, float("nan"), float("inf")])
+def test_adaptive_detector_rejects_an_impossible_ratio_prior(rho0):
+    # a neutral/terminal magnitude ratio is positive and finite, as the
+    # fixed scheme's frozen ratio must be
+    with pytest.raises(ValueError, match="rho0"):
+        AdaptiveRatioDetector(rho0=rho0)
+
+
 def test_fixed_detector_uses_threshold_from_calibration():
     cal = Calibration64RAT(ratio=1.2, beta_ng=0.15)
     det = FixedRatioDetector.from_calibration(cal, window=12)

@@ -1,5 +1,6 @@
 """Scenario orchestration, sweeps, report emission, and the CLI."""
 
+import copy
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import statorguard
-from statorguard import harness
+from statorguard import harness, signalcore
 from statorguard.a64s import A64SEstimatorConfig, A64STrace
 from statorguard.cli import main as cli_main
 from statorguard.harness import (
@@ -26,6 +27,8 @@ from statorguard.harness import (
     sweep_security,
     sweep_sensitivity,
 )
+
+import oracles
 
 # Commissioning the fixed scheme from scratch costs eleven healthy runs;
 # unit tests pin the calibration instead and leave commissioning to its
@@ -424,6 +427,30 @@ def test_trip_is_integer_in_trace_files_and_float_in_long_csv(emitted):
     assert {row[3] for row in rows if row[1] == "trip"} == {"0.0", "1.0"}
 
 
+def test_emitted_trace_and_long_csv_match_the_naive_oracle(emitted, tmp_path):
+    result, out = emitted
+    oracles.naive_emit_csv(result, tmp_path)
+    for name in [f"trace_{scheme}.csv" for scheme in result.traces] + ["long.csv"]:
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_emit_melts_none_bool_and_mixed_columns_like_the_naive_oracle(tmp_path):
+    # a trace three write blocks long whose columns hold None, ints,
+    # floats and bools side by side
+    result = run_scenario(_fault_config(profile={"duration": 3.2}), name="mixed")
+    trace = copy.deepcopy(result.traces["a64g2"])
+    assert len(trace.t_index) > 3 * signalcore._BLOCK
+    trace.rho_hat = [None if i % 7 == 0 else v for i, v in enumerate(trace.rho_hat)]
+    trace.residual = [int(v > 0) if i % 5 == 0 else v for i, v in enumerate(trace.residual)]
+    trace.operate = [None] * len(trace.operate)
+    result.traces = {"mixed": trace, "ng64g2": result.traces["ng64g2"]}
+    emit_report(result, tmp_path / "emitted", fmt="csv")
+    oracles.naive_emit_csv(result, tmp_path)
+    for name in ("trace_mixed.csv", "trace_ng64g2.csv", "long.csv"):
+        assert ((tmp_path / "emitted" / name).read_bytes()
+                == (tmp_path / name).read_bytes()), name
+
+
 def test_every_emitted_csv_ends_lines_with_lf(emitted):
     _, out = emitted
     for path in out.glob("*.csv"):
@@ -438,9 +465,9 @@ def test_emit_report_writes_each_trace_through_its_module_binding(emitted, monke
     result, _ = emitted
     calls = []
     for name in ("write_trace_csv", "write_a64s_trace_csv"):
-        def spy(trace, path, _name=name, _write=getattr(harness, name)):
+        def spy(trace, *args, _name=name, _write=getattr(harness, name)):
             calls.append((_name, trace))
-            _write(trace, path)
+            _write(trace, *args)
         monkeypatch.setattr(harness, name, spy)
     emit_report(result, tmp_path, fmt="csv")
     expected = [("write_a64s_trace_csv" if isinstance(trace, A64STrace) else "write_trace_csv",
@@ -621,6 +648,10 @@ _BAD_KAF_AND_SCHEMES = [
     ("detect-64g2", {"kaf": {"measurement_noise": 0}}),
     ("detect-64g2", {"kaf": {"initial_variance": 0}}),
     ("detect-64g2", {"schemes": 5}),
+    ("detect-64g2", {"schemes": []}),
+    ("detect-64g2", {"kaf": {"rho0": -5}}),
+    ("detect-64g2", {"kaf": {"rho0": 0}}),
+    ("detect-64g2", {"kaf": {"rho0": float("nan")}}),
     ("sweep-sensitivity", {"schemes": ["adaptive"]}),
     ("sweep-sensitivity", {"schemes": ["fixed"]}),
 ]
@@ -630,6 +661,8 @@ _BAD_ESTIMATOR = [
     {"c0_initial_variance": 0},
     {"c0_measurement_noise": -1},
     {"theta_initial_variance": -1},
+    {"c0_initial": -1e-6},
+    {"c0_initial": 0},
 ]
 
 

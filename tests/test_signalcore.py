@@ -1,11 +1,15 @@
 """Phasor extraction, reconstruction, and waveform I/O."""
 
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from statorguard import signalcore
 from statorguard.signalcore import (
     PhasorSeries,
     TimeSeries,
@@ -228,6 +232,104 @@ def test_ingest_rejects_non_finite_cells(tmp_path, cell):
     path.write_text(f"t,x\n0.0,1.0\n0.001,{cell}\n0.002,3.0\n")
     with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite"):
         ingest_csv(path)
+
+
+# Malformed recordings and the exact error each raises; {} is the path.
+_BAD_RECORDINGS = [
+    ("ragged row", "t,x\n0.0,1.0\n0.001,2.0,3.0\n", "{}:3: expected 2 cells, got 3"),
+    ("every row one cell too many", "t,x\n0.0,1.0,9.0\n0.001,2.0,9.0\n",
+     "{}:2: expected 2 cells, got 3"),
+    ("missing cell", "t,x\n0.0,1.0\n0.001,\n",
+     "{}:3: non-numeric cell (could not convert string to float: '')"),
+    ("non-numeric cell", "t,x\n0.0,1.0\n0.001,abc\n",
+     "{}:3: non-numeric cell (could not convert string to float: 'abc')"),
+    ("empty file", "", "{}: empty file"),
+    ("bad header", "time,x\n0.0,1.0\n0.001,2.0\n",
+     "{}: header must be 't,<chan>,...', got ['time', 'x']"),
+    ("header without channel", "t\n0.0\n0.001\n", "{}: header must be 't,<chan>,...', got ['t']"),
+    ("header only", "t,x\n", "{}: need at least 2 samples"),
+    ("single sample", "t,x\n0.0,1.0\n", "{}: need at least 2 samples"),
+    ("single sample among blank rows", "t,x\n\n0.0,1.0\n,\n", "{}: need at least 2 samples"),
+    ("non-finite after blank rows", "t,x\n0.0,1.0\n\n,\n0.003,nan\n",
+     "{}:5: non-finite cell (NaN or inf)"),
+    ("CRLF non-numeric cell", "t,x\r\n0.0,1.0\r\n0.001,abc\r\n",
+     "{}:3: non-numeric cell (could not convert string to float: 'abc')"),
+    ("hash inside a cell", "t,x\n0.0,1.0 # x\n0.001,2.0\n",
+     "{}:2: non-numeric cell (could not convert string to float: '1.0 # x')"),
+    ("comment line", "t,x\n# note\n0.0,1.0\n0.001,2.0\n", "{}:2: expected 2 cells, got 1"),
+    ("time not increasing", "t,x\n0.0,1.0\n0.0,2.0\n", "{}: time column not increasing"),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in _BAD_RECORDINGS],
+                         ids=[case[0] for case in _BAD_RECORDINGS])
+def test_ingest_error_names_the_file_and_line(tmp_path, text, message):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as excinfo:
+        ingest_csv(path)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message.format(path)
+
+
+# Recordings the row walk reads although numpy's parser refuses them.
+_ODD_RECORDINGS = [
+    ("blank and empty-cell rows", "t,x\n\n0.0,1.0\n,\n  ,  \n0.001,2.0\n\n0.002,3.0\n"),
+    ("quoted numeric cells", 't,x\n"0.0","1.0"\n0.001,"2.0"\n"0.002",3.0\n'),
+    ("underscore digits", "t,x\n0.0,1_0e-1\n0.001,2_0e-1\n0.002,3_0e-1\n"),
+    ("CRLF with blank rows", "t,x\r\n0.0,1.0\r\n\r\n0.001,2.0\r\n,\r\n0.002,3.0\r\n"),
+    ("spaces, signs and a quoted header", '"t", x \n +0.0 , +1.0 \n0.001,\t2.0\n0.002,3e0\n'),
+]
+
+
+@pytest.mark.parametrize("text", [case[1] for case in _ODD_RECORDINGS],
+                         ids=[case[0] for case in _ODD_RECORDINGS])
+def test_ingest_reads_what_the_row_walk_accepts(tmp_path, text):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(text.encode())
+    channels = ingest_csv(path)
+    assert list(channels) == ["x"]
+    assert channels["x"].samples.tolist() == [1.0, 2.0, 3.0]
+    assert channels["x"].fs == pytest.approx(1000.0, rel=1e-9) and channels["x"].t0 == 0.0
+
+
+# Float64 values every generated column carries: both zeros, subnormals,
+# the normal limits and exponents out to +-308.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, -1e-308, 1e308, -1.7976931348623157e308,
+                1.7976931348623157e308]
+_FORMATS = {"repr": repr, "%.17g": "%.17g".__mod__, "%e": "%e".__mod__}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_channels=st.integers(1, 3), n_rows=st.integers(0, 12),
+       fmt=st.sampled_from(sorted(_FORMATS)), plus=st.booleans(),
+       pad=st.sampled_from(["", " ", "\t", "  "]))
+def test_numpy_ingest_equals_the_row_walk_bit_for_bit(data, n_channels, n_rows, fmt, plus, pad):
+    floats = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=n_rows, max_size=n_rows)
+    columns = [[i / 1000.0 for i in range(n_rows + len(_EDGE_FLOATS))]]
+    columns += [data.draw(floats) + _EDGE_FLOATS for _ in range(n_channels)]
+
+    def cell(value):
+        text = _FORMATS[fmt](value)
+        return pad + ("+" + text if plus and not text.startswith("-") else text) + pad
+
+    lines = [",".join(["t"] + [f"c{j}" for j in range(n_channels)])]
+    lines += [",".join(map(cell, row)) for row in zip(*columns)]
+    body = "\n".join(lines[1:]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec.csv"
+        path.write_text(lines[0] + "\n" + body)
+        assert signalcore._loadtxt(io.StringIO(body), n_channels + 1) is not None
+        fast = ingest_csv(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signalcore, "_loadtxt", lambda fh, width: None)
+            walked = ingest_csv(path)
+    assert list(fast) == list(walked)
+    for name in fast:
+        assert (fast[name].fs, fast[name].t0) == (walked[name].fs, walked[name].t0)
+        assert fast[name].samples.tobytes() == walked[name].samples.tobytes()
 
 
 def test_extract_phasor_validation():
