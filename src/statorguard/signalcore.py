@@ -14,9 +14,14 @@ Phase convention: a tone ``A*cos(2*pi*f*t + phi)`` extracts to magnitude
 from __future__ import annotations
 
 import csv
+import gc
 import math
+import os
+import re
+import struct
+import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import Any, Dict, List, Mapping, NoReturn, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -231,8 +236,9 @@ def ingest_csv(path) -> Dict[str, TimeSeries]:
     """Read a waveform CSV with header ``t,<chan>[,<chan>...]``.
 
     The time column must be uniform within 1 ppm of its median step.
-    Missing cells and non-finite values (NaN, inf) are rejected.  Returns one TimeSeries per
-    channel column, all sharing fs and t0.
+    Every channel needs a name of its own.  Missing cells and non-finite
+    values (NaN, inf) are rejected.  Returns one TimeSeries per channel
+    column, all sharing fs and t0.
 
     numpy parses the body in one pass; when it refuses the body or finds a
     non-finite cell, the row walk reads it again, skipping blank rows and
@@ -248,6 +254,11 @@ def ingest_csv(path) -> Dict[str, TimeSeries]:
         if len(header) < 2 or header[0] != "t":
             raise ValueError(f"{path}: header must be 't,<chan>,...', got {header}")
         names = header[1:]
+        for i, name in enumerate(names, start=2):
+            if not name:
+                raise ValueError(f"{path}: header column {i} has an empty channel name")
+            if name in header[:i - 1]:
+                raise ValueError(f"{path}: header repeats the channel name {name!r}")
         data = _loadtxt(fh, len(header))
         if data is None:
             fh.seek(0)
@@ -325,18 +336,42 @@ def write_csv(path, channels: Mapping[str, TimeSeries]) -> None:
                        **{name: s.samples.tolist() for name, s in channels.items()}})
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _text(value) -> str:
+    """A cell as ``str`` gives it, quoted as ``csv.QUOTE_MINIMAL`` would:
+    wrapped in double quotes, each one doubled, when it holds a comma, a
+    double quote, CR or LF."""
+    text = str(value)
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 # The one cell rule of every CSV file, by value type: floats by repr
 # (round-trips exactly), bools as 0/1, ints in decimal, strings as they
-# are; None is an empty cell, anything else goes by str.
-_CELL = {float: float.__repr__, bool: int.__repr__, int: int.__repr__, str: str}
+# are (quoted when they must be); None is an empty cell, anything else
+# goes by str, quoted the same way.
+_CELL = {float: float.__repr__, bool: int.__repr__, int: int.__repr__, str: _text}
 
 # Rows formatted and written per block; at 4096 rows the cell strings of
 # a block raised the peak memory of a 60 s 64S replay by 6 MB.
 _BLOCK = 1024
 
+# Tables with at least this many rows are formatted by two processes.
+# For a 64G2 trace with its long.csv melt, in a 250 MB process on two
+# vCPUs, the split broke even at about 3,500 rows (best of 5: 14.1 ms
+# against 14.6 ms serial at 4,096 rows, 140 ms against 223 ms at 60,000).
+_FORK_ROWS = 4096
+
+# Largest piece of a child's output held in memory while it is copied;
+# at 1 MiB the CLI's peak memory on a 60 s 64S replay was 1.3 MB higher.
+_COPY_CHUNK = 1 << 16
+
 
 def _cell(value) -> str:
-    return "" if value is None else _CELL.get(type(value), str)(value)
+    return "" if value is None else _CELL.get(type(value), _text)(value)
 
 
 def _float_cell(value) -> str:
@@ -355,9 +390,13 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
     that file: for each column after the first, in sorted name order, one
     ``label,<column>,<first column's cell>,<value>`` line per row, the
     value as a float (None an empty cell).  A float cell's string serves
-    both files.  The
-    melted lines are joined per column and block and written once the
-    table is done."""
+    both files.  The melted lines are joined per column and block and
+    written once the table is done.
+
+    Where ``os.fork`` exists and this process may run on more than one
+    CPU, a table of at least ``_FORK_ROWS`` rows is formatted by two
+    processes (see ``_write_halves``); the bytes written are the same
+    either way."""
     if len({len(column) for column in columns.values()}) > 1:
         raise ValueError("table columns differ in length")
     names, data = list(columns), list(columns.values())
@@ -365,20 +404,125 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
     for column in data:
         kinds = set(map(type, column))
         rules.append(_CELL.get(kinds.pop(), _cell) if len(kinds) == 1 else _cell)
-    sections: Dict[int, Tuple[str, list]] = {}
+    sink, sections = None, []
     if long:
         sink, label = long
-        for j in sorted(range(1, len(names)), key=names.__getitem__):
-            sections[j] = (f"{label},{names[j]},", [])
+        sections = [(j, f"{_text(label)},{_text(names[j])},")
+                    for j in sorted(range(1, len(names)), key=names.__getitem__)]
+    n = len(data[0]) if data else 0
+
+    def format_rows(write, start, stop):
+        return _format_rows(write, data, rules, sections, start, stop)
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for start in range(0, len(data[0]) if data else 0, _BLOCK):
-            block = [column[start:start + _BLOCK] for column in data]
-            cells = [list(map(rule, part)) for rule, part in zip(rules, block)]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-            for j, (prefix, texts) in sections.items():
-                values = cells[j] if rules[j] is float.__repr__ else map(_float_cell, block[j])
-                texts.append(prefix + ("\n" + prefix).join(
-                    map(",".join, zip(cells[0], values))) + "\n")
-    for _, texts in sections.values():
-        sink.writelines(texts)
+        fh.write(",".join(map(_text, names)) + "\n")
+        cpus = (os.sched_getaffinity(0) if n >= _FORK_ROWS and hasattr(os, "fork")
+                and hasattr(os, "sched_getaffinity") else ())
+        if len(cpus) > 1:
+            # the block boundary nearest the middle
+            mid = (n + _BLOCK) // (2 * _BLOCK) * _BLOCK
+            _write_halves(fh, sink, format_rows, mid, n, cpus)
+        else:
+            for texts in format_rows(fh.write, 0, n):
+                sink.writelines(texts)
+
+
+def _format_rows(write, data, rules, sections, start: int, stop: int) -> List[List[str]]:
+    """Format rows [start, stop) of the table, block by block: pass each
+    block's table rows to ``write``, and return, for each long section
+    ``(column, line prefix)``, that column's melted lines, one text per
+    block."""
+    texts: List[List[str]] = [[] for _ in sections]
+    for lo in range(start, stop, _BLOCK):
+        block = [column[lo:min(lo + _BLOCK, stop)] for column in data]
+        cells = [list(map(rule, part)) for rule, part in zip(rules, block)]
+        write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for out, (j, prefix) in zip(texts, sections):
+            values = cells[j] if rules[j] is float.__repr__ else map(_float_cell, block[j])
+            out.append(prefix + ("\n" + prefix).join(
+                map(",".join, zip(cells[0], values))) + "\n")
+    return texts
+
+
+def _write_halves(fh, sink, format_rows, mid: int, n: int, cpus) -> None:
+    """Format rows [mid, n) in a forked child while this process formats
+    [0, mid), then write the child's bytes after this process's own: its
+    table rows to ``fh``, and its part of each long section to ``sink``
+    after this process's part.  When the fork or the child fails, this
+    process formats [mid, n) itself, so a formatting error is raised
+    here and the file is never short.
+
+    While both format, this process runs on the lowest of ``cpus`` and the
+    child on the others: left to itself, the scheduler kept a forked
+    child on its parent's CPU, at half speed each, in about a third of
+    the forks of two CPU-bound processes on an idle 2-vCPU machine."""
+    directory = os.path.dirname(os.path.abspath(fh.name))
+    with tempfile.TemporaryFile(dir=directory) as part:
+        # numpy's OpenBLAS threads make every statorguard process
+        # multi-threaded.  The child is still safe: it runs only the
+        # formatting loop, writes only its own part file, and takes no
+        # lock another thread can hold.  Python 3.12 and later warn about
+        # this fork with a DeprecationWarning; CI runs 3.10 and 3.11.
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = None
+        if pid == 0:
+            _format_in_child(part, format_rows, mid, n, sink, cpus - {min(cpus)})
+        try:
+            if pid is not None:
+                os.sched_setaffinity(0, {min(cpus)})
+            texts = format_rows(fh.write, 0, mid)
+        finally:
+            os.sched_setaffinity(0, cpus)
+            ok = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        if not ok:
+            for own, rest in zip(texts, format_rows(fh.write, mid, n)):
+                sink.writelines(own)
+                sink.writelines(rest)
+            return
+        count = 1 + len(texts)
+        part.seek(-8 * count, os.SEEK_END)
+        sizes = struct.unpack(f"<{count}Q", part.read(8 * count))
+        part.seek(0)
+        fh.flush()
+        _copy(part, fh.buffer, sizes[0])
+        for own, size in zip(texts, sizes[1:]):
+            sink.writelines(own)
+            sink.flush()
+            _copy(part, sink.buffer, size)
+
+
+def _format_in_child(part, format_rows, start: int, stop: int, sink, cpus) -> NoReturn:
+    """The forked child: on ``cpus``, write rows [start, stop) of the
+    table, then its part of each long section in section order (encoded
+    as ``sink`` encodes), then their byte sizes, to ``part``, and leave without flushing or closing
+    anything of the parent's or running its exit handlers."""
+    code = 1
+    try:
+        # a collection here could finalize the parent's garbage, such as a
+        # file object that would flush the parent's buffered bytes again
+        gc.disable()
+        os.sched_setaffinity(0, cpus)
+        texts = format_rows(lambda text: part.write(text.encode("utf-8")), start, stop)
+        sizes = [part.tell()]
+        for section in texts:
+            for text in section:
+                part.write(text.encode(sink.encoding))
+            sizes.append(part.tell() - sum(sizes))
+        part.write(struct.pack(f"<{len(sizes)}Q", *sizes))
+        part.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _copy(src, dst, size: int) -> None:
+    """Copy the next ``size`` bytes of ``src`` to ``dst``, at most
+    ``_COPY_CHUNK`` at a time."""
+    while size > 0:
+        chunk = src.read(min(size, _COPY_CHUNK))
+        if not chunk:
+            raise EOFError(f"{size} bytes short of a formatted table part")
+        dst.write(chunk)
+        size -= len(chunk)

@@ -1,6 +1,7 @@
 """Scenario orchestration, sweeps, report emission, and the CLI."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -323,6 +324,22 @@ def test_security_sweep_small_catalog_quiet():
     assert {row["scheme"] for row in report.cells} == {"a64g2", "ng64g2"}
     assert report.misoperations == []
     assert report.meta["scenario_count"] == 1
+
+
+def test_cells_csv_quotes_scenario_names_with_commas_and_quotes(tmp_path):
+    names = ["gen,stop", 'say "hi"']
+    catalog = [{
+        "name": name, "kind": "64g2",
+        "disturbances": [{"kind": "load_step", "magnitude": 0.75, "t_on": 0.5}],
+        "profile": {"load_pu": 1.0, "duration": 1.2},
+    } for name in names]
+    report = sweep_security(catalog, {"seed": 4, "calibration": dict(CAL)})
+    emit_report(report, tmp_path, fmt="csv")
+    with open(tmp_path / "cells.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["margin", "scenario", "scheme", "tripped"]
+    assert len(rows) == 4 and all(len(row) == 4 for row in rows)
+    assert sorted({row[1] for row in rows}) == sorted(names)
 
 
 def test_default_security_catalog_is_fault_free():

@@ -1,9 +1,12 @@
 """Phasor extraction, reconstruction, and waveform I/O."""
 
+import csv
 import io
 import math
+import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,6 +222,115 @@ def test_write_table_rejects_unequal_columns(tmp_path):
         write_table(tmp_path / "bad.csv", {"a": [1.0, 2.0], "b": [1.0]})
 
 
+def test_write_table_quotes_string_cells_as_the_csv_module_does(tmp_path):
+    names = ["gen,stop", 'say "hi"', "line\nbreak", "cr\rx", "plain", ""]
+    path = tmp_path / "table.csv"
+    write_table(path, {"scenario": names, "a,b": [1.5] * 6,
+                       "mixed": [None, 2, "x,y", True, 0.5, 'q"']})
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["scenario", "a,b", "mixed"]
+    assert [row[0] for row in rows[1:]] == names
+    assert [row[2] for row in rows[1:]] == ["", "2", "x,y", "1", "0.5", 'q"']
+    assert path.read_bytes().splitlines()[1:3] == [b'"gen,stop",1.5,', b'"say ""hi""",1.5,2']
+
+
+# --------------------------------------------------- two-process emission
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be formatted")
+
+
+def _mixed_table(n):
+    """A table of n rows with float, int, bool, None, numeric str and
+    mixed columns, the time column first."""
+    rng = np.random.default_rng(n)
+    return {
+        "t": [i / 1000.0 for i in range(n)],
+        "f": rng.normal(scale=1e3, size=n).tolist(),
+        "i": [7 * i - 5 for i in range(n)],
+        "b": [i % 3 == 0 for i in range(n)],
+        "none": [None] * n,
+        "s": [str(i % 11 / 4) for i in range(n)],
+        "m": [(None, 2.5, 3, True, "4.25")[i % 5] for i in range(n)],
+    }
+
+
+def _emitted(columns, directory):
+    """The table and its melt as write_table writes them beside a long.csv
+    header, and as the naive csv-module oracle writes them."""
+    ours, naive = directory / "ours", directory / "naive"
+    ours.mkdir()
+    naive.mkdir()
+    with open(ours / "long.csv", "w", encoding="utf-8", newline="\n") as sink:
+        sink.write("trace,signal,t,value\n")
+        write_table(ours / "trace_tbl.csv", columns, (sink, "tbl"))
+    trace = SimpleNamespace(columns=lambda: dict(columns))
+    oracles.naive_emit_csv(SimpleNamespace(traces={"tbl": trace}), naive)
+    return ([(ours / name).read_bytes() for name in ("trace_tbl.csv", "long.csv")],
+            [(naive / name).read_bytes() for name in ("trace_tbl.csv", "long.csv")])
+
+
+# write_table splits a large table only where it may run on two CPUs
+_SPLITS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls this process makes."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+@pytest.mark.parametrize("rows,split", [(signalcore._FORK_ROWS + 1, True),
+                                        (signalcore._FORK_ROWS - 1, False)])
+def test_write_table_matches_the_naive_oracle_either_side_of_the_cutoff(
+        tmp_path, forks, rows, split):
+    assert rows % signalcore._BLOCK
+    ours, naive = _emitted(_mixed_table(rows), tmp_path)
+    assert ours == naive
+    assert len(forks) == (split and _SPLITS)
+    assert sorted(os.listdir(tmp_path / "ours")) == ["long.csv", "trace_tbl.csv"]
+
+
+def test_write_table_without_fork_writes_the_same_bytes_serially(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    ours, naive = _emitted(_mixed_table(2 * signalcore._FORK_ROWS + 3), tmp_path)
+    assert ours == naive
+
+
+def test_write_table_formats_both_halves_itself_when_fork_fails(tmp_path, monkeypatch):
+    def failing_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    ours, naive = _emitted(_mixed_table(signalcore._FORK_ROWS + 5), tmp_path)
+    assert ours == naive
+
+
+def test_a_cell_error_in_the_childs_half_is_raised_in_the_parent(tmp_path, forks):
+    columns = _mixed_table(signalcore._FORK_ROWS + 7)
+    columns["m"][-1] = _Unprintable()
+    out = tmp_path / "out"
+    out.mkdir()
+    with open(tmp_path / "long.csv", "w", encoding="utf-8", newline="\n") as sink:
+        with pytest.raises(RuntimeError, match="cell cannot be formatted") as excinfo:
+            write_table(out / "table.csv", columns, (sink, "tbl"))
+    assert len(forks) == _SPLITS
+    assert excinfo.traceback[-1].name == "__str__"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(out) == ["table.csv"]
+
+
 def test_ingest_rejects_nonuniform_time(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,x\n0.0,1.0\n0.001,2.0\n0.005,3.0\n")
@@ -258,6 +370,14 @@ _BAD_RECORDINGS = [
      "{}:2: non-numeric cell (could not convert string to float: '1.0 # x')"),
     ("comment line", "t,x\n# note\n0.0,1.0\n0.001,2.0\n", "{}:2: expected 2 cells, got 1"),
     ("time not increasing", "t,x\n0.0,1.0\n0.0,2.0\n", "{}: time column not increasing"),
+    ("repeated channel name", "t,vp3,vn3,vn3\n0.0,1.0,1.0,5.0\n0.001,1.0,1.0,5.0\n",
+     "{}: header repeats the channel name 'vn3'"),
+    ("channel named like the time column", "t,t,x\n0.0,0.0,1.0\n0.001,0.001,2.0\n",
+     "{}: header repeats the channel name 't'"),
+    ("empty channel name", "t,,vn3\n0.0,1.0,1.0\n0.001,1.0,1.0\n",
+     "{}: header column 2 has an empty channel name"),
+    ("blank channel name", "t,vp3, \n0.0,1.0,1.0\n0.001,1.0,1.0\n",
+     "{}: header column 3 has an empty channel name"),
 ]
 
 
