@@ -53,7 +53,7 @@ from .plantsim import (
 )
 # extract_phasor is not called here; it stays importable from harness
 # because perfbench/tracing.py wraps it by that binding.
-from .signalcore import TimeSeries, extract_phasor, write_table  # noqa: F401
+from .signalcore import TimeSeries, extract_phasor, output_file, write_table  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -338,11 +338,18 @@ def _speed_profile_from(profile: Dict[str, Any]):
 
 
 def _channels(input_channels: Dict[str, TimeSeries], *names: str) -> List[TimeSeries]:
-    lower = {k.lower(): v for k, v in input_channels.items()}
-    if any(name not in lower for name in names):
+    """The named channels of a recording, matched case-insensitively; two
+    columns whose names differ only in case are a config error."""
+    column = {}  # lower-cased channel name -> the column's own name
+    for name in input_channels:
+        other = column.setdefault(name.lower(), name)
+        if other != name:
+            raise ConfigError(f"input CSV columns {other!r} and {name!r} "
+                              "name the same channel (names ignore case)")
+    if any(name not in column for name in names):
         quoted = " and ".join(repr(name) for name in names)
         raise ConfigError(f"input CSV must provide {quoted} channels")
-    return [lower[name] for name in names]
+    return [input_channels[column[name]] for name in names]
 
 
 def default_calibration_points() -> List[Tuple[float, float]]:
@@ -780,7 +787,8 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
     trace CSVs; fmt 'csv' adds tabular and long-format (trace, signal,
     t, value) files.  Each trace writer also melts its trace into
     long.csv, from the cell strings of the trace CSV: every signal of a
-    trace in sorted name order, values as floats."""
+    trace in sorted name order, values as floats.  When a writer raises,
+    every file this call wrote is removed and the error raised."""
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
     out = Path(out_dir)
@@ -789,7 +797,19 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
     except OSError as exc:
         raise RuntimeError(f"cannot create output directory {out}: {exc}") from exc
     written: List[str] = []
+    try:
+        _emit(obj, out, fmt, written)
+    except BaseException:
+        # each writer removes its own partial file; these are complete
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
+    return written
 
+
+def _emit(obj, out: Path, fmt: str, written: List[str]) -> None:
+    """emit_report's writers, each file's path appended to ``written``
+    once the file is complete."""
     if isinstance(obj, ReliabilityReport):
         payload = obj.to_dict()
         payload["digest"] = obj.digest()
@@ -797,13 +817,12 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
         if fmt == "csv":
             written.append(_write_rows_csv(out / "cells.csv", obj.cells))
             written.append(_write_rows_csv(out / "misoperations.csv", obj.misoperations))
-        return written
+        return
 
     if isinstance(obj, ScenarioResult):
         written.append(write_json(out / "report.json", obj.to_dict()))
         long_path = out / "long.csv"
-        opened = (open(long_path, "w", encoding="utf-8", newline="\n") if fmt == "csv"
-                  else nullcontext())
+        opened = output_file(long_path) if fmt == "csv" else nullcontext()
         with opened as long:
             if long:
                 long.write("trace,signal,t,value\n")
@@ -814,7 +833,7 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
                 written.append(str(path))
         if fmt == "csv":
             written.append(str(long_path))
-        return written
+        return
 
     raise ConfigError(f"cannot emit a report for {type(obj).__name__}")
 
@@ -822,7 +841,7 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
 def write_json(path: Path, payload) -> str:
     """Write payload as sorted, indented JSON (identical inputs give
     identical bytes); returns the path written."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with output_file(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return str(path)

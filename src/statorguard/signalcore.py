@@ -20,10 +20,12 @@ import os
 import re
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, NoReturn, Optional, Sequence, TextIO, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, NoReturn, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
+import orjson
 
 __all__ = [
     "TimeSeries",
@@ -34,6 +36,7 @@ __all__ = [
     "ingest_csv",
     "write_csv",
     "write_table",
+    "output_file",
 ]
 
 # Max relative jitter of the time column accepted as "uniformly sampled".
@@ -349,10 +352,11 @@ def _text(value) -> str:
     return text
 
 
-# The one cell rule of every CSV file, by value type: floats by repr
-# (round-trips exactly), bools as 0/1, ints in decimal, strings as they
-# are (quoted when they must be); None is an empty cell, anything else
-# goes by str, quoted the same way.
+# The one cell rule of every CSV file, by value type: floats as repr
+# writes them (round-trips exactly), bools as 0/1, ints in decimal,
+# strings as they are (quoted when they must be); None is an empty cell,
+# anything else goes by str, quoted the same way.  A column of floats
+# goes through ``_floats`` in blocks rather than float.__repr__ per cell.
 _CELL = {float: float.__repr__, bool: int.__repr__, int: int.__repr__, str: _text}
 
 # Rows formatted and written per block; at 4096 rows the cell strings of
@@ -361,9 +365,10 @@ _BLOCK = 1024
 
 # Tables with at least this many rows are formatted by two processes.
 # For a 64G2 trace with its long.csv melt, in a 250 MB process on two
-# vCPUs, the split broke even at about 3,500 rows (best of 5: 14.1 ms
-# against 14.6 ms serial at 4,096 rows, 140 ms against 223 ms at 60,000).
-_FORK_ROWS = 4096
+# vCPUs, the split broke even at about 22,000 rows (best of 7: 58.6 ms
+# serial against 77.0 ms split at 16,384 rows, 90.3 against 80.3 ms at
+# 24,576, 230 against 220 ms at 60,000).
+_FORK_ROWS = 24576
 
 # Largest piece of a child's output held in memory while it is copied;
 # at 1 MiB the CLI's peak memory on a 60 s 64S replay was 1.3 MB higher.
@@ -374,9 +379,49 @@ def _cell(value) -> str:
     return "" if value is None else _CELL.get(type(value), _text)(value)
 
 
-def _float_cell(value) -> str:
-    """A melted value: the cell as a float, None as an empty cell."""
-    return "" if value is None else repr(float(value))
+def _floats(values: List[float]) -> List[str]:
+    """``float.__repr__`` of each of ``values`` (exact floats), from one
+    ``orjson.dumps`` call: orjson writes the same shortest round-trip
+    digits about ten times faster.  Its notation differs for nonzero
+    values below 1e-4 in magnitude (``0.00001``, ``1e-6``), for values of
+    1e16 and above (``1e16``) and for NaN and infinities (``null``); those
+    cells, picked by value, are formatted by ``repr`` instead.  Each of
+    them puts an ``e``, an ``n`` or ``.0000`` in orjson's text, so a text
+    without these needs no value check."""
+    if not values:
+        return []
+    raw = orjson.dumps(values)
+    cells = raw[1:-1].decode().split(",")
+    if b"e" in raw or b"n" in raw or b".0000" in raw:
+        size = np.abs(np.array(values))
+        for i in np.flatnonzero(((size < 1e-4) & (size != 0)) | ~(size < 1e16)).tolist():
+            cells[i] = float.__repr__(values[i])
+    return cells
+
+
+def _melted(values) -> List[str]:
+    """Melted cells: each value as a float, None as an empty cell."""
+    present = [float(v) for v in values if v is not None]
+    cells = _floats(present)
+    if len(present) == len(values):
+        return cells
+    rest = iter(cells)
+    return ["" if v is None else next(rest) for v in values]
+
+
+@contextmanager
+def output_file(path) -> Iterator[TextIO]:
+    """``path`` opened for writing as UTF-8 text with LF line ends, and
+    removed again, once closed, when the ``with`` block raises, so a
+    failed write leaves no partial file.  A file that could not be opened
+    is left as it was."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def write_table(path, columns: Mapping[str, Sequence[Any]],
@@ -396,7 +441,8 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
     Where ``os.fork`` exists and this process may run on more than one
     CPU, a table of at least ``_FORK_ROWS`` rows is formatted by two
     processes (see ``_write_halves``); the bytes written are the same
-    either way."""
+    either way.  When a cell cannot be formatted or a write fails, the
+    table file is removed and the error raised."""
     if len({len(column) for column in columns.values()}) > 1:
         raise ValueError("table columns differ in length")
     names, data = list(columns), list(columns.values())
@@ -414,7 +460,7 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
     def format_rows(write, start, stop):
         return _format_rows(write, data, rules, sections, start, stop)
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with output_file(path) as fh:
         fh.write(",".join(map(_text, names)) + "\n")
         cpus = (os.sched_getaffinity(0) if n >= _FORK_ROWS and hasattr(os, "fork")
                 and hasattr(os, "sched_getaffinity") else ())
@@ -435,10 +481,11 @@ def _format_rows(write, data, rules, sections, start: int, stop: int) -> List[Li
     texts: List[List[str]] = [[] for _ in sections]
     for lo in range(start, stop, _BLOCK):
         block = [column[lo:min(lo + _BLOCK, stop)] for column in data]
-        cells = [list(map(rule, part)) for rule, part in zip(rules, block)]
+        cells = [_floats(part) if rule is float.__repr__ else list(map(rule, part))
+                 for rule, part in zip(rules, block)]
         write("\n".join(map(",".join, zip(*cells))) + "\n")
         for out, (j, prefix) in zip(texts, sections):
-            values = cells[j] if rules[j] is float.__repr__ else map(_float_cell, block[j])
+            values = cells[j] if rules[j] is float.__repr__ else _melted(block[j])
             out.append(prefix + ("\n" + prefix).join(
                 map(",".join, zip(cells[0], values))) + "\n")
     return texts

@@ -28,6 +28,7 @@ from statorguard.harness import (
     sweep_security,
     sweep_sensitivity,
 )
+from statorguard.signalcore import TimeSeries, ingest_csv, write_csv
 
 import oracles
 
@@ -493,6 +494,23 @@ def test_emit_report_writes_each_trace_through_its_module_binding(emitted, monke
     assert all(got is want for (_, got), (_, want) in zip(calls, expected))
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be formatted")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_report_removes_what_it_wrote_when_a_writer_fails(tmp_path, fmt):
+    result = run_scenario(_fault_config(), name="broken")
+    trace = copy.deepcopy(result.traces["ng64g2"])
+    trace.operate = [_Unprintable()] + trace.operate[1:]
+    result.traces["ng64g2"] = trace
+    (tmp_path / "keep.txt").write_text("not emit_report's\n")
+    with pytest.raises(RuntimeError, match="cell cannot be formatted"):
+        emit_report(result, tmp_path, fmt=fmt)
+    assert os.listdir(tmp_path) == ["keep.txt"]
+
+
 def test_emit_report_validation(tmp_path):
     with pytest.raises(ConfigError):
         emit_report(ReliabilityReport(study="x"), tmp_path, fmt="yaml")
@@ -729,6 +747,31 @@ def test_cli_replay_with_out_of_range_profile_is_config_error(cli_workspace, tmp
     assert cli_main(["detect-64g2", "--config", str(path),
                      "--input", str(cli_workspace["waveforms"]), "--out", str(tmp_path)]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+def _recording_with_case_twins(cli_workspace, path):
+    """The shared fault recording as t,vp3,VN3,vn3, the lower-case vn3 all
+    zeros."""
+    channels = ingest_csv(cli_workspace["waveforms"])
+    vn3 = channels["vn3"]
+    write_csv(path, {"vp3": channels["vp3"], "VN3": vn3,
+                     "vn3": TimeSeries(fs=vn3.fs, t0=vn3.t0, samples=0.0 * vn3.samples)})
+    return path
+
+
+def test_channel_names_equal_but_for_case_are_a_config_error(cli_workspace, tmp_path):
+    channels = ingest_csv(_recording_with_case_twins(cli_workspace, tmp_path / "twins.csv"))
+    with pytest.raises(ConfigError, match="'VN3' and 'vn3'"):
+        run_scenario(_fault_config(), input_channels=channels)
+
+
+def test_cli_replay_with_case_twin_channels_is_config_error(cli_workspace, tmp_path, capsys):
+    recording = _recording_with_case_twins(cli_workspace, tmp_path / "twins.csv")
+    assert cli_main(["detect-64g2", "--config", str(cli_workspace["config"]),
+                     "--input", str(recording), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "'VN3' and 'vn3'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_replay_of_broken_data_stays_a_runtime_error(tmp_path, capsys):

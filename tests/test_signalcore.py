@@ -4,6 +4,8 @@ import csv
 import io
 import math
 import os
+import random
+import struct
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -328,7 +330,95 @@ def test_a_cell_error_in_the_childs_half_is_raised_in_the_parent(tmp_path, forks
     assert excinfo.traceback[-1].name == "__str__"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert os.listdir(out) == ["table.csv"]
+    assert os.listdir(out) == []
+
+
+class _FullSink(io.StringIO):
+    """A long.csv sink on a full disk."""
+
+    def writelines(self, lines):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("rows", [signalcore._FORK_ROWS + 7, 10])
+def test_write_table_removes_its_file_when_a_write_fails(tmp_path, rows):
+    with pytest.raises(OSError, match="No space left"):
+        write_table(tmp_path / "table.csv", _mixed_table(rows), (_FullSink(), "tbl"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_cell_error_in_a_serial_table_leaves_no_file(tmp_path):
+    columns = _mixed_table(3 * signalcore._BLOCK)
+    columns["m"][-1] = _Unprintable()
+    with pytest.raises(RuntimeError, match="cell cannot be formatted"):
+        write_table(tmp_path / "table.csv", columns)
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_table_leaves_a_file_it_cannot_open_as_it_was(tmp_path):
+    path = tmp_path / "table.csv"
+    path.mkdir()
+    with pytest.raises(OSError):
+        write_table(path, {"a": [1.0]})
+    assert path.is_dir()
+
+
+# ------------------------------------------------------------ float cells
+
+def _float_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Where orjson's notation differs from repr's, and the extremes: signed
+# zeros, the smallest subnormal and normal, both sides of 1e-4 and 1e16,
+# the largest finite values, NaN and the infinities.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0), -1e-4,
+                math.nextafter(1e16, 0.0), 1e16, math.nextafter(1e16, math.inf), -1e16,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                math.nan, math.inf, -math.inf]
+
+_ANY_FLOAT = st.one_of(st.integers(0, 2**64 - 1).map(_float_bits), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ANY_FLOAT, max_size=200), st.booleans(), st.randoms(use_true_random=False))
+def test_float_cells_are_repr(xs, edges, rnd):
+    if edges:
+        xs = xs + _EDGE_FLOATS
+        rnd.shuffle(xs)
+    assert signalcore._floats(xs) == list(map(float.__repr__, xs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-5, 1e16, exclude_max=True).flatmap(
+    lambda x: st.sampled_from([x, -x])), max_size=300))
+def test_float_cells_orjson_writes_without_exponent_are_repr(xs):
+    # no e and no null in orjson's text; repr's 1e-05 notation starts
+    # below 1e-4
+    assert signalcore._floats(xs) == list(map(float.__repr__, xs))
+
+
+def _edge_table(n):
+    """A table of n rows whose float and mixed columns hold the edge
+    values between ordinary ones."""
+    rng = random.Random(n)
+    edges = [rng.choice(_EDGE_FLOATS) if rng.random() < 0.2 else rng.gauss(0.0, 1e3)
+             for _ in range(n)]
+    tiny = [rng.uniform(-1e-4, 1e-4) * 10.0 ** -rng.randrange(30) for _ in range(n)]
+    return {
+        "t": [i / 1000.0 for i in range(n)],
+        "edges": edges,
+        "tiny": tiny,
+        "huge": [v * 1e300 for v in tiny],
+        "edges_or_none": [None if i % 4 == 0 else v for i, v in enumerate(edges)],
+    }
+
+
+@pytest.mark.parametrize("rows", [signalcore._FORK_ROWS + 3, signalcore._FORK_ROWS - 3])
+def test_edge_float_cells_match_the_naive_oracle_either_side_of_the_cutoff(tmp_path, rows):
+    ours, naive = _emitted(_edge_table(rows), tmp_path)
+    assert ours == naive
 
 
 def test_ingest_rejects_nonuniform_time(tmp_path):
