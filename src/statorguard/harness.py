@@ -379,6 +379,12 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
         op_points = [(_number(p, "load_pu", None, "calibration.points."),
                       _number(p, "pf", None, "calibration.points."))
                      for p in points_spec]
+    # checked here rather than left to calibrate_64rat, so that a bad
+    # setting is a config error and costs no healthy run
+    if len(op_points) < 2:
+        raise ConfigError(f"calibration needs at least 2 points, got {len(op_points)}")
+    if guard < 0:
+        raise ConfigError(f"'calibration.guard' must be >= 0, got {guard}")
     fs = _number(_section(config, "profile"), "fs", 1000.0, "profile.")
     duration = _number(cal_section, "duration", 0.35, "calibration.")
 
@@ -449,6 +455,8 @@ def _scenario_64g2(config: Dict[str, Any],
     # setting is a config error and only a bad recording a runtime one
     if window_cycles < 1:
         raise ConfigError(f"'profile.window_cycles' must be >= 1, got {window_cycles}")
+    if not 0.0 <= supervision_frac < 1.0:
+        raise ConfigError(f"'profile.supervision_frac' must be in [0, 1), got {supervision_frac}")
     with _config_errors():
         check_operating_point(load_pu, pf)
 

@@ -220,18 +220,15 @@ class Subharmonic64SConfig:
 @dataclass
 class HarmonicFrames:
     """Third-harmonic measurement frames as columns: terminal and neutral
-    magnitudes, the operating point they were taken at, and whether each
-    frame may advance a detector.  A frame's index is its position."""
+    magnitudes and whether each frame may advance a detector.  A frame's
+    index is its position."""
 
     v_p3: List[float]
     v_n3: List[float]
-    load_pu: List[float]
-    pf: List[float]
     valid: List[bool]
 
     def __post_init__(self):
-        if any(len(col) != len(self.v_p3)
-               for col in (self.v_n3, self.load_pu, self.pf, self.valid)):
+        if any(len(col) != len(self.v_p3) for col in (self.v_n3, self.valid)):
             raise ValueError("frame columns must have equal length")
 
     def __len__(self) -> int:
@@ -260,20 +257,23 @@ def grounding_resistor_sizing(turns_ratio: float, f1: float, c_total: float) -> 
     return 1.0 / (turns_ratio**2 * 2.0 * math.pi * f1 * c_total)
 
 
-def e3_of_operating_point(cfg: MachineConfig, load_pu: float, pf: float) -> float:
-    """Third-harmonic EMF magnitude at an operating point (affine model)."""
+def e3_of_operating_point(cfg: MachineConfig, load_pu, pf):
+    """Third-harmonic EMF magnitude at an operating point (affine model);
+    load_pu and pf are scalars or equal-length per-sample arrays."""
     check_operating_point(load_pu, pf)
     c0, c1, c2 = cfg.e3_coeffs
-    return cfg.e3 * (c0 + c1 * load_pu + c2 * (1.0 - abs(pf)))
+    return cfg.e3 * (c0 + c1 * np.asarray(load_pu, dtype=float) + c2 * (1.0 - np.abs(pf)))
 
 
-def emf_split_fraction(cfg: MachineConfig, load_pu: float, pf: float) -> float:
+def emf_split_fraction(cfg: MachineConfig, load_pu, pf):
     """Fraction of the triplen EMF developed in the neutral-side half of
-    the winding; clipped away from the degenerate extremes."""
+    the winding, clipped away from the degenerate extremes; scalars or
+    equal-length per-sample arrays."""
     check_operating_point(load_pu, pf)
     a0, a1, a2 = cfg.alpha_coeffs
-    alpha = a0 + a1 * (load_pu - 0.75) + a2 * (1.0 - abs(pf)) * math.copysign(1.0, pf)
-    return float(np.clip(alpha, 0.05, 0.95))
+    alpha = (a0 + a1 * (np.asarray(load_pu, dtype=float) - 0.75)
+             + a2 * (1.0 - np.abs(pf)) * np.sign(pf))
+    return np.clip(alpha, 0.05, 0.95)
 
 
 def check_operating_point(load_pu, pf) -> None:
@@ -302,15 +302,12 @@ def _cumulative_emf_coeffs(segments: int) -> Tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def third_harmonic_solve(
-    cfg: MachineConfig,
-    fault: Optional[FaultSpec] = None,
-    load_pu: float = 1.0,
-    pf: float = 1.0,
-    freq_scale: float = 1.0,
-) -> Tuple[complex, complex]:
+def third_harmonic_solve(cfg: MachineConfig, fault: Optional[FaultSpec] = None,
+                         load_pu=1.0, pf=1.0, freq_scale=1.0):
     """Steady-state third-harmonic phasors (V_N3, V_P3) at the neutral and
-    terminal measurement points.
+    terminal measurement points; load_pu, pf and freq_scale (per-unit
+    speed, scaling both EMF and frequency) are scalars or equal-length
+    per-sample arrays.
 
     The winding is segments series EMF sources (split per
     emf_split_fraction) with shunt capacitance cs/segments at each of the
@@ -321,28 +318,27 @@ def third_harmonic_solve(
     balance over the ground paths gives the neutral potential in closed
     form; rf == 0 pins the faulted node exactly instead.
     """
+    freq_scale = np.asarray(freq_scale, dtype=float)
     e3 = e3_of_operating_point(cfg, load_pu, pf) * freq_scale
     alpha = emf_split_fraction(cfg, load_pu, pf)
     m = cfg.segments
     p, q = _cumulative_emf_coeffs(m)
-    c_nodes = p + q * alpha
-
     omega = 2.0 * math.pi * 3.0 * cfg.f1 * freq_scale
-    y_nodes = np.zeros(m + 1, dtype=complex)
-    y_nodes[1:] = 1j * omega * cfg.cs / m
-    y_nodes[m] += 1j * omega * cfg.ct
-    y_nodes[0] += 1.0 / cfg.neutral_ground_ohms
-
-    if fault is not None and not math.isinf(fault.rf):
+    y_sum = 1j * omega * (cfg.cs + cfg.ct) + 1.0 / cfg.neutral_ground_ohms
+    yc_sum = 1j * omega * (cfg.cs / m * (float(p[1:].sum()) + float(q[1:].sum()) * alpha)
+                           + cfg.ct)
+    if fault is None or math.isinf(fault.rf):
+        v_n = -e3 * yc_sum / y_sum
+    else:
         k = int(round(fault.x * m))
+        c_k = p[k] + q[k] * alpha
         if fault.rf == 0.0:
             # Bolted fault pins node k to ground; the chain fixes the rest.
-            v_n = complex(-e3 * c_nodes[k])
-            return v_n, v_n + e3
-        y_nodes[k] += 1.0 / fault.rf
-
-    v_n = -e3 * np.sum(y_nodes * c_nodes) / np.sum(y_nodes)
-    return complex(v_n), complex(v_n + e3)
+            v_n = np.complex128(-e3 * c_k)
+        else:
+            g_f = 1.0 / fault.rf
+            v_n = -e3 * (yc_sum + g_f * c_k) / (y_sum + g_f)
+    return v_n, v_n + e3
 
 
 def subharmonic_transfer(
@@ -529,6 +525,39 @@ def _effect_ramp(t: np.ndarray, t_on: float, t_off: Optional[float]) -> np.ndarr
     return np.clip((t - t_on) / (t_off - t_on), 0.0, 1.0) * (t >= t_on)
 
 
+def _disturbance_trajectories(t: np.ndarray, load_pu: float, pf: float,
+                              disturbances: Sequence[DisturbanceSpec]):
+    """Per-sample load, power factor, per-unit speed, and neutral and
+    terminal channel scales under the disturbances, in that order."""
+    load_t = np.full_like(t, load_pu)
+    pf_t = np.full_like(t, pf)
+    speed_t, scale_n, scale_p = np.ones_like(t), np.ones_like(t), np.ones_like(t)
+    for d in disturbances:
+        ramp = _effect_ramp(t, d.t_on, d.t_off)
+        if d.kind == "load_step":
+            # the ramp can end an ulp above a 1.2 pu target (from 0.12 pu,
+            # say); keep it inside the operating range the ladder accepts
+            load_t = np.minimum(load_t + (d.magnitude - load_t) * ramp, 1.2)
+        elif d.kind == "pf_swing":
+            # A lag->lead transition passes through unity pf (reactive
+            # power through zero), so interpolate the power angle rather
+            # than the signed pf value.
+            phi_from = np.sign(pf_t) * np.arccos(np.clip(np.abs(pf_t), 0.0, 1.0))
+            phi_to = math.copysign(math.acos(min(abs(d.magnitude), 1.0)),
+                                   d.magnitude)
+            phi = phi_from + (phi_to - phi_from) * ramp
+            pf_t = np.where(phi == 0.0, 1.0, np.sign(phi) * np.cos(phi))
+        elif d.kind == "neutral_pt_scale":
+            scale_n = scale_n * (1.0 + (d.magnitude - 1.0) * ramp)
+        elif d.kind == "terminal_pt_scale":
+            scale_p = scale_p * (1.0 + (d.magnitude - 1.0) * ramp)
+        elif d.kind == "gen_start":
+            speed_t = np.minimum(speed_t, ramp)
+        elif d.kind == "gen_stop":
+            speed_t = np.minimum(speed_t, 1.0 - ramp)
+    return load_t, pf_t, speed_t, scale_n, scale_p
+
+
 def simulate_64g2_scenario(
     cfg: MachineConfig,
     fault: Optional[FaultSpec] = None,
@@ -566,70 +595,16 @@ def simulate_64g2_scenario(
     n = int(round(duration * fs))
     dt = 1.0 / fs
     t = np.arange(n) * dt
+    load_t, pf_t, speed_t, scale_n, scale_p = _disturbance_trajectories(
+        t, load_pu, pf, disturbances)
 
-    load_t = np.full(n, float(load_pu))
-    pf_t = np.full(n, float(pf))
-    speed_t = np.ones(n)
-    scale_n = np.ones(n)
-    scale_p = np.ones(n)
-    for d in disturbances:
-        ramp = _effect_ramp(t, d.t_on, d.t_off)
-        if d.kind == "load_step":
-            load_t = load_t + (d.magnitude - load_t) * ramp
-        elif d.kind == "pf_swing":
-            # A lag->lead transition passes through unity pf (reactive
-            # power through zero), so interpolate the power angle rather
-            # than the signed pf value.
-            phi_from = np.sign(pf_t) * np.arccos(np.clip(np.abs(pf_t), 0.0, 1.0))
-            phi_to = math.copysign(math.acos(min(abs(d.magnitude), 1.0)),
-                                   d.magnitude)
-            phi = phi_from + (phi_to - phi_from) * ramp
-            pf_t = np.where(phi == 0.0, 1.0, np.sign(phi) * np.cos(phi))
-        elif d.kind == "neutral_pt_scale":
-            scale_n = scale_n * (1.0 + (d.magnitude - 1.0) * ramp)
-        elif d.kind == "terminal_pt_scale":
-            scale_p = scale_p * (1.0 + (d.magnitude - 1.0) * ramp)
-        elif d.kind == "gen_start":
-            speed_t = np.minimum(speed_t, ramp)
-        elif d.kind == "gen_stop":
-            speed_t = np.minimum(speed_t, 1.0 - ramp)
-
-    # Vectorized ladder solve across the whole record.
-    c0e, c1e, c2e = cfg.e3_coeffs
-    e3_t = cfg.e3 * (c0e + c1e * load_t + c2e * (1.0 - np.abs(pf_t))) * speed_t
-    a0a, a1a, a2a = cfg.alpha_coeffs
-    alpha_t = np.clip(
-        a0a + a1a * (load_t - 0.75) + a2a * (1.0 - np.abs(pf_t)) * np.sign(pf_t),
-        0.05,
-        0.95,
-    )
-    m = cfg.segments
-    p, q = _cumulative_emf_coeffs(m)
-    sum_p, sum_q = float(p[1:].sum()), float(q[1:].sum())
-    omega_t = 2.0 * math.pi * 3.0 * cfg.f1 * speed_t
-
+    v_n_t, v_p_t = third_harmonic_solve(cfg, None, load_t, pf_t, speed_t)
     onset = None if fault is None else fault.onset_index(fs, n)
-    active = np.zeros(n, dtype=bool)
     if onset is not None:
-        active[onset:] = True
-
-    y_sum = 1j * omega_t * (cfg.cs + cfg.ct) + 1.0 / cfg.neutral_ground_ohms
-    yc_sum = 1j * omega_t * (cfg.cs / m * (sum_p + sum_q * alpha_t) + cfg.ct)
-    if onset is not None:
-        k = int(round(fault.x * m))
-        c_k = p[k] + q[k] * alpha_t
-        if fault.rf == 0.0:
-            v_n_t = np.where(active, -e3_t * c_k, -e3_t * yc_sum / y_sum)
-        else:
-            g_f = 1.0 / fault.rf
-            v_n_t = np.where(
-                active,
-                -e3_t * (yc_sum + g_f * c_k) / (y_sum + g_f),
-                -e3_t * yc_sum / y_sum,
-            )
-    else:
-        v_n_t = -e3_t * yc_sum / y_sum
-    v_p_t = v_n_t + e3_t
+        v_n_f, v_p_f = third_harmonic_solve(cfg, fault, load_t, pf_t, speed_t)
+        faulted = np.arange(n) >= onset
+        v_n_t = np.where(faulted, v_n_f, v_n_t)
+        v_p_t = np.where(faulted, v_p_f, v_p_t)
 
     # Waveforms from instantaneous magnitude/angle with accumulated phase.
     theta = 2.0 * math.pi * 3.0 * cfg.f1 * np.cumsum(speed_t) * dt
@@ -644,7 +619,7 @@ def simulate_64g2_scenario(
         TimeSeries(fs=fs, t0=0.0, samples=wave_p),
         TimeSeries(fs=fs, t0=0.0, samples=wave_n),
         cfg, load_pu, pf, window_cycles, supervision_frac,
-        load_t=load_t, pf_t=pf_t, in_band=np.abs(speed_t - 1.0) <= freq_band,
+        in_band=np.abs(speed_t - 1.0) <= freq_band,
     )
     return replace(result, onset_index=onset)
 
@@ -657,8 +632,6 @@ def frames_from_64g2_waveforms(
     pf: float = 1.0,
     window_cycles: int = 3,
     supervision_frac: float = 0.1,
-    load_t: Optional[np.ndarray] = None,
-    pf_t: Optional[np.ndarray] = None,
     in_band: Optional[np.ndarray] = None,
 ) -> Scenario64G2Result:
     """Turn terminal/neutral third-harmonic waveforms into phasor streams
@@ -668,28 +641,24 @@ def frames_from_64g2_waveforms(
     invalid during phasor warm-up, whenever the terminal magnitude sinks
     below supervision_frac of its healthy value at the (load_pu, pf)
     operating point (minimum-signal supervision), and wherever the
-    optional in_band mask is False.  Frames carry load_t/pf_t as their
-    per-sample operating point when given, else load_pu/pf.  The result
-    has no onset_index; the simulator fills it in.
+    optional in_band mask is False; supervision_frac must lie in [0, 1).
+    The result has no onset_index; the simulator fills it in.
     """
     if vp3_wave.fs != vn3_wave.fs or len(vp3_wave) != len(vn3_wave):
         raise ValueError("terminal and neutral waveforms must share fs and length")
-    n = len(vp3_wave)
+    if not 0.0 <= supervision_frac < 1.0:
+        raise ValueError(f"supervision_frac must be in [0, 1), got {supervision_frac}")
     ph_p = extract_phasor(vp3_wave, 3.0 * cfg.f1, window_cycles)
     ph_n = extract_phasor(vn3_wave, 3.0 * cfg.f1, window_cycles)
 
-    _, vp3_rated_c = third_harmonic_solve(cfg, None, load_pu, pf)
-    vp3_rated = abs(vp3_rated_c)
+    vp3_rated = float(abs(third_harmonic_solve(cfg, None, load_pu, pf)[1]))
     valid = ph_p.valid & (ph_p.magnitude >= supervision_frac * vp3_rated)
     if in_band is not None:
         valid = valid & in_band
     return Scenario64G2Result(
-        # one shared float per column when the operating point is fixed
         frames=HarmonicFrames(
             v_p3=ph_p.magnitude.tolist(),
             v_n3=ph_n.magnitude.tolist(),
-            load_pu=[float(load_pu)] * n if load_t is None else load_t.tolist(),
-            pf=[float(pf)] * n if pf_t is None else pf_t.tolist(),
             valid=valid.tolist(),
         ),
         v_p3_wave=vp3_wave,

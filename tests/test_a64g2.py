@@ -40,8 +40,7 @@ def _frames(rows):
     """Column frames from rows whose t_index is their position."""
     t_index, vp, vn, valid = (list(col) for col in zip(*rows))
     assert t_index == list(range(len(rows)))
-    return HarmonicFrames(v_p3=vp, v_n3=vn, load_pu=[1.0] * len(rows),
-                          pf=[1.0] * len(rows), valid=valid)
+    return HarmonicFrames(v_p3=vp, v_n3=vn, valid=valid)
 
 
 # ------------------------------------------------------------- ratio KAF
@@ -304,11 +303,9 @@ def test_ratio_schemes_reject_bad_magnitudes(bad):
 
 def test_harmonic_frames_reject_columns_of_unequal_length():
     with pytest.raises(ValueError):
-        HarmonicFrames(v_p3=[1.0, 1.0], v_n3=[1.0], load_pu=[1.0, 1.0],
-                       pf=[1.0, 1.0], valid=[True, True])
+        HarmonicFrames(v_p3=[1.0, 1.0], v_n3=[1.0], valid=[True, True])
     with pytest.raises(ValueError):
-        HarmonicFrames(v_p3=[1.0], v_n3=[1.0], load_pu=[1.0], pf=[1.0],
-                       valid=[True, True])
+        HarmonicFrames(v_p3=[1.0], v_n3=[1.0], valid=[True, True])
     assert len(_frames([_frame(0, 1.0, 1.0), _frame(1, 1.0, 1.0)])) == 2
 
 

@@ -101,8 +101,7 @@ def test_criterion_02_learning_window_inhibit(announce):
         # ends the crossover before persistence can be met
         v_p3 = [10.0] * 60 + [10.0] * 2 + [100.0] * 78
         v_n3 = [10.0] * 60 + [14.0] * 2 + [100.0] * 78
-        frames = HarmonicFrames(v_p3=v_p3, v_n3=v_n3, load_pu=[1.0] * 140,
-                                pf=[1.0] * 140, valid=[True] * 140)
+        frames = HarmonicFrames(v_p3=v_p3, v_n3=v_n3, valid=[True] * 140)
         trace = FixedRatioDetector(ratio=1.0, cfg=cfg).run(frames, 1000.0)
         crossings = sum(
             jao > cfg.sensitivity * jar

@@ -749,6 +749,65 @@ def test_cli_replay_with_out_of_range_profile_is_config_error(cli_workspace, tmp
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("frac", [5, 1.0, -1])
+def test_supervision_frac_outside_unit_interval_is_config_error(cli_workspace, frac):
+    """A floor at or above the rated terminal magnitude would mark every
+    frame invalid and leave both schemes silently blind."""
+    config = _fault_config(profile={"duration": 0.9, "supervision_frac": frac})
+    with pytest.raises(ConfigError, match="supervision_frac"):
+        run_scenario(config)
+    with pytest.raises(ConfigError, match="supervision_frac"):
+        run_scenario(config, input_channels=ingest_csv(cli_workspace["waveforms"]))
+
+
+@pytest.mark.parametrize("frac", [5, 1.0, -1])
+@pytest.mark.parametrize("replay", [False, True])
+def test_cli_supervision_frac_outside_unit_interval_is_config_error(
+        cli_workspace, tmp_path, capsys, frac, replay):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_fault_config(profile={"duration": 0.9,
+                                                      "supervision_frac": frac})))
+    argv = ["detect-64g2", "--config", str(path), "--out", str(tmp_path / "out")]
+    if replay:
+        argv += ["--input", str(cli_workspace["waveforms"])]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "supervision_frac" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("frac", [0, 0.1])
+@pytest.mark.parametrize("replay", [False, True])
+def test_cli_supervision_frac_inside_unit_interval_runs(cli_workspace, tmp_path, capsys,
+                                                       frac, replay):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_fault_config(profile={"duration": 0.9,
+                                                      "supervision_frac": frac})))
+    argv = ["detect-64g2", "--config", str(path), "--out", str(tmp_path / "out")]
+    if replay:
+        argv += ["--input", str(cli_workspace["waveforms"])]
+    assert cli_main(argv) == 0
+    verdicts = json.loads(capsys.readouterr().out)["report"]["verdicts"]
+    assert verdicts["a64g2"]["detected"] and verdicts["ng64g2"]["detected"]
+
+
+@pytest.mark.parametrize("command", ["calibrate", "detect-64g2", "sweep-sensitivity",
+                                     "sweep-security"])
+@pytest.mark.parametrize("calibration", [
+    {"points": []},
+    {"points": [{"load_pu": 1.0, "pf": 1.0}]},
+    {"guard": -0.1},
+])
+def test_cli_bad_commissioning_setting_is_config_error(tmp_path, capsys, command,
+                                                       calibration):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "64g2", "profile": {"duration": 0.5},
+                                "calibration": calibration}))
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "calibration" in err
+
+
 def _recording_with_case_twins(cli_workspace, path):
     """The shared fault recording as t,vp3,VN3,vn3, the lower-case vn3 all
     zeros."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from statorguard import plantsim
 from statorguard.plantsim import (
     DisturbanceSpec,
     FaultSpec,
@@ -132,6 +133,30 @@ def test_infinite_fault_resistance_is_healthy():
     vn_h, vp_h = third_harmonic_solve(cfg, None, 0.8, 1.0)
     vn_f, vp_f = third_harmonic_solve(cfg, FaultSpec(x=0.4, rf=math.inf), 0.8, 1.0)
     assert vn_f == vn_h and vp_f == vp_h
+
+
+@pytest.mark.parametrize("rf", [None, 0.0, 50.0, math.inf])
+def test_ladder_on_arrays_equals_per_sample_scalar_calls(rf):
+    """The simulator solves a whole record in one call; each sample of it
+    is bit for bit the scalar solve at that sample's operating point."""
+    cfg = MachineConfig()
+    fault = None if rf is None else FaultSpec(x=0.3, rf=rf)
+    load = np.array([0.0, 0.5, 1.0, 1.2, 0.75, 0.3, 1.0])
+    pf = np.array([1.0, 0.85, -0.85, 1.0, -0.85, 0.85, 1.0])
+    speed = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.6, 1.0])
+    v_n, v_p = third_harmonic_solve(cfg, fault, load, pf, speed)
+    scalar = [third_harmonic_solve(cfg, fault, float(l), float(p), float(s))
+              for l, p, s in zip(load, pf, speed)]
+    assert v_n.tobytes() == np.array([n for n, _ in scalar]).tobytes()
+    assert v_p.tobytes() == np.array([p for _, p in scalar]).tobytes()
+    for solve in (e3_of_operating_point, emf_split_fraction):
+        per_sample = [solve(cfg, float(l), float(p)) for l, p in zip(load, pf)]
+        assert solve(cfg, load, pf).tobytes() == np.array(per_sample).tobytes()
+
+
+def test_ladder_rejects_an_out_of_range_sample():
+    with pytest.raises(ValueError, match="load_pu"):
+        third_harmonic_solve(MachineConfig(), None, np.array([1.0, 1.3]), np.ones(2))
 
 
 def test_ratio_invariant_to_emf_magnitude():
@@ -311,8 +336,7 @@ def test_64g2_frames_track_circuit_ratio():
 def test_64g2_frames_hold_one_frame_per_sample():
     sim = simulate_64g2_scenario(MachineConfig(), None, duration=0.5, seed=0)
     assert len(sim.frames) == len(sim.v_p3_wave) == 500
-    for column in (sim.frames.v_p3, sim.frames.v_n3, sim.frames.load_pu,
-                   sim.frames.pf, sim.frames.valid):
+    for column in (sim.frames.v_p3, sim.frames.v_n3, sim.frames.valid):
         assert len(column) == 500
 
 
@@ -335,6 +359,25 @@ def test_64g2_replayed_waveforms_give_the_simulated_frames():
                                         load_pu=0.8, pf=0.9)
     assert replay.frames == sim.frames
     assert replay.vp3_rated == sim.vp3_rated
+
+
+@pytest.mark.parametrize("frac", [-0.1, 1.0, 5.0])
+def test_64g2_frames_reject_supervision_frac_outside_unit_interval(frac):
+    sim = simulate_64g2_scenario(MachineConfig(), None, duration=0.2, seed=0)
+    with pytest.raises(ValueError, match="supervision_frac"):
+        frames_from_64g2_waveforms(sim.v_p3_wave, sim.v_n3_wave, MachineConfig(),
+                                   supervision_frac=frac)
+
+
+def test_64g2_load_step_to_the_top_of_the_range_simulates():
+    """From 0.12 pu the load ramp ends an ulp above 1.2 pu unless held
+    inside the range the ladder accepts."""
+    sim = simulate_64g2_scenario(
+        MachineConfig(), None, load_pu=0.12,
+        disturbances=[DisturbanceSpec(kind="load_step", magnitude=1.2, t_on=0.1, t_off=0.3)],
+        duration=0.5, noise_std=0.0, seed=0)
+    _, vp = third_harmonic_solve(MachineConfig(), None, 1.2, 1.0)
+    assert sim.frames.v_p3[-1] == pytest.approx(abs(vp), rel=1e-6)
 
 
 def test_64g2_warmup_and_supervision():
@@ -375,12 +418,10 @@ def test_64g2_pt_scale_multiplies_one_channel():
 def test_64g2_pf_swing_passes_through_unity():
     """A lag-to-lead swing transitions through unity power factor, so the
     pf trajectory never approaches zero."""
-    cfg = MachineConfig()
-    sim = simulate_64g2_scenario(
-        cfg, None, disturbances=[DisturbanceSpec(kind="pf_swing", magnitude=-0.85,
-                                                 t_on=0.1, t_off=0.5)],
-        load_pu=1.0, pf=0.85, duration=0.7, noise_std=0.0, seed=0)
-    pfs = np.array(sim.frames.pf)
+    t = np.arange(700) * 0.001
+    _, pfs, *_ = plantsim._disturbance_trajectories(
+        t, 1.0, 0.85, [DisturbanceSpec(kind="pf_swing", magnitude=-0.85,
+                                       t_on=0.1, t_off=0.5)])
     assert np.min(np.abs(pfs)) >= 0.85 - 1e-9
     assert np.max(np.abs(pfs)) <= 1.0 + 1e-12
     assert pfs[0] == pytest.approx(0.85)
