@@ -20,6 +20,7 @@ from .a64g2 import (
     kaf_update,
     operate_restraint,
     ratio_step,
+    restraint_column,
     write_trace_csv,
 )
 from .a64s import (
@@ -106,7 +107,7 @@ __all__ = [
     # third-harmonic ratio schemes
     "RatioKafState", "DetectorConfig", "Calibration64RAT", "kaf_update",
     "operate_restraint", "RatioSchemeState", "ratio_step", "calibrate_64rat",
-    "SchemeTrace", "AdaptiveRatioDetector",
+    "restraint_column", "SchemeTrace", "AdaptiveRatioDetector",
     "FixedRatioDetector", "write_trace_csv",
     # injection scheme
     "HEALTHY_SENTINEL", "CalibrationError", "SubharmonicFrames", "ThetaKafState",

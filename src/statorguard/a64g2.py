@@ -13,6 +13,7 @@ footing.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -29,6 +30,7 @@ __all__ = [
     "kaf_update",
     "operate_restraint",
     "ratio_step",
+    "restraint_column",
     "calibrate_64rat",
     "AdaptiveRatioDetector",
     "FixedRatioDetector",
@@ -68,7 +70,9 @@ class DetectorConfig:
 
     window is the learning length L: the operate energy is inhibited for
     the first L frames and afterwards summed over a sliding window of
-    L+1 frames.  sensitivity is the operate/restraint threshold factor.
+    L+1 frames.  sensitivity is the operate/restraint threshold factor,
+    finite and at least the smallest normal float (a NaN or infinite one
+    would never trip, a subnormal one makes the margin overflow).
     persistence is how many consecutive frames the trip inequality must
     hold; None means the window length.
     """
@@ -80,8 +84,9 @@ class DetectorConfig:
     def __post_init__(self):
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {self.window}")
-        if self.sensitivity <= 0:
-            raise ValueError("sensitivity must be positive")
+        if not sys.float_info.min <= self.sensitivity < math.inf:
+            raise ValueError(f"sensitivity must be finite and at least "
+                             f"{sys.float_info.min!r}, got {self.sensitivity!r}")
         if self.persistence is not None and self.persistence < 1:
             raise ValueError("persistence must be >= 1")
 
@@ -133,13 +138,6 @@ def kaf_update(state: RatioKafState, v_p3: float, v_n3: float) -> Tuple[RatioKaf
     return replace(state, rho_hat=rho_hat, variance=variance, t=state.t + 1), residual
 
 
-def _energies(residual_sq: Sequence[float], vn3_sq: Sequence[float],
-              window: int, t: int) -> Tuple[float, float]:
-    """Operate and restraint energies at frame count t from the windowed
-    squares: the operate energy is zero through the learning window."""
-    return (0.0 if t <= window else math.fsum(residual_sq)), math.fsum(vn3_sq)
-
-
 def operate_restraint(residuals: Sequence[float], vn3s: Sequence[float],
                       cfg: DetectorConfig, t: int) -> Tuple[float, float]:
     """Operate and restraint energies at frame count t.
@@ -150,7 +148,8 @@ def operate_restraint(residuals: Sequence[float], vn3s: Sequence[float],
     neutral magnitudes during learning and the matching windowed sum
     afterwards.  Callers supply the last min(t, L+1) values of each.
     """
-    return _energies([r * r for r in residuals], [v * v for v in vn3s], cfg.window, t)
+    operate = 0.0 if t <= cfg.window else math.fsum([r * r for r in residuals])
+    return operate, math.fsum([v * v for v in vn3s])
 
 
 @dataclass
@@ -170,6 +169,8 @@ class SchemeTrace:
     trip: List[bool] = field(default_factory=list)
     valid: List[bool] = field(default_factory=list)
     onset_index: Optional[int] = None
+    margin_peak: float = 0.0
+    margin_index: Optional[int] = None
 
     @property
     def first_trip_index(self) -> Optional[int]:
@@ -188,15 +189,13 @@ class SchemeTrace:
                 "VN3": self.v_n3, "rho_hat": self.rho_hat, "residual": self.residual,
                 "JAO": self.operate, "JAR": self.restraint, "trip": self.trip}
 
-    def margin(self, start_index: int = 0) -> float:
-        """Largest operate/(sensitivity*restraint) seen from start_index
-        on; > 1 means the trip inequality was crossed at least once."""
-        worst = 0.0
-        for idx, jao, jar in zip(self.t_index, self.operate, self.restraint):
-            if idx < start_index or jar <= 0.0:
-                continue
-            worst = max(worst, jao / (self.sensitivity * jar))
-        return worst
+    def margin(self) -> float:
+        """Largest operate/(sensitivity*restraint) over the frames with a
+        positive restraint; > 1 means the trip inequality was crossed at
+        least once.  The scheme loop tracks it in margin_peak, and the
+        first frame that reaches it in margin_index (None while it is 0).
+        It is infinite when sensitivity*restraint underflows to 0."""
+        return self.margin_peak
 
 
 @dataclass
@@ -208,7 +207,8 @@ class RatioSchemeState:
     is None, from that frame's own ratio, and rho_hat and variance stay
     None until then.  Without kaf (fixed scheme) the residual uses the
     frozen ``ratio``.  The windows hold the squared residuals and squared
-    neutral magnitudes of the last L+1 valid frames.
+    neutral magnitudes of the last L+1 valid frames; only ratio_step keeps
+    vn3_sq, as a batch run reads its restraint column instead.
     """
 
     cfg: DetectorConfig
@@ -228,30 +228,58 @@ class RatioSchemeState:
         self.vn3_sq = deque(self.vn3_sq, maxlen=maxlen)
 
 
-def _advance(state: RatioSchemeState, trace: SchemeTrace, t_index: Sequence[int],
-             v_p3: Sequence[float], v_n3: Sequence[float], valid: Sequence[bool]) -> None:
-    """Run a ratio scheme over frame columns, one trace row per frame.
-
-    A negative or non-finite magnitude raises ValueError, valid or not,
-    before that frame changes anything.  Invalid frames are recorded with
-    the last ratio and energies but do not advance the filter, the
-    windows, or the trip logic.
-    """
-    window, sensitivity, hold = state.cfg.window, state.cfg.sensitivity, state.cfg.hold
-    kaf, ratio = state.kaf, state.ratio
-    rho_hat, variance = state.rho_hat, state.variance
-    residual_sq, vn3_sq = state.residual_sq, state.vn3_sq
-    t, streak, tripped = state.t, state.streak, state.tripped
-    rho = rho_hat if rho_hat is not None else ratio or 0.0
-    jao, jar = _energies(residual_sq, vn3_sq, window, t)
-    push_residual, push_vn3 = residual_sq.append, vn3_sq.append
-    rho_col, residual_col, operate_col, restraint_col, trip_col = (
-        col.append for col in (trace.rho_hat, trace.residual, trace.operate,
-                               trace.restraint, trace.trip))
+def _restraint(vn3_sq: Deque[float], v_p3: Sequence[float], v_n3: Sequence[float],
+               valid: Sequence[bool]) -> List[float]:
+    """Push each valid frame's squared neutral magnitude onto the window
+    vn3_sq; returns the restraint energy after each frame.  A negative or
+    non-finite magnitude raises ValueError before its frame changes vn3_sq."""
+    fsum, push = math.fsum, vn3_sq.append
+    jar = fsum(vn3_sq)
+    column: List[float] = []
+    append = column.append
     for vp, vn, ok in zip(v_p3, v_n3, valid):
         # chained comparisons are False for NaN, so NaN is rejected too
         if not (0.0 <= vp < math.inf and 0.0 <= vn < math.inf):
             raise ValueError("phasor magnitudes must be finite and >= 0")
+        if ok:
+            push(vn * vn)
+            jar = fsum(vn3_sq)
+        append(jar)
+    return column
+
+
+def restraint_column(frames: HarmonicFrames, window: int) -> List[float]:
+    """The restraint energy JAR at every frame of a record: the sum of the
+    squared neutral magnitudes of the last window+1 valid frames, repeated
+    on invalid frames.  It depends only on the frames and the window, so
+    both ratio schemes of one record can share it.  A negative or
+    non-finite magnitude anywhere in the record, valid or not, raises
+    ValueError."""
+    return _restraint(deque(maxlen=window + 1), frames.v_p3, frames.v_n3, frames.valid)
+
+
+def _advance(state: RatioSchemeState, trace: SchemeTrace, t_index: Sequence[int],
+             v_p3: Sequence[float], v_n3: Sequence[float], valid: Sequence[bool],
+             restraint: Sequence[float]) -> None:
+    """Run a ratio scheme over checked frame columns and their restraint
+    column, one trace row per frame, tracking the trace's margin.
+
+    Invalid frames are recorded with the last ratio and energies but do
+    not advance the filter, the operate window, or the trip logic.
+    """
+    window, sensitivity, hold = state.cfg.window, state.cfg.sensitivity, state.cfg.hold
+    kaf, ratio = state.kaf, state.ratio
+    rho_hat, variance = state.rho_hat, state.variance
+    residual_sq = state.residual_sq
+    t, streak, tripped = state.t, state.streak, state.tripped
+    peak, peak_index = trace.margin_peak, trace.margin_index
+    fsum = math.fsum
+    rho = rho_hat if rho_hat is not None else ratio or 0.0
+    jao = fsum(residual_sq) if t > window else 0.0
+    push_residual = residual_sq.append
+    rho_col, residual_col, operate_col, trip_col = (
+        col.append for col in (trace.rho_hat, trace.residual, trace.operate, trace.trip))
+    for idx, vp, vn, ok, jar in zip(t_index, v_p3, v_n3, valid, restraint):
         residual = 0.0
         if ok:
             if kaf is None:
@@ -265,20 +293,31 @@ def _advance(state: RatioSchemeState, trace: SchemeTrace, t_index: Sequence[int]
                 rho = rho_hat
             t += 1
             push_residual(residual * residual)
-            push_vn3(vn * vn)
-            jao, jar = _energies(residual_sq, vn3_sq, window, t)
+            if t > window:
+                jao = fsum(residual_sq)
+            floor = sensitivity * jar
             if not tripped:
-                streak = streak + 1 if jao > sensitivity * jar else 0
+                streak = streak + 1 if jao > floor else 0
                 tripped = streak >= hold
+            # invalid frames repeat these energies, so only a valid frame
+            # can raise the margin
+            if jar > 0.0:
+                try:
+                    margin = jao / floor
+                except ZeroDivisionError:
+                    margin = math.inf
+                if margin > peak:
+                    peak, peak_index = margin, idx
         rho_col(rho)
         residual_col(residual)
         operate_col(jao)
-        restraint_col(jar)
         trip_col(tripped)
     trace.t_index.extend(t_index)
     trace.v_p3.extend(v_p3)
     trace.v_n3.extend(v_n3)
+    trace.restraint.extend(restraint)
     trace.valid.extend(map(bool, valid))
+    trace.margin_peak, trace.margin_index = peak, peak_index
     state.rho_hat, state.variance = rho_hat, variance
     state.t, state.streak, state.tripped = t, streak, tripped
 
@@ -287,13 +326,15 @@ def ratio_step(state: RatioSchemeState, trace: SchemeTrace, t_index: int,
                v_p3: float, v_n3: float, valid: bool) -> SchemeTrace:
     """Advance a ratio scheme by one frame, appending to the trace.
 
-    Runs the batch detectors' loop on one frame.  A t_index not above the
-    trace's last one, or a negative or non-finite magnitude, raises
-    ValueError and leaves the state and the trace untouched.
+    Runs the batch detectors' loop on one frame, with the restraint taken
+    from the state's window.  A t_index not above the trace's last one,
+    or a negative or non-finite magnitude, raises ValueError and leaves
+    the state and the trace untouched.
     """
     if trace.t_index and t_index <= trace.t_index[-1]:
         raise ValueError("t_index must be strictly increasing")
-    _advance(state, trace, (t_index,), (v_p3,), (v_n3,), (valid,))
+    restraint = _restraint(state.vn3_sq, (v_p3,), (v_n3,), (valid,))
+    _advance(state, trace, (t_index,), (v_p3,), (v_n3,), (valid,), restraint)
     return trace
 
 
@@ -332,12 +373,19 @@ class _RatioDetector:
     feeds one frame at a time.  A subclass sets scheme and cfg and builds
     its run state in new_state()."""
 
-    def run(self, frames: HarmonicFrames, fs: float,
-            onset_index: Optional[int] = None) -> SchemeTrace:
+    def run(self, frames: HarmonicFrames, fs: float, onset_index: Optional[int] = None,
+            restraint: Optional[Sequence[float]] = None) -> SchemeTrace:
+        """Trace of the scheme over a record.  restraint is the record's
+        restraint_column(frames, self.cfg.window), built here when None;
+        a caller running both schemes on one record builds it once."""
+        if restraint is None:
+            restraint = restraint_column(frames, self.cfg.window)
+        elif len(restraint) != len(frames):
+            raise ValueError("the restraint column must have one value per frame")
         trace = SchemeTrace(scheme=self.scheme, fs=fs, sensitivity=self.cfg.sensitivity,
                             onset_index=onset_index)
         _advance(self.new_state(), trace, range(len(frames)),
-                 frames.v_p3, frames.v_n3, frames.valid)
+                 frames.v_p3, frames.v_n3, frames.valid, restraint)
         return trace
 
 
@@ -372,8 +420,8 @@ class FixedRatioDetector(_RatioDetector):
     scheme = "ng64g2"
 
     def __init__(self, ratio: float, cfg: Optional[DetectorConfig] = None):
-        if ratio <= 0:
-            raise ValueError("ratio must be positive")
+        if not 0.0 < ratio < math.inf:
+            raise ValueError(f"ratio must be positive and finite, got {ratio!r}")
         self.cfg = cfg or DetectorConfig()
         self.ratio = ratio
 

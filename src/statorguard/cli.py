@@ -93,7 +93,7 @@ def _emit_and_print(obj, args, default_dir: str):
     payload = obj.to_dict()
     if isinstance(obj, harness.ReliabilityReport):
         payload["digest"] = obj.digest()
-    print(json.dumps({"written": written, "report": payload}, sort_keys=True))
+    print(json.dumps({"written": written, "report": payload}, sort_keys=True, allow_nan=False))
 
 
 def _cmd_simulate(args) -> int:
@@ -107,7 +107,7 @@ def _cmd_simulate(args) -> int:
                "written": [str(path)]}
     if kind == "64g2":
         summary["onset_index"] = onset_index
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -142,7 +142,7 @@ def _cmd_locate(args) -> int:
     print(json.dumps({"x_hat": verdict.get("x_final"),
                       "tripped": verdict["tripped"],
                       "rs_final_ohms": verdict.get("rs_final_ohms")},
-                     sort_keys=True))
+                     sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -155,7 +155,7 @@ def _cmd_calibrate(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         harness.write_json(out / "calibration.json", payload)
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return 0
 
 

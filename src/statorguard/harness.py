@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
@@ -30,6 +31,7 @@ from .a64g2 import (
     FixedRatioDetector,
     SchemeTrace,
     calibrate_64rat,
+    restraint_column,
     write_trace_csv,
 )
 from .a64s import (
@@ -261,8 +263,8 @@ class SweepGrid:
             raise ConfigError("sweep grid axes must be non-empty")
         if any(not 0.0 <= x <= 1.0 for x in self.taps):
             raise ConfigError("grid taps must lie in [0, 1]")
-        if any(r < 0 for r in self.rfs):
-            raise ConfigError("grid fault resistances must be >= 0")
+        if any(not 0.0 <= r < math.inf for r in self.rfs):
+            raise ConfigError("grid fault resistances must be finite and >= 0")
 
     def cells(self) -> List[Tuple[float, float, float, float]]:
         return [
@@ -404,8 +406,22 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
         point = (float(np.median(vp)), float(np.median(vn)))
         measured.append(point)
         details.append({"load_pu": load, "pf": pf, "v_p3": point[0], "v_n3": point[1]})
-    calibration = calibrate_64rat(measured, guard=guard)
-    return calibration, details
+    return _usable(calibrate_64rat(measured, guard=guard)), details
+
+
+def _usable(calibration: Calibration64RAT) -> Calibration64RAT:
+    """calibration, after checking that beta_ng**2, the fixed scheme's
+    sensitivity, is one DetectorConfig accepts: it is 0 for collinear
+    commissioning points and under- or overflows for an extreme setting."""
+    try:
+        threshold = calibration.threshold
+    except OverflowError:
+        threshold = math.inf
+    if not sys.float_info.min <= threshold < math.inf:
+        raise ConfigError(f"'calibration.beta_ng' = {calibration.beta_ng!r} gives the fixed "
+                          f"scheme the sensitivity beta_ng**2 = {threshold!r}, which must be "
+                          f"finite and at least {sys.float_info.min!r}")
+    return calibration
 
 
 def _resolve_calibration(config: Dict[str, Any]) -> Calibration64RAT:
@@ -416,7 +432,7 @@ def _resolve_calibration(config: Dict[str, Any]) -> Calibration64RAT:
         if not (ratio > 0 and beta_ng > 0):
             raise ConfigError(f"a fixed calibration needs ratio > 0 and beta_ng > 0, "
                               f"got ratio={ratio!r}, beta_ng={beta_ng!r}")
-        return Calibration64RAT(ratio=ratio, beta_ng=beta_ng)
+        return _usable(Calibration64RAT(ratio=ratio, beta_ng=beta_ng))
     calibration, _ = calibrate_from_config(config)
     return calibration
 
@@ -486,19 +502,25 @@ def _run_64g2(config: Dict[str, Any], name: str,
     kaf = {k: _number(section, k, None, "kaf.") for k, v in section.items() if v is not None}
     with _config_errors():
         adaptive = AdaptiveRatioDetector(cfg=det_cfg, **kaf)
+    if "fixed" in schemes:
+        calibration = _resolve_calibration(config)
+        with _config_errors():
+            fixed = FixedRatioDetector.from_calibration(
+                calibration, window=det_cfg.window, persistence=det_cfg.persistence)
     sim = _scenario_64g2(config, input_channels)
+    # both schemes read one restraint column; building it checks the magnitudes
+    restraint = restraint_column(sim.frames, det_cfg.window)
 
     verdicts: Dict[str, Dict[str, Any]] = {}
     traces: Dict[str, Any] = {}
     if "adaptive" in schemes:
-        trace = adaptive.run(sim.frames, sim.fs, onset_index=sim.onset_index)
+        trace = adaptive.run(sim.frames, sim.fs, onset_index=sim.onset_index,
+                             restraint=restraint)
         verdicts["a64g2"] = _verdict_64g2(trace)
         traces["a64g2"] = trace
     if "fixed" in schemes:
-        calibration = _resolve_calibration(config)
-        fixed = FixedRatioDetector.from_calibration(
-            calibration, window=det_cfg.window, persistence=det_cfg.persistence)
-        trace = fixed.run(sim.frames, sim.fs, onset_index=sim.onset_index)
+        trace = fixed.run(sim.frames, sim.fs, onset_index=sim.onset_index,
+                          restraint=restraint)
         verdict = _verdict_64g2(trace)
         verdict["calibration"] = {"ratio": calibration.ratio,
                                   "beta_ng": calibration.beta_ng}
@@ -510,10 +532,14 @@ def _run_64g2(config: Dict[str, Any], name: str,
 
 def _verdict_64g2(trace: SchemeTrace) -> Dict[str, Any]:
     first = trace.first_trip_index
+    margin = trace.margin()
+    if margin == math.inf:
+        raise ValueError(f"the {trace.scheme} margin is infinite: sensitivity "
+                         f"{trace.sensitivity!r} times the restraint underflows to 0")
     return {
         "tripped": first is not None,
         "first_trip_index": first,
-        "margin": trace.margin(),
+        "margin": margin,
         **_fault_verdict(first, trace.onset_index, trace.fs),
     }
 
@@ -848,9 +874,10 @@ def _emit(obj, out: Path, fmt: str, written: List[str]) -> None:
 
 def write_json(path: Path, payload) -> str:
     """Write payload as sorted, indented JSON (identical inputs give
-    identical bytes); returns the path written."""
+    identical bytes); returns the path written.  A NaN or infinite number
+    raises ValueError and leaves no file, as JSON has no such values."""
     with output_file(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     return str(path)
 

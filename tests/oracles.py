@@ -181,6 +181,18 @@ def naive_ratio_run(v_p3, v_n3, valid, window, sensitivity, hold, ratio=None, ka
     return out
 
 
+def naive_margin(trace):
+    """A ratio-scheme trace's margin as a post-pass over its operate and
+    restraint columns: the largest operate/(sensitivity*restraint) over
+    the frames whose restraint is positive."""
+    worst = 0.0
+    for jao, jar in zip(trace.operate, trace.restraint):
+        if jar <= 0.0:
+            continue
+        worst = max(worst, jao / (trace.sensitivity * jar))
+    return worst
+
+
 def naive_a64s_run(v_n, i_n, v_n60, valid, fs, turns_ratio, un, r_n, f1, cfg):
     """The full 64S estimation chain written longhand, with the 2-state
     filter in its numpy matrix form (covariance shrink with an outer

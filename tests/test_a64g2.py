@@ -3,11 +3,13 @@
 import copy
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from statorguard import a64g2
 from statorguard.a64g2 import (
     AdaptiveRatioDetector,
     Calibration64RAT,
@@ -19,6 +21,7 @@ from statorguard.a64g2 import (
     kaf_update,
     operate_restraint,
     ratio_step,
+    restraint_column,
 )
 from statorguard.plantsim import (
     DisturbanceSpec,
@@ -266,6 +269,96 @@ def test_ratio_schemes_match_naive_oracle_exactly(record, cfg, settings):
         assert getattr(trace, name) == column, name
     assert trace.t_index == list(range(len(frames)))
     assert (trace.v_p3, trace.v_n3, trace.valid) == (frames.v_p3, frames.v_n3, frames.valid)
+
+
+_magnitude = st.floats(min_value=0.0, max_value=10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fixed=st.booleans(),
+    prefix=st.integers(min_value=1, max_value=8),
+    middle=st.lists(st.tuples(_magnitude, _magnitude, st.booleans()), min_size=1, max_size=60),
+)
+def test_ratio_step_matches_run_in_every_column_margin_and_peak(fixed, prefix, middle):
+    """A record stepped frame by frame equals the batch run, margin and
+    peak frame included: an all-invalid prefix (zero restraint), invalid
+    frames in the middle, and a sustained deviation that trips."""
+    detector = (FixedRatioDetector(ratio=1.0) if fixed
+                else AdaptiveRatioDetector(process_noise=0.0, rho0=1.0))
+    rows = [(0.0, 0.0, False)] * prefix + middle + [(1.0, 1.0, True)] * 20
+    rows += [(1.0, 3.0, i % 5 != 2) for i in range(40)]
+    frames = _frames([_frame(i, *row) for i, row in enumerate(rows)])
+    batch = detector.run(frames, fs=1000.0)
+    assert batch.tripped and batch.restraint[:prefix] == [0.0] * prefix
+    state = detector.new_state()
+    streamed = SchemeTrace(scheme=batch.scheme, fs=1000.0, sensitivity=batch.sensitivity)
+    for i, (vp, vn, valid) in enumerate(rows):
+        ratio_step(state, streamed, i, vp, vn, valid)
+    assert streamed == batch
+    assert (streamed.margin(), streamed.margin_index) == (batch.margin(), batch.margin_index)
+    assert batch.margin() == oracles.naive_margin(batch)
+
+
+def test_margin_index_is_the_first_frame_at_the_peak():
+    """Frames 5 to 7 all reach the peak (6 is invalid and repeats 5, 7
+    has the same energies again); the first of them is kept."""
+    det = FixedRatioDetector(ratio=1.0, cfg=DetectorConfig(window=2, sensitivity=0.5))
+    rows = [(1.0, 1.0, False), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 2.0), (1.0, 2.0),
+            (1.0, 2.0, False), (1.0, 1.0)]
+    trace = det.run(_frames([_frame(i, *row) for i, row in enumerate(rows)]), fs=1000.0)
+    ratios = [jao / (0.5 * jar) if jar > 0 else 0.0
+              for jao, jar in zip(trace.operate, trace.restraint)]
+    assert trace.margin() == max(ratios) == oracles.naive_margin(trace)
+    assert [i for i, r in enumerate(ratios) if r == max(ratios)] == [5, 6, 7]
+    assert trace.margin_index == 5
+
+
+def test_margin_is_infinite_when_sensitivity_times_restraint_underflows():
+    det = FixedRatioDetector(ratio=1.0, cfg=DetectorConfig(window=2,
+                                                          sensitivity=sys.float_info.min))
+    trace = det.run(_frames([_frame(i, 1e-9, 2e-9) for i in range(6)]), fs=1000.0)
+    assert trace.restraint[-1] > 0.0
+    assert trace.margin() == math.inf and trace.margin_index == 0
+
+
+def test_batch_run_checks_every_magnitude_before_writing_a_row(monkeypatch):
+    """A bad magnitude in the middle of a record stops run() before the
+    scheme loop writes any trace row."""
+    calls = []
+    monkeypatch.setattr(a64g2, "_advance", lambda *args: calls.append(args))
+    rows = [_frame(i, 1.0, 1.0) for i in range(10)] + [_frame(10, 1.0, math.nan)]
+    rows += [_frame(i, 1.0, 1.0) for i in range(11, 20)]
+    for detector in (AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            detector.run(_frames(rows), fs=1000.0)
+    with pytest.raises(ValueError, match="finite"):
+        restraint_column(_frames(rows), 12)
+    assert calls == []
+
+
+def test_run_reads_a_given_restraint_column():
+    frames = _frames([_frame(i, 1.0, 1.0 + 0.01 * i, i % 4 != 1) for i in range(40)])
+    restraint = restraint_column(frames, 12)
+    for detector in (AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.0)):
+        assert detector.run(frames, fs=1000.0, restraint=restraint) == detector.run(
+            frames, fs=1000.0)
+        with pytest.raises(ValueError, match="one value per frame"):
+            detector.run(frames, fs=1000.0, restraint=restraint[:-1])
+
+
+@pytest.mark.parametrize("sensitivity", [math.nan, math.inf, 1e-320, 0.0, -0.1])
+def test_detector_config_rejects_a_sensitivity_that_cannot_trip_or_overflows(sensitivity):
+    # a NaN or infinite sensitivity never trips; a subnormal one makes
+    # operate/(sensitivity*restraint) overflow
+    with pytest.raises(ValueError, match="sensitivity"):
+        DetectorConfig(sensitivity=sensitivity)
+
+
+@pytest.mark.parametrize("ratio", [math.inf, math.nan, 0.0])
+def test_fixed_detector_rejects_an_impossible_ratio(ratio):
+    with pytest.raises(ValueError, match="ratio"):
+        FixedRatioDetector(ratio=ratio)
 
 
 @pytest.mark.parametrize("detector", [AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.0)])

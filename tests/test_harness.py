@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import statorguard
 from statorguard import harness, signalcore
+from statorguard.a64g2 import SchemeTrace
 from statorguard.a64s import A64SEstimatorConfig, A64STrace
 from statorguard.cli import main as cli_main
 from statorguard.harness import (
@@ -259,6 +261,72 @@ def test_scheme_selection_limits_verdicts():
     assert set(result.verdicts) == {"a64g2"}
 
 
+def test_fixed_scheme_alone_matches_both_schemes():
+    both = run_scenario(_fault_config())
+    fixed = run_scenario(_fault_config(schemes=["fixed"]))
+    assert set(fixed.verdicts) == set(fixed.traces) == {"ng64g2"}
+    assert fixed.verdicts["ng64g2"] == both.verdicts["ng64g2"]
+    assert fixed.traces["ng64g2"] == both.traces["ng64g2"]
+
+
+def _cli_config_error(tmp_path, capsys, cfg):
+    """stderr of detect-64g2 on cfg, which must exit 1 with a config error."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["detect-64g2", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    return err
+
+
+@pytest.mark.parametrize("calibration", [
+    {"ratio": 1.2, "beta_ng": 1e-200},  # beta_ng**2 underflows to 0
+    {"ratio": 1.2, "beta_ng": 1e-160},  # beta_ng**2 is subnormal
+    {"ratio": 1.2, "beta_ng": 1e200},  # beta_ng**2 overflows
+    # identical noiseless commissioning points are collinear: beta_ng == 0
+    {"points": [{"load_pu": 1.0, "pf": 1.0}, {"load_pu": 1.0, "pf": 1.0}]},
+], ids=["underflow", "subnormal", "overflow", "collinear"])
+def test_fixed_sensitivity_out_of_range_is_a_beta_ng_config_error(tmp_path, capsys, calibration):
+    cfg = _fault_config(calibration=calibration, noise=0.0)
+    with pytest.raises(ConfigError, match="calibration.beta_ng"):
+        run_scenario(cfg)
+    assert "calibration.beta_ng" in _cli_config_error(tmp_path, capsys, cfg)
+
+
+def test_commissioning_collinear_points_is_a_calibrate_config_error(tmp_path, capsys):
+    """calibrate does not hand out a beta_ng that every detection rejects."""
+    cfg = {"noise": 0.0, "calibration": {
+        "points": [{"load_pu": 1.0, "pf": 1.0}, {"load_pu": 1.0, "pf": 1.0}]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["calibrate", "--config", str(path), "--out", str(out)]) == 1
+    assert "calibration.beta_ng" in capsys.readouterr().err
+    assert not (out / "calibration.json").exists()
+
+
+@pytest.mark.parametrize("sensitivity", [1e-320, math.nan, math.inf])
+def test_sensitivity_out_of_range_is_a_config_error(tmp_path, capsys, sensitivity):
+    # 1e-320 used to report "margin": Infinity; NaN and inf never tripped
+    cfg = _fault_config(detector={"sensitivity": sensitivity}, schemes=["adaptive"])
+    assert "sensitivity" in _cli_config_error(tmp_path, capsys, cfg)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_an_infinite_margin_is_an_error_not_a_report():
+    trace = SchemeTrace(scheme="a64g2", fs=1000.0, sensitivity=1e-300, margin_peak=math.inf)
+    with pytest.raises(ValueError, match="underflows"):
+        harness._verdict_64g2(trace)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, bad):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        harness.write_json(path, {"margin": bad})
+    assert not path.exists()
+
+
 # ----------------------------------------------------------------- sweeps
 
 def _small_grid():
@@ -272,6 +340,9 @@ def test_sweep_grid_validation():
         SweepGrid(taps=(0.0, 1.5))
     with pytest.raises(ConfigError):
         SweepGrid(rfs=(-1.0,))
+    for rf in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            SweepGrid(rfs=(rf,))
 
 
 def test_sensitivity_sweep_structure_and_dominance():
@@ -450,6 +521,66 @@ def test_emitted_trace_and_long_csv_match_the_naive_oracle(emitted, tmp_path):
     oracles.naive_emit_csv(result, tmp_path)
     for name in [f"trace_{scheme}.csv" for scheme in result.traces] + ["long.csv"]:
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_emitted_margins_equal_the_naive_post_pass(emitted):
+    result, out = emitted
+    ratio = {k: t for k, t in result.traces.items() if isinstance(t, SchemeTrace)}
+    assert bool(ratio) == (result.kind == "64g2")
+    report = json.loads((out / "report.json").read_text())
+    for scheme, trace in ratio.items():
+        assert trace.margin() == oracles.naive_margin(trace)
+        assert report["verdicts"][scheme]["margin"] == trace.margin()
+        assert "margin_index" not in report["verdicts"][scheme]
+
+
+@functools.cache
+def _security_sweep(seed):
+    """The default security sweep at seed and every scenario result it ran."""
+    results = []
+    run = harness.run_scenario
+
+    def spy(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    harness.run_scenario = spy
+    try:
+        report = sweep_security(None, {"seed": seed})
+    finally:
+        harness.run_scenario = run
+    return report, results
+
+
+@pytest.mark.parametrize("seed", [0, 48])
+def test_security_sweep_margins_equal_the_naive_post_pass(seed):
+    report, results = _security_sweep(seed)
+    margins = {(r.name, scheme): trace.margin() for r in results
+               for scheme, trace in r.traces.items() if isinstance(trace, SchemeTrace)}
+    assert len(margins) == 2 * sum(r.kind == "64g2" for r in results) == 18
+    for result in results:
+        for scheme, trace in result.traces.items():
+            if isinstance(trace, SchemeTrace):
+                assert trace.margin() == oracles.naive_margin(trace), (result.name, scheme)
+    for row in report.cells:
+        if row["scheme"] != "a64s":
+            assert row["margin"] == margins[row["scenario"], row["scheme"]]
+
+
+def test_margin_peak_frame_of_the_seed_48_gen_stop_trip():
+    """The adaptive scheme's misoperation on gen_stop at seed 48: its
+    margin peaks at one frame, four frames before the trip, and that frame
+    stays out of the report and its digest."""
+    report, results = _security_sweep(48)
+    (result,) = [r for r in results if r.name == "gen_stop"]
+    trace = result.traces["a64g2"]
+    assert trace.margin() == 1.5752834939747131
+    assert (trace.margin_index, trace.first_trip_index) == (1482, 1486)
+    ratios = [jao / (trace.sensitivity * jar) if jar > 0 else 0.0
+              for jao, jar in zip(trace.operate, trace.restraint)]
+    assert [i for i, r in enumerate(ratios) if r == trace.margin()] == [1482]
+    assert "margin_index" not in json.dumps(report.to_dict())
+    assert "margin_index" not in json.dumps(result.to_dict())
 
 
 def test_emit_melts_none_bool_and_mixed_columns_like_the_naive_oracle(tmp_path):

@@ -1,0 +1,92 @@
+"""Byte-identity gate for the files the CLI writes.
+
+Runs short CLI commands in a temporary directory: ``simulate`` and
+``detect-64g2`` on a 64G2 fault that trips, ``detect-64g2 --input`` on the
+simulated waveforms, ``detect-64s`` on a 64S fault that trips (detections
+with ``--format csv``), and both sweeps at seed 0.  The SHA-256 of every
+file they write is compared with ``output_digests.json`` next to this
+script.  A change meant to keep behaviour must leave every digest as it is.
+
+    python tools/output_gate.py            # compare; exit 1 on a mismatch
+    python tools/output_gate.py --record   # rewrite output_digests.json
+
+The digests hold for one numpy build (the Python 3.11 CI job's); another
+build may differ in the last bits of a float.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from statorguard.cli import main
+
+DIGESTS = Path(__file__).with_name("output_digests.json")
+
+FAULT_64G2 = {"kind": "64g2", "seed": 11, "fault": {"x": 0.0, "rf": 50.0, "t_on": 0.3},
+              "profile": {"duration": 0.9}}
+FAULT_64S = {"kind": "64s", "seed": 2, "noise": 0.0,
+             "fault": {"x": 0.25, "rf": 90.0, "t_on": 1.6},
+             "profile": {"duration": 2.5, "speed": 1.0}}
+
+
+def _runs(tmp: Path):
+    """(run name, CLI arguments) in order; a run writes to tmp/<name>."""
+    g2, s = tmp / "fault_64g2.json", tmp / "fault_64s.json"
+    g2.write_text(json.dumps(FAULT_64G2))
+    s.write_text(json.dumps(FAULT_64S))
+    sweep = tmp / "sweep.json"
+    sweep.write_text("{}")
+    return [
+        ("simulate-64g2", ["simulate", "--config", str(g2)]),
+        ("detect-64g2", ["detect-64g2", "--config", str(g2), "--format", "csv"]),
+        ("detect-64g2-input", ["detect-64g2", "--config", str(g2), "--format", "csv",
+                               "--input", str(tmp / "simulate-64g2" / "waveforms.csv")]),
+        ("detect-64s", ["detect-64s", "--config", str(s), "--format", "csv"]),
+        ("sweep-sensitivity", ["sweep-sensitivity", "--config", str(sweep), "--seed", "0"]),
+        ("sweep-security", ["sweep-security", "--config", str(sweep), "--seed", "0"]),
+    ]
+
+
+def compute() -> dict:
+    """Digest of every file each run writes, keyed '<run>/<file name>'."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for run, args in _runs(tmp):
+            out = tmp / run
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(args + ["--out", str(out)])
+            if code != 0:
+                raise SystemExit(f"{run}: statorguard exited {code}")
+            for path in sorted(out.iterdir()):
+                digests[f"{run}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def main_gate(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--record", action="store_true",
+                        help="write the digests instead of comparing them")
+    args = parser.parse_args(argv)
+    got = compute()
+    if args.record:
+        DIGESTS.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+        print(f"recorded {len(got)} digests in {DIGESTS}")
+        return 0
+    want = json.loads(DIGESTS.read_text())
+    bad = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    for key in bad:
+        print(f"MISMATCH {key}: expected {want.get(key)}, got {got.get(key)}")
+    print(f"{len(want) - len(bad)}/{len(want)} output digests match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_gate())
