@@ -13,13 +13,8 @@ from .a64g2 import (
     Calibration64RAT,
     DetectorConfig,
     FixedRatioDetector,
-    RatioKafState,
-    RatioSchemeState,
     SchemeTrace,
     calibrate_64rat,
-    kaf_update,
-    operate_restraint,
-    ratio_step,
     restraint_column,
     write_trace_csv,
 )
@@ -28,21 +23,12 @@ from .a64s import (
     A64SEstimator,
     A64SEstimatorConfig,
     A64STrace,
-    C0KafState,
     CalibrationError,
-    DetectionEvent,
-    ExtractorState,
     InsulationDetectorConfig,
     SubharmonicFrames,
-    ThetaKafState,
-    a64s_detect,
-    c0_kaf_update,
-    extract_params,
     frames_from_timeseries,
     locate_fault,
     locator_consistent,
-    regression_step,
-    theta_kaf_update,
     tustin_coeffs,
     write_a64s_trace_csv,
 )
@@ -105,15 +91,11 @@ __all__ = [
     "constant_speed", "ramp_speed", "simulate_64s_timeseries",
     "simulate_64g2_scenario", "frames_from_64g2_waveforms",
     # third-harmonic ratio schemes
-    "RatioKafState", "DetectorConfig", "Calibration64RAT", "kaf_update",
-    "operate_restraint", "RatioSchemeState", "ratio_step", "calibrate_64rat",
-    "restraint_column", "SchemeTrace", "AdaptiveRatioDetector",
-    "FixedRatioDetector", "write_trace_csv",
+    "DetectorConfig", "Calibration64RAT", "calibrate_64rat", "restraint_column",
+    "SchemeTrace", "AdaptiveRatioDetector", "FixedRatioDetector", "write_trace_csv",
     # injection scheme
-    "HEALTHY_SENTINEL", "CalibrationError", "SubharmonicFrames", "ThetaKafState",
-    "C0KafState", "ExtractorState", "InsulationDetectorConfig", "DetectionEvent",
-    "tustin_coeffs", "regression_step", "theta_kaf_update", "extract_params",
-    "c0_kaf_update", "locate_fault", "locator_consistent", "a64s_detect",
+    "HEALTHY_SENTINEL", "CalibrationError", "SubharmonicFrames",
+    "InsulationDetectorConfig", "tustin_coeffs", "locate_fault", "locator_consistent",
     "frames_from_timeseries", "A64SEstimatorConfig", "A64STrace",
     "A64SEstimator", "write_a64s_trace_csv",
     # orchestration

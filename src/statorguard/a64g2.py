@@ -15,53 +15,22 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .plantsim import HarmonicFrames
 from .signalcore import write_table
 
 __all__ = [
-    "RatioKafState",
     "DetectorConfig",
     "Calibration64RAT",
     "SchemeTrace",
-    "RatioSchemeState",
-    "kaf_update",
-    "operate_restraint",
-    "ratio_step",
     "restraint_column",
     "calibrate_64rat",
     "AdaptiveRatioDetector",
     "FixedRatioDetector",
     "write_trace_csv",
 ]
-
-
-@dataclass(frozen=True)
-class RatioKafState:
-    """Scalar Kalman adaptive filter over the neutral/terminal ratio.
-
-    rho_hat is the tracked ratio estimate, variance its error variance.
-    process_noise sets how fast the filter believes the true ratio can
-    wander (per-sample variance), measurement_noise the variance of the
-    neutral-magnitude measurement.  t counts absorbed frames.
-    """
-
-    rho_hat: float = 0.5
-    variance: float = 1.0
-    process_noise: float = 1e-8
-    measurement_noise: float = 1e-4
-    initial_variance: float = 1.0
-    t: int = 0
-
-    def __post_init__(self):
-        if self.variance <= 0 or self.initial_variance <= 0:
-            raise ValueError("variance and initial_variance must be positive")
-        if self.measurement_noise <= 0:
-            raise ValueError("measurement_noise must be positive")
-        if self.process_noise < 0:
-            raise ValueError("process_noise must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -116,40 +85,19 @@ class Calibration64RAT:
 
 def _kaf_step(rho_hat: float, variance: float, process_noise: float,
               measurement_noise: float, v_p3: float, v_n3: float) -> Tuple[float, float, float]:
-    """The ratio filter's arithmetic: new ratio, variance and innovation."""
-    variance = (variance * measurement_noise / (measurement_noise + variance * v_p3**2)
-                + process_noise)
-    gain = variance * v_p3 / measurement_noise
-    residual = v_n3 - rho_hat * v_p3
-    return rho_hat + gain * residual, variance, residual
-
-
-def kaf_update(state: RatioKafState, v_p3: float, v_n3: float) -> Tuple[RatioKafState, float]:
     """One ratio-filter step on a valid frame's terminal and neutral
-    magnitudes; returns the new state and the innovation (measured
-    neutral magnitude minus prediction).
+    magnitudes; returns the new ratio, the new variance and the
+    innovation (measured neutral magnitude minus prediction).
 
     Variance is propagated first, then the gain is formed from the
     updated variance; a zero terminal magnitude degenerates gracefully
     (no correction, variance grows by the process noise).
     """
-    rho_hat, variance, residual = _kaf_step(state.rho_hat, state.variance, state.process_noise,
-                                            state.measurement_noise, v_p3, v_n3)
-    return replace(state, rho_hat=rho_hat, variance=variance, t=state.t + 1), residual
-
-
-def operate_restraint(residuals: Sequence[float], vn3s: Sequence[float],
-                      cfg: DetectorConfig, t: int) -> Tuple[float, float]:
-    """Operate and restraint energies at frame count t.
-
-    The operate energy is identically zero through the learning window
-    (first L frames) and afterwards sums the squared residuals over the
-    last L+1 frames.  The restraint energy is the running sum of squared
-    neutral magnitudes during learning and the matching windowed sum
-    afterwards.  Callers supply the last min(t, L+1) values of each.
-    """
-    operate = 0.0 if t <= cfg.window else math.fsum([r * r for r in residuals])
-    return operate, math.fsum([v * v for v in vn3s])
+    variance = (variance * measurement_noise / (measurement_noise + variance * v_p3**2)
+                + process_noise)
+    gain = variance * v_p3 / measurement_noise
+    residual = v_n3 - rho_hat * v_p3
+    return rho_hat + gain * residual, variance, residual
 
 
 @dataclass
@@ -198,46 +146,20 @@ class SchemeTrace:
         return self.margin_peak
 
 
-@dataclass
-class RatioSchemeState:
-    """Mutable run state of a ratio scheme.
-
-    kaf holds the ratio filter's settings of the adaptive scheme; the
-    filter starts at the first valid frame from ``ratio`` or, when that
-    is None, from that frame's own ratio, and rho_hat and variance stay
-    None until then.  Without kaf (fixed scheme) the residual uses the
-    frozen ``ratio``.  The windows hold the squared residuals and squared
-    neutral magnitudes of the last L+1 valid frames; only ratio_step keeps
-    vn3_sq, as a batch run reads its restraint column instead.
-    """
-
-    cfg: DetectorConfig
-    ratio: Optional[float]
-    kaf: Optional[RatioKafState] = None
-    rho_hat: Optional[float] = None
-    variance: Optional[float] = None
-    residual_sq: Deque[float] = field(default_factory=deque)
-    vn3_sq: Deque[float] = field(default_factory=deque)
-    t: int = 0
-    streak: int = 0
-    tripped: bool = False
-
-    def __post_init__(self):
-        maxlen = self.cfg.window + 1
-        self.residual_sq = deque(self.residual_sq, maxlen=maxlen)
-        self.vn3_sq = deque(self.vn3_sq, maxlen=maxlen)
-
-
-def _restraint(vn3_sq: Deque[float], v_p3: Sequence[float], v_n3: Sequence[float],
-               valid: Sequence[bool]) -> List[float]:
-    """Push each valid frame's squared neutral magnitude onto the window
-    vn3_sq; returns the restraint energy after each frame.  A negative or
-    non-finite magnitude raises ValueError before its frame changes vn3_sq."""
-    fsum, push = math.fsum, vn3_sq.append
-    jar = fsum(vn3_sq)
+def restraint_column(frames: HarmonicFrames, window: int) -> List[float]:
+    """The restraint energy JAR at every frame of a record: the sum of the
+    squared neutral magnitudes of the last window+1 valid frames, repeated
+    on invalid frames.  It depends only on the frames and the window, so
+    both ratio schemes of one record can share it.  A negative or
+    non-finite magnitude anywhere in the record, valid or not, raises
+    ValueError."""
+    fsum = math.fsum
+    vn3_sq: Deque[float] = deque(maxlen=window + 1)
+    push = vn3_sq.append
+    jar = 0.0
     column: List[float] = []
     append = column.append
-    for vp, vn, ok in zip(v_p3, v_n3, valid):
+    for vp, vn, ok in zip(frames.v_p3, frames.v_n3, frames.valid):
         # chained comparisons are False for NaN, so NaN is rejected too
         if not (0.0 <= vp < math.inf and 0.0 <= vn < math.inf):
             raise ValueError("phasor magnitudes must be finite and >= 0")
@@ -248,38 +170,36 @@ def _restraint(vn3_sq: Deque[float], v_p3: Sequence[float], v_n3: Sequence[float
     return column
 
 
-def restraint_column(frames: HarmonicFrames, window: int) -> List[float]:
-    """The restraint energy JAR at every frame of a record: the sum of the
-    squared neutral magnitudes of the last window+1 valid frames, repeated
-    on invalid frames.  It depends only on the frames and the window, so
-    both ratio schemes of one record can share it.  A negative or
-    non-finite magnitude anywhere in the record, valid or not, raises
-    ValueError."""
-    return _restraint(deque(maxlen=window + 1), frames.v_p3, frames.v_n3, frames.valid)
-
-
-def _advance(state: RatioSchemeState, trace: SchemeTrace, t_index: Sequence[int],
-             v_p3: Sequence[float], v_n3: Sequence[float], valid: Sequence[bool],
+def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
+             kaf: Optional[Tuple[float, float, float]], frames: HarmonicFrames,
              restraint: Sequence[float]) -> None:
-    """Run a ratio scheme over checked frame columns and their restraint
-    column, one trace row per frame, tracking the trace's margin.
+    """Run a ratio scheme over checked frames and their restraint column,
+    filling a fresh trace with one row per frame and its margin.
 
-    Invalid frames are recorded with the last ratio and energies but do
-    not advance the filter, the operate window, or the trip logic.
+    kaf holds the adaptive scheme's filter settings (process noise,
+    measurement noise, initial variance); the filter starts at the first
+    valid frame from ``ratio`` or, when that is None, from that frame's
+    own ratio.  Without kaf (fixed scheme) the residual uses the frozen
+    ``ratio``.  Invalid frames are recorded with the last ratio and
+    energies but do not advance the filter, the operate window (the
+    squared residuals of the last L+1 valid frames), or the trip logic.
     """
-    window, sensitivity, hold = state.cfg.window, state.cfg.sensitivity, state.cfg.hold
-    kaf, ratio = state.kaf, state.ratio
-    rho_hat, variance = state.rho_hat, state.variance
-    residual_sq = state.residual_sq
-    t, streak, tripped = state.t, state.streak, state.tripped
-    peak, peak_index = trace.margin_peak, trace.margin_index
+    window, sensitivity, hold = cfg.window, cfg.sensitivity, cfg.hold
+    if kaf is not None:
+        process_noise, measurement_noise, initial_variance = kaf
+    rho_hat = variance = None
+    residual_sq: Deque[float] = deque(maxlen=window + 1)
+    t = streak = 0
+    tripped = False
+    peak, peak_index = 0.0, None
     fsum = math.fsum
-    rho = rho_hat if rho_hat is not None else ratio or 0.0
-    jao = fsum(residual_sq) if t > window else 0.0
+    rho = ratio or 0.0
+    jao = 0.0
     push_residual = residual_sq.append
     rho_col, residual_col, operate_col, trip_col = (
         col.append for col in (trace.rho_hat, trace.residual, trace.operate, trace.trip))
-    for idx, vp, vn, ok, jar in zip(t_index, v_p3, v_n3, valid, restraint):
+    for idx, vp, vn, ok, jar in zip(range(len(frames)), frames.v_p3, frames.v_n3,
+                                    frames.valid, restraint):
         residual = 0.0
         if ok:
             if kaf is None:
@@ -287,9 +207,9 @@ def _advance(state: RatioSchemeState, trace: SchemeTrace, t_index: Sequence[int]
             else:
                 if rho_hat is None:
                     rho_hat = ratio if ratio is not None else vn / vp if vp > 0 else 0.5
-                    variance = kaf.initial_variance
+                    variance = initial_variance
                 rho_hat, variance, residual = _kaf_step(
-                    rho_hat, variance, kaf.process_noise, kaf.measurement_noise, vp, vn)
+                    rho_hat, variance, process_noise, measurement_noise, vp, vn)
                 rho = rho_hat
             t += 1
             push_residual(residual * residual)
@@ -312,30 +232,12 @@ def _advance(state: RatioSchemeState, trace: SchemeTrace, t_index: Sequence[int]
         residual_col(residual)
         operate_col(jao)
         trip_col(tripped)
-    trace.t_index.extend(t_index)
-    trace.v_p3.extend(v_p3)
-    trace.v_n3.extend(v_n3)
-    trace.restraint.extend(restraint)
-    trace.valid.extend(map(bool, valid))
+    trace.t_index = list(range(len(frames)))
+    trace.v_p3 = list(frames.v_p3)
+    trace.v_n3 = list(frames.v_n3)
+    trace.restraint = list(restraint)
+    trace.valid = list(map(bool, frames.valid))
     trace.margin_peak, trace.margin_index = peak, peak_index
-    state.rho_hat, state.variance = rho_hat, variance
-    state.t, state.streak, state.tripped = t, streak, tripped
-
-
-def ratio_step(state: RatioSchemeState, trace: SchemeTrace, t_index: int,
-               v_p3: float, v_n3: float, valid: bool) -> SchemeTrace:
-    """Advance a ratio scheme by one frame, appending to the trace.
-
-    Runs the batch detectors' loop on one frame, with the restraint taken
-    from the state's window.  A t_index not above the trace's last one,
-    or a negative or non-finite magnitude, raises ValueError and leaves
-    the state and the trace untouched.
-    """
-    if trace.t_index and t_index <= trace.t_index[-1]:
-        raise ValueError("t_index must be strictly increasing")
-    restraint = _restraint(state.vn3_sq, (v_p3,), (v_n3,), (valid,))
-    _advance(state, trace, (t_index,), (v_p3,), (v_n3,), (valid,), restraint)
-    return trace
 
 
 def calibrate_64rat(
@@ -369,28 +271,39 @@ def calibrate_64rat(
 
 
 class _RatioDetector:
-    """Batch runner: run() feeds a whole record to the loop that ratio_step
-    feeds one frame at a time.  A subclass sets scheme and cfg and builds
-    its run state in new_state()."""
+    """Batch runner over a whole record.  A subclass sets scheme, cfg, the
+    ratio (frozen, or the adaptive filter's prior) and _kaf (the adaptive
+    filter's settings, None for the fixed scheme)."""
+
+    _kaf: Optional[Tuple[float, float, float]] = None
 
     def run(self, frames: HarmonicFrames, fs: float, onset_index: Optional[int] = None,
             restraint: Optional[Sequence[float]] = None) -> SchemeTrace:
-        """Trace of the scheme over a record.  restraint is the record's
-        restraint_column(frames, self.cfg.window), built here when None;
-        a caller running both schemes on one record builds it once."""
+        """Trace of the scheme over a record sampled at fs frames per
+        second.  restraint is the record's restraint_column(frames,
+        self.cfg.window), built here when None; a caller running both
+        schemes on one record builds it once."""
+        if not 0.0 < fs < math.inf:
+            raise ValueError(f"fs must be positive and finite, got {fs!r}")
         if restraint is None:
             restraint = restraint_column(frames, self.cfg.window)
         elif len(restraint) != len(frames):
             raise ValueError("the restraint column must have one value per frame")
         trace = SchemeTrace(scheme=self.scheme, fs=fs, sensitivity=self.cfg.sensitivity,
                             onset_index=onset_index)
-        _advance(self.new_state(), trace, range(len(frames)),
-                 frames.v_p3, frames.v_n3, frames.valid, restraint)
+        _advance(trace, self.cfg, self._ratio, self._kaf, frames, restraint)
         return trace
 
 
 class AdaptiveRatioDetector(_RatioDetector):
-    """Ratio scheme with a Kalman-tracked ratio."""
+    """Ratio scheme with a Kalman-tracked ratio.
+
+    process_noise sets how fast the filter believes the true ratio can
+    wander (per-frame variance, finite and >= 0), measurement_noise the
+    variance of the neutral-magnitude measurement and initial_variance
+    the filter's starting error variance (both finite and positive).
+    rho0 is the starting ratio; None takes the first valid frame's own.
+    """
 
     scheme = "a64g2"
 
@@ -403,15 +316,18 @@ class AdaptiveRatioDetector(_RatioDetector):
         rho0: Optional[float] = None,
     ):
         self.cfg = cfg or DetectorConfig()
-        self._kaf = RatioKafState(variance=initial_variance, initial_variance=initial_variance,
-                                  process_noise=process_noise,
-                                  measurement_noise=measurement_noise)
+        # chained comparisons are False for NaN, so NaN is rejected too;
+        # a NaN or infinite setting would leave the filter blind
+        if not 0.0 <= process_noise < math.inf:
+            raise ValueError(f"process_noise must be finite and >= 0, got {process_noise!r}")
+        for name, value in (("measurement_noise", measurement_noise),
+                            ("initial_variance", initial_variance)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if rho0 is not None and not (math.isfinite(rho0) and rho0 > 0):
             raise ValueError(f"rho0 must be a positive finite ratio, got {rho0}")
-        self._rho0 = rho0
-
-    def new_state(self) -> RatioSchemeState:
-        return RatioSchemeState(cfg=self.cfg, ratio=self._rho0, kaf=self._kaf)
+        self._kaf = (process_noise, measurement_noise, initial_variance)
+        self._ratio = rho0
 
 
 class FixedRatioDetector(_RatioDetector):
@@ -425,6 +341,10 @@ class FixedRatioDetector(_RatioDetector):
         self.cfg = cfg or DetectorConfig()
         self.ratio = ratio
 
+    @property
+    def _ratio(self) -> float:
+        return self.ratio
+
     @classmethod
     def from_calibration(
         cls, calibration: Calibration64RAT, window: int = 12,
@@ -434,9 +354,6 @@ class FixedRatioDetector(_RatioDetector):
         cfg = DetectorConfig(window=window, sensitivity=calibration.threshold,
                              persistence=persistence)
         return cls(ratio=calibration.ratio, cfg=cfg)
-
-    def new_state(self) -> RatioSchemeState:
-        return RatioSchemeState(cfg=self.cfg, ratio=self.ratio)
 
 
 def write_trace_csv(trace: SchemeTrace, path, long=None) -> None:

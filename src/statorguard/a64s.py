@@ -15,8 +15,8 @@ closed-form position estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,21 +25,12 @@ from .signalcore import TimeSeries, extract_phasor, reconstruct_narrowband, writ
 
 __all__ = [
     "SubharmonicFrames",
-    "ThetaKafState",
-    "C0KafState",
-    "ExtractorState",
     "InsulationDetectorConfig",
-    "DetectionEvent",
     "CalibrationError",
     "A64SEstimatorConfig",
     "A64STrace",
     "A64SEstimator",
     "tustin_coeffs",
-    "regression_step",
-    "theta_kaf_update",
-    "extract_params",
-    "c0_kaf_update",
-    "a64s_detect",
     "locate_fault",
     "locator_consistent",
     "frames_from_timeseries",
@@ -84,92 +75,17 @@ class SubharmonicFrames:
         return len(self.v_n)
 
 
-@dataclass
-class ThetaKafState:
-    """Two-state Kalman adaptive filter over the regression parameters
-    (feedback coefficient, drive gain) of the discretized insulation
-    load, with the one-sample signal memories the regression needs."""
-
-    theta_hat: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    cov: np.ndarray = field(default_factory=lambda: np.eye(2))
-    process_noise: float = 1e-4
-    measurement_noise: float = 0.25
-    prev_vn: Optional[float] = None
-    prev_in: Optional[float] = None
-    t: int = 0
-
-    def __post_init__(self):
-        self.theta_hat = np.asarray(self.theta_hat, dtype=float).reshape(2)
-        self.cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
-        if self.cov[0, 1] != self.cov[1, 0]:
-            raise ValueError("cov must be symmetric")
-        if self.measurement_noise <= 0:
-            raise ValueError("measurement_noise must be positive")
-        if self.process_noise < 0:
-            raise ValueError("process_noise must be >= 0")
-
-
-@dataclass
-class C0KafState:
-    """Scalar filter refining the capacitance from the extracted time
-    constant and resistance (time constant = resistance * capacitance)."""
-
-    c0_hat: float = 1e-6
-    variance: float = 1e-10
-    process_noise: float = 1e-16
-    measurement_noise: float = 1e-6
-
-    def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
-        if self.measurement_noise <= 0:
-            raise ValueError("measurement_noise must be positive")
-        if self.process_noise < 0:
-            raise ValueError("process_noise must be >= 0")
-
-
-@dataclass
-class ExtractorState:
-    """Parameter extraction stage: inverts the bilinear map, low-pass
-    smooths both channels, and clamps to physical (non-negative) values.
-
-    period is the sampling period; gamma the smoother rate (1/s,
-    math.inf bypasses smoothing); turns_ratio refers the drive gain back
-    to machine-side ohms.
-    """
-
-    period: float
-    turns_ratio: float
-    gamma: float = 10.0
-    ratio_memory: Optional[float] = None
-    gain_memory: Optional[float] = None
-    tau0_hat: float = 0.0
-    rs_hat: float = 0.0
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.turns_ratio <= 0:
-            raise ValueError("turns_ratio must be positive")
-
-    @property
-    def smoothing_alpha(self) -> float:
-        if math.isinf(self.gamma):
-            return 1.0
-        return 1.0 - math.exp(-self.gamma * self.period)
-
-
 @dataclass(frozen=True)
 class InsulationDetectorConfig:
     """Drop detector on the insulation-resistance estimate.
 
-    The baseline is learned over baseline_window samples starting at
-    baseline_start (letting the estimator settle first); a trip is
-    declared after persistence consecutive samples below drop_fraction
-    of the baseline.
+    All three counts are in used samples: those the estimator took in
+    (A64STrace.valid), not frame indices, so invalid or priming samples
+    move neither the baseline window nor the persistence count.  The
+    baseline is learned over baseline_window used samples after the
+    first baseline_start of them (letting the estimator settle first); a
+    trip is declared after persistence consecutive used samples below
+    drop_fraction of the baseline.
     """
 
     baseline_start: int = 1000
@@ -186,16 +102,6 @@ class InsulationDetectorConfig:
             raise ValueError("persistence must be >= 1")
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
-    """A latched detector event: sample index, kind, and the resistance
-    estimate that sealed it."""
-
-    index: int
-    kind: str
-    rs_value: float
-
-
 def tustin_coeffs(k3: float, tau0: float, period: float) -> Tuple[float, float]:
     """Bilinear-map coefficients (drive gain, feedback coefficient) of a
     first-order gain/time-constant load sampled at the given period."""
@@ -207,15 +113,8 @@ def tustin_coeffs(k3: float, tau0: float, period: float) -> Tuple[float, float]:
     return k3 * period / denom, (period - 2.0 * tau0) / denom
 
 
-# The per-sample chain as plain float arithmetic: A64SEstimator.run keeps
-# its state in locals and calls these directly; the streaming functions
-# below are thin views over them, so both run the same arithmetic.
-
-def _regressors(prev_vn: float, prev_in: float, i_n: float) -> Tuple[float, float]:
-    """Regression vector of a sample with a valid predecessor; the second
-    entry is the summed current."""
-    return -prev_vn, prev_in + i_n
-
+# The per-sample chain as plain float arithmetic; A64SEstimator.run keeps
+# its state in locals and calls these directly.
 
 def _theta_step(a0, kd, p00, p01, p11, process_noise, measurement_noise, v_n, phi0, phi1):
     """One 2-state filter step on (a0, kd) with the symmetric covariance
@@ -239,8 +138,15 @@ def _theta_step(a0, kd, p00, p01, p11, process_noise, measurement_noise, v_n, ph
 
 def _extract_step(a0, kd, ratio_memory, gain_memory, alpha, period, rs_scale):
     """Smoothed, clamped (time constant, resistance) of (a0, kd); returns
-    (tau0, rs, ratio_memory, gain_memory, degenerate).  rs_scale is
-    turns_ratio**2 / period; a memory of None restarts its smoother."""
+    (tau0, rs, ratio_memory, gain_memory, degenerate).
+
+    The feedback coefficient a0 inverts to the time constant through the
+    bilinear map; the drive gain kd then inverts to the machine-side
+    resistance (rs_scale is turns_ratio**2 / period).  Both channels are
+    low-pass smoothed with factor alpha (1 bypasses smoothing), and a
+    memory of None restarts its smoother.  A feedback coefficient at the
+    degenerate point -1 freezes the time constant for that step.
+    """
     one_plus = 1.0 + a0
     degenerate = abs(one_plus) < 1e-12
     if not degenerate:
@@ -262,73 +168,12 @@ def _extract_step(a0, kd, ratio_memory, gain_memory, alpha, period, rs_scale):
 
 
 def _c0_step(c0_hat, variance, process_noise, measurement_noise, tau0, rs):
-    """One scalar capacitance step; returns (c0_hat, variance)."""
+    """One scalar capacitance step, regressing the extracted time constant
+    on the extracted resistance (tau0 = rs * c0); returns (c0_hat,
+    variance)."""
     variance = (variance * measurement_noise / (measurement_noise + rs * rs * variance)
                 + process_noise)
     return c0_hat + variance * rs / measurement_noise * (tau0 - rs * c0_hat), variance
-
-
-def regression_step(
-    state: ThetaKafState, v_n: float, i_n: float
-) -> Optional[Tuple[np.ndarray, float]]:
-    """Form the regression vector from consecutive valid samples and
-    update the signal memories.  Returns None on a priming sample (no
-    usable prior), otherwise (phi, summed current)."""
-    prev_vn, prev_in = state.prev_vn, state.prev_in
-    state.prev_vn, state.prev_in = v_n, i_n
-    if prev_vn is None or prev_in is None:
-        return None
-    phi0, u = _regressors(prev_vn, prev_in, i_n)
-    return np.array([phi0, u]), u
-
-
-def theta_kaf_update(
-    state: ThetaKafState, v_n: float, phi: np.ndarray
-) -> Tuple[ThetaKafState, float]:
-    """One 2-state filter step; returns the new state and the innovation.
-    A non-finite measurement or regressor is a ValueError."""
-    phi0, phi1 = (float(x) for x in np.asarray(phi, dtype=float).reshape(2))
-    v_n = float(v_n)
-    if not (math.isfinite(v_n) and math.isfinite(phi0) and math.isfinite(phi1)):
-        raise ValueError("v_n and phi must be finite")
-    cov = state.cov
-    a0, kd, p00, p01, p11, innovation = _theta_step(
-        float(state.theta_hat[0]), float(state.theta_hat[1]),
-        float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]),
-        state.process_noise, state.measurement_noise, v_n, phi0, phi1)
-    new_state = replace(state, theta_hat=np.array([a0, kd]),
-                        cov=np.array([[p00, p01], [p01, p11]]), t=state.t + 1)
-    return new_state, innovation
-
-
-def extract_params(state: ExtractorState, theta_hat: np.ndarray) -> Tuple[float, float]:
-    """Turn the tracked regression parameters into smoothed, clamped
-    machine-side estimates (time constant s, insulation resistance ohms).
-
-    The feedback coefficient inverts to the time constant through the
-    bilinear map; the drive gain then inverts to the resistance, referred
-    across the neutral transformer.  A feedback coefficient at the
-    degenerate point -1 freezes the time constant for that step.
-    """
-    tau0, rs, state.ratio_memory, state.gain_memory, state.degenerate = _extract_step(
-        float(theta_hat[0]), float(theta_hat[1]), state.ratio_memory, state.gain_memory,
-        state.smoothing_alpha, state.period, state.turns_ratio**2 / state.period)
-    state.tau0_hat = tau0
-    state.rs_hat = rs
-    return tau0, rs
-
-
-def c0_kaf_update(state: C0KafState, tau0_hat: float, rs_hat: float) -> C0KafState:
-    """Scalar capacitance refinement step: regress the extracted time
-    constant on the extracted resistance.  A non-finite input or a
-    negative resistance is a ValueError."""
-    if not (math.isfinite(tau0_hat) and math.isfinite(rs_hat)):
-        raise ValueError("tau0_hat and rs_hat must be finite")
-    if rs_hat < 0:
-        raise ValueError("rs_hat must be >= 0")
-    c0_hat, variance = _c0_step(state.c0_hat, state.variance, state.process_noise,
-                                state.measurement_noise, tau0_hat, rs_hat)
-    return replace(state, c0_hat=c0_hat, variance=variance)
 
 
 def locate_fault(
@@ -367,7 +212,13 @@ def locator_consistent(x: float) -> bool:
 
 
 class _DropLatch:
-    """Streaming baseline learner + persistence trip latch on rs_hat."""
+    """Baseline learner + persistence trip latch on the resistance
+    estimate of each used sample; update returns whether it has tripped.
+
+    Until the baseline window is full the latch is unarmed (baseline
+    None) and never trips.  A baseline that is not positive, or a window
+    that already holds a drop, raises CalibrationError.
+    """
 
     def __init__(self, cfg: InsulationDetectorConfig):
         self.cfg = cfg
@@ -376,13 +227,11 @@ class _DropLatch:
         self.baseline: Optional[float] = None
         self._streak = 0
         self.tripped = False
-        self.trip_index: Optional[int] = None
-        self.trip_value: Optional[float] = None
 
-    def update(self, index: int, rs_hat: float) -> bool:
+    def update(self, rs_hat: float) -> bool:
         cfg = self.cfg
+        pos = self._seen
         self._seen += 1
-        pos = self._seen - 1
         if self.baseline is None:
             if pos < cfg.baseline_start:
                 return False
@@ -403,37 +252,8 @@ class _DropLatch:
             self._streak += 1
         else:
             self._streak = 0
-        if self._streak >= cfg.persistence:
-            self.tripped = True
-            self.trip_index = index
-            self.trip_value = rs_hat
+        self.tripped = self._streak >= cfg.persistence
         return self.tripped
-
-
-def a64s_detect(
-    rs_stream: Sequence[float], cfg: Optional[InsulationDetectorConfig] = None
-) -> List[DetectionEvent]:
-    """Run the drop detector over a resistance-estimate stream.
-
-    Raises CalibrationError when the stream cannot supply a clean
-    baseline (too short, or the baseline window itself contains a drop).
-    """
-    cfg = cfg or InsulationDetectorConfig()
-    needed = cfg.baseline_start + cfg.baseline_window
-    if len(rs_stream) < needed:
-        raise CalibrationError(
-            f"stream of {len(rs_stream)} samples cannot fill the "
-            f"{needed}-sample baseline"
-        )
-    latch = _DropLatch(cfg)
-    events: List[DetectionEvent] = []
-    for idx, rs in enumerate(rs_stream):
-        was = latch.tripped
-        latch.update(idx, float(rs))
-        if latch.tripped and not was:
-            events.append(DetectionEvent(index=latch.trip_index, kind="trip",
-                                         rs_value=latch.trip_value))
-    return events
 
 
 def frames_from_timeseries(
@@ -486,7 +306,7 @@ class A64SEstimatorConfig:
     detector: InsulationDetectorConfig = field(default_factory=InsulationDetectorConfig)
 
     def __post_init__(self):
-        # the rules of the filter and extractor states, checked once here
+        # the filters' and the smoother's rules, checked once for every run
         for name in ("theta_process_noise", "c0_process_noise"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -574,18 +394,22 @@ class A64SEstimator:
 
     def run(self, frames: SubharmonicFrames, fs: float,
             onset_index: Optional[int] = None) -> A64STrace:
+        """Trace of the estimation chain over a record sampled at fs
+        samples per second."""
+        if not 0.0 < fs < math.inf:
+            raise ValueError(f"fs must be positive and finite, got {fs!r}")
         cfg = self.cfg
         period = 1.0 / fs
-        # the config has checked its tunables; the loop keeps them in locals
-        # and steps them through the kernels the streaming functions use
-        extractor = ExtractorState(period=period, turns_ratio=self.circuit.turns_ratio,
-                                   gamma=cfg.smoothing_rate)
+        # the configs have checked their tunables; the loop keeps them in
+        # locals and steps them through the float kernels
         theta_q, theta_r = cfg.theta_process_noise, cfg.theta_measurement_noise
         p_initial = float(cfg.theta_initial_variance)
         a0 = kd = p01 = 0.0
         p00 = p11 = p_initial
-        alpha = extractor.smoothing_alpha
-        rs_scale = extractor.turns_ratio**2 / period
+        # first-order smoother factor; an infinite rate bypasses smoothing
+        gamma = cfg.smoothing_rate
+        alpha = 1.0 if math.isinf(gamma) else 1.0 - math.exp(-gamma * period)
+        rs_scale = self.circuit.turns_ratio**2 / period
         ratio_memory = gain_memory = None
         tau0 = rs = 0.0
         c0_hat, c0_var = cfg.c0_initial, cfg.c0_initial_variance
@@ -593,7 +417,6 @@ class A64SEstimator:
         prev_vn = prev_in = None
         latch = _DropLatch(cfg.detector)
         tripped = False
-        det_count = 0
         r_n = self.circuit.r_n_primary
         sentinel = HEALTHY_SENTINEL
 
@@ -605,7 +428,8 @@ class A64SEstimator:
         for v_n, i_n, v_n60, valid in zip(frames.v_n, frames.i_n, frames.v_n60, frames.valid):
             x_hat = sentinel
             if valid and prev_vn is not None:
-                phi0, phi1 = _regressors(prev_vn, prev_in, i_n)
+                # regression vector: negated previous voltage, summed current
+                phi0, phi1 = -prev_vn, prev_in + i_n
                 prev_vn, prev_in = v_n, i_n
                 a0, kd, p00, p01, p11, _ = _theta_step(a0, kd, p00, p01, p11,
                                                        theta_q, theta_r, v_n, phi0, phi1)
@@ -613,8 +437,7 @@ class A64SEstimator:
                     a0, kd, ratio_memory, gain_memory, alpha, period, rs_scale)
                 c0_hat, c0_var = _c0_step(c0_hat, c0_var, c0_q, c0_r, tau0, rs)
                 was_tripped = tripped
-                tripped = latch.update(det_count, rs)
-                det_count += 1
+                tripped = latch.update(rs)
                 if tripped and not was_tripped:
                     # the circuit just changed structurally; re-open the filter
                     # so the faulted parameters are re-identified quickly

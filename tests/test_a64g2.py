@@ -1,6 +1,5 @@
 """Adaptive and fixed third-harmonic ratio schemes."""
 
-import copy
 import functools
 import math
 import sys
@@ -15,12 +14,7 @@ from statorguard.a64g2 import (
     Calibration64RAT,
     DetectorConfig,
     FixedRatioDetector,
-    RatioKafState,
-    SchemeTrace,
     calibrate_64rat,
-    kaf_update,
-    operate_restraint,
-    ratio_step,
     restraint_column,
 )
 from statorguard.plantsim import (
@@ -51,33 +45,31 @@ def _frames(rows):
 def test_kaf_update_worked_example():
     """One update from (rho=1, P=1, Q=0, R=1) on a frame (VP=1, VN=2)
     gives exactly P=0.5, K=0.5, rho=1.5."""
-    state = RatioKafState(rho_hat=1.0, variance=1.0, process_noise=0.0,
-                          measurement_noise=1.0)
-    new, residual = kaf_update(state, 1.0, 2.0)
-    assert new.variance == 0.5
+    rho_hat, variance, residual = a64g2._kaf_step(1.0, 1.0, 0.0, 1.0, 1.0, 2.0)
+    assert variance == 0.5
     assert residual == 1.0
-    assert new.rho_hat == 1.5
+    assert rho_hat == 1.5
 
 
-def test_kaf_update_rejects_invalid_frames():
-    """A negative magnitude stops the adaptive scheme's step before the
+def test_kaf_update_rejects_invalid_frames(monkeypatch):
+    """A negative magnitude stops the adaptive scheme's run before the
     ratio filter takes it in."""
-    state = AdaptiveRatioDetector().new_state()
-    trace = SchemeTrace(scheme="a64g2", fs=1000.0, sensitivity=0.005)
-    with pytest.raises(ValueError):
-        ratio_step(state, trace, 0, -1.0, 1.0, True)
-    assert state.rho_hat is None and state.variance is None and state.t == 0
-    assert trace.t_index == []
+    steps = []
+    monkeypatch.setattr(a64g2, "_kaf_step", lambda *args: steps.append(args))
+    frames = _frames([_frame(0, -1.0, 1.0)] + [_frame(i, 1.0, 1.0) for i in range(1, 5)])
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        AdaptiveRatioDetector().run(frames, fs=1000.0)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        restraint_column(frames, 12)
+    assert steps == []
 
 
 def test_kaf_zero_terminal_voltage_is_inert():
     """A zero regressor cannot move the estimate and only grows the
     variance by the process noise."""
-    state = RatioKafState(rho_hat=0.7, variance=2.0, process_noise=0.1,
-                          measurement_noise=1.0)
-    new, residual = kaf_update(state, 0.0, 5.0)
-    assert new.rho_hat == 0.7
-    assert new.variance == pytest.approx(2.1)
+    rho_hat, variance, residual = a64g2._kaf_step(0.7, 2.0, 0.1, 1.0, 0.0, 5.0)
+    assert rho_hat == 0.7
+    assert variance == pytest.approx(2.1)
     assert residual == 5.0
 
 
@@ -93,25 +85,25 @@ def test_kaf_with_zero_process_noise_equals_batch_least_squares(seed, rho_true, 
     batch solution."""
     rng = np.random.default_rng(seed)
     vps = rng.uniform(0.5, 10.0, size=n_steps)
-    state = RatioKafState(rho_hat=0.0, variance=4.0, process_noise=0.0,
-                          measurement_noise=2.5)
-    for i, vp in enumerate(vps):
-        state, _ = kaf_update(state, float(vp), float(rho_true * vp))
+    rho_hat, variance = 0.0, 4.0
+    for vp in vps:
+        rho_hat, variance, _ = a64g2._kaf_step(rho_hat, variance, 0.0, 2.5,
+                                               float(vp), float(rho_true * vp))
     want_err = oracles.batch_scalar_rls_error(0.0 - rho_true, vps, 4.0, 2.5)
-    assert state.rho_hat - rho_true == pytest.approx(want_err, abs=1e-9)
+    assert rho_hat - rho_true == pytest.approx(want_err, abs=1e-9)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_kaf_variance_stays_positive_and_monotone_without_process_noise(seed):
     rng = np.random.default_rng(seed)
-    state = RatioKafState(variance=1.0, process_noise=0.0, measurement_noise=1e-4)
-    prev = state.variance
+    rho_hat, variance = 0.5, 1.0
     for i in range(50):
-        state, _ = kaf_update(
-            state, float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)))
-        assert 0.0 < state.variance <= prev + 1e-15
-        prev = state.variance
+        prev = variance
+        rho_hat, variance, _ = a64g2._kaf_step(
+            rho_hat, variance, 0.0, 1e-4,
+            float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)))
+        assert 0.0 < variance <= prev + 1e-15
 
 
 def test_kaf_scale_invariance():
@@ -121,31 +113,30 @@ def test_kaf_scale_invariance():
     frames = [(float(v), float(n)) for v, n in
               zip(rng.uniform(1, 5, 30), rng.uniform(1, 6, 30))]
     for c in (0.1, 3.0, 17.0):
-        s_base = RatioKafState(rho_hat=0.5, variance=1.0, process_noise=1e-8,
-                               measurement_noise=1e-4)
-        s_scaled = RatioKafState(rho_hat=0.5, variance=1.0, process_noise=1e-8,
-                                 measurement_noise=1e-4 * c * c)
-        for i, (vp, vn) in enumerate(frames):
-            s_base, r_base = kaf_update(s_base, vp, vn)
-            s_scaled, r_scaled = kaf_update(s_scaled, c * vp, c * vn)
-            assert s_scaled.rho_hat == pytest.approx(s_base.rho_hat, rel=1e-12)
+        base = scaled = (0.5, 1.0)
+        for vp, vn in frames:
+            *base, r_base = a64g2._kaf_step(*base, 1e-8, 1e-4, vp, vn)
+            *scaled, r_scaled = a64g2._kaf_step(*scaled, 1e-8, 1e-4 * c * c, c * vp, c * vn)
+            assert scaled[0] == pytest.approx(base[0], rel=1e-12)
             assert r_scaled == pytest.approx(c * r_base, rel=1e-9)
 
 
 # --------------------------------------------------- operate / restraint
 
 def test_operate_zero_through_window_prefix():
-    """The operate energy is identically zero until a full window of
-    post-start residuals exists; the restraint accumulates from the
-    first frame."""
+    """The operate energy is identically zero through the first L frames
+    and then sums the squared residuals of the last L+1; the restraint
+    accumulates from the first frame."""
     cfg = DetectorConfig(window=12, sensitivity=0.005)
     rng = np.random.default_rng(0)
-    residuals = list(rng.uniform(-2, 2, 40))
+    vps = list(rng.uniform(1, 3, 40))
     vns = list(rng.uniform(1, 3, 40))
-    for t in range(40):
-        lo = max(0, t - cfg.window)
-        jao, jar = operate_restraint(residuals[lo: t + 1], vns[lo: t + 1], cfg, t)
-        if t <= cfg.window:
+    residuals = [vn - vp for vp, vn in zip(vps, vns)]
+    frames = HarmonicFrames(v_p3=vps, v_n3=vns, valid=[True] * 40)
+    trace = FixedRatioDetector(ratio=1.0, cfg=cfg).run(frames, fs=1000.0)
+    assert trace.restraint == restraint_column(frames, cfg.window)
+    for t, (jao, jar) in enumerate(zip(trace.operate, trace.restraint)):
+        if t < cfg.window:
             assert jao == 0.0
             assert jar == pytest.approx(oracles.windowed_energy(vns, t, t))
         else:
@@ -212,22 +203,6 @@ def test_invalid_frames_freeze_the_detector():
     assert np.allclose(rho[45:75], rho[39])  # held during the blocked stretch
 
 
-@pytest.mark.parametrize("detector", [
-    AdaptiveRatioDetector(cfg=DetectorConfig(window=12, sensitivity=0.005)),
-    FixedRatioDetector(ratio=1.0, cfg=DetectorConfig(window=12, sensitivity=0.005)),
-])
-def test_streaming_steps_match_batch_run(detector):
-    frames = [_frame(i, 1.0, 1.0, valid=i % 7 != 3) for i in range(60)]
-    frames += [_frame(i, 1.0, 2.5) for i in range(60, 120)]
-    batch = detector.run(_frames(frames), fs=1000.0)
-    assert batch.tripped
-    state = detector.new_state()
-    streamed = SchemeTrace(scheme=batch.scheme, fs=1000.0, sensitivity=batch.sensitivity)
-    for t_index, vp, vn, valid in frames:
-        ratio_step(state, streamed, t_index, vp, vn, valid)
-    assert streamed == batch
-
-
 @functools.cache
 def _record(name):
     if name == "gen_stop_chatter":
@@ -280,24 +255,34 @@ _magnitude = st.floats(min_value=0.0, max_value=10.0)
     prefix=st.integers(min_value=1, max_value=8),
     middle=st.lists(st.tuples(_magnitude, _magnitude, st.booleans()), min_size=1, max_size=60),
 )
-def test_ratio_step_matches_run_in_every_column_margin_and_peak(fixed, prefix, middle):
-    """A record stepped frame by frame equals the batch run, margin and
-    peak frame included: an all-invalid prefix (zero restraint), invalid
-    frames in the middle, and a sustained deviation that trips."""
-    detector = (FixedRatioDetector(ratio=1.0) if fixed
-                else AdaptiveRatioDetector(process_noise=0.0, rho0=1.0))
+def test_run_matches_naive_oracle_in_every_column_margin_and_peak(fixed, prefix, middle):
+    """The batch run equals the longhand oracle in every column, margin
+    and peak frame included: an all-invalid prefix (zero restraint),
+    invalid frames in the middle, and a sustained deviation that trips."""
+    cfg = DetectorConfig()
+    if fixed:
+        detector, kaf = FixedRatioDetector(ratio=1.0, cfg=cfg), None
+    else:
+        detector, kaf = AdaptiveRatioDetector(cfg=cfg, process_noise=0.0, rho0=1.0), (
+            0.0, 1e-4, 1.0)
     rows = [(0.0, 0.0, False)] * prefix + middle + [(1.0, 1.0, True)] * 20
     rows += [(1.0, 3.0, i % 5 != 2) for i in range(40)]
     frames = _frames([_frame(i, *row) for i, row in enumerate(rows)])
-    batch = detector.run(frames, fs=1000.0)
-    assert batch.tripped and batch.restraint[:prefix] == [0.0] * prefix
-    state = detector.new_state()
-    streamed = SchemeTrace(scheme=batch.scheme, fs=1000.0, sensitivity=batch.sensitivity)
-    for i, (vp, vn, valid) in enumerate(rows):
-        ratio_step(state, streamed, i, vp, vn, valid)
-    assert streamed == batch
-    assert (streamed.margin(), streamed.margin_index) == (batch.margin(), batch.margin_index)
-    assert batch.margin() == oracles.naive_margin(batch)
+    trace = detector.run(frames, fs=1000.0)
+    assert trace.tripped and trace.restraint[:prefix] == [0.0] * prefix
+    want = oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid, cfg.window,
+                                   cfg.sensitivity, cfg.hold, ratio=1.0, kaf=kaf)
+    for name, column in want.items():
+        assert getattr(trace, name) == column, name
+    assert trace.t_index == list(range(len(rows)))
+    assert (trace.v_p3, trace.v_n3, trace.valid) == (frames.v_p3, frames.v_n3, frames.valid)
+    peak = oracles.naive_margin(trace)
+    assert trace.margin() == peak
+    # an invalid frame repeats an earlier frame's energies, so the first
+    # frame at the peak is a valid one
+    ratios = [jao / (cfg.sensitivity * jar) if jar > 0.0 else 0.0
+              for jao, jar in zip(trace.operate, trace.restraint)]
+    assert trace.margin_index == ratios.index(peak)
 
 
 def test_margin_index_is_the_first_frame_at_the_peak():
@@ -361,37 +346,19 @@ def test_fixed_detector_rejects_an_impossible_ratio(ratio):
         FixedRatioDetector(ratio=ratio)
 
 
-@pytest.mark.parametrize("detector", [AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.0)])
-@pytest.mark.parametrize("t_index", [4, 3])
-def test_ratio_step_rejects_non_increasing_t_index(detector, t_index):
-    """A repeated or earlier t_index is an error that leaves the state and
-    the trace as they were."""
-    state = detector.new_state()
-    trace = SchemeTrace(scheme=detector.scheme, fs=1000.0, sensitivity=0.005)
-    for i in range(5):
-        ratio_step(state, trace, i, 1.0, 1.0 + 0.1 * i, i != 2)
-    before = copy.deepcopy((state, trace))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        ratio_step(state, trace, t_index, 1.0, 2.0, True)
-    assert (state, trace) == before
-    ratio_step(state, trace, 5, 1.0, 2.0, True)
-    assert trace.t_index == [0, 1, 2, 3, 4, 5]
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 def test_ratio_schemes_reject_bad_magnitudes(bad):
     """A non-finite or negative magnitude on either channel is an error in
-    both schemes' batch run and in the streaming step, valid or not."""
+    both schemes' batch run and in the restraint column, valid or not."""
     detectors = (AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.0))
     for vp, vn in ((bad, 1.0), (1.0, bad)):
-        frames = _frames([_frame(0, 1.0, 1.0), _frame(1, vp, vn)])
-        for detector in detectors:
-            with pytest.raises(ValueError):
-                detector.run(frames, fs=1000.0)
-            for valid in (True, False):
-                trace = SchemeTrace(scheme=detector.scheme, fs=1000.0, sensitivity=0.005)
+        for valid in (True, False):
+            frames = _frames([_frame(0, 1.0, 1.0), _frame(1, vp, vn, valid)])
+            for detector in detectors:
                 with pytest.raises(ValueError):
-                    ratio_step(detector.new_state(), trace, 0, vp, vn, valid)
+                    detector.run(frames, fs=1000.0)
+            with pytest.raises(ValueError):
+                restraint_column(frames, 12)
 
 
 def test_harmonic_frames_reject_columns_of_unequal_length():
@@ -444,6 +411,26 @@ def test_adaptive_detector_rejects_an_impossible_ratio_prior(rho0):
     # fixed scheme's frozen ratio must be
     with pytest.raises(ValueError, match="rho0"):
         AdaptiveRatioDetector(rho0=rho0)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("process_noise", math.nan), ("process_noise", math.inf), ("process_noise", -1e-9),
+    ("measurement_noise", math.nan), ("measurement_noise", math.inf), ("measurement_noise", 0.0),
+    ("initial_variance", math.nan), ("initial_variance", math.inf), ("initial_variance", -1.0),
+])
+def test_adaptive_detector_rejects_an_impossible_filter_setting(name, value):
+    # a NaN or infinite setting would run without error and never trip,
+    # leaving rho_hat NaN
+    with pytest.raises(ValueError, match=name):
+        AdaptiveRatioDetector(**{name: value})
+
+
+@pytest.mark.parametrize("fs", [math.nan, -1.0, 0.0, math.inf])
+def test_ratio_schemes_reject_an_impossible_sample_rate(fs):
+    frames = _frames([_frame(i, 1.0, 1.0) for i in range(5)])
+    for detector in (AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.0)):
+        with pytest.raises(ValueError, match="fs"):
+            detector.run(frames, fs=fs)
 
 
 def test_fixed_detector_uses_threshold_from_calibration():

@@ -6,23 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from statorguard import a64s
 from statorguard.a64s import (
     HEALTHY_SENTINEL,
     A64SEstimator,
-    C0KafState,
     CalibrationError,
-    ExtractorState,
     InsulationDetectorConfig,
     SubharmonicFrames,
-    ThetaKafState,
-    a64s_detect,
-    c0_kaf_update,
-    extract_params,
     frames_from_timeseries,
     locate_fault,
     locator_consistent,
-    regression_step,
-    theta_kaf_update,
     tustin_coeffs,
 )
 from statorguard.plantsim import (
@@ -52,49 +45,53 @@ def test_tustin_zero_time_constant():
     assert a0 == pytest.approx(1.0)
 
 
+def _extract(a0, kd, memories=(None, None), alpha=1.0, period=1e-3, turns_ratio=2.0):
+    """The extraction kernel at sampling period 1 ms; alpha 1 bypasses the
+    smoother (an infinite smoothing rate)."""
+    return a64s._extract_step(a0, kd, *memories, alpha, period, turns_ratio**2 / period)
+
+
 @given(
     tau0=st.floats(0.0, 0.1),
     rs=st.floats(10.0, 1e5),
 )
 @settings(max_examples=200, deadline=None)
 def test_extract_inverts_tustin_exactly(tau0, rs):
-    """extract_params with the smoother bypassed is the exact inverse of
-    the bilinear discretization over the full parameter range."""
+    """Extraction with the smoother bypassed is the exact inverse of the
+    bilinear discretization over the full parameter range."""
     n = 2.0
     k3 = rs / n**2
     kd, a0 = tustin_coeffs(k3, tau0, 1e-3)
-    state = ExtractorState(period=1e-3, turns_ratio=n, gamma=math.inf)
-    tau0_hat, rs_hat = extract_params(state, np.array([a0, kd]))
+    tau0_hat, rs_hat, *_ = _extract(a0, kd, turns_ratio=n)
     assert tau0_hat == pytest.approx(tau0, rel=1e-12, abs=1e-15)
     assert rs_hat == pytest.approx(rs, rel=1e-12)
 
 
 def test_extract_params_clamps_negative_channels():
-    state = ExtractorState(period=1e-3, turns_ratio=2.0, gamma=math.inf)
     # a0 < -1 implies a negative time constant: clamp to zero
-    tau0_hat, rs_hat = extract_params(state, np.array([-1.5, 10.0]))
+    tau0_hat, rs_hat, *_ = _extract(-1.5, 10.0)
     assert tau0_hat == 0.0
     assert rs_hat >= 0.0
 
 
 def test_extract_params_degenerate_ratio_freezes():
-    state = ExtractorState(period=1e-3, turns_ratio=2.0, gamma=math.inf)
-    extract_params(state, np.array([-0.5, 10.0]))
-    tau0_good = state.tau0_hat
+    tau0_good, _, ratio_memory, gain_memory, degenerate = _extract(-0.5, 10.0)
+    assert not degenerate
     # a feedback coefficient of exactly -1 is a degenerate difference
     # equation: the time-constant channel freezes, the gain channel
     # keeps tracking
-    tau0_hat, rs_hat = extract_params(state, np.array([-1.0, 5.0]))
-    assert state.degenerate
+    tau0_hat, rs_hat, _, _, degenerate = _extract(-1.0, 5.0, (ratio_memory, gain_memory))
+    assert degenerate
     assert tau0_hat == tau0_good == pytest.approx(1.5e-3)
     assert rs_hat == pytest.approx(80.0)
 
 
 def test_extractor_smoothing_has_unit_dc_gain():
-    state = ExtractorState(period=1e-3, turns_ratio=2.0, gamma=10.0)
+    alpha = 1.0 - math.exp(-10.0 * 1e-3)
     kd, a0 = tustin_coeffs(625.0, 18.75e-3, 1e-3)
+    memories = (None, None)
     for _ in range(6000):
-        tau0_hat, rs_hat = extract_params(state, np.array([a0, kd]))
+        tau0_hat, rs_hat, *memories, _ = _extract(a0, kd, memories, alpha)
     assert tau0_hat == pytest.approx(18.75e-3, rel=1e-6)
     assert rs_hat == pytest.approx(2500.0, rel=1e-6)
 
@@ -102,86 +99,69 @@ def test_extractor_smoothing_has_unit_dc_gain():
 # ------------------------------------------------------------- theta filter
 
 def _run_theta(kd, a0, n_steps, meas_noise, proc_noise, drive_seed=0):
+    """The 2-state filter from theta = 0, P = I over a driven noiseless
+    record; the first sample only primes the regression.  Returns the
+    final (a0, kd, p00, p01, p11) and the regression vectors."""
     rng = np.random.default_rng(drive_seed)
     i_n = rng.normal(0.0, 1.0, size=n_steps)
     v = oracles.difference_equation_response(kd, a0, i_n)
-    state = ThetaKafState(process_noise=proc_noise, measurement_noise=meas_noise)
-    for t in range(n_steps):
-        reg = regression_step(state, float(v[t]), float(i_n[t]))
-        if reg is None:
-            continue
-        phi, _ = reg
-        state, _ = theta_kaf_update(state, float(v[t]), phi)
-    return state, v, i_n
+    state = (0.0, 0.0, 1.0, 0.0, 1.0)
+    phis = []
+    for t in range(1, n_steps):
+        # previous voltage and summed current, as A64SEstimator.run forms them
+        phi = (-float(v[t - 1]), float(i_n[t - 1]) + float(i_n[t]))
+        phis.append(phi)
+        *state, _ = a64s._theta_step(*state, proc_noise, meas_noise, float(v[t]), *phi)
+    return state, phis
 
 
 def test_theta_kaf_converges_on_noiseless_data():
     kd, a0 = tustin_coeffs(625.0, 18.75e-3, 1e-3)
-    state, _, _ = _run_theta(kd, a0, 200, meas_noise=1e-8, proc_noise=0.0)
+    state, _ = _run_theta(kd, a0, 200, meas_noise=1e-8, proc_noise=0.0)
     theta_true = np.array([a0, kd])
-    assert np.linalg.norm(state.theta_hat - theta_true) < 1e-6
+    assert np.linalg.norm(np.array(state[:2]) - theta_true) < 1e-6
 
 
 def test_theta_kaf_equals_batch_least_squares():
     """With zero process noise the vector filter is exactly recursive
     least squares; compare against the closed-form batch error."""
     kd, a0 = tustin_coeffs(400.0, 5e-3, 1e-3)
-    rng = np.random.default_rng(5)
-    i_n = rng.normal(size=60)
-    v = oracles.difference_equation_response(kd, a0, i_n)
     meas = 0.3
-    state = ThetaKafState(process_noise=0.0, measurement_noise=meas)
-    phis = []
-    for t in range(60):
-        reg = regression_step(state, float(v[t]), float(i_n[t]))
-        if reg is None:
-            continue
-        phi, _ = reg
-        phis.append(phi)
-        state, _ = theta_kaf_update(state, float(v[t]), phi)
+    state, phis = _run_theta(kd, a0, 60, meas_noise=meas, proc_noise=0.0, drive_seed=5)
     theta_true = np.array([a0, kd])
     want_err = oracles.batch_vector_rls_error(
         np.zeros(2) - theta_true, np.array(phis), np.eye(2), meas)
-    assert np.allclose(state.theta_hat - theta_true, want_err, atol=1e-8)
+    assert np.allclose(np.array(state[:2]) - theta_true, want_err, atol=1e-8)
 
 
 def test_regression_step_primes_on_first_sample():
-    state = ThetaKafState()
-    assert regression_step(state, 1.0, 2.0) is None
-    reg = regression_step(state, 3.0, 4.0)
-    assert reg is not None
-    phi, summed = reg
-    assert np.allclose(phi, [-1.0, 6.0])
-    assert summed == 6.0
+    """The first valid sample, and the first after an invalid one, only
+    primes the regression; the next is used with the regression vector
+    (-previous voltage, summed current)."""
+    v_n, i_n = [1.0, 3.0, 2.0, 5.0, 4.0, 1.0], [2.0, 4.0, 1.0, 3.0, 2.0, 6.0]
+    frames = SubharmonicFrames(v_n=v_n, i_n=i_n, v_n60=[0.0] * 6,
+                               valid=[True, True, True, False, True, True])
+    est = A64SEstimator(Subharmonic64SConfig())
+    trace = est.run(frames, 1000.0)
+    assert trace.valid == [False, True, True, False, False, True]
+    cfg = est.cfg
+    p0 = cfg.theta_initial_variance
+    a0, kd, *_ = a64s._theta_step(0.0, 0.0, p0, 0.0, p0, cfg.theta_process_noise,
+                                  cfg.theta_measurement_noise, 3.0, -1.0, 6.0)
+    assert (trace.a0_hat[:2], trace.kd_hat[:2]) == ([0.0, a0], [0.0, kd])
 
 
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_theta_covariance_stays_symmetric_positive_definite(seed):
     rng = np.random.default_rng(seed)
-    state = ThetaKafState()
+    a0, kd, p00, p01, p11 = 0.0, 0.0, 1.0, 0.0, 1.0
     for _ in range(300):
-        phi = rng.normal(0.0, 10.0, size=2)
-        state, _ = theta_kaf_update(state, float(rng.normal()), phi)
-        assert np.allclose(state.cov, state.cov.T, atol=1e-12)
-        eig = np.linalg.eigvalsh(state.cov)
+        phi0, phi1 = rng.normal(0.0, 10.0, size=2)
+        a0, kd, p00, p01, p11, _ = a64s._theta_step(
+            a0, kd, p00, p01, p11, 1e-4, 0.25, float(rng.normal()), float(phi0), float(phi1))
+        eig = np.linalg.eigvalsh(np.array([[p00, p01], [p01, p11]]))
         assert eig.min() > 0.0
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_theta_kaf_update_rejects_non_finite_input(bad):
-    """One NaN taken in would make theta_hat NaN for good."""
-    state = ThetaKafState()
-    for v_n, phi in ((bad, [1.0, 2.0]), (1.0, [bad, 2.0]), (1.0, [1.0, bad])):
-        with pytest.raises(ValueError):
-            theta_kaf_update(state, v_n, np.array(phi))
-    assert np.array_equal(state.theta_hat, np.zeros(2))
-    assert np.array_equal(state.cov, np.eye(2))
-
-
-def test_theta_kaf_state_requires_symmetric_covariance():
-    with pytest.raises(ValueError):
-        ThetaKafState(cov=np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------- c0 filter
@@ -189,29 +169,20 @@ def test_theta_kaf_state_requires_symmetric_covariance():
 def test_c0_kaf_fixed_point():
     """Feeding a consistent (tau0, rs) pair drives the capacitance
     estimate to tau0/rs and holds it there."""
-    state = C0KafState(c0_hat=1e-6, variance=1e-10, process_noise=1e-16,
-                       measurement_noise=1e-6)
+    c0_hat, variance = 1e-6, 1e-10
     rs, c_true = 2500.0, 7.5e-6
     for _ in range(4000):
-        state = c0_kaf_update(state, rs * c_true, rs)
-    assert state.c0_hat == pytest.approx(c_true, rel=1e-6)
-    settled = c0_kaf_update(state, rs * c_true, rs)
-    assert settled.c0_hat == pytest.approx(state.c0_hat, rel=1e-9)
+        c0_hat, variance = a64s._c0_step(c0_hat, variance, 1e-16, 1e-6, rs * c_true, rs)
+    assert c0_hat == pytest.approx(c_true, rel=1e-6)
+    settled, _ = a64s._c0_step(c0_hat, variance, 1e-16, 1e-6, rs * c_true, rs)
+    assert settled == pytest.approx(c0_hat, rel=1e-9)
 
 
 def test_c0_kaf_variance_positive():
-    state = C0KafState()
+    c0_hat, variance = 1e-6, 1e-10
     for _ in range(100):
-        state = c0_kaf_update(state, 1e-2, 100.0)
-        assert state.variance > 0.0
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_c0_kaf_update_rejects_non_finite_input(bad):
-    state = C0KafState()
-    for tau0_hat, rs_hat in ((1.0, bad), (bad, 1.0)):
-        with pytest.raises(ValueError):
-            c0_kaf_update(state, tau0_hat, rs_hat)
+        c0_hat, variance = a64s._c0_step(c0_hat, variance, 1e-16, 1e-6, 1e-2, 100.0)
+        assert variance > 0.0
 
 
 # ------------------------------------------------------------------ locator
@@ -247,27 +218,40 @@ def _rs_stream(n_pre, n_post, pre=2500.0, post=86.9):
     return [pre] * n_pre + [post] * n_post
 
 
+def _latch_states(stream, cfg):
+    """The drop latch fed a resistance stream: its latch and the tripped
+    flag after each sample."""
+    latch = a64s._DropLatch(cfg)
+    return latch, [latch.update(rs) for rs in stream]
+
+
 def test_a64s_detect_trips_on_sustained_drop():
     cfg = InsulationDetectorConfig(baseline_start=1000, baseline_window=250,
                                    drop_fraction=0.5, persistence=25)
-    events = a64s_detect(_rs_stream(1500, 300), cfg)
-    assert len(events) == 1
-    assert events[0].kind == "trip"
-    assert events[0].index == 1500 + 25 - 1
-    assert events[0].rs_value == pytest.approx(86.9)
+    stream = _rs_stream(1500, 300)
+    latch, tripped = _latch_states(stream, cfg)
+    assert latch.baseline == 2500.0
+    assert tripped.index(True) == 1500 + 25 - 1
+    assert stream[tripped.index(True)] == pytest.approx(86.9)
+    assert all(tripped[1500 + 25 - 1:])
 
 
 def test_a64s_detect_ignores_short_dip():
     cfg = InsulationDetectorConfig(baseline_start=1000, baseline_window=250,
                                    drop_fraction=0.5, persistence=25)
     stream = _rs_stream(1400, 0) + [100.0] * 24 + [2500.0] * 200
-    assert a64s_detect(stream, cfg) == []
+    latch, tripped = _latch_states(stream, cfg)
+    assert latch.baseline == 2500.0
+    assert not any(tripped)
 
 
 def test_a64s_detect_requires_full_baseline():
+    """A stream too short to fill the baseline leaves the latch unarmed:
+    no baseline, no trip."""
     cfg = InsulationDetectorConfig(baseline_start=1000, baseline_window=250)
-    with pytest.raises(CalibrationError):
-        a64s_detect([2500.0] * 1100, cfg)
+    latch, tripped = _latch_states([2500.0] * 1100, cfg)
+    assert latch.baseline is None
+    assert not latch.tripped and not any(tripped)
 
 
 def test_a64s_detect_rejects_contaminated_baseline():
@@ -277,7 +261,7 @@ def test_a64s_detect_rejects_contaminated_baseline():
                                    drop_fraction=0.5, persistence=25)
     stream = [2500.0] * 1200 + [80.0] * 300
     with pytest.raises(CalibrationError):
-        a64s_detect(stream, cfg)
+        _latch_states(stream, cfg)
 
 
 # ------------------------------------------------------------ full pipeline
@@ -320,31 +304,36 @@ _ORACLE_ATOL = {"a0_hat": 1e-12, "kd_hat": 1e-12, "tau0_hat": 1e-15, "rs_hat": 1
 def test_estimator_matches_naive_matrix_oracle_through_a_trip():
     """The scalar kernel run() uses agrees with the numpy matrix form of
     the filter updates on a noisy record that trips, through the
-    post-trip covariance reset and the locator."""
+    post-trip covariance reset and the locator, as recorded and with an
+    invalid stretch between the baseline window and the fault."""
     cfg = Subharmonic64SConfig()
     v, i = simulate_64s_timeseries(
         cfg, [FaultSpec(x=0.67, rf=500.0, t_on=1.6)], duration=3.0, noise_std=0.01,
         seed=4, speed_profile=lambda t: np.ones_like(t))
     frames = frames_from_timeseries(v, i, cfg)
     est = A64SEstimator(cfg)
-    trace = est.run(frames, 1000.0)
-    want, baseline = oracles.naive_a64s_run(
-        frames.v_n, frames.i_n, frames.v_n60, frames.valid, 1000.0,
-        cfg.turns_ratio, cfg.un, cfg.r_n_primary, cfg.f1, est.cfg)
-    assert trace.tripped
-    for name, atol in _ORACLE_ATOL.items():
-        np.testing.assert_allclose(getattr(trace, name), want[name], rtol=1e-9, atol=atol,
-                                   err_msg=name)
-    assert trace.trip == want["trip"]
-    assert trace.valid == want["valid"]
-    assert trace.first_trip_index == want["trip"].index(True)
-    assert trace.baseline == pytest.approx(baseline, rel=1e-9)
+    for invalid_stretch in (False, True):
+        if invalid_stretch:
+            frames.valid[1400:1420] = [False] * 20
+        trace = est.run(frames, 1000.0)
+        want, baseline = oracles.naive_a64s_run(
+            frames.v_n, frames.i_n, frames.v_n60, frames.valid, 1000.0,
+            cfg.turns_ratio, cfg.un, cfg.r_n_primary, cfg.f1, est.cfg)
+        assert trace.tripped
+        # the first valid sample after the stretch only primes the regression
+        assert trace.valid[1400:1421] == [not invalid_stretch] * 21
+        for name, atol in _ORACLE_ATOL.items():
+            np.testing.assert_allclose(getattr(trace, name), want[name], rtol=1e-9,
+                                       atol=atol, err_msg=name)
+        assert trace.trip == want["trip"]
+        assert trace.valid == want["valid"]
+        assert trace.first_trip_index == want["trip"].index(True)
+        assert trace.baseline == pytest.approx(baseline, rel=1e-9)
 
 
 def test_streaming_steps_reproduce_run_exactly():
-    """Chaining the public step functions over a no-fault record, with an
-    invalid stretch mid-record, gives run()'s columns bit for bit: both
-    go through one kernel."""
+    """Chaining the per-sample kernels over a no-fault record, with an
+    invalid stretch mid-record, gives run()'s columns bit for bit."""
     cfg = Subharmonic64SConfig()
     v, i = simulate_64s_timeseries(cfg, [], duration=2.0, noise_std=0.01, seed=2)
     frames = frames_from_timeseries(v, i, cfg)
@@ -353,30 +342,32 @@ def test_streaming_steps_reproduce_run_exactly():
     trace = est.run(frames, 1000.0)
     assert not trace.tripped
 
-    est_cfg = est.cfg
-    theta = ThetaKafState(cov=est_cfg.theta_initial_variance * np.eye(2),
-                          process_noise=est_cfg.theta_process_noise,
-                          measurement_noise=est_cfg.theta_measurement_noise)
-    extractor = ExtractorState(period=1e-3, turns_ratio=cfg.turns_ratio,
-                               gamma=est_cfg.smoothing_rate)
-    c0 = C0KafState(c0_hat=est_cfg.c0_initial, variance=est_cfg.c0_initial_variance,
-                    process_noise=est_cfg.c0_process_noise,
-                    measurement_noise=est_cfg.c0_measurement_noise)
+    est_cfg, period = est.cfg, 1e-3
+    p0 = est_cfg.theta_initial_variance
+    theta = (0.0, 0.0, p0, 0.0, p0)
+    alpha = 1.0 - math.exp(-est_cfg.smoothing_rate * period)
+    memories = (None, None)
+    tau0 = rs = 0.0
+    c0 = (est_cfg.c0_initial, est_cfg.c0_initial_variance)
+    prev = None
     columns = {k: [] for k in ("a0_hat", "kd_hat", "tau0_hat", "rs_hat", "c0_hat", "valid")}
     for v_n, i_n, valid in zip(frames.v_n, frames.i_n, frames.valid):
-        if not valid:
-            theta.prev_vn = theta.prev_in = None
-        reg = regression_step(theta, v_n, i_n) if valid else None
-        if reg is not None:
-            theta, _ = theta_kaf_update(theta, v_n, reg[0])
-            tau0, rs = extract_params(extractor, theta.theta_hat)
-            c0 = c0_kaf_update(c0, tau0, rs)
-        row = (float(theta.theta_hat[0]), float(theta.theta_hat[1]), extractor.tau0_hat,
-               extractor.rs_hat, c0.c0_hat, reg is not None)
-        for column, value in zip(columns.values(), row):
+        used = valid and prev is not None
+        if used:
+            *theta, _ = a64s._theta_step(*theta, est_cfg.theta_process_noise,
+                                         est_cfg.theta_measurement_noise,
+                                         v_n, -prev[0], prev[1] + i_n)
+            tau0, rs, *memories, _ = a64s._extract_step(
+                theta[0], theta[1], *memories, alpha, period, cfg.turns_ratio**2 / period)
+            c0 = a64s._c0_step(*c0, est_cfg.c0_process_noise,
+                               est_cfg.c0_measurement_noise, tau0, rs)
+        prev = (v_n, i_n) if valid else None
+        for column, value in zip(columns.values(),
+                                 (theta[0], theta[1], tau0, rs, c0[0], used)):
             column.append(value)
     for name, column in columns.items():
         assert getattr(trace, name) == column, name
+    assert trace.x_hat == [HEALTHY_SENTINEL] * len(frames)
 
 
 def test_healthy_pipeline_estimates_and_sentinel():
@@ -443,6 +434,14 @@ def test_pipeline_fault_before_baseline_is_absorbed():
     assert not trace.tripped
     rs_want = cfg.rs * 90.0 / (cfg.rs + 90.0)
     assert trace.baseline == pytest.approx(rs_want, rel=0.05)
+
+
+@pytest.mark.parametrize("fs", [math.nan, -1.0, 0.0, math.inf])
+def test_estimator_rejects_an_impossible_sample_rate(fs):
+    frames = SubharmonicFrames(v_n=[0.0, 1.0], i_n=[0.0, 1.0], v_n60=[0.0, 0.0],
+                               valid=[True, True])
+    with pytest.raises(ValueError, match="fs"):
+        A64SEstimator(Subharmonic64SConfig()).run(frames, fs)
 
 
 def test_trace_csv_header(tmp_path):

@@ -12,23 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from statorguard.a64g2 import (
-    AdaptiveRatioDetector,
-    DetectorConfig,
-    FixedRatioDetector,
-    RatioKafState,
-    kaf_update,
-    operate_restraint,
-)
-from statorguard.a64s import (
-    HEALTHY_SENTINEL,
-    A64SEstimator,
-    ExtractorState,
-    ThetaKafState,
-    extract_params,
-    theta_kaf_update,
-    tustin_coeffs,
-)
+from statorguard import a64g2, a64s
+from statorguard.a64g2 import AdaptiveRatioDetector, DetectorConfig, FixedRatioDetector
+from statorguard.a64s import HEALTHY_SENTINEL, A64SEstimator, tustin_coeffs
 from statorguard.harness import SweepGrid, sweep_security, sweep_sensitivity
 from statorguard.plantsim import (
     FaultSpec,
@@ -91,12 +77,12 @@ def test_criterion_02_learning_window_inhibit(announce):
     try:
         cfg = DetectorConfig()
         rng = np.random.default_rng(0)
-        inhibited = all(
-            operate_restraint(list(rng.normal(size=min(t, cfg.window + 1))),
-                              list(rng.normal(size=min(t, cfg.window + 1))),
-                              cfg, t)[0] == 0.0
-            for t in range(1, cfg.window + 1)
-        )
+        # a record whose residuals are non-zero from the first frame
+        learning = HarmonicFrames(v_p3=list(rng.uniform(1.0, 3.0, size=40)),
+                                  v_n3=list(rng.uniform(1.0, 3.0, size=40)), valid=[True] * 40)
+        operate = FixedRatioDetector(ratio=1.0, cfg=cfg).run(learning, 1000.0).operate
+        inhibited = (operate[:cfg.window] == [0.0] * cfg.window
+                     and all(jao > 0.0 for jao in operate[cfg.window:]))
         # residual appears for exactly 2 frames, then a restraint swell
         # ends the crossover before persistence can be met
         v_p3 = [10.0] * 60 + [10.0] * 2 + [100.0] * 78
@@ -119,12 +105,10 @@ def test_criterion_03_ratio_filter_worked_example(announce):
     ok = False
     detail = ""
     try:
-        state = RatioKafState(rho_hat=1.0, variance=1.0, process_noise=0.0,
-                              measurement_noise=1.0)
-        new, residual = kaf_update(state, 1.0, 2.0)
-        gain = (new.rho_hat - state.rho_hat) / residual
-        detail = f"P={new.variance}, K={gain}, rho={new.rho_hat}, residual={residual}"
-        ok = (new.variance == 0.5 and gain == 0.5 and new.rho_hat == 1.5
+        rho_hat, variance, residual = a64g2._kaf_step(1.0, 1.0, 0.0, 1.0, 1.0, 2.0)
+        gain = (rho_hat - 1.0) / residual
+        detail = f"P={variance}, K={gain}, rho={rho_hat}, residual={residual}"
+        ok = (variance == 0.5 and gain == 0.5 and rho_hat == 1.5
               and residual == 1.0)
     finally:
         announce(3, ok, desc)
@@ -336,8 +320,9 @@ def test_criterion_11_discretization_round_trip(announce):
         for tau0 in np.linspace(0.0, 0.1, 41):
             for rs in np.logspace(1.0, 5.0, 41):
                 kd, a0 = tustin_coeffs(rs / n**2, float(tau0), 1e-3)
-                state = ExtractorState(period=1e-3, turns_ratio=n, gamma=math.inf)
-                tau_hat, rs_hat = extract_params(state, np.array([a0, kd]))
+                # smoother bypassed (alpha 1), no memories
+                tau_hat, rs_hat, *_ = a64s._extract_step(a0, kd, None, None, 1.0, 1e-3,
+                                                         n**2 / 1e-3)
                 worst_tau = max(worst_tau,
                                 abs(tau_hat - tau0) / max(tau0, 1e-3))
                 worst_rs = max(worst_rs, abs(rs_hat - rs) / rs)
@@ -420,17 +405,20 @@ def test_criterion_14_covariance_health(announce):
         rng = np.random.default_rng(7)
         phis = rng.normal(0.0, 10.0, size=(100_000, 2))
         targets = rng.normal(0.0, 100.0, size=100_000)
-        state = ThetaKafState()
-        extractor = ExtractorState(period=1e-3, turns_ratio=2.0, gamma=math.inf)
+        # theta = 0, P = I, Q = 1e-4, R = 0.25; smoother bypassed (alpha 1)
+        a0, kd, p00, p01, p11 = 0.0, 0.0, 1.0, 0.0, 1.0
+        memories = (None, None)
         healthy = True
-        for phi, target in zip(phis, targets):
-            state, _ = theta_kaf_update(state, float(target), phi)
-            cov = state.cov
-            if not (cov[0, 1] == cov[1, 0] and cov[0, 0] > 0.0
-                    and cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2 > 0.0):
+        for (phi0, phi1), target in zip(phis.tolist(), targets.tolist()):
+            a0, kd, p00, p01, p11, _ = a64s._theta_step(a0, kd, p00, p01, p11, 1e-4, 0.25,
+                                                        target, phi0, phi1)
+            # the kernel keeps one off-diagonal term, so the covariance is
+            # symmetric by construction
+            if not (p00 > 0.0 and p00 * p11 - p01 ** 2 > 0.0):
                 healthy = False
                 break
-            tau0, rs = extract_params(extractor, state.theta_hat)
+            tau0, rs, *memories, _ = a64s._extract_step(a0, kd, *memories, 1.0, 1e-3,
+                                                        2.0**2 / 1e-3)
             if tau0 < 0.0 or rs < 0.0:
                 healthy = False
                 break

@@ -52,6 +52,14 @@ def _fault_config(**overrides):
     return cfg
 
 
+def test_star_import_binds_every_public_name():
+    """A name left in statorguard.__all__ after its object is gone breaks
+    `from statorguard import *`."""
+    namespace = {}
+    exec("from statorguard import *", namespace)
+    assert set(statorguard.__all__) <= namespace.keys()
+
+
 # ------------------------------------------------------------ config layer
 
 def test_load_config_round_trip(tmp_path):

@@ -2,8 +2,12 @@
 
 Runs short CLI commands in a temporary directory: ``simulate`` and
 ``detect-64g2`` on a 64G2 fault that trips, ``detect-64g2 --input`` on the
-simulated waveforms, ``detect-64s`` on a 64S fault that trips (detections
-with ``--format csv``), and both sweeps at seed 0.  The SHA-256 of every
+simulated waveforms, ``detect-64s`` on a 64S fault that trips, both
+detections again on two no-fault records (the 64G2 ``gen_stop`` record of
+the seed-48 security sweep, whose supervision dropouts and adaptive trip
+cover the scheme loop's invalid-frame path, and the 64S ``gen_stop_64s``
+speed ramp; every detection with ``--format csv``), and both sweeps at
+seed 0.  The SHA-256 of every
 file they write is compared with ``output_digests.json`` next to this
 script.  A change meant to keep behaviour must leave every digest as it is.
 
@@ -34,6 +38,12 @@ FAULT_64G2 = {"kind": "64g2", "seed": 11, "fault": {"x": 0.0, "rf": 50.0, "t_on"
 FAULT_64S = {"kind": "64s", "seed": 2, "noise": 0.0,
              "fault": {"x": 0.25, "rf": 90.0, "t_on": 1.6},
              "profile": {"duration": 2.5, "speed": 1.0}}
+GEN_STOP_64G2 = {"kind": "64g2", "seed": 221267776,
+                 "disturbances": [{"kind": "gen_stop", "t_on": 0.5, "t_off": 5.5}],
+                 "profile": {"duration": 6.0}}
+GEN_STOP_64S = {"kind": "64s", "seed": 5,
+                "profile": {"duration": 3.5, "speed": {"t_start": 0.5, "t_end": 3.0,
+                                                       "start": 1.0, "end": 0.0}}}
 
 
 def _runs(tmp: Path):
@@ -41,6 +51,9 @@ def _runs(tmp: Path):
     g2, s = tmp / "fault_64g2.json", tmp / "fault_64s.json"
     g2.write_text(json.dumps(FAULT_64G2))
     s.write_text(json.dumps(FAULT_64S))
+    stop_g2, stop_s = tmp / "gen_stop_64g2.json", tmp / "gen_stop_64s.json"
+    stop_g2.write_text(json.dumps(GEN_STOP_64G2))
+    stop_s.write_text(json.dumps(GEN_STOP_64S))
     sweep = tmp / "sweep.json"
     sweep.write_text("{}")
     return [
@@ -49,6 +62,8 @@ def _runs(tmp: Path):
         ("detect-64g2-input", ["detect-64g2", "--config", str(g2), "--format", "csv",
                                "--input", str(tmp / "simulate-64g2" / "waveforms.csv")]),
         ("detect-64s", ["detect-64s", "--config", str(s), "--format", "csv"]),
+        ("detect-64g2-gen-stop", ["detect-64g2", "--config", str(stop_g2), "--format", "csv"]),
+        ("detect-64s-gen-stop", ["detect-64s", "--config", str(stop_s), "--format", "csv"]),
         ("sweep-sensitivity", ["sweep-sensitivity", "--config", str(sweep), "--seed", "0"]),
         ("sweep-security", ["sweep-security", "--config", str(sweep), "--seed", "0"]),
     ]
