@@ -54,7 +54,8 @@ class SubharmonicFrames:
     v_n and i_n are the injection-band (narrowband-filtered) neutral
     voltage and injected current on the relay side; v_n60 is the
     extracted fundamental-frequency neutral magnitude referred to the
-    machine side, used only by the locator.
+    machine side, used only by the locator.  A64SEstimator.run checks the
+    values.
     """
 
     v_n: List[float]
@@ -65,11 +66,6 @@ class SubharmonicFrames:
     def __post_init__(self):
         if any(len(col) != len(self.v_n) for col in (self.i_n, self.v_n60, self.valid)):
             raise ValueError("frame columns must have equal length")
-        for name in ("v_n", "i_n", "v_n60"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise ValueError(f"{name} must be finite (no NaN or inf)")
-        if min(self.v_n60, default=0.0) < 0:
-            raise ValueError("v_n60 must be >= 0")
 
     def __len__(self) -> int:
         return len(self.v_n)
@@ -238,8 +234,9 @@ class _DropLatch:
             self._window.append(rs_hat)
             if len(self._window) >= cfg.baseline_window:
                 baseline = float(np.median(self._window))
-                if baseline <= 0:
-                    raise CalibrationError("baseline resistance is not positive")
+                # also refuses a NaN median, which would never trip
+                if not baseline > 0:
+                    raise CalibrationError(f"baseline resistance {baseline!r} is not positive")
                 if min(self._window) < cfg.drop_fraction * baseline:
                     raise CalibrationError(
                         "baseline window already contains a resistance drop"
@@ -306,14 +303,19 @@ class A64SEstimatorConfig:
     detector: InsulationDetectorConfig = field(default_factory=InsulationDetectorConfig)
 
     def __post_init__(self):
-        # the filters' and the smoother's rules, checked once for every run
+        # the filters' and the smoother's rules, checked once for every run;
+        # chained comparisons are False for NaN, and a NaN or infinite
+        # filter setting would leave the estimates NaN
         for name in ("theta_process_noise", "c0_process_noise"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("theta_measurement_noise", "theta_initial_variance", "c0_initial_variance",
-                     "c0_measurement_noise", "smoothing_rate", "c0_initial"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+                     "c0_measurement_noise", "c0_initial"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        # an infinite rate means no smoothing
+        if not self.smoothing_rate > 0:
+            raise ValueError("smoothing_rate must be positive")
 
 
 @dataclass
@@ -395,9 +397,15 @@ class A64SEstimator:
     def run(self, frames: SubharmonicFrames, fs: float,
             onset_index: Optional[int] = None) -> A64STrace:
         """Trace of the estimation chain over a record sampled at fs
-        samples per second."""
+        samples per second.  A NaN or infinite cell, or a negative v_n60,
+        anywhere in the record raises ValueError."""
         if not 0.0 < fs < math.inf:
             raise ValueError(f"fs must be positive and finite, got {fs!r}")
+        for name in ("v_n", "i_n", "v_n60"):
+            if not all(map(math.isfinite, getattr(frames, name))):
+                raise ValueError(f"{name} must be finite (no NaN or inf)")
+        if min(frames.v_n60, default=0.0) < 0:
+            raise ValueError("v_n60 must be >= 0")
         cfg = self.cfg
         period = 1.0 / fs
         # the configs have checked their tunables; the loop keeps them in

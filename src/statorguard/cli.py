@@ -26,26 +26,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser, config_required=True):
-    parser.add_argument("--config", required=config_required,
-                        help="scenario config JSON")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config's RNG seed")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="report format (csv adds tabular/long files)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="statorguard",
                      description="Stator ground-fault protection studies")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="simulate a scenario to waveform CSVs")
-    _add_common(p)
+    sub.add_parser("simulate", help="simulate a scenario to waveform CSVs")
 
     p = sub.add_parser("detect-64g2", help="run the third-harmonic ratio schemes")
-    _add_common(p)
     p.add_argument("--input", default=None,
                    help="waveform CSV with vp3/vn3 channels (default: simulate)")
     group = p.add_mutually_exclusive_group()
@@ -55,33 +43,38 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only the fixed-ratio scheme")
 
     p = sub.add_parser("detect-64s", help="run the injection-based scheme")
-    _add_common(p)
     p.add_argument("--input", default=None,
                    help="waveform CSV with vn/in channels (default: simulate)")
 
     p = sub.add_parser("locate", help="estimate the fault position along the winding")
-    _add_common(p)
     p.add_argument("--input", default=None,
                    help="waveform CSV with vn/in channels (default: simulate)")
 
-    p = sub.add_parser("calibrate", help="commission the fixed-ratio scheme")
-    _add_common(p)
-
-    p = sub.add_parser("sweep-sensitivity", help="fault-coverage study")
-    _add_common(p)
-
-    p = sub.add_parser("sweep-security", help="non-fault misoperation study")
-    _add_common(p)
+    sub.add_parser("calibrate", help="commission the fixed-ratio scheme")
+    sub.add_parser("sweep-sensitivity", help="fault-coverage study")
+    sub.add_parser("sweep-security", help="non-fault misoperation study")
 
     p = sub.add_parser("report", help="re-emit a stored report.json")
-    _add_common(p, config_required=False)
     p.add_argument("--input", required=True, help="existing report.json")
 
+    # each command takes only the flags it reads: report reads no config,
+    # locate writes no file, and only a command that emits a report takes
+    # its format
+    for name, p in sub.choices.items():
+        if name != "report":
+            p.add_argument("--config", required=True, help="scenario config JSON")
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config's RNG seed")
+        if name != "locate":
+            p.add_argument("--out", default=None, help="output directory")
+        if name not in ("simulate", "locate", "calibrate"):
+            p.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="report format (csv adds tabular/long files)")
     return parser
 
 
 def _load(args) -> dict:
-    config = harness.load_config(args.config) if args.config else {}
+    config = harness.load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
     return config

@@ -1,8 +1,8 @@
 """Scenario orchestration, reliability studies, and report emission.
 
-A scenario is a JSON-friendly dict (sections: kind, seed, machine or
-sub64s, fault, disturbances, profile, noise, plus detector/estimator
-tuning).  run_scenario executes the full pipeline for one scenario;
+A scenario is a JSON-friendly dict, which one reader checks against the
+schema _Scenario declares before anything runs.  run_scenario executes
+the full pipeline for one scenario;
 sweep_sensitivity and sweep_security run the grid and disturbance
 studies behind the reliability claims; emit_report writes deterministic
 JSON/CSV artifacts.
@@ -10,17 +10,18 @@ JSON/CSV artifacts.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
+import inspect
 import json
 import math
 import numbers
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, get_type_hints
+from typing import (Any, Dict, List, Literal, Optional, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -34,12 +35,7 @@ from .a64g2 import (
     restraint_column,
     write_trace_csv,
 )
-from .a64s import (
-    A64SEstimator,
-    A64SEstimatorConfig,
-    InsulationDetectorConfig,
-    write_a64s_trace_csv,
-)
+from .a64s import A64SEstimator, A64SEstimatorConfig, write_a64s_trace_csv
 from .plantsim import (
     DisturbanceSpec,
     FaultSpec,
@@ -81,30 +77,6 @@ DETECTION_WINDOW_S = 0.5
 DEFAULT_ONSET_SAMPLE = 270
 _SCHEMES = ("adaptive", "fixed")
 
-# Allowed keys of every config level read here by hand.  Sections backed
-# by a dataclass (machine, sub64s, fault, disturbances, detector, grid,
-# estimator.detector) reject unknown keys through its constructor.  One
-# scenario file is meant to be reusable across simulate, detect,
-# calibrate and the sweeps, so the top level admits every section any of
-# them reads.
-_KEYS = {
-    "config": frozenset((
-        "kind", "seed", "noise", "profile", "machine", "sub64s", "fault",
-        "disturbances", "schemes", "calibration", "kaf", "detector",
-        "estimator", "onset_sample", "grid", "scenarios",
-    )),
-    "profile": frozenset((
-        "duration", "fs", "load_pu", "pf", "speed", "window_cycles",
-        "supervision_frac",
-    )),
-    "profile.speed": frozenset(("t_start", "t_end", "start", "end")),
-    "calibration": frozenset(("ratio", "beta_ng", "guard", "points", "duration")),
-    "calibration.points": frozenset(("load_pu", "pf")),
-    "kaf": frozenset(("process_noise", "measurement_noise", "initial_variance", "rho0")),
-    "estimator": frozenset(f.name for f in dc_fields(A64SEstimatorConfig)),
-    "scenarios": frozenset(("name", "kind", "disturbances", "profile", "fault")),
-}
-
 
 class ConfigError(ValueError):
     """A scenario/sweep configuration is malformed or inconsistent."""
@@ -124,89 +96,221 @@ def load_config(path) -> Dict[str, Any]:
     return data
 
 
-def _check_keys(value, level: str) -> None:
-    """Reject a value that is not an object holding only keys of level."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{level} must be an object")
-    unknown = set(value) - _KEYS[level]
-    if unknown:
-        raise ConfigError(f"{level}: unknown keys {sorted(unknown)}; "
-                          f"recognized: {sorted(_KEYS[level])}")
+# The config schema: a section with no library type to read it into has a
+# record below.  _build reads every section by its type's constructor.
+
+@dataclass(frozen=True)
+class _SpeedRamp:
+    """profile.speed as a linear per-unit speed ramp from start at t_start
+    to end at t_end (seconds), held flat outside."""
+
+    t_start: float
+    t_end: float
+    start: float
+    end: float
+
+    def __post_init__(self):
+        if not self.t_end > self.t_start:
+            raise ValueError("t_end must exceed t_start")
 
 
-def _section(config: Dict[str, Any], name: str) -> Dict[str, Any]:
-    """Section name of a checked config; absent or null reads as empty."""
-    return config.get(name) or {}
+@dataclass(frozen=True)
+class _Profile:
+    """Record and operating point.  duration None is 1 s for 64g2 and 3 s
+    for 64s; speed (64s only) None is a machine at rest, a number a
+    constant per-unit speed."""
+
+    duration: Optional[float] = None
+    fs: float = 1000.0
+    load_pu: float = 1.0
+    pf: float = 1.0
+    speed: Optional[Union[float, _SpeedRamp]] = None
+    window_cycles: int = 3
+    supervision_frac: float = 0.1
+
+    def __post_init__(self):
+        if self.window_cycles < 1:
+            raise ValueError(f"window_cycles must be >= 1, got {self.window_cycles}")
+        # at 1 or above the floor would mark every frame invalid
+        if not 0.0 <= self.supervision_frac < 1.0:
+            raise ValueError(f"supervision_frac must be in [0, 1), got {self.supervision_frac}")
+        check_operating_point(self.load_pu, self.pf)
 
 
-def _number(section: Dict[str, Any], key: str, default, where: str, cast=float):
-    """section[key] (or default) as a finite number converted by cast; an
-    int cast also requires an integral value."""
-    value = section.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ConfigError(f"'{where}{key}' must be a finite number, got {value!r}")
-    if cast is int and value != int(value):
-        raise ConfigError(f"'{where}{key}' must be an integer, got {value!r}")
-    return cast(value)
+@dataclass(frozen=True)
+class _Point:
+    """One commissioning operating point."""
+
+    load_pu: float
+    pf: float
 
 
-def _check_config(config) -> str:
-    """Reject unknown keys at every level read by hand and an incomplete
-    calibration setting; returns the scenario kind."""
-    _check_keys(config, "config")
-    for name in ("profile", "calibration", "kaf", "estimator"):
-        if config.get(name) is not None:
-            _check_keys(config[name], name)
-    speed = _section(config, "profile").get("speed")
-    if isinstance(speed, dict):
-        _check_keys(speed, "profile.speed")
-    calibration = _section(config, "calibration")
-    points = calibration.get("points") or []
-    if not isinstance(points, list):
-        raise ConfigError("calibration.points must be a list")
-    for point in points:
-        _check_keys(point, "calibration.points")
-    schemes = config.get("schemes", list(_SCHEMES))
-    if not isinstance(schemes, list) or not schemes or any(s not in _SCHEMES for s in schemes):
-        raise ConfigError(f"'schemes' must be a non-empty list drawn from {_SCHEMES}, "
-                          f"got {schemes!r}")
-    if ("ratio" in calibration) != ("beta_ng" in calibration):
-        raise ConfigError("calibration needs both 'ratio' and 'beta_ng' (a fixed "
-                          "setting) or neither (commission from healthy runs)")
-    kind = config.get("kind", "64g2")
-    if kind not in ("64g2", "64s"):
-        raise ConfigError(f"'kind' must be '64g2' or '64s', got {kind!r}")
-    if kind == "64g2" and "sub64s" in config and "machine" not in config:
-        raise ConfigError("64g2 scenario given only a sub64s section; wrong kind?")
-    if kind == "64s" and "machine" in config and "sub64s" not in config:
-        raise ConfigError("64s scenario given only a machine section; wrong kind?")
-    return kind
+@dataclass(frozen=True)
+class _Commissioning:
+    """The calibration section: a fixed setting (ratio and beta_ng), or,
+    with neither, how to commission the fixed scheme from healthy runs of
+    duration seconds at points (None: default_calibration_points())."""
+
+    ratio: Optional[float] = None
+    beta_ng: Optional[float] = None
+    guard: float = 0.15
+    points: Optional[Tuple[_Point, ...]] = None
+    duration: float = 0.35
+
+    def __post_init__(self):
+        # checked here rather than left to calibrate_64rat, so that a bad
+        # setting costs no healthy run
+        if (self.ratio is None) != (self.beta_ng is None):
+            raise ValueError("needs both 'ratio' and 'beta_ng' (a fixed setting) or "
+                             "neither (commission from healthy runs)")
+        if self.ratio is not None and not (self.ratio > 0 and self.beta_ng > 0):
+            raise ValueError(f"a fixed calibration needs ratio > 0 and beta_ng > 0, "
+                             f"got ratio={self.ratio!r}, beta_ng={self.beta_ng!r}")
+        if self.points is not None and len(self.points) < 2:
+            raise ValueError(f"needs at least 2 points, got {len(self.points)}")
+        if self.guard < 0:
+            raise ValueError(f"guard must be >= 0, got {self.guard}")
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One security-catalog scenario.  Its cell is the base config with
+    this kind and these disturbances, and the base profile updated by
+    this one; a fault is refused."""
+
+    name: Optional[str] = None
+    kind: Literal["64g2", "64s"] = "64g2"
+    disturbances: Tuple[dict, ...] = ()
+    profile: Optional[dict] = None
+    fault: Optional[dict] = None
+
+    def __post_init__(self):
+        if self.fault:
+            raise ValueError("a security scenario must not contain a fault")
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """Every top-level setting of a config.  One file is meant to serve
+    simulate, detect, calibrate and the sweeps, so it admits every section
+    any of them reads.  kaf is the adaptive detector, with the trip
+    settings of the detector section."""
+
+    kind: Literal["64g2", "64s"] = "64g2"
+    seed: int = 0
+    noise: float = 0.05
+    profile: _Profile = _Profile()
+    machine: Optional[MachineConfig] = None
+    sub64s: Optional[Subharmonic64SConfig] = None
+    fault: Optional[FaultSpec] = None
+    disturbances: Tuple[DisturbanceSpec, ...] = ()
+    schemes: Tuple[Literal["adaptive", "fixed"], ...] = _SCHEMES
+    calibration: _Commissioning = _Commissioning()
+    kaf: Optional[AdaptiveRatioDetector] = None
+    detector: DetectorConfig = DetectorConfig()
+    estimator: A64SEstimatorConfig = A64SEstimatorConfig()
+    onset_sample: int = DEFAULT_ONSET_SAMPLE
+    grid: Optional[SweepGrid] = None
+    scenarios: Optional[Tuple[_Entry, ...]] = None
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"'seed' must be >= 0, got {self.seed}")
+        if self.noise < 0:
+            raise ValueError(f"'noise' must be >= 0, got {self.noise}")
+        if not self.schemes:
+            raise ValueError("'schemes' must name at least one scheme")
+        if self.kind == "64g2" and self.sub64s is not None and self.machine is None:
+            raise ValueError("64g2 scenario given only a sub64s section; wrong kind?")
+        if self.kind == "64s":
+            if self.machine is not None and self.sub64s is None:
+                raise ValueError("64s scenario given only a machine section; wrong kind?")
+            if self.disturbances:
+                raise ValueError("64s scenarios model speed via profile.speed, not disturbances")
 
 
 @functools.cache
-def _int_fields(cls) -> frozenset:
-    """Names of the int (or optional int) fields of a config dataclass."""
-    hints = get_type_hints(cls)
-    return frozenset(f.name for f in dc_fields(cls) if hints[f.name] in (int, Optional[int]))
+def _schema(cls) -> Dict[str, Any]:
+    """The settings of cls, the parameters of its constructor, each with
+    its type hint."""
+    hints = get_type_hints(cls if is_dataclass(cls) else cls.__init__)
+    return {name: hints[name] for name in inspect.signature(cls).parameters}
 
 
-def _build(cls, data: Dict[str, Any], section: str):
-    """cls built from a config section; lists become tuples and an int
-    field takes only an integral number, read as _number reads it."""
+def _build(cls, data, section: str, **given):
+    """cls built from config section data (null reads as empty): each key
+    a setting of cls read by _value, a null one as absent, and the given
+    arguments, which data may not hold, passed as they are.  A ValueError
+    or TypeError of the constructor is reported as a ConfigError."""
+    where = section or "config"
+    if data is None:
+        data = {}
     if not isinstance(data, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    int_fields = _int_fields(cls)
-    kwargs = dict(data)
-    for key, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
-        elif key in int_fields and value is not None:
-            kwargs[key] = _number(kwargs, key, None, f"{section}.", int)
+        raise ConfigError(f"'{where}' must be an object, got {data!r}")
+    schema = _schema(cls)
+    accepted = schema.keys() - given.keys()
+    unknown = data.keys() - accepted
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; "
+                          f"recognized: {sorted(accepted)}")
+    prefix = f"{section}." if section else ""
+    kwargs = {key: _value(schema[key], value, prefix + key)
+              for key, value in data.items() if value is not None}
     try:
-        return cls(**kwargs)
+        return cls(**kwargs, **given)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section {section!r}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _value(hint, value, where: str):
+    """A config value read as its type hint.  A float or int takes a
+    finite number that is not a boolean, an int an integral one; the one
+    infinity allowed is fault.rf's, which means no fault.  A tuple takes a
+    list, a class an object built by _build."""
+    if hint is float or hint is int:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) or where == "fault.rf" and value == math.inf)):
+            raise ConfigError(f"'{where}' must be a finite number, got {value!r}")
+        if hint is float:
+            return float(value)
+        if value != int(value):
+            raise ConfigError(f"'{where}' must be an integer, got {value!r}")
+        return int(value)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        # Optional[X] (a null never gets here), or profile.speed's number or ramp
+        options = [arg for arg in args if arg is not type(None)]
+        return _value(options[-1] if isinstance(value, dict) else options[0], value, where)
+    if origin is Literal:
+        if value not in args:
+            raise ConfigError(f"'{where}' must be one of {list(args)}, got {value!r}")
+        return value
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"'{where}' must be a list, got {value!r}")
+        items = (args[0],) * len(value) if args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise ConfigError(f"'{where}' must hold {len(items)} values, got {len(value)}")
+        return tuple(_value(item, v, f"{where}[{i}]")
+                     for i, (item, v) in enumerate(zip(items, value)))
+    if hint is str or hint is dict:
+        if not isinstance(value, hint):
+            raise ConfigError(f"'{where}' must be a {hint.__name__}, got {value!r}")
+        return value
+    return _build(hint, value, where)
+
+
+def _read(config) -> _Scenario:
+    """The config's record: the one reader of a config dict.  A record
+    reads as itself, so a run can commission from the record it read."""
+    if isinstance(config, _Scenario):
+        return config
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be an object, got {config!r}")
+    scenario = _build(_Scenario, {**config, "kaf": None}, "")
+    # the adaptive detector takes the detector section's trip settings
+    return replace(scenario, kaf=_build(AdaptiveRatioDetector, config.get("kaf"), "kaf",
+                                        cfg=scenario.detector))
 
 
 @contextmanager
@@ -302,43 +406,6 @@ class ReliabilityReport:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _seed(config: Dict[str, Any]) -> int:
-    seed = _number(config, "seed", 0, "", int)
-    if seed < 0:
-        raise ConfigError(f"'seed' must be >= 0, got {seed}")
-    return seed
-
-
-def _noise_from(config: Dict[str, Any]) -> float:
-    noise = _number(config, "noise", 0.05, "")
-    if noise < 0:
-        raise ConfigError("'noise' must be a number >= 0")
-    return noise
-
-
-def _machine_from(config: Dict[str, Any]) -> MachineConfig:
-    return _build(MachineConfig, config.get("machine", {}), "machine")
-
-
-def _fault_from(config: Dict[str, Any]) -> Optional[FaultSpec]:
-    section = config.get("fault")
-    return _build(FaultSpec, section, "fault") if section else None
-
-
-def _speed_profile_from(profile: Dict[str, Any]):
-    spec = profile.get("speed")
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        return constant_speed(_number(profile, "speed", None, "profile."))
-    t_start, t_end, start, end = (_number(spec, key, None, "profile.speed.")
-                                  for key in ("t_start", "t_end", "start", "end"))
-    try:
-        return ramp_speed(t_start, t_end, start, end)
-    except ValueError as exc:
-        raise ConfigError(f"speed ramp: {exc}") from exc
-
-
 def _channels(input_channels: Dict[str, TimeSeries], *names: str) -> List[TimeSeries]:
     """The named channels of a recording, matched case-insensitively; two
     columns whose names differ only in case are a config error."""
@@ -368,27 +435,12 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
     """Commission the fixed-ratio scheme from healthy runs across the
     calibration operating points; returns the calibration and the
     per-point medians that produced it."""
-    _check_config(config)
-    machine = _machine_from(config)
-    noise = _noise_from(config)
-    seed = _seed(config)
-    cal_section = _section(config, "calibration")
-    guard = _number(cal_section, "guard", 0.15, "calibration.")
-    points_spec = cal_section.get("points")
-    if points_spec is None:
-        op_points = default_calibration_points()
-    else:
-        op_points = [(_number(p, "load_pu", None, "calibration.points."),
-                      _number(p, "pf", None, "calibration.points."))
-                     for p in points_spec]
-    # checked here rather than left to calibrate_64rat, so that a bad
-    # setting is a config error and costs no healthy run
-    if len(op_points) < 2:
-        raise ConfigError(f"calibration needs at least 2 points, got {len(op_points)}")
-    if guard < 0:
-        raise ConfigError(f"'calibration.guard' must be >= 0, got {guard}")
-    fs = _number(_section(config, "profile"), "fs", 1000.0, "profile.")
-    duration = _number(cal_section, "duration", 0.35, "calibration.")
+    scenario = _read(config)
+    commissioning = scenario.calibration
+    points = commissioning.points
+    op_points = (default_calibration_points() if points is None
+                 else [(p.load_pu, p.pf) for p in points])
+    machine = scenario.machine or MachineConfig()
 
     measured: List[Tuple[float, float]] = []
     details: List[Dict[str, float]] = []
@@ -396,8 +448,8 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
         with _config_errors():
             sim = simulate_64g2_scenario(
                 machine, fault=None, disturbances=(), load_pu=load, pf=pf,
-                duration=duration, fs=fs, noise_std=noise,
-                seed=_derive_seed(seed, 7000, i),
+                duration=commissioning.duration, fs=scenario.profile.fs,
+                noise_std=scenario.noise, seed=_derive_seed(scenario.seed, 7000, i),
             )
         vp = np.array(sim.frames.v_p3)[sim.frames.valid]
         vn = np.array(sim.frames.v_n3)[sim.frames.valid]
@@ -406,7 +458,7 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
         point = (float(np.median(vp)), float(np.median(vn)))
         measured.append(point)
         details.append({"load_pu": load, "pf": pf, "v_p3": point[0], "v_n3": point[1]})
-    return _usable(calibrate_64rat(measured, guard=guard)), details
+    return _usable(calibrate_64rat(measured, guard=commissioning.guard)), details
 
 
 def _usable(calibration: Calibration64RAT) -> Calibration64RAT:
@@ -424,16 +476,13 @@ def _usable(calibration: Calibration64RAT) -> Calibration64RAT:
     return calibration
 
 
-def _resolve_calibration(config: Dict[str, Any]) -> Calibration64RAT:
-    section = _section(config, "calibration")
-    if "ratio" in section and "beta_ng" in section:
-        ratio, beta_ng = (_number(section, key, None, "calibration.")
-                          for key in ("ratio", "beta_ng"))
-        if not (ratio > 0 and beta_ng > 0):
-            raise ConfigError(f"a fixed calibration needs ratio > 0 and beta_ng > 0, "
-                              f"got ratio={ratio!r}, beta_ng={beta_ng!r}")
-        return _usable(Calibration64RAT(ratio=ratio, beta_ng=beta_ng))
-    calibration, _ = calibrate_from_config(config)
+def _resolve_calibration(scenario: _Scenario) -> Calibration64RAT:
+    """The fixed setting of the calibration section, or one commissioned
+    through calibrate_from_config."""
+    section = scenario.calibration
+    if section.ratio is not None:
+        return _usable(Calibration64RAT(ratio=section.ratio, beta_ng=section.beta_ng))
+    calibration, _ = calibrate_from_config(scenario)
     return calibration
 
 
@@ -449,43 +498,23 @@ def _fault_verdict(first: Optional[int], onset: Optional[int], fs: float) -> Dic
     }
 
 
-def _scenario_64g2(config: Dict[str, Any],
+def _scenario_64g2(scenario: _Scenario,
                    input_channels: Optional[Dict[str, TimeSeries]] = None) -> Scenario64G2Result:
     """Frames of a 64g2 scenario, from ingested waveforms or the simulator."""
-    machine = _machine_from(config)
-    fault = _fault_from(config)
-    disturbances = [
-        _build(DisturbanceSpec, d, f"disturbances[{i}]")
-        for i, d in enumerate(config.get("disturbances", []))
-    ]
-    profile = _section(config, "profile")
-    load_pu = _number(profile, "load_pu", 1.0, "profile.")
-    pf = _number(profile, "pf", 1.0, "profile.")
-    duration = _number(profile, "duration", 1.0, "profile.")
-    fs = _number(profile, "fs", 1000.0, "profile.")
-    window_cycles = _number(profile, "window_cycles", 3, "profile.", int)
-    supervision_frac = _number(profile, "supervision_frac", 0.1, "profile.")
-    noise = _noise_from(config)
-    seed = _seed(config)
-    # settings are checked before any recording is read, so that a bad
-    # setting is a config error and only a bad recording a runtime one
-    if window_cycles < 1:
-        raise ConfigError(f"'profile.window_cycles' must be >= 1, got {window_cycles}")
-    if not 0.0 <= supervision_frac < 1.0:
-        raise ConfigError(f"'profile.supervision_frac' must be in [0, 1), got {supervision_frac}")
-    with _config_errors():
-        check_operating_point(load_pu, pf)
-
+    machine = scenario.machine or MachineConfig()
+    profile = scenario.profile
     if input_channels is None:
         with _config_errors():
             return simulate_64g2_scenario(
-                machine, fault, disturbances, load_pu, pf, duration, fs, noise,
-                window_cycles=window_cycles, supervision_frac=supervision_frac, seed=seed,
+                machine, scenario.fault, scenario.disturbances, profile.load_pu, profile.pf,
+                1.0 if profile.duration is None else profile.duration, profile.fs,
+                scenario.noise, window_cycles=profile.window_cycles,
+                supervision_frac=profile.supervision_frac, seed=scenario.seed,
             )
     vp3, vn3 = _channels(input_channels, "vp3", "vn3")
-    sim = frames_from_64g2_waveforms(vp3, vn3, machine, load_pu, pf,
-                                     window_cycles, supervision_frac)
-    return replace(sim, onset_index=_onset_index(fault, vp3))
+    sim = frames_from_64g2_waveforms(vp3, vn3, machine, profile.load_pu, profile.pf,
+                                     profile.window_cycles, profile.supervision_frac)
+    return replace(sim, onset_index=_onset_index(scenario.fault, vp3))
 
 
 def _onset_index(fault: Optional[FaultSpec], ts: TimeSeries) -> Optional[int]:
@@ -494,31 +523,26 @@ def _onset_index(fault: Optional[FaultSpec], ts: TimeSeries) -> Optional[int]:
     return None if fault is None else fault.onset_index(ts.fs, len(ts))
 
 
-def _run_64g2(config: Dict[str, Any], name: str,
+def _run_64g2(scenario: _Scenario, name: str,
               input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
-    det_cfg = _build(DetectorConfig, config.get("detector", {}), "detector")
-    schemes = config.get("schemes", _SCHEMES)
-    section = _section(config, "kaf")
-    kaf = {k: _number(section, k, None, "kaf.") for k, v in section.items() if v is not None}
-    with _config_errors():
-        adaptive = AdaptiveRatioDetector(cfg=det_cfg, **kaf)
-    if "fixed" in schemes:
-        calibration = _resolve_calibration(config)
+    det_cfg = scenario.detector
+    if "fixed" in scenario.schemes:
+        calibration = _resolve_calibration(scenario)
         with _config_errors():
             fixed = FixedRatioDetector.from_calibration(
                 calibration, window=det_cfg.window, persistence=det_cfg.persistence)
-    sim = _scenario_64g2(config, input_channels)
+    sim = _scenario_64g2(scenario, input_channels)
     # both schemes read one restraint column; building it checks the magnitudes
     restraint = restraint_column(sim.frames, det_cfg.window)
 
     verdicts: Dict[str, Dict[str, Any]] = {}
     traces: Dict[str, Any] = {}
-    if "adaptive" in schemes:
-        trace = adaptive.run(sim.frames, sim.fs, onset_index=sim.onset_index,
-                             restraint=restraint)
+    if "adaptive" in scenario.schemes:
+        trace = scenario.kaf.run(sim.frames, sim.fs, onset_index=sim.onset_index,
+                                 restraint=restraint)
         verdicts["a64g2"] = _verdict_64g2(trace)
         traces["a64g2"] = trace
-    if "fixed" in schemes:
+    if "fixed" in scenario.schemes:
         trace = fixed.run(sim.frames, sim.fs, onset_index=sim.onset_index,
                           restraint=restraint)
         verdict = _verdict_64g2(trace)
@@ -526,7 +550,7 @@ def _run_64g2(config: Dict[str, Any], name: str,
                                   "beta_ng": calibration.beta_ng}
         verdicts["ng64g2"] = verdict
         traces["ng64g2"] = trace
-    return ScenarioResult(kind="64g2", name=name, seed=_seed(config),
+    return ScenarioResult(kind="64g2", name=name, seed=scenario.seed,
                           verdicts=verdicts, traces=traces)
 
 
@@ -544,49 +568,36 @@ def _verdict_64g2(trace: SchemeTrace) -> Dict[str, Any]:
     }
 
 
-def _estimator_cfg_from(config: Dict[str, Any]) -> A64SEstimatorConfig:
-    section = _section(config, "estimator")
-    detector = _build(InsulationDetectorConfig, section.get("detector", {}),
-                      "estimator.detector")
-    tunables = {k: _number(section, k, None, "estimator.")
-                for k in section if k != "detector"}
-    with _config_errors():
-        return A64SEstimatorConfig(detector=detector, **tunables)
-
-
-def _scenario_64s(config: Dict[str, Any],
+def _scenario_64s(scenario: _Scenario,
                   input_channels: Optional[Dict[str, TimeSeries]] = None,
                   ) -> Tuple[Subharmonic64SConfig, TimeSeries, TimeSeries, Optional[int]]:
     """Circuit, neutral voltage and current, and fault onset sample of a
     64s scenario, from ingested waveforms or the simulator."""
-    circuit = _build(Subharmonic64SConfig, config.get("sub64s", {}), "sub64s")
-    fault = _fault_from(config)
-    if config.get("disturbances"):
-        raise ConfigError("64s scenarios model speed via profile.speed, not disturbances")
-    profile = _section(config, "profile")
-    duration = _number(profile, "duration", 3.0, "profile.")
-    fs = _number(profile, "fs", 1000.0, "profile.")
-    speed_profile = _speed_profile_from(profile)
-    noise = _noise_from(config)
-    seed = _seed(config)
-
+    circuit = scenario.sub64s or Subharmonic64SConfig()
+    profile = scenario.profile
     if input_channels is None:
+        speed = profile.speed
+        if isinstance(speed, _SpeedRamp):
+            speed_profile = ramp_speed(speed.t_start, speed.t_end, speed.start, speed.end)
+        else:
+            speed_profile = None if speed is None else constant_speed(speed)
         with _config_errors():
             v_ts, i_ts = simulate_64s_timeseries(
-                circuit, [fault] if fault is not None else [], duration=duration, fs=fs,
-                noise_std=noise, speed_profile=speed_profile, seed=seed,
+                circuit, [scenario.fault] if scenario.fault is not None else [],
+                duration=3.0 if profile.duration is None else profile.duration,
+                fs=profile.fs, noise_std=scenario.noise,
+                speed_profile=speed_profile, seed=scenario.seed,
             )
     else:
         v_ts, i_ts = _channels(input_channels, "vn", "in")
-    return circuit, v_ts, i_ts, _onset_index(fault, v_ts)
+    return circuit, v_ts, i_ts, _onset_index(scenario.fault, v_ts)
 
 
-def _run_64s(config: Dict[str, Any], name: str,
+def _run_64s(scenario: _Scenario, name: str,
              input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
-    est_cfg = _estimator_cfg_from(config)
-    circuit, v_ts, i_ts, onset_index = _scenario_64s(config, input_channels)
+    circuit, v_ts, i_ts, onset_index = _scenario_64s(scenario, input_channels)
 
-    estimator = A64SEstimator(circuit, est_cfg)
+    estimator = A64SEstimator(circuit, scenario.estimator)
     trace = estimator.run_timeseries(v_ts, i_ts, onset_index=onset_index)
     first = trace.first_trip_index
     verdict: Dict[str, Any] = {
@@ -603,7 +614,7 @@ def _run_64s(config: Dict[str, Any], name: str,
         pass
     verdict["x_final"] = trace.final_location()
     verdict.update(_fault_verdict(first, onset_index, v_ts.fs))
-    return ScenarioResult(kind="64s", name=name, seed=_seed(config),
+    return ScenarioResult(kind="64s", name=name, seed=scenario.seed,
                           verdicts={"a64s": verdict}, traces={"a64s": trace})
 
 
@@ -611,51 +622,50 @@ def run_scenario(config: Dict[str, Any], name: str = "scenario",
                  input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
     """Execute one scenario end to end (simulate, or use ingested
     waveforms, then detect) and return verdicts plus traces."""
-    if _check_config(config) == "64g2":
-        return _run_64g2(config, name, input_channels)
-    return _run_64s(config, name, input_channels)
+    scenario = _read(config)
+    run = _run_64g2 if scenario.kind == "64g2" else _run_64s
+    return run(scenario, name, input_channels)
 
 
 def simulate_waveforms(config: Dict[str, Any]) -> Tuple[str, Dict[str, TimeSeries], Optional[int]]:
     """Simulate a scenario's measurement waveforms, parsed exactly as
     run_scenario parses them; returns the kind, the channels (vp3/vn3 for
     64g2, vn/in for 64s) and the fault onset sample."""
-    kind = _check_config(config)
-    if kind == "64g2":
-        sim = _scenario_64g2(config)
-        return kind, {"vp3": sim.v_p3_wave, "vn3": sim.v_n3_wave}, sim.onset_index
-    _, v_ts, i_ts, onset = _scenario_64s(config)
-    return kind, {"vn": v_ts, "in": i_ts}, onset
+    scenario = _read(config)
+    if scenario.kind == "64g2":
+        sim = _scenario_64g2(scenario)
+        return scenario.kind, {"vp3": sim.v_p3_wave, "vn3": sim.v_n3_wave}, sim.onset_index
+    _, v_ts, i_ts, onset = _scenario_64s(scenario)
+    return scenario.kind, {"vn": v_ts, "in": i_ts}, onset
 
 
 def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) -> ReliabilityReport:
     """Fault-coverage study: run every (tap, Rf, load, pf) cell through
     both ratio schemes and derive the blind zone at the minimum fault
     resistance.  grid None takes the base config's 'grid' section, or
-    the default SweepGrid when it has none."""
-    base = copy.deepcopy(base_config)
-    base.setdefault("kind", "64g2")
-    if _check_config(base) != "64g2":
+    the default SweepGrid when it has none.  A cell is the base config
+    with the cell's fault, load and pf."""
+    base = _read(base_config)
+    if base.kind != "64g2":
         raise ConfigError("sensitivity sweep applies to 64g2 configs")
-    if set(base.get("schemes", _SCHEMES)) != set(_SCHEMES):
+    if set(base.schemes) != set(_SCHEMES):
         raise ConfigError("the sensitivity sweep compares both ratio schemes; "
                           "'schemes' must list 'adaptive' and 'fixed'")
     if grid is None:
-        grid = _build(SweepGrid, base["grid"], "grid") if base.get("grid") else SweepGrid()
-    seed = _seed(base)
-    profile = _section(base, "profile")
-    fs = _number(profile, "fs", 1000.0, "profile.")
-    onset = _number(base, "onset_sample", DEFAULT_ONSET_SAMPLE, "", int)
+        grid = base.grid or SweepGrid()
+    seed, fs, onset = base.seed, base.profile.fs, base.onset_sample
     calibration = _resolve_calibration(base)
+    fixed = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
+    profile = base_config.get("profile") or {}
 
     rows: List[Dict[str, Any]] = []
     for index, (x, rf, load, pf) in enumerate(grid.cells()):
-        cfg = copy.deepcopy(base)
-        cfg["fault"] = {"x": x, "rf": rf, "t_on": onset / fs}
-        cfg["profile"] = {"duration": (onset / fs) + DETECTION_WINDOW_S + 0.25,
-                          **profile, "load_pu": load, "pf": pf}
-        cfg["seed"] = _derive_seed(seed, 1, index)
-        cfg["calibration"] = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
+        cfg = {**base_config,
+               "fault": {"x": x, "rf": rf, "t_on": onset / fs},
+               "profile": {"duration": (onset / fs) + DETECTION_WINDOW_S + 0.25,
+                           **profile, "load_pu": load, "pf": pf},
+               "seed": _derive_seed(seed, 1, index),
+               "calibration": fixed}
         result = run_scenario(cfg, name=f"cell_{index}")
         rows.append({
             "x": x, "rf": rf, "load_pu": load, "pf": pf,
@@ -679,7 +689,7 @@ def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) ->
         study="sensitivity",
         cells=rows,
         blind_zone=blind_zone,
-        calibration={"ratio": calibration.ratio, "beta_ng": calibration.beta_ng},
+        calibration=fixed,
         meta={
             "seed": seed,
             "fs": fs,
@@ -766,36 +776,25 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
     schemes (and the injection scheme for speed scenarios); any trip is a
     misoperation.  scenarios None takes the base config's 'scenarios'
     list, or the default catalog when it has none."""
-    base = copy.deepcopy(base_config)
-    _check_config(base)
-    catalog = scenarios if scenarios is not None else base.get("scenarios")
+    base = _read(base_config)
+    catalog = base.scenarios if scenarios is None else _value(Tuple[_Entry, ...], scenarios,
+                                                              "scenarios")
     if catalog is None:
-        catalog = default_security_catalog()
-    seed = _seed(base)
-    calibration = _resolve_calibration({**base, "kind": "64g2"})
+        catalog = _value(Tuple[_Entry, ...], default_security_catalog(), "scenarios")
+    calibration = _resolve_calibration(base)
+    fixed = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
+    rest = {k: v for k, v in base_config.items() if k not in ("fault", "disturbances")}
     rows: List[Dict[str, Any]] = []
     misoperations: List[Dict[str, Any]] = []
-    for index, scenario in enumerate(catalog):
-        _check_keys(scenario, "scenarios")
-        if scenario.get("fault"):
-            raise ConfigError(
-                f"security scenario {scenario.get('name', index)!r} must not contain a fault")
-        cfg = copy.deepcopy(base)
-        cfg.pop("fault", None)
-        cfg.pop("disturbances", None)
-        cfg["kind"] = scenario.get("kind", "64g2")
-        if "disturbances" in scenario:
-            cfg["disturbances"] = copy.deepcopy(scenario["disturbances"])
-        profile = dict(_section(cfg, "profile"))
-        profile.update(scenario.get("profile", {}))
-        cfg["profile"] = profile
-        cfg["seed"] = _derive_seed(seed, 2, index)
-        if cfg["kind"] == "64g2":
-            cfg["calibration"] = {"ratio": calibration.ratio,
-                                  "beta_ng": calibration.beta_ng}
+    for index, entry in enumerate(catalog):
+        profile = {**(base_config.get("profile") or {}), **(entry.profile or {})}
+        cfg = {**rest, "kind": entry.kind, "disturbances": list(entry.disturbances),
+               "profile": profile, "seed": _derive_seed(base.seed, 2, index)}
+        if entry.kind == "64g2":
+            cfg["calibration"] = fixed
         else:
             profile.setdefault("speed", 1.0)
-        name = scenario.get("name", f"scenario_{index}")
+        name = f"scenario_{index}" if entry.name is None else entry.name
         result = run_scenario(cfg, name=name)
         for scheme, verdict in result.verdicts.items():
             tripped = bool(verdict["tripped"])
@@ -808,8 +807,8 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
         study="security",
         cells=rows,
         misoperations=misoperations,
-        calibration={"ratio": calibration.ratio, "beta_ng": calibration.beta_ng},
-        meta={"seed": seed, "scenario_count": len(catalog)},
+        calibration=fixed,
+        meta={"seed": base.seed, "scenario_count": len(catalog)},
     )
 
 

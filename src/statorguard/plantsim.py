@@ -37,6 +37,7 @@ __all__ = [
     "Subharmonic64SConfig",
     "Scenario64G2Result",
     "HarmonicFrames",
+    "DISTURBANCE_KINDS",
     "grounding_resistor_sizing",
     "e3_of_operating_point",
     "emf_split_fraction",

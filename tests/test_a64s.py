@@ -10,6 +10,7 @@ from statorguard import a64s
 from statorguard.a64s import (
     HEALTHY_SENTINEL,
     A64SEstimator,
+    A64SEstimatorConfig,
     CalibrationError,
     InsulationDetectorConfig,
     SubharmonicFrames,
@@ -274,25 +275,71 @@ def test_frames_from_timeseries_validation():
 
 
 def test_subharmonic_frames_check_columns_once_per_record():
+    """The record checks its column lengths; run() checks the values, also
+    of a cell set after construction."""
     with pytest.raises(ValueError):
         SubharmonicFrames(v_n=[0.0, 0.0], i_n=[0.0], v_n60=[0.0, 0.0], valid=[True, True])
     with pytest.raises(ValueError):
         SubharmonicFrames(v_n=[0.0], i_n=[0.0], v_n60=[0.0], valid=[True, False])
-    with pytest.raises(ValueError):
-        SubharmonicFrames(v_n=[0.0, 0.0], i_n=[0.0, 0.0], v_n60=[0.0, -1.0],
-                          valid=[True, True])
+    estimator = A64SEstimator(Subharmonic64SConfig())
+    with pytest.raises(ValueError, match="v_n60"):
+        estimator.run(SubharmonicFrames(v_n=[0.0, 0.0], i_n=[0.0, 0.0], v_n60=[0.0, -1.0],
+                                        valid=[True, True]), 1000.0)
     for bad in (math.nan, math.inf, -math.inf):
         for name in ("v_n", "i_n", "v_n60"):
             columns = {"v_n": [0.0, 1.0], "i_n": [0.0, 1.0], "v_n60": [0.0, 1.0],
                        "valid": [True, False]}
             columns[name] = [0.0, bad]
             with pytest.raises(ValueError, match=name):
-                SubharmonicFrames(**columns)
+                estimator.run(SubharmonicFrames(**columns), 1000.0)
     cfg = Subharmonic64SConfig()
     v, i = simulate_64s_timeseries(cfg, [], duration=0.5, noise_std=0.0, seed=0)
     frames = frames_from_timeseries(v, i, cfg)
     assert len(frames) == len(v) == 500
     assert all(x == 0.0 for x, ok in zip(frames.v_n60, frames.valid) if not ok)
+
+
+def _fault_record_90_ohm():
+    """A 90 ohm fault at x = 0.25 from 1.6 s of a noiseless 2.5 s record at
+    rated speed; the default estimator trips on it at sample 1799."""
+    cfg = Subharmonic64SConfig()
+    v, i = simulate_64s_timeseries(
+        cfg, [FaultSpec(x=0.25, rf=90.0, t_on=1.6)], duration=2.5, noise_std=0.0,
+        seed=2, speed_profile=lambda t: np.ones_like(t))
+    return cfg, frames_from_timeseries(v, i, cfg)
+
+
+@pytest.mark.parametrize("column", ["v_n", "i_n", "v_n60"])
+def test_a_cell_set_to_nan_after_construction_is_refused(column):
+    cfg, frames = _fault_record_90_ohm()
+    assert A64SEstimator(cfg).run(frames, 1000.0).first_trip_index == 1799
+    getattr(frames, column)[1700] = math.nan
+    with pytest.raises(ValueError, match=column):
+        A64SEstimator(cfg).run(frames, 1000.0)
+
+
+@pytest.mark.parametrize("name", [
+    "theta_process_noise", "theta_measurement_noise", "theta_initial_variance",
+    "c0_initial", "c0_initial_variance", "c0_process_noise", "c0_measurement_noise",
+])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_estimator_config_rejects_a_non_finite_filter_setting(name, bad):
+    """An infinite filter setting used to run: no trip on the 90 ohm
+    record, and NaN baseline, rs_hat or c0_hat."""
+    with pytest.raises(ValueError, match=name):
+        A64SEstimatorConfig(**{name: bad})
+
+
+def test_infinite_smoothing_rate_bypasses_the_smoother():
+    cfg, frames = _fault_record_90_ohm()
+    trace = A64SEstimator(cfg, A64SEstimatorConfig(smoothing_rate=math.inf)).run(frames, 1000.0)
+    assert trace.tripped and math.isfinite(trace.baseline)
+
+
+def test_a64s_detect_refuses_a_nan_baseline():
+    cfg = InsulationDetectorConfig(baseline_start=0, baseline_window=3)
+    with pytest.raises(CalibrationError, match="nan"):
+        _latch_states([math.nan] * 3, cfg)
 
 
 # absolute floors for values that pass near 0: the filter starts at

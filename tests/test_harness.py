@@ -8,13 +8,14 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import statorguard
 from statorguard import harness, signalcore
-from statorguard.a64g2 import SchemeTrace
+from statorguard.a64g2 import AdaptiveRatioDetector, SchemeTrace
 from statorguard.a64s import A64SEstimatorConfig, A64STrace
 from statorguard.cli import main as cli_main
 from statorguard.harness import (
@@ -219,6 +220,82 @@ def test_sweep_onset_sample_must_be_an_integer():
     grid = SweepGrid(taps=(0.0,), rfs=(50.0,), loads=(1.0,))
     with pytest.raises(ConfigError, match="onset_sample"):
         sweep_sensitivity(grid, {"onset_sample": 270.5, "calibration": dict(CAL)})
+
+
+def _numeric_settings(hint, path=()):
+    """The path of every float or int setting under a config type hint:
+    keys, and (0, n) for the first item of an n-item list."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (float, int):
+        yield path
+    elif origin is typing.Union:
+        for arg in args:
+            yield from _numeric_settings(arg, path)
+    elif origin is tuple:
+        size = 1 if args[-1] is Ellipsis else len(args)
+        yield from _numeric_settings(args[0], path + ((0, size),))
+    elif isinstance(hint, type) and origin is None and hint not in (str, dict, type(None)):
+        for name, field_hint in harness._schema(hint).items():
+            # the adaptive detector's trip settings come from the detector section
+            if not (hint is AdaptiveRatioDetector and name == "cfg"):
+                yield from _numeric_settings(field_hint, path + (name,))
+
+
+def _config_at(path, value):
+    """The config that sets the setting at path to value; the other items
+    of a fixed-length list are 0.5."""
+    for step in reversed(path):
+        value = [value] + [0.5] * (step[1] - 1) if isinstance(step, tuple) else {step: value}
+    return value
+
+
+def test_every_numeric_setting_takes_only_a_finite_number():
+    """One number rule at every level: true, NaN and the infinities are a
+    config error naming the dotted key.  fault.rf = Infinity is no fault."""
+    keys, missed = [], []
+    for path in _numeric_settings(harness._Scenario):
+        key = "".join("[0]" if isinstance(s, tuple) else f".{s}" for s in path).lstrip(".")
+        keys.append(key)
+        for bad in (True, math.nan, math.inf, -math.inf):
+            if key == "fault.rf" and bad == math.inf:
+                continue
+            try:
+                harness._read(_config_at(path, bad))
+            except ConfigError as exc:
+                if f"'{key}'" in str(exc):
+                    continue
+            missed.append((key, bad))
+    assert not missed
+    assert {"seed", "profile.speed", "profile.speed.t_end", "machine.e3_coeffs[0]",
+            "sub64s.rs", "fault.rf", "disturbances[0].t_off", "calibration.points[0].pf",
+            "kaf.rho0", "detector.sensitivity", "estimator.detector.persistence",
+            "onset_sample", "grid.rfs[0]"} <= set(keys)
+
+
+@pytest.mark.parametrize("config", [
+    {"detector": {"sensitivity": True}},  # was silently blind
+    {"machine": {"e3": True}},  # tripped before the onset
+    {"kind": "64s", "sub64s": {"rs": True}},  # learned a 1.003 ohm baseline
+])
+def test_cli_boolean_setting_is_a_config_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_fault_config(), **config}))
+    command = f"detect-{config.get('kind', '64g2')}"
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    section, settings = next((k, v) for k, v in config.items() if k != "kind")
+    assert err.startswith("config error:") and f"'{section}.{next(iter(settings))}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_reads_as_absent():
+    nulls = _fault_config(seed=None, noise=None, machine=None, detector=None, schemes=None,
+                          profile={"duration": 0.4, "fs": None})
+    absent = _fault_config(profile={"duration": 0.4})
+    absent.pop("seed")
+    a, b = run_scenario(nulls), run_scenario(absent)
+    assert a.seed == b.seed == 0
+    assert a.verdicts == b.verdicts
 
 
 def test_default_calibration_points_cover_load_and_pf():
@@ -985,6 +1062,25 @@ def test_cli_replay_of_broken_data_stays_a_runtime_error(tmp_path, capsys):
 def test_cli_usage_error_exit_code(capsys):
     assert cli_main(["detect-64g2"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("locate", ["--out", "out"]),
+    ("locate", ["--format", "csv"]),
+    ("simulate", ["--format", "csv"]),
+    ("calibrate", ["--format", "csv"]),
+    ("report", ["--config", "cfg.json"]),
+    ("report", ["--seed", "1"]),
+])
+def test_cli_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(_fault_config()))
+    emit_report(ReliabilityReport(study="security"), tmp_path)
+    given = (["--input", str(tmp_path / "report.json")] if command == "report"
+             else ["--config", str(config)])
+    assert cli_main([command, *given, *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag[0] in err
 
 
 def test_cli_runtime_error_exit_code(cli_workspace, capsys):
