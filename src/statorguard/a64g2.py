@@ -108,14 +108,14 @@ class SchemeTrace:
     fs: float
     sensitivity: float
     t_index: List[int] = field(default_factory=list)
-    v_p3: List[float] = field(default_factory=list)
-    v_n3: List[float] = field(default_factory=list)
+    v_p3: Sequence[float] = ()
+    v_n3: Sequence[float] = ()
     rho_hat: List[float] = field(default_factory=list)
     residual: List[float] = field(default_factory=list)
     operate: List[float] = field(default_factory=list)
-    restraint: List[float] = field(default_factory=list)
+    restraint: Sequence[float] = ()
     trip: List[bool] = field(default_factory=list)
-    valid: List[bool] = field(default_factory=list)
+    valid: Sequence[bool] = ()
     onset_index: Optional[int] = None
     margin_peak: float = 0.0
     margin_index: Optional[int] = None
@@ -146,28 +146,23 @@ class SchemeTrace:
         return self.margin_peak
 
 
-def restraint_column(frames: HarmonicFrames, window: int) -> List[float]:
+def restraint_column(frames: HarmonicFrames, window: int) -> Tuple[float, ...]:
     """The restraint energy JAR at every frame of a record: the sum of the
     squared neutral magnitudes of the last window+1 valid frames, repeated
     on invalid frames.  It depends only on the frames and the window, so
-    both ratio schemes of one record can share it.  A negative or
-    non-finite magnitude anywhere in the record, valid or not, raises
-    ValueError."""
+    both ratio schemes of one record can share it."""
     fsum = math.fsum
     vn3_sq: Deque[float] = deque(maxlen=window + 1)
     push = vn3_sq.append
     jar = 0.0
     column: List[float] = []
     append = column.append
-    for vp, vn, ok in zip(frames.v_p3, frames.v_n3, frames.valid):
-        # chained comparisons are False for NaN, so NaN is rejected too
-        if not (0.0 <= vp < math.inf and 0.0 <= vn < math.inf):
-            raise ValueError("phasor magnitudes must be finite and >= 0")
+    for vn, ok in zip(frames.v_n3, frames.valid):
         if ok:
             push(vn * vn)
             jar = fsum(vn3_sq)
         append(jar)
-    return column
+    return tuple(column)
 
 
 def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
@@ -233,10 +228,8 @@ def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
         operate_col(jao)
         trip_col(tripped)
     trace.t_index = list(range(len(frames)))
-    trace.v_p3 = list(frames.v_p3)
-    trace.v_n3 = list(frames.v_n3)
-    trace.restraint = list(restraint)
-    trace.valid = list(map(bool, frames.valid))
+    trace.v_p3, trace.v_n3, trace.valid = frames.v_p3, frames.v_n3, frames.valid
+    trace.restraint = restraint
     trace.margin_peak, trace.margin_index = peak, peak_index
 
 
@@ -285,9 +278,9 @@ class _RatioDetector:
         schemes on one record builds it once."""
         if not 0.0 < fs < math.inf:
             raise ValueError(f"fs must be positive and finite, got {fs!r}")
-        if restraint is None:
-            restraint = restraint_column(frames, self.cfg.window)
-        elif len(restraint) != len(frames):
+        restraint = (restraint_column(frames, self.cfg.window) if restraint is None
+                     else tuple(restraint))
+        if len(restraint) != len(frames):
             raise ValueError("the restraint column must have one value per frame")
         trace = SchemeTrace(scheme=self.scheme, fs=fs, sensitivity=self.cfg.sensitivity,
                             onset_index=onset_index)

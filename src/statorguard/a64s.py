@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .plantsim import Subharmonic64SConfig
+from .plantsim import Subharmonic64SConfig, _freeze_columns
 from .signalcore import TimeSeries, extract_phasor, reconstruct_narrowband, write_table
 
 __all__ = [
@@ -46,26 +46,24 @@ class CalibrationError(RuntimeError):
     """Raised when the healthy baseline cannot be established."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubharmonicFrames:
-    """Processed measurement samples for the injection scheme, as columns;
-    a sample's index is its position.
+    """Processed measurement samples for the injection scheme, as
+    immutable columns; a sample's index is its position.
 
     v_n and i_n are the injection-band (narrowband-filtered) neutral
-    voltage and injected current on the relay side; v_n60 is the
+    voltage and injected current on the relay side, finite; v_n60 is the
     extracted fundamental-frequency neutral magnitude referred to the
-    machine side, used only by the locator.  A64SEstimator.run checks the
-    values.
+    machine side, finite and >= 0, used only by the locator.
     """
 
-    v_n: List[float]
-    i_n: List[float]
-    v_n60: List[float]
-    valid: List[bool]
+    v_n: Tuple[float, ...]
+    i_n: Tuple[float, ...]
+    v_n60: Tuple[float, ...]
+    valid: Tuple[bool, ...]
 
     def __post_init__(self):
-        if any(len(col) != len(self.v_n) for col in (self.i_n, self.v_n60, self.valid)):
-            raise ValueError("frame columns must have equal length")
+        _freeze_columns(self, ("v_n60",), ("v_n", "i_n"))
 
     def __len__(self) -> int:
         return len(self.v_n)
@@ -257,23 +255,21 @@ def frames_from_timeseries(
     v_ts: TimeSeries,
     i_ts: TimeSeries,
     circuit: Subharmonic64SConfig,
-    injection_cycles: int = 2,
-    fundamental_cycles: int = 3,
 ) -> SubharmonicFrames:
     """Pre-filter raw neutral-voltage / injected-current records into
     estimator frames.
 
-    Both channels are narrowband-filtered at the injection frequency
-    (the same linear filter on both preserves their discrete-time
-    circuit relation exactly once warmed up); the fundamental component
-    of the voltage channel is extracted separately, referred to the
-    machine side, for the locator.
+    Both channels are narrowband-filtered at the injection frequency over
+    2 cycles (the same linear filter on both preserves their
+    discrete-time circuit relation exactly once warmed up); the
+    fundamental component of the voltage channel is extracted separately
+    over 3 cycles, referred to the machine side, for the locator.
     """
     if v_ts.fs != i_ts.fs or len(v_ts) != len(i_ts) or v_ts.t0 != i_ts.t0:
         raise ValueError("voltage and current records must share fs, t0, length")
-    ph_v = extract_phasor(v_ts, circuit.f_inj, injection_cycles)
-    ph_i = extract_phasor(i_ts, circuit.f_inj, injection_cycles)
-    ph_60 = extract_phasor(v_ts, circuit.f1, fundamental_cycles)
+    ph_v = extract_phasor(v_ts, circuit.f_inj, 2)
+    ph_i = extract_phasor(i_ts, circuit.f_inj, 2)
+    ph_60 = extract_phasor(v_ts, circuit.f1, 3)
     v_band = reconstruct_narrowband(ph_v).samples
     i_band = reconstruct_narrowband(ph_i).samples
     valid = ph_v.valid & ph_i.valid & ph_60.valid
@@ -324,8 +320,8 @@ class A64STrace:
 
     fs: float
     t_index: List[int] = field(default_factory=list)
-    v_n: List[float] = field(default_factory=list)
-    i_n: List[float] = field(default_factory=list)
+    v_n: Sequence[float] = ()
+    i_n: Sequence[float] = ()
     a0_hat: List[float] = field(default_factory=list)
     kd_hat: List[float] = field(default_factory=list)
     tau0_hat: List[float] = field(default_factory=list)
@@ -397,15 +393,9 @@ class A64SEstimator:
     def run(self, frames: SubharmonicFrames, fs: float,
             onset_index: Optional[int] = None) -> A64STrace:
         """Trace of the estimation chain over a record sampled at fs
-        samples per second.  A NaN or infinite cell, or a negative v_n60,
-        anywhere in the record raises ValueError."""
+        samples per second."""
         if not 0.0 < fs < math.inf:
             raise ValueError(f"fs must be positive and finite, got {fs!r}")
-        for name in ("v_n", "i_n", "v_n60"):
-            if not all(map(math.isfinite, getattr(frames, name))):
-                raise ValueError(f"{name} must be finite (no NaN or inf)")
-        if min(frames.v_n60, default=0.0) < 0:
-            raise ValueError("v_n60 must be >= 0")
         cfg = self.cfg
         period = 1.0 / fs
         # the configs have checked their tunables; the loop keeps them in
@@ -429,7 +419,7 @@ class A64SEstimator:
         sentinel = HEALTHY_SENTINEL
 
         trace = A64STrace(fs=fs, onset_index=onset_index, t_index=list(range(len(frames))),
-                          v_n=list(frames.v_n), i_n=list(frames.i_n))
+                          v_n=frames.v_n, i_n=frames.i_n)
         a0_col, kd_col, tau0_col, rs_col, c0_col, x_col, trip_col, valid_col = (
             col.append for col in (trace.a0_hat, trace.kd_hat, trace.tau0_hat, trace.rs_hat,
                                    trace.c0_hat, trace.x_hat, trace.trip, trace.valid))

@@ -222,6 +222,9 @@ class _Scenario:
             raise ValueError("'schemes' must name at least one scheme")
         if self.kind == "64g2" and self.sub64s is not None and self.machine is None:
             raise ValueError("64g2 scenario given only a sub64s section; wrong kind?")
+        if self.kind == "64g2" and self.profile.speed is not None:
+            raise ValueError("64g2 scenarios model speed via gen_start/gen_stop "
+                             "disturbances, not profile.speed")
         if self.kind == "64s":
             if self.machine is not None and self.sub64s is None:
                 raise ValueError("64s scenario given only a machine section; wrong kind?")
@@ -451,8 +454,9 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
                 duration=commissioning.duration, fs=scenario.profile.fs,
                 noise_std=scenario.noise, seed=_derive_seed(scenario.seed, 7000, i),
             )
-        vp = np.array(sim.frames.v_p3)[sim.frames.valid]
-        vn = np.array(sim.frames.v_n3)[sim.frames.valid]
+        valid = np.array(sim.frames.valid)
+        vp = np.array(sim.frames.v_p3)[valid]
+        vn = np.array(sim.frames.v_n3)[valid]
         if vp.size == 0:
             raise ConfigError(f"calibration point load={load}, pf={pf} produced no valid frames")
         point = (float(np.median(vp)), float(np.median(vn)))
@@ -792,6 +796,8 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
                "profile": profile, "seed": _derive_seed(base.seed, 2, index)}
         if entry.kind == "64g2":
             cfg["calibration"] = fixed
+            if "speed" not in (entry.profile or {}):
+                profile.pop("speed", None)  # a 64s base's speed, for its 64s cells
         else:
             profile.setdefault("speed", 1.0)
         name = f"scenario_{index}" if entry.name is None else entry.name

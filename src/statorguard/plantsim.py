@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .signalcore import PhasorSeries, TimeSeries, extract_phasor
+from .signalcore import TimeSeries, extract_phasor
 
 __all__ = [
     "MachineConfig",
@@ -218,19 +218,37 @@ class Subharmonic64SConfig:
         return self.turns_ratio**2 * self.rn
 
 
-@dataclass
-class HarmonicFrames:
-    """Third-harmonic measurement frames as columns: terminal and neutral
-    magnitudes and whether each frame may advance a detector.  A frame's
-    index is its position."""
+def _freeze_columns(frames, magnitudes: Tuple[str, ...], signals: Tuple[str, ...] = ()) -> None:
+    """Store each column of a frozen frame record as a tuple (valid as
+    bools) and check them once, in valid and invalid frames alike: equal
+    lengths, every magnitude finite and >= 0, every signal finite.  A bad
+    value raises ValueError naming its column."""
+    valid = tuple(map(bool, frames.valid))
+    object.__setattr__(frames, "valid", valid)
+    for name in magnitudes + signals:
+        column = tuple(getattr(frames, name))
+        object.__setattr__(frames, name, column)
+        if len(column) != len(valid):
+            raise ValueError(f"frame columns must have equal length: {name} has "
+                             f"{len(column)}, valid {len(valid)}")
+        rule = "finite and >= 0" if name in magnitudes else "finite"
+        negative = name in magnitudes and min(column, default=0.0) < 0.0
+        if negative or not all(map(math.isfinite, column)):
+            raise ValueError(f"{name} must be {rule}")
 
-    v_p3: List[float]
-    v_n3: List[float]
-    valid: List[bool]
+
+@dataclass(frozen=True)
+class HarmonicFrames:
+    """Third-harmonic measurement frames as immutable columns: terminal
+    and neutral magnitudes (finite and >= 0) and whether each frame may
+    advance a detector.  A frame's index is its position."""
+
+    v_p3: Tuple[float, ...]
+    v_n3: Tuple[float, ...]
+    valid: Tuple[bool, ...]
 
     def __post_init__(self):
-        if any(len(col) != len(self.v_p3) for col in (self.v_n3, self.valid)):
-            raise ValueError("frame columns must have equal length")
+        _freeze_columns(self, ("v_p3", "v_n3"))
 
     def __len__(self) -> int:
         return len(self.v_p3)
@@ -238,16 +256,13 @@ class HarmonicFrames:
 
 @dataclass
 class Scenario64G2Result:
-    """Waveforms, the terminal phasor stream, and frames from one 64G2
-    scenario."""
+    """Waveforms and frames from one 64G2 scenario."""
 
     frames: HarmonicFrames
     v_p3_wave: TimeSeries
     v_n3_wave: TimeSeries
-    phasor_p: PhasorSeries
     fs: float
     onset_index: Optional[int]
-    vp3_rated: float
 
 
 def grounding_resistor_sizing(turns_ratio: float, f1: float, c_total: float) -> float:
@@ -570,7 +585,6 @@ def simulate_64g2_scenario(
     noise_std: float = 0.05,
     window_cycles: int = 3,
     supervision_frac: float = 0.1,
-    freq_band: float = 0.2,
     seed: Optional[int] = 0,
 ) -> Scenario64G2Result:
     """End-to-end third-harmonic measurement scenario.
@@ -585,8 +599,8 @@ def simulate_64g2_scenario(
     Frames are marked invalid during phasor warm-up, whenever the
     terminal magnitude sinks below supervision_frac of its rated healthy
     value (minimum-signal supervision), and whenever per-unit speed is
-    more than freq_band away from nominal (frequency supervision: the
-    fixed-bin phasor extraction is only meaningful near rated speed)."""
+    more than 0.2 away from nominal (frequency supervision: the fixed-bin
+    phasor extraction is only meaningful near rated speed)."""
     check_operating_point(load_pu, pf)
     if duration <= 0 or fs <= 0:
         raise ValueError("duration and fs must be positive")
@@ -620,7 +634,7 @@ def simulate_64g2_scenario(
         TimeSeries(fs=fs, t0=0.0, samples=wave_p),
         TimeSeries(fs=fs, t0=0.0, samples=wave_n),
         cfg, load_pu, pf, window_cycles, supervision_frac,
-        in_band=np.abs(speed_t - 1.0) <= freq_band,
+        in_band=np.abs(speed_t - 1.0) <= 0.2,
     )
     return replace(result, onset_index=onset)
 
@@ -664,8 +678,6 @@ def frames_from_64g2_waveforms(
         ),
         v_p3_wave=vp3_wave,
         v_n3_wave=vn3_wave,
-        phasor_p=ph_p,
         fs=vp3_wave.fs,
         onset_index=None,
-        vp3_rated=vp3_rated,
     )

@@ -160,13 +160,12 @@ def extract_phasor(
     ts: TimeSeries,
     f0: float,
     window_cycles: int = 3,
-    recompute_every: int = 10,
 ) -> PhasorSeries:
     """Sliding single-bin DFT of ts at frequency f0.
 
     The window sum is maintained recursively (add the newest demodulated
     sample, drop the oldest) and re-anchored with an exact recomputation
-    every ``recompute_every`` windows to bound float drift.
+    every 10 windows to bound float drift.
 
     The window length is nudged up from window_cycles*fs/f0 to the
     nearest sample count making the bin exactly self-orthogonal (plain
@@ -191,7 +190,7 @@ def extract_phasor(
 
     sums = np.zeros(n, dtype=complex)
     n_out = n - n_win + 1
-    block = max(1, recompute_every) * n_win
+    block = 10 * n_win
     out = np.empty(n_out, dtype=complex)
     for s in range(0, n_out, block):
         e = min(s + block, n_out)

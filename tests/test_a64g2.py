@@ -1,5 +1,6 @@
 """Adaptive and fixed third-harmonic ratio schemes."""
 
+import dataclasses
 import functools
 import math
 import sys
@@ -52,15 +53,15 @@ def test_kaf_update_worked_example():
 
 
 def test_kaf_update_rejects_invalid_frames(monkeypatch):
-    """A negative magnitude stops the adaptive scheme's run before the
-    ratio filter takes it in."""
+    """A negative magnitude is refused where its frames are built, so
+    neither the ratio filter nor the restraint column takes it in."""
     steps = []
     monkeypatch.setattr(a64g2, "_kaf_step", lambda *args: steps.append(args))
-    frames = _frames([_frame(0, -1.0, 1.0)] + [_frame(i, 1.0, 1.0) for i in range(1, 5)])
+    rows = [_frame(0, -1.0, 1.0)] + [_frame(i, 1.0, 1.0) for i in range(1, 5)]
     with pytest.raises(ValueError, match="finite and >= 0"):
-        AdaptiveRatioDetector().run(frames, fs=1000.0)
+        AdaptiveRatioDetector().run(_frames(rows), fs=1000.0)
     with pytest.raises(ValueError, match="finite and >= 0"):
-        restraint_column(frames, 12)
+        restraint_column(_frames(rows), 12)
     assert steps == []
 
 
@@ -241,7 +242,7 @@ def test_ratio_schemes_match_naive_oracle_exactly(record, cfg, settings):
             settings["initial_variance"]))
     assert trace.tripped or record == "gen_stop_chatter"
     for name, column in want.items():
-        assert getattr(trace, name) == column, name
+        assert list(getattr(trace, name)) == column, name
     assert trace.t_index == list(range(len(frames)))
     assert (trace.v_p3, trace.v_n3, trace.valid) == (frames.v_p3, frames.v_n3, frames.valid)
 
@@ -269,11 +270,11 @@ def test_run_matches_naive_oracle_in_every_column_margin_and_peak(fixed, prefix,
     rows += [(1.0, 3.0, i % 5 != 2) for i in range(40)]
     frames = _frames([_frame(i, *row) for i, row in enumerate(rows)])
     trace = detector.run(frames, fs=1000.0)
-    assert trace.tripped and trace.restraint[:prefix] == [0.0] * prefix
+    assert trace.tripped and trace.restraint[:prefix] == (0.0,) * prefix
     want = oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid, cfg.window,
                                    cfg.sensitivity, cfg.hold, ratio=1.0, kaf=kaf)
     for name, column in want.items():
-        assert getattr(trace, name) == column, name
+        assert list(getattr(trace, name)) == column, name
     assert trace.t_index == list(range(len(rows)))
     assert (trace.v_p3, trace.v_n3, trace.valid) == (frames.v_p3, frames.v_n3, frames.valid)
     peak = oracles.naive_margin(trace)
@@ -348,17 +349,18 @@ def test_fixed_detector_rejects_an_impossible_ratio(ratio):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 def test_ratio_schemes_reject_bad_magnitudes(bad):
-    """A non-finite or negative magnitude on either channel is an error in
-    both schemes' batch run and in the restraint column, valid or not."""
+    """A non-finite or negative magnitude on either channel is an error
+    before both schemes' batch run and the restraint column, valid or
+    not: its frames cannot be built."""
     detectors = (AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.0))
     for vp, vn in ((bad, 1.0), (1.0, bad)):
         for valid in (True, False):
-            frames = _frames([_frame(0, 1.0, 1.0), _frame(1, vp, vn, valid)])
+            rows = [_frame(0, 1.0, 1.0), _frame(1, vp, vn, valid)]
             for detector in detectors:
                 with pytest.raises(ValueError):
-                    detector.run(frames, fs=1000.0)
+                    detector.run(_frames(rows), fs=1000.0)
             with pytest.raises(ValueError):
-                restraint_column(frames, 12)
+                restraint_column(_frames(rows), 12)
 
 
 def test_harmonic_frames_reject_columns_of_unequal_length():
@@ -367,6 +369,39 @@ def test_harmonic_frames_reject_columns_of_unequal_length():
     with pytest.raises(ValueError):
         HarmonicFrames(v_p3=[1.0], v_n3=[1.0], valid=[True, True])
     assert len(_frames([_frame(0, 1.0, 1.0), _frame(1, 1.0, 1.0)])) == 2
+
+
+def test_harmonic_frames_cannot_change_after_construction():
+    """Shortening a column after construction used to truncate the run
+    silently (900 frames, 250 trip rows, no trip); the record now refuses
+    every change, and the trace shares its columns."""
+    sim = simulate_64g2_scenario(MachineConfig(), FaultSpec(x=0.0, rf=50.0, t_on=0.27),
+                                 duration=0.9, seed=1)
+    frames = sim.frames
+    with pytest.raises(TypeError):
+        del frames.v_n3[250:]
+    with pytest.raises(TypeError):
+        frames.valid[0] = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frames.v_n3 = frames.v_n3[:250]
+    trace = AdaptiveRatioDetector().run(frames, sim.fs)
+    assert trace.first_trip_index == 284
+    assert len(trace.trip) == len(trace.t_index) == len(frames) == 900
+    assert trace.v_p3 is frames.v_p3 and trace.valid is frames.valid
+    assert dataclasses.replace(frames, valid=frames.valid).v_n3 is frames.v_n3
+
+
+@pytest.mark.parametrize("column", ["v_p3", "v_n3"])
+@pytest.mark.parametrize("valid", [True, False])
+def test_harmonic_frames_check_every_replaced_column(column, valid):
+    """A short column, or a NaN, infinite or negative magnitude, is refused
+    by name, in a valid frame or an invalid one."""
+    frames = HarmonicFrames(v_p3=[1.0] * 3, v_n3=[1.0] * 3, valid=[True, valid, True])
+    with pytest.raises(ValueError, match=f"equal length: {column} has 2"):
+        dataclasses.replace(frames, **{column: [1.0, 1.0]})
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match=f"^{column} must be finite and >= 0"):
+            dataclasses.replace(frames, **{column: [1.0, bad, 1.0]})
 
 
 def test_first_valid_frame_seeds_ratio():

@@ -1,6 +1,7 @@
 """Injection-based insulation estimation, detection, and fault location."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -275,8 +276,8 @@ def test_frames_from_timeseries_validation():
 
 
 def test_subharmonic_frames_check_columns_once_per_record():
-    """The record checks its column lengths; run() checks the values, also
-    of a cell set after construction."""
+    """The record checks its column lengths and values when it is built,
+    so no bad record reaches run()."""
     with pytest.raises(ValueError):
         SubharmonicFrames(v_n=[0.0, 0.0], i_n=[0.0], v_n60=[0.0, 0.0], valid=[True, True])
     with pytest.raises(ValueError):
@@ -313,9 +314,51 @@ def _fault_record_90_ohm():
 def test_a_cell_set_to_nan_after_construction_is_refused(column):
     cfg, frames = _fault_record_90_ohm()
     assert A64SEstimator(cfg).run(frames, 1000.0).first_trip_index == 1799
-    getattr(frames, column)[1700] = math.nan
-    with pytest.raises(ValueError, match=column):
-        A64SEstimator(cfg).run(frames, 1000.0)
+    with pytest.raises(TypeError):
+        getattr(frames, column)[1700] = math.nan
+    cells = list(getattr(frames, column))
+    cells[1700] = math.nan
+    with pytest.raises(ValueError, match=f"^{column} "):
+        replace(frames, **{column: cells})
+    assert A64SEstimator(cfg).run(frames, 1000.0).first_trip_index == 1799
+
+
+def test_subharmonic_frames_cannot_change_after_construction():
+    """Shortening a column after construction used to truncate the run
+    silently (2,500 frames, 1,000 estimate rows, no trip); the record now
+    refuses every change, and the trace shares its columns."""
+    cfg, frames = _fault_record_90_ohm()
+    with pytest.raises(TypeError):
+        del frames.i_n[1000:]
+    with pytest.raises(TypeError):
+        frames.valid[0] = False
+    with pytest.raises(FrozenInstanceError):
+        frames.i_n = frames.i_n[:1000]
+    trace = A64SEstimator(cfg).run(frames, 1000.0)
+    assert trace.first_trip_index == 1799
+    assert len(trace.rs_hat) == len(trace.t_index) == len(frames) == 2500
+    assert trace.v_n is frames.v_n and trace.i_n is frames.i_n
+    assert replace(frames, valid=frames.valid).v_n60 is frames.v_n60
+
+
+@pytest.mark.parametrize("column", ["v_n", "i_n", "v_n60"])
+@pytest.mark.parametrize("valid", [True, False])
+def test_subharmonic_frames_check_every_replaced_column(column, valid):
+    """A short column or a NaN or infinite cell is refused by name, and so
+    is a negative v_n60, in a valid frame or an invalid one; v_n and i_n
+    may be negative."""
+    frames = SubharmonicFrames(v_n=[1.0] * 3, i_n=[1.0] * 3, v_n60=[1.0] * 3,
+                               valid=[True, valid, True])
+    with pytest.raises(ValueError, match=f"equal length: {column} has 2"):
+        replace(frames, **{column: [1.0, 1.0]})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{column} must be finite"):
+            replace(frames, **{column: [1.0, bad, 1.0]})
+    if column == "v_n60":
+        with pytest.raises(ValueError, match="^v_n60 must be finite and >= 0"):
+            replace(frames, v_n60=[1.0, -1.0, 1.0])
+    else:
+        assert getattr(replace(frames, **{column: [1.0, -1.0, 1.0]}), column)[1] == -1.0
 
 
 @pytest.mark.parametrize("name", [
@@ -361,7 +404,8 @@ def test_estimator_matches_naive_matrix_oracle_through_a_trip():
     est = A64SEstimator(cfg)
     for invalid_stretch in (False, True):
         if invalid_stretch:
-            frames.valid[1400:1420] = [False] * 20
+            frames = replace(frames, valid=frames.valid[:1400] + (False,) * 20
+                             + frames.valid[1420:])
         trace = est.run(frames, 1000.0)
         want, baseline = oracles.naive_a64s_run(
             frames.v_n, frames.i_n, frames.v_n60, frames.valid, 1000.0,
@@ -384,7 +428,7 @@ def test_streaming_steps_reproduce_run_exactly():
     cfg = Subharmonic64SConfig()
     v, i = simulate_64s_timeseries(cfg, [], duration=2.0, noise_std=0.01, seed=2)
     frames = frames_from_timeseries(v, i, cfg)
-    frames.valid[1400:1420] = [False] * 20
+    frames = replace(frames, valid=frames.valid[:1400] + (False,) * 20 + frames.valid[1420:])
     est = A64SEstimator(cfg)
     trace = est.run(frames, 1000.0)
     assert not trace.tripped

@@ -100,6 +100,25 @@ def test_kind_section_mismatch_rejected():
         run_scenario({"kind": "64s", "machine": {}})
 
 
+@pytest.mark.parametrize("speed", [0.5, {"t_start": 0.1, "t_end": 0.5, "start": 1.0, "end": 0.5}])
+def test_64g2_speed_profile_is_a_config_error(tmp_path, capsys, speed):
+    """A 64g2 run never read profile.speed: at half speed it tripped at
+    the rated-speed frame 314 with identical verdicts."""
+    cfg = _fault_config(seed=3, profile={"duration": 0.9, "speed": speed})
+    with pytest.raises(ConfigError, match="gen_start/gen_stop disturbances, not profile.speed"):
+        run_scenario(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["detect-64g2", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "profile.speed" in capsys.readouterr().err
+    entry = {"name": "steady", "kind": "64g2", "profile": {"duration": 0.5}}
+    # a 64s base's speed sets its 64s cells only; a 64g2 entry's own is refused
+    report = sweep_security([entry], {"kind": "64s", "seed": 3, "profile": {"speed": speed}})
+    assert [row["scenario"] for row in report.cells] == ["steady", "steady"]
+    with pytest.raises(ConfigError, match="not profile.speed"):
+        sweep_security([{**entry, "profile": {"speed": speed}}], {"kind": "64s"})
+
+
 def test_unknown_machine_key_rejected():
     with pytest.raises(ConfigError):
         run_scenario(_fault_config(machine={"frequency": 60.0}))

@@ -346,7 +346,7 @@ def test_64g2_fault_onset_index_and_step():
                                  duration=0.6, noise_std=0.0, seed=0)
     assert sim.onset_index == 270
     vn_f, vp_f = third_harmonic_solve(cfg, FaultSpec(x=0.0, rf=50.0), 1.0, 1.0)
-    settled = 270 + 2 * sim.phasor_p.window_samples
+    settled = 270 + 2 * extract_phasor(sim.v_p3_wave, 3 * cfg.f1, 3).window_samples
     assert sim.frames.v_n3[settled] == pytest.approx(abs(vn_f), rel=1e-6)
     assert sim.frames.v_p3[settled] == pytest.approx(abs(vp_f), rel=1e-6)
 
@@ -358,7 +358,6 @@ def test_64g2_replayed_waveforms_give_the_simulated_frames():
     replay = frames_from_64g2_waveforms(sim.v_p3_wave, sim.v_n3_wave, cfg,
                                         load_pu=0.8, pf=0.9)
     assert replay.frames == sim.frames
-    assert replay.vp3_rated == sim.vp3_rated
 
 
 @pytest.mark.parametrize("frac", [-0.1, 1.0, 5.0])
@@ -386,7 +385,7 @@ def test_64g2_warmup_and_supervision():
         cfg, None,
         disturbances=[DisturbanceSpec(kind="gen_stop", t_on=0.1, t_off=1.1)],
         duration=1.5, noise_std=0.0, seed=0)
-    warm = sim.phasor_p.window_samples - 1
+    warm = extract_phasor(sim.v_p3_wave, 3 * cfg.f1, 3).window_samples - 1
     assert not any(sim.frames.valid[:warm])
     # by the end of the rundown the machine is at rest: blocked frames
     assert not any(sim.frames.valid[-200:])
