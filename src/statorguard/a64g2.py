@@ -107,7 +107,7 @@ class SchemeTrace:
     scheme: str
     fs: float
     sensitivity: float
-    t_index: List[int] = field(default_factory=list)
+    t_index: Sequence[int] = range(0)
     v_p3: Sequence[float] = ()
     v_n3: Sequence[float] = ()
     rho_hat: List[float] = field(default_factory=list)
@@ -122,10 +122,10 @@ class SchemeTrace:
 
     @property
     def first_trip_index(self) -> Optional[int]:
-        for idx, tripped in zip(self.t_index, self.trip):
-            if tripped:
-                return idx
-        return None
+        try:
+            return self.trip.index(True)
+        except ValueError:
+            return None
 
     @property
     def tripped(self) -> bool:
@@ -227,7 +227,7 @@ def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
         residual_col(residual)
         operate_col(jao)
         trip_col(tripped)
-    trace.t_index = list(range(len(frames)))
+    trace.t_index = range(len(frames))
     trace.v_p3, trace.v_n3, trace.valid = frames.v_p3, frames.v_n3, frames.valid
     trace.restraint = restraint
     trace.margin_peak, trace.margin_index = peak, peak_index

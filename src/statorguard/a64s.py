@@ -319,7 +319,7 @@ class A64STrace:
     """Per-sample record of one estimator run plus summary fields."""
 
     fs: float
-    t_index: List[int] = field(default_factory=list)
+    t_index: Sequence[int] = range(0)
     v_n: Sequence[float] = ()
     i_n: Sequence[float] = ()
     a0_hat: List[float] = field(default_factory=list)
@@ -335,10 +335,10 @@ class A64STrace:
 
     @property
     def first_trip_index(self) -> Optional[int]:
-        for idx, tripped in zip(self.t_index, self.trip):
-            if tripped:
-                return idx
-        return None
+        try:
+            return self.trip.index(True)
+        except ValueError:
+            return None
 
     @property
     def tripped(self) -> bool:
@@ -418,7 +418,7 @@ class A64SEstimator:
         r_n = self.circuit.r_n_primary
         sentinel = HEALTHY_SENTINEL
 
-        trace = A64STrace(fs=fs, onset_index=onset_index, t_index=list(range(len(frames))),
+        trace = A64STrace(fs=fs, onset_index=onset_index, t_index=range(len(frames)),
                           v_n=frames.v_n, i_n=frames.i_n)
         a0_col, kd_col, tau0_col, rs_col, c0_col, x_col, trip_col, valid_col = (
             col.append for col in (trace.a0_hat, trace.kd_hat, trace.tau0_hat, trace.rs_hat,

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .signalcore import TimeSeries, extract_phasor
 
@@ -490,16 +489,24 @@ def simulate_64s_timeseries(
         g_total = g_fixed + g_machine * n2
         # Trapezoid on c_ref*dv/dt = vs/rbpf - g_total*v:
         #   v[k]*(1 + h*g) = v[k-1]*(1 - h*g) + h*(d[k] + d[k-1]),  h = dt/(2*c_ref)
+        # as a first-order transposed direct form whose two taps are both b,
+        # in scipy.signal.lfilter's operation order: the tests hold the node
+        # voltage to lfilter's bit for bit.
         h = dt / (2.0 * c_ref)
         a0c = 1.0 + h * g_total
-        b_coeffs = np.array([h, h]) / a0c
-        a_coeffs = np.array([1.0, -(1.0 - h * g_total) / a0c])
-        # Seed the filter state so the first output sees the carried-over
-        # node voltage and drive sample.
-        zi = np.array([b_coeffs[1] * drive_prev - a_coeffs[1] * v_prev])
-        seg, _ = lfilter(b_coeffs, a_coeffs, drive, zi=zi)
+        b = h / a0c
+        a1 = -(1.0 - h * g_total) / a0c
+        # Seed the state so the first output sees the carried-over node
+        # voltage and drive sample (a float: numpy scalars slow the loop).
+        z = float(b * drive_prev - a1 * v_prev)
+        seg = []
+        append = seg.append
+        for x in (b * drive).tolist():
+            y = z + x
+            append(y)
+            z = x - y * a1
         v_node[b0:b1] = seg
-        v_prev = seg[-1]
+        v_prev = y
         drive_prev = drive[-1]
 
     # Injected current from the node balance (exact per sample).

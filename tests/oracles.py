@@ -12,6 +12,7 @@ from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
+import scipy.signal
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -108,6 +109,47 @@ def difference_equation_response(kd, a0, i_n):
     for t in range(1, len(i_n)):
         v[t] = -a0 * v[t - 1] + kd * (i_n[t] + i_n[t - 1])
     return v
+
+
+def lfilter_node_voltage(cfg, events, duration, fs):
+    """Clean neutral node voltage of the 64S injection circuit, each
+    stretch of constant machine conductance run through
+    scipy.signal.lfilter as the trapezoid filter b = (h, h)/a0c,
+    a = (1, -(1 - h*g)/a0c), its state seeded from the previous stretch's
+    last drive sample and node voltage.  A bolted fault clamps the node."""
+    n = int(round(duration * fs))
+    dt = 1.0 / fs
+    t = np.arange(n) * dt
+    vs = cfg.vs_rms * math.sqrt(2.0) * np.sin(2.0 * math.pi * cfg.f_inj * t)
+    n2 = cfg.turns_ratio**2
+    c_ref = n2 * cfg.c0
+    g_fixed = 1.0 / cfg.rbpf + 1.0 / cfg.rn
+    onsets = [ev.onset_index(fs, n) for ev in events]
+    bounds = sorted({0} | {k for k in onsets if k is not None}) + [n]
+    v_node = np.empty(n)
+    v_prev = drive_prev = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi <= lo:
+            continue
+        g_machine = 1.0 / cfg.rs
+        for ev, k_on in zip(events, onsets):
+            if k_on is not None and k_on <= lo:
+                g_machine = math.inf if ev.rf == 0.0 else g_machine + 1.0 / ev.rf
+        drive = vs[lo:hi] / cfg.rbpf
+        if math.isinf(g_machine):
+            v_node[lo:hi] = 0.0
+            v_prev = 0.0
+        else:
+            g_total = g_fixed + g_machine * n2
+            h = dt / (2.0 * c_ref)
+            a0c = 1.0 + h * g_total
+            b = np.array([h, h]) / a0c
+            a = np.array([1.0, -(1.0 - h * g_total) / a0c])
+            zi = np.array([b[1] * drive_prev - a[1] * v_prev])
+            v_node[lo:hi], _ = scipy.signal.lfilter(b, a, drive, zi=zi)
+            v_prev = v_node[hi - 1]
+        drive_prev = drive[-1]
+    return v_node
 
 
 def windowed_energy(values, window, t):

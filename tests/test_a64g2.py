@@ -243,7 +243,7 @@ def test_ratio_schemes_match_naive_oracle_exactly(record, cfg, settings):
     assert trace.tripped or record == "gen_stop_chatter"
     for name, column in want.items():
         assert list(getattr(trace, name)) == column, name
-    assert trace.t_index == list(range(len(frames)))
+    assert trace.t_index == range(len(frames))
     assert (trace.v_p3, trace.v_n3, trace.valid) == (frames.v_p3, frames.v_n3, frames.valid)
 
 
@@ -275,7 +275,7 @@ def test_run_matches_naive_oracle_in_every_column_margin_and_peak(fixed, prefix,
                                    cfg.sensitivity, cfg.hold, ratio=1.0, kaf=kaf)
     for name, column in want.items():
         assert list(getattr(trace, name)) == column, name
-    assert trace.t_index == list(range(len(rows)))
+    assert trace.t_index == range(len(rows))
     assert (trace.v_p3, trace.v_n3, trace.valid) == (frames.v_p3, frames.v_n3, frames.valid)
     peak = oracles.naive_margin(trace)
     assert trace.margin() == peak

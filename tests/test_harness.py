@@ -1125,3 +1125,46 @@ def test_cli_entry_point_subprocess(cli_workspace, tmp_path):
     assert len(payload["points"]) == 11
     stored = json.loads((tmp_path / "calibration.json").read_text())
     assert stored["ratio"] == payload["ratio"]
+
+
+_SCIPY_BLOCKED_CLI = """
+import json, sys
+sys.modules["scipy"] = None  # from here on, any scipy import raises ImportError
+from statorguard.cli import main
+config, out = sys.argv[1:]
+codes = [main(["simulate", "--config", config, "--out", out]),
+         main(["detect-64s", "--config", config, "--input", out + "/waveforms.csv",
+               "--out", out])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    name for name in sys.modules if name.partition(".")[0] == "scipy")}))
+"""
+
+_SCIPY_AFTER_IMPORT = """
+import json, sys
+import statorguard.cli
+print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")))
+"""
+
+
+def test_cli_runs_and_imports_without_scipy(tmp_path):
+    """scipy is a test-only dependency: the CLI simulates and replays a
+    64S record with every scipy import refused, and importing the CLI
+    loads no scipy module when scipy is installed."""
+    package_root = str(Path(statorguard.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "64s", "seed": 4, "noise": 0.01,
+                                  "fault": {"x": 0.3, "rf": 90.0, "t_on": 0.8},
+                                  "profile": {"duration": 1.5}}))
+    blocked = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED_CLI, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert blocked.returncode == 0, blocked.stderr
+    lines = blocked.stdout.splitlines()
+    assert json.loads(lines[-1]) == {"codes": [0, 0], "scipy": ["scipy"]}
+    assert json.loads(lines[-2])["report"]["verdicts"]["a64s"]["first_trip_index"] is not None
+    loaded = subprocess.run([sys.executable, "-c", _SCIPY_AFTER_IMPORT],
+                            capture_output=True, text=True, timeout=300, env=env)
+    assert loaded.returncode == 0, loaded.stderr
+    assert json.loads(loaded.stdout) == []

@@ -284,6 +284,35 @@ def test_64s_bolted_fault_clamps_node():
     assert np.max(np.abs(i.samples[520:])) > 0.1  # injection still drives current
 
 
+@pytest.mark.parametrize("fs", [1000.0, 2000.0])
+@pytest.mark.parametrize("events", [
+    # two resistive onsets, so the state carries across three stretches
+    [FaultSpec(x=0.3, rf=400.0, t_on=0.4), FaultSpec(x=0.8, rf=90.0, t_on=0.9)],
+    # a resistive stretch, then a bolted clamp
+    [FaultSpec(x=0.3, rf=90.0, t_on=0.4), FaultSpec(x=0.6, rf=0.0, t_on=0.9)],
+    # a bolted onset, then a resistive one: the clamp holds, split in two
+    [FaultSpec(x=0.6, rf=0.0, t_on=0.4), FaultSpec(x=0.3, rf=90.0, t_on=0.9)],
+], ids=["two_resistive", "resistive_then_bolted", "bolted_then_resistive"])
+def test_64s_node_recursion_matches_lfilter_bit_for_bit(events, fs):
+    """The in-package trapezoid recursion reproduces scipy's lfilter
+    exactly, across fault onsets, a bolted clamp and added noise."""
+    cfg = Subharmonic64SConfig()
+    v, i = simulate_64s_timeseries(cfg, events, duration=1.5, fs=fs)
+    node = oracles.lfilter_node_voltage(cfg, events, 1.5, fs)
+    assert v.samples.tobytes() == node.tobytes()
+    t = np.arange(len(v)) * (1.0 / fs)
+    vs = cfg.vs_rms * math.sqrt(2.0) * np.sin(2.0 * math.pi * cfg.f_inj * t)
+    assert i.samples.tobytes() == ((vs - node) / cfg.rbpf - node / cfg.rn).tobytes()
+    # noise is drawn against the clean channels' RMS, in that order
+    v_noisy, i_noisy = simulate_64s_timeseries(cfg, events, duration=1.5, fs=fs,
+                                               noise_std=0.05, seed=7)
+    rng = np.random.default_rng(7)
+    for noisy, clean in ((v_noisy, v), (i_noisy, i)):
+        rms = float(np.sqrt(np.mean(clean.samples**2)))
+        want = clean.samples + rng.normal(0.0, 0.05 * rms, size=len(clean))
+        assert noisy.samples.tobytes() == want.tobytes()
+
+
 def test_neutral_60hz_component_limits():
     cfg = Subharmonic64SConfig()
     assert neutral_60hz_component(cfg, 0.0, 90.0) == 0.0
