@@ -10,12 +10,19 @@ extracted, a scalar filter refines the capacitance, and a drop detector
 on the resistance estimate raises the trip.  When the machine is also
 spinning, the fundamental-frequency neutral voltage of a fault feeds a
 closed-form position estimate.
+
+A64SEstimator.run is the one per-sample path: a single loop steps the
+filter, the extraction smoothers, the capacitance filter, the drop latch
+and the locator with every state in locals.  Its per-step reference, the
+same arithmetic as separate kernels in the same operation order, lives in
+tests/oracles.py, and the tests hold run() to it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,69 +114,6 @@ def tustin_coeffs(k3: float, tau0: float, period: float) -> Tuple[float, float]:
     return k3 * period / denom, (period - 2.0 * tau0) / denom
 
 
-# The per-sample chain as plain float arithmetic; A64SEstimator.run keeps
-# its state in locals and calls these directly.
-
-def _theta_step(a0, kd, p00, p01, p11, process_noise, measurement_noise, v_n, phi0, phi1):
-    """One 2-state filter step on (a0, kd) with the symmetric covariance
-    [[p00, p01], [p01, p11]]; returns (a0, kd, p00, p01, p11, innovation).
-
-    Covariance is propagated first (information-form shrink plus process
-    noise), then the gain derives from the updated covariance; this
-    reduces to the scalar recursion when one regressor vanishes.
-    """
-    pp0 = p00 * phi0 + p01 * phi1
-    pp1 = p01 * phi0 + p11 * phi1
-    denom = measurement_noise + (phi0 * pp0 + phi1 * pp1)
-    p00 = p00 - pp0 * pp0 / denom + process_noise
-    p01 = p01 - pp0 * pp1 / denom
-    p11 = p11 - pp1 * pp1 / denom + process_noise
-    innovation = v_n - (phi0 * a0 + phi1 * kd)
-    a0 += (p00 * phi0 + p01 * phi1) / measurement_noise * innovation
-    kd += (p01 * phi0 + p11 * phi1) / measurement_noise * innovation
-    return a0, kd, p00, p01, p11, innovation
-
-
-def _extract_step(a0, kd, ratio_memory, gain_memory, alpha, period, rs_scale):
-    """Smoothed, clamped (time constant, resistance) of (a0, kd); returns
-    (tau0, rs, ratio_memory, gain_memory, degenerate).
-
-    The feedback coefficient a0 inverts to the time constant through the
-    bilinear map; the drive gain kd then inverts to the machine-side
-    resistance (rs_scale is turns_ratio**2 / period).  Both channels are
-    low-pass smoothed with factor alpha (1 bypasses smoothing), and a
-    memory of None restarts its smoother.  A feedback coefficient at the
-    degenerate point -1 freezes the time constant for that step.
-    """
-    one_plus = 1.0 + a0
-    degenerate = abs(one_plus) < 1e-12
-    if not degenerate:
-        ratio_raw = (1.0 - a0) / one_plus
-        if ratio_memory is None:
-            ratio_memory = ratio_raw
-        else:
-            ratio_memory += alpha * (ratio_raw - ratio_memory)
-    ratio = ratio_memory or 0.0
-    tau0 = 0.5 * period * (0.0 if ratio < 0.0 else ratio)
-
-    gain_raw = (period + 2.0 * tau0) * kd
-    if gain_memory is None:
-        gain_memory = gain_raw
-    else:
-        gain_memory += alpha * (gain_raw - gain_memory)
-    rs = rs_scale * (0.0 if gain_memory < 0.0 else gain_memory)
-    return tau0, rs, ratio_memory, gain_memory, degenerate
-
-
-def _c0_step(c0_hat, variance, process_noise, measurement_noise, tau0, rs):
-    """One scalar capacitance step, regressing the extracted time constant
-    on the extracted resistance (tau0 = rs * c0); returns (c0_hat,
-    variance)."""
-    variance = (variance * measurement_noise / (measurement_noise + rs * rs * variance)
-                + process_noise)
-    return c0_hat + variance * rs / measurement_noise * (tau0 - rs * c0_hat), variance
-
-
 def locate_fault(
     v_n60: float,
     un: float,
@@ -203,52 +147,6 @@ def locator_consistent(x: float) -> bool:
     """True when a location output is physically interpretable: either
     the healthy sentinel or a position at most 20% beyond the winding."""
     return x == HEALTHY_SENTINEL or 0.0 <= x <= 1.2
-
-
-class _DropLatch:
-    """Baseline learner + persistence trip latch on the resistance
-    estimate of each used sample; update returns whether it has tripped.
-
-    Until the baseline window is full the latch is unarmed (baseline
-    None) and never trips.  A baseline that is not positive, or a window
-    that already holds a drop, raises CalibrationError.
-    """
-
-    def __init__(self, cfg: InsulationDetectorConfig):
-        self.cfg = cfg
-        self._seen = 0
-        self._window: List[float] = []
-        self.baseline: Optional[float] = None
-        self._streak = 0
-        self.tripped = False
-
-    def update(self, rs_hat: float) -> bool:
-        cfg = self.cfg
-        pos = self._seen
-        self._seen += 1
-        if self.baseline is None:
-            if pos < cfg.baseline_start:
-                return False
-            self._window.append(rs_hat)
-            if len(self._window) >= cfg.baseline_window:
-                baseline = float(np.median(self._window))
-                # also refuses a NaN median, which would never trip
-                if not baseline > 0:
-                    raise CalibrationError(f"baseline resistance {baseline!r} is not positive")
-                if min(self._window) < cfg.drop_fraction * baseline:
-                    raise CalibrationError(
-                        "baseline window already contains a resistance drop"
-                    )
-                self.baseline = baseline
-            return False
-        if self.tripped:
-            return True
-        if rs_hat < cfg.drop_fraction * self.baseline:
-            self._streak += 1
-        else:
-            self._streak = 0
-        self.tripped = self._streak >= cfg.persistence
-        return self.tripped
 
 
 def frames_from_timeseries(
@@ -356,27 +254,33 @@ class A64STrace:
     def final_estimates(self, tail: int = 250) -> Tuple[float, float, float]:
         """(resistance, capacitance, time constant) medians over the last
         tail valid samples."""
-        rows = [
-            (r, c, tau)
-            for r, c, tau, ok in zip(self.rs_hat, self.c0_hat, self.tau0_hat, self.valid)
-            if ok
-        ][-tail:]
+        valid = self.valid
+        rows = _last(tail, (k for k in range(len(valid) - 1, -1, -1) if valid[k]))
         if not rows:
             raise ValueError("trace holds no valid samples")
-        arr = np.array(rows)
-        med = np.median(arr, axis=0)
+        med = np.median(np.array([(self.rs_hat[k], self.c0_hat[k], self.tau0_hat[k])
+                                  for k in rows]), axis=0)
         return float(med[0]), float(med[1]), float(med[2])
 
     def final_location(self, tail: int = 250) -> float:
         """Median located position over the last tail tripped samples, or
         the healthy sentinel when the run never tripped."""
-        xs = [
-            x for x, t in zip(self.x_hat, self.trip)
-            if t and x != HEALTHY_SENTINEL
-        ][-tail:]
+        x_hat, trip = self.x_hat, self.trip
+        xs = _last(tail, (x_hat[k] for k in range(len(trip) - 1, -1, -1)
+                          if trip[k] and x_hat[k] != HEALTHY_SENTINEL))
         if not xs:
             return HEALTHY_SENTINEL
         return float(np.median(xs))
+
+
+def _last(tail: int, backwards) -> list:
+    """The first tail items of an iterator that walks a trace from its
+    end, in record order; the walk stops there."""
+    if tail < 1:
+        raise ValueError(f"tail must be >= 1, got {tail!r}")
+    rows = list(islice(backwards, tail))
+    rows.reverse()
+    return rows
 
 
 class A64SEstimator:
@@ -396,10 +300,10 @@ class A64SEstimator:
         samples per second."""
         if not 0.0 < fs < math.inf:
             raise ValueError(f"fs must be positive and finite, got {fs!r}")
-        cfg = self.cfg
+        cfg, circuit = self.cfg, self.circuit
         period = 1.0 / fs
-        # the configs have checked their tunables; the loop keeps them in
-        # locals and steps them through the float kernels
+        # the configs have checked their tunables; the loop keeps every
+        # state in locals and steps the whole chain inline
         theta_q, theta_r = cfg.theta_process_noise, cfg.theta_measurement_noise
         p_initial = float(cfg.theta_initial_variance)
         a0 = kd = p01 = 0.0
@@ -407,16 +311,27 @@ class A64SEstimator:
         # first-order smoother factor; an infinite rate bypasses smoothing
         gamma = cfg.smoothing_rate
         alpha = 1.0 if math.isinf(gamma) else 1.0 - math.exp(-gamma * period)
-        rs_scale = self.circuit.turns_ratio**2 / period
+        half_period = 0.5 * period
+        rs_scale = circuit.turns_ratio**2 / period
         ratio_memory = gain_memory = None
         tau0 = rs = 0.0
         c0_hat, c0_var = cfg.c0_initial, cfg.c0_initial_variance
         c0_q, c0_r = cfg.c0_process_noise, cfg.c0_measurement_noise
-        prev_vn = prev_in = None
-        latch = _DropLatch(cfg.detector)
+        # drop latch, counted in used samples: skip baseline_start, learn the
+        # baseline over the next baseline_window, then count the streak
+        detector = cfg.detector
+        skip, window_length = detector.baseline_start, detector.baseline_window
+        drop_fraction, persistence = detector.drop_fraction, detector.persistence
+        window: List[float] = []
+        baseline = drop_level = None
+        streak = 0
         tripped = False
-        r_n = self.circuit.r_n_primary
+        # locator constants (see locate_fault)
+        r_n = circuit.r_n_primary
+        v_scale = circuit.un * r_n
+        omega_r_n = 2.0 * math.pi * circuit.f1 * r_n
         sentinel = HEALTHY_SENTINEL
+        prev_vn = prev_in = None
 
         trace = A64STrace(fs=fs, onset_index=onset_index, t_index=range(len(frames)),
                           v_n=frames.v_n, i_n=frames.i_n)
@@ -429,22 +344,78 @@ class A64SEstimator:
                 # regression vector: negated previous voltage, summed current
                 phi0, phi1 = -prev_vn, prev_in + i_n
                 prev_vn, prev_in = v_n, i_n
-                a0, kd, p00, p01, p11, _ = _theta_step(a0, kd, p00, p01, p11,
-                                                       theta_q, theta_r, v_n, phi0, phi1)
-                tau0, rs, ratio_memory, gain_memory, _ = _extract_step(
-                    a0, kd, ratio_memory, gain_memory, alpha, period, rs_scale)
-                c0_hat, c0_var = _c0_step(c0_hat, c0_var, c0_q, c0_r, tau0, rs)
-                was_tripped = tripped
-                tripped = latch.update(rs)
-                if tripped and not was_tripped:
-                    # the circuit just changed structurally; re-open the filter
-                    # so the faulted parameters are re-identified quickly
-                    # instead of creeping in at the steady tracking rate
-                    p00 = p11 = p_initial
-                    p01 = 0.0
-                    ratio_memory = gain_memory = None
-                if tripped and latch.baseline is not None:
-                    x_hat = self._locate(v_n60, rs, c0_hat, latch.baseline, r_n)
+
+                # 2-state filter on (a0, kd) with the symmetric covariance
+                # [[p00, p01], [p01, p11]]: the covariance is propagated first
+                # (information-form shrink plus process noise), then the gain
+                # derives from the updated covariance
+                pp0 = p00 * phi0 + p01 * phi1
+                pp1 = p01 * phi0 + p11 * phi1
+                denom = theta_r + (phi0 * pp0 + phi1 * pp1)
+                p00 = p00 - pp0 * pp0 / denom + theta_q
+                p01 = p01 - pp0 * pp1 / denom
+                p11 = p11 - pp1 * pp1 / denom + theta_q
+                innovation = v_n - (phi0 * a0 + phi1 * kd)
+                a0 += (p00 * phi0 + p01 * phi1) / theta_r * innovation
+                kd += (p01 * phi0 + p11 * phi1) / theta_r * innovation
+
+                # extraction: a0 inverts to the time constant through the
+                # bilinear map (frozen for a step at the degenerate point -1),
+                # kd then to the machine-side resistance; both channels are
+                # low-pass smoothed and clamped at zero, and a memory of None
+                # restarts its smoother
+                one_plus = 1.0 + a0
+                if not abs(one_plus) < 1e-12:
+                    ratio_raw = (1.0 - a0) / one_plus
+                    if ratio_memory is None:
+                        ratio_memory = ratio_raw
+                    else:
+                        ratio_memory += alpha * (ratio_raw - ratio_memory)
+                ratio = ratio_memory or 0.0
+                tau0 = half_period * (0.0 if ratio < 0.0 else ratio)
+                gain_raw = (period + 2.0 * tau0) * kd
+                if gain_memory is None:
+                    gain_memory = gain_raw
+                else:
+                    gain_memory += alpha * (gain_raw - gain_memory)
+                rs = rs_scale * (0.0 if gain_memory < 0.0 else gain_memory)
+
+                # scalar capacitance filter, regressing tau0 on rs (tau0 = rs * c0)
+                c0_var = c0_var * c0_r / (c0_r + rs * rs * c0_var) + c0_q
+                c0_hat = c0_hat + c0_var * rs / c0_r * (tau0 - rs * c0_hat)
+
+                if baseline is None:
+                    if skip:
+                        skip -= 1
+                    else:
+                        window.append(rs)
+                        if len(window) == window_length:
+                            baseline = float(np.median(window))
+                            # also refuses a NaN median, which would never trip
+                            if not baseline > 0:
+                                raise CalibrationError(
+                                    f"baseline resistance {baseline!r} is not positive")
+                            drop_level = drop_fraction * baseline
+                            if min(window) < drop_level:
+                                raise CalibrationError(
+                                    "baseline window already contains a resistance drop")
+                elif not tripped:
+                    streak = streak + 1 if rs < drop_level else 0
+                    if streak >= persistence:
+                        tripped = True
+                        # the circuit just changed structurally; re-open the
+                        # filter so the faulted parameters are re-identified
+                        # quickly instead of creeping in at the tracking rate
+                        p00 = p11 = p_initial
+                        p01 = 0.0
+                        ratio_memory = gain_memory = None
+                if tripped and not (rs <= 0 or rs >= baseline):
+                    # the measured drop is the parallel combination of the
+                    # healthy insulation and the fault path; undo it to get
+                    # the fault branch, then locate as locate_fault does
+                    rf_hat = 1.0 / (1.0 / rs - 1.0 / baseline)
+                    tau0_f = rf_hat * max(c0_hat, 0.0)
+                    x_hat = (v_n60 / v_scale) * math.hypot(r_n + rf_hat, omega_r_n * tau0_f)
                 used = True
             else:
                 # an invalid sample clears the regression memory; the next
@@ -459,24 +430,13 @@ class A64SEstimator:
             x_col(x_hat)
             trip_col(tripped)
             valid_col(used)
-        trace.baseline = latch.baseline
+        trace.baseline = baseline
         return trace
 
     def run_timeseries(self, v_ts: TimeSeries, i_ts: TimeSeries,
                        onset_index: Optional[int] = None) -> A64STrace:
         frames = frames_from_timeseries(v_ts, i_ts, self.circuit)
         return self.run(frames, v_ts.fs, onset_index=onset_index)
-
-    def _locate(self, v_n60: float, rs_hat: float, c0_hat: float,
-                baseline: float, r_n: float) -> float:
-        if rs_hat <= 0 or rs_hat >= baseline:
-            return HEALTHY_SENTINEL
-        # The measured drop is the parallel combination of the healthy
-        # insulation and the fault path; undo it to get the fault branch.
-        rf_hat = 1.0 / (1.0 / rs_hat - 1.0 / baseline)
-        tau0_f = rf_hat * max(c0_hat, 0.0)
-        return locate_fault(v_n60, self.circuit.un, r_n, rf_hat, tau0_f,
-                            fault_active=True, f1=self.circuit.f1)
 
 
 def write_a64s_trace_csv(trace: A64STrace, path, long=None) -> None:

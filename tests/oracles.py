@@ -16,6 +16,8 @@ import scipy.signal
 import scipy.sparse
 import scipy.sparse.linalg
 
+from statorguard.a64s import HEALTHY_SENTINEL, CalibrationError, locate_fault
+
 
 def dense_ladder_solve(e3, cs, ct, r_ground, segments, alpha,
                        fault_node=None, rf=None, omega=2.0 * np.pi * 180.0):
@@ -317,6 +319,173 @@ def naive_a64s_run(v_n, i_n, v_n60, valid, fs, turns_ratio, un, r_n, f1, cfg):
         out["trip"].append(tripped)
         out["valid"].append(used)
     return out, baseline
+
+
+# The 64S chain one step at a time: the per-sample kernels that
+# A64SEstimator.run fuses into one loop, kept as plain float functions in
+# the same operation order, so chaining them reproduces run() bit for bit.
+
+def _theta_step(a0, kd, p00, p01, p11, process_noise, measurement_noise, v_n, phi0, phi1):
+    """One 2-state filter step on (a0, kd) with the symmetric covariance
+    [[p00, p01], [p01, p11]]; returns (a0, kd, p00, p01, p11, innovation).
+
+    Covariance is propagated first (information-form shrink plus process
+    noise), then the gain derives from the updated covariance; this
+    reduces to the scalar recursion when one regressor vanishes.
+    """
+    pp0 = p00 * phi0 + p01 * phi1
+    pp1 = p01 * phi0 + p11 * phi1
+    denom = measurement_noise + (phi0 * pp0 + phi1 * pp1)
+    p00 = p00 - pp0 * pp0 / denom + process_noise
+    p01 = p01 - pp0 * pp1 / denom
+    p11 = p11 - pp1 * pp1 / denom + process_noise
+    innovation = v_n - (phi0 * a0 + phi1 * kd)
+    a0 += (p00 * phi0 + p01 * phi1) / measurement_noise * innovation
+    kd += (p01 * phi0 + p11 * phi1) / measurement_noise * innovation
+    return a0, kd, p00, p01, p11, innovation
+
+
+def _extract_step(a0, kd, ratio_memory, gain_memory, alpha, period, rs_scale):
+    """Smoothed, clamped (time constant, resistance) of (a0, kd); returns
+    (tau0, rs, ratio_memory, gain_memory, degenerate).
+
+    The feedback coefficient a0 inverts to the time constant through the
+    bilinear map; the drive gain kd then inverts to the machine-side
+    resistance (rs_scale is turns_ratio**2 / period).  Both channels are
+    low-pass smoothed with factor alpha (1 bypasses smoothing), and a
+    memory of None restarts its smoother.  A feedback coefficient at the
+    degenerate point -1 freezes the time constant for that step.
+    """
+    one_plus = 1.0 + a0
+    degenerate = abs(one_plus) < 1e-12
+    if not degenerate:
+        ratio_raw = (1.0 - a0) / one_plus
+        if ratio_memory is None:
+            ratio_memory = ratio_raw
+        else:
+            ratio_memory += alpha * (ratio_raw - ratio_memory)
+    ratio = ratio_memory or 0.0
+    tau0 = 0.5 * period * (0.0 if ratio < 0.0 else ratio)
+
+    gain_raw = (period + 2.0 * tau0) * kd
+    if gain_memory is None:
+        gain_memory = gain_raw
+    else:
+        gain_memory += alpha * (gain_raw - gain_memory)
+    rs = rs_scale * (0.0 if gain_memory < 0.0 else gain_memory)
+    return tau0, rs, ratio_memory, gain_memory, degenerate
+
+
+def _c0_step(c0_hat, variance, process_noise, measurement_noise, tau0, rs):
+    """One scalar capacitance step, regressing the extracted time constant
+    on the extracted resistance (tau0 = rs * c0); returns (c0_hat,
+    variance)."""
+    variance = (variance * measurement_noise / (measurement_noise + rs * rs * variance)
+                + process_noise)
+    return c0_hat + variance * rs / measurement_noise * (tau0 - rs * c0_hat), variance
+
+
+class _DropLatch:
+    """Baseline learner + persistence trip latch on the resistance
+    estimate of each used sample; update returns whether it has tripped.
+
+    Until the baseline window is full the latch is unarmed (baseline
+    None) and never trips.  A baseline that is not positive, or a window
+    that already holds a drop, raises CalibrationError.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self._seen = 0
+        self._window = []
+        self.baseline = None
+        self._streak = 0
+        self.tripped = False
+
+    def update(self, rs_hat):
+        cfg = self.cfg
+        pos = self._seen
+        self._seen += 1
+        if self.baseline is None:
+            if pos < cfg.baseline_start:
+                return False
+            self._window.append(rs_hat)
+            if len(self._window) >= cfg.baseline_window:
+                baseline = float(np.median(self._window))
+                # also refuses a NaN median, which would never trip
+                if not baseline > 0:
+                    raise CalibrationError(f"baseline resistance {baseline!r} is not positive")
+                if min(self._window) < cfg.drop_fraction * baseline:
+                    raise CalibrationError(
+                        "baseline window already contains a resistance drop"
+                    )
+                self.baseline = baseline
+            return False
+        if self.tripped:
+            return True
+        if rs_hat < cfg.drop_fraction * self.baseline:
+            self._streak += 1
+        else:
+            self._streak = 0
+        self.tripped = self._streak >= cfg.persistence
+        return self.tripped
+
+
+def _locate(circuit, v_n60, rs_hat, c0_hat, baseline, r_n):
+    if rs_hat <= 0 or rs_hat >= baseline:
+        return HEALTHY_SENTINEL
+    # The measured drop is the parallel combination of the healthy
+    # insulation and the fault path; undo it to get the fault branch.
+    rf_hat = 1.0 / (1.0 / rs_hat - 1.0 / baseline)
+    tau0_f = rf_hat * max(c0_hat, 0.0)
+    return locate_fault(v_n60, circuit.un, r_n, rf_hat, tau0_f,
+                        fault_active=True, f1=circuit.f1)
+
+
+def stepwise_a64s_run(frames, fs, circuit, cfg):
+    """A64SEstimator(circuit, cfg).run(frames, fs) as a chain of the
+    per-step kernels above: the same rules (priming after an invalid
+    sample, the latch on used samples, the post-trip reset of the filter
+    covariance and the smoothers, the locator once tripped) with every
+    state passed through the kernels' arguments.  Returns the eight
+    per-sample columns and the latch's baseline; raises CalibrationError
+    where the latch does."""
+    period = 1.0 / fs
+    p0 = float(cfg.theta_initial_variance)
+    theta = (0.0, 0.0, p0, 0.0, p0)
+    gamma = cfg.smoothing_rate
+    alpha = 1.0 if math.isinf(gamma) else 1.0 - math.exp(-gamma * period)
+    rs_scale = circuit.turns_ratio**2 / period
+    memories = (None, None)
+    tau0 = rs = 0.0
+    c0 = (cfg.c0_initial, cfg.c0_initial_variance)
+    latch = _DropLatch(cfg.detector)
+    tripped = False
+    prev = None
+    out = {k: [] for k in ("a0_hat", "kd_hat", "tau0_hat", "rs_hat", "c0_hat",
+                           "x_hat", "trip", "valid")}
+    for v_n, i_n, v_n60, valid in zip(frames.v_n, frames.i_n, frames.v_n60, frames.valid):
+        x_hat = HEALTHY_SENTINEL
+        used = valid and prev is not None
+        if used:
+            *theta, _ = _theta_step(*theta, cfg.theta_process_noise,
+                                    cfg.theta_measurement_noise, v_n, -prev[0], prev[1] + i_n)
+            tau0, rs, *memories, _ = _extract_step(theta[0], theta[1], *memories,
+                                                   alpha, period, rs_scale)
+            c0 = _c0_step(*c0, cfg.c0_process_noise, cfg.c0_measurement_noise, tau0, rs)
+            was_tripped = tripped
+            tripped = latch.update(rs)
+            if tripped and not was_tripped:
+                theta = (theta[0], theta[1], p0, 0.0, p0)
+                memories = (None, None)
+            if tripped and latch.baseline is not None:
+                x_hat = _locate(circuit, v_n60, rs, c0[0], latch.baseline,
+                                circuit.r_n_primary)
+        prev = (v_n, i_n) if valid else None
+        for name, value in zip(out, (theta[0], theta[1], tau0, rs, c0[0], x_hat,
+                                     tripped, used)):
+            out[name].append(value)
+    return out, latch.baseline
 
 
 def naive_emit_csv(result, out_dir):

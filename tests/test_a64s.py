@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statorguard import a64s
 from statorguard.a64s import (
     HEALTHY_SENTINEL,
     A64SEstimator,
@@ -50,7 +49,7 @@ def test_tustin_zero_time_constant():
 def _extract(a0, kd, memories=(None, None), alpha=1.0, period=1e-3, turns_ratio=2.0):
     """The extraction kernel at sampling period 1 ms; alpha 1 bypasses the
     smoother (an infinite smoothing rate)."""
-    return a64s._extract_step(a0, kd, *memories, alpha, period, turns_ratio**2 / period)
+    return oracles._extract_step(a0, kd, *memories, alpha, period, turns_ratio**2 / period)
 
 
 @given(
@@ -113,7 +112,7 @@ def _run_theta(kd, a0, n_steps, meas_noise, proc_noise, drive_seed=0):
         # previous voltage and summed current, as A64SEstimator.run forms them
         phi = (-float(v[t - 1]), float(i_n[t - 1]) + float(i_n[t]))
         phis.append(phi)
-        *state, _ = a64s._theta_step(*state, proc_noise, meas_noise, float(v[t]), *phi)
+        *state, _ = oracles._theta_step(*state, proc_noise, meas_noise, float(v[t]), *phi)
     return state, phis
 
 
@@ -148,8 +147,8 @@ def test_regression_step_primes_on_first_sample():
     assert trace.valid == [False, True, True, False, False, True]
     cfg = est.cfg
     p0 = cfg.theta_initial_variance
-    a0, kd, *_ = a64s._theta_step(0.0, 0.0, p0, 0.0, p0, cfg.theta_process_noise,
-                                  cfg.theta_measurement_noise, 3.0, -1.0, 6.0)
+    a0, kd, *_ = oracles._theta_step(0.0, 0.0, p0, 0.0, p0, cfg.theta_process_noise,
+                                     cfg.theta_measurement_noise, 3.0, -1.0, 6.0)
     assert (trace.a0_hat[:2], trace.kd_hat[:2]) == ([0.0, a0], [0.0, kd])
 
 
@@ -160,7 +159,7 @@ def test_theta_covariance_stays_symmetric_positive_definite(seed):
     a0, kd, p00, p01, p11 = 0.0, 0.0, 1.0, 0.0, 1.0
     for _ in range(300):
         phi0, phi1 = rng.normal(0.0, 10.0, size=2)
-        a0, kd, p00, p01, p11, _ = a64s._theta_step(
+        a0, kd, p00, p01, p11, _ = oracles._theta_step(
             a0, kd, p00, p01, p11, 1e-4, 0.25, float(rng.normal()), float(phi0), float(phi1))
         eig = np.linalg.eigvalsh(np.array([[p00, p01], [p01, p11]]))
         assert eig.min() > 0.0
@@ -174,16 +173,16 @@ def test_c0_kaf_fixed_point():
     c0_hat, variance = 1e-6, 1e-10
     rs, c_true = 2500.0, 7.5e-6
     for _ in range(4000):
-        c0_hat, variance = a64s._c0_step(c0_hat, variance, 1e-16, 1e-6, rs * c_true, rs)
+        c0_hat, variance = oracles._c0_step(c0_hat, variance, 1e-16, 1e-6, rs * c_true, rs)
     assert c0_hat == pytest.approx(c_true, rel=1e-6)
-    settled, _ = a64s._c0_step(c0_hat, variance, 1e-16, 1e-6, rs * c_true, rs)
+    settled, _ = oracles._c0_step(c0_hat, variance, 1e-16, 1e-6, rs * c_true, rs)
     assert settled == pytest.approx(c0_hat, rel=1e-9)
 
 
 def test_c0_kaf_variance_positive():
     c0_hat, variance = 1e-6, 1e-10
     for _ in range(100):
-        c0_hat, variance = a64s._c0_step(c0_hat, variance, 1e-16, 1e-6, 1e-2, 100.0)
+        c0_hat, variance = oracles._c0_step(c0_hat, variance, 1e-16, 1e-6, 1e-2, 100.0)
         assert variance > 0.0
 
 
@@ -223,7 +222,7 @@ def _rs_stream(n_pre, n_post, pre=2500.0, post=86.9):
 def _latch_states(stream, cfg):
     """The drop latch fed a resistance stream: its latch and the tripped
     flag after each sample."""
-    latch = a64s._DropLatch(cfg)
+    latch = oracles._DropLatch(cfg)
     return latch, [latch.update(rs) for rs in stream]
 
 
@@ -308,6 +307,22 @@ def _fault_record_90_ohm():
         cfg, [FaultSpec(x=0.25, rf=90.0, t_on=1.6)], duration=2.5, noise_std=0.0,
         seed=2, speed_profile=lambda t: np.ones_like(t))
     return cfg, frames_from_timeseries(v, i, cfg)
+
+
+def _fault_record_500_ohm():
+    """A 500 ohm fault at x = 0.67 from 1.6 s of a noisy 3 s record at
+    rated speed (seed 4); the default estimator trips on it."""
+    cfg = Subharmonic64SConfig()
+    v, i = simulate_64s_timeseries(
+        cfg, [FaultSpec(x=0.67, rf=500.0, t_on=1.6)], duration=3.0, noise_std=0.01,
+        seed=4, speed_profile=lambda t: np.ones_like(t))
+    return cfg, frames_from_timeseries(v, i, cfg)
+
+
+def _invalid_stretch(frames):
+    """The record with samples 1400-1419 (between the baseline window and
+    the fault) marked invalid."""
+    return replace(frames, valid=frames.valid[:1400] + (False,) * 20 + frames.valid[1420:])
 
 
 @pytest.mark.parametrize("column", ["v_n", "i_n", "v_n60"])
@@ -396,16 +411,11 @@ def test_estimator_matches_naive_matrix_oracle_through_a_trip():
     the filter updates on a noisy record that trips, through the
     post-trip covariance reset and the locator, as recorded and with an
     invalid stretch between the baseline window and the fault."""
-    cfg = Subharmonic64SConfig()
-    v, i = simulate_64s_timeseries(
-        cfg, [FaultSpec(x=0.67, rf=500.0, t_on=1.6)], duration=3.0, noise_std=0.01,
-        seed=4, speed_profile=lambda t: np.ones_like(t))
-    frames = frames_from_timeseries(v, i, cfg)
+    cfg, frames = _fault_record_500_ohm()
     est = A64SEstimator(cfg)
     for invalid_stretch in (False, True):
         if invalid_stretch:
-            frames = replace(frames, valid=frames.valid[:1400] + (False,) * 20
-                             + frames.valid[1420:])
+            frames = _invalid_stretch(frames)
         trace = est.run(frames, 1000.0)
         want, baseline = oracles.naive_a64s_run(
             frames.v_n, frames.i_n, frames.v_n60, frames.valid, 1000.0,
@@ -422,43 +432,95 @@ def test_estimator_matches_naive_matrix_oracle_through_a_trip():
         assert trace.baseline == pytest.approx(baseline, rel=1e-9)
 
 
+_COLUMNS = ("a0_hat", "kd_hat", "tau0_hat", "rs_hat", "c0_hat", "x_hat", "trip", "valid")
+
+
+def _assert_run_is_the_step_chain(est, frames, fs=1000.0):
+    """run() gives the per-step oracle chain's eight columns and baseline
+    bit for bit (float ==, so a last-digit change fails); returns the
+    trace."""
+    trace = est.run(frames, fs)
+    want, baseline = oracles.stepwise_a64s_run(frames, fs, est.circuit, est.cfg)
+    for name in _COLUMNS:
+        assert getattr(trace, name) == want[name], name
+    assert trace.baseline == baseline
+    return trace
+
+
 def test_streaming_steps_reproduce_run_exactly():
-    """Chaining the per-sample kernels over a no-fault record, with an
-    invalid stretch mid-record, gives run()'s columns bit for bit."""
+    """Chaining the per-step kernels, with an invalid stretch mid-record,
+    gives run()'s columns bit for bit: over a no-fault record, and over a
+    faulted one through the trip, the post-trip reset and the locator."""
     cfg = Subharmonic64SConfig()
     v, i = simulate_64s_timeseries(cfg, [], duration=2.0, noise_std=0.01, seed=2)
-    frames = frames_from_timeseries(v, i, cfg)
-    frames = replace(frames, valid=frames.valid[:1400] + (False,) * 20 + frames.valid[1420:])
-    est = A64SEstimator(cfg)
-    trace = est.run(frames, 1000.0)
+    frames = _invalid_stretch(frames_from_timeseries(v, i, cfg))
+    trace = _assert_run_is_the_step_chain(A64SEstimator(cfg), frames)
     assert not trace.tripped
+    assert trace.x_hat == [HEALTHY_SENTINEL] * len(trace.x_hat)
 
-    est_cfg, period = est.cfg, 1e-3
-    p0 = est_cfg.theta_initial_variance
-    theta = (0.0, 0.0, p0, 0.0, p0)
-    alpha = 1.0 - math.exp(-est_cfg.smoothing_rate * period)
-    memories = (None, None)
-    tau0 = rs = 0.0
-    c0 = (est_cfg.c0_initial, est_cfg.c0_initial_variance)
-    prev = None
-    columns = {k: [] for k in ("a0_hat", "kd_hat", "tau0_hat", "rs_hat", "c0_hat", "valid")}
-    for v_n, i_n, valid in zip(frames.v_n, frames.i_n, frames.valid):
-        used = valid and prev is not None
-        if used:
-            *theta, _ = a64s._theta_step(*theta, est_cfg.theta_process_noise,
-                                         est_cfg.theta_measurement_noise,
-                                         v_n, -prev[0], prev[1] + i_n)
-            tau0, rs, *memories, _ = a64s._extract_step(
-                theta[0], theta[1], *memories, alpha, period, cfg.turns_ratio**2 / period)
-            c0 = a64s._c0_step(*c0, est_cfg.c0_process_noise,
-                               est_cfg.c0_measurement_noise, tau0, rs)
-        prev = (v_n, i_n) if valid else None
-        for column, value in zip(columns.values(),
-                                 (theta[0], theta[1], tau0, rs, c0[0], used)):
-            column.append(value)
-    for name, column in columns.items():
-        assert getattr(trace, name) == column, name
-    assert trace.x_hat == [HEALTHY_SENTINEL] * len(frames)
+    cfg, frames = _fault_record_500_ohm()
+    est = A64SEstimator(cfg)
+    for record in (frames, _invalid_stretch(frames)):
+        trace = _assert_run_is_the_step_chain(est, record)
+        assert trace.tripped and trace.baseline is not None
+        assert any(x != HEALTHY_SENTINEL for x in trace.x_hat)
+
+
+def test_located_positions_are_locate_fault():
+    """Every located sample of a tripped run is locate_fault of that
+    sample's fault branch, undone from the parallel drop against the
+    baseline, bit for bit: the CLI locate command and the estimator share
+    one formula."""
+    cfg, frames = _fault_record_500_ohm()
+    trace = A64SEstimator(cfg).run(frames, 1000.0)
+    located = [k for k, x in enumerate(trace.x_hat) if x != HEALTHY_SENTINEL]
+    assert located and all(trace.trip[k] for k in located)
+    for k in located:
+        rs, c0 = trace.rs_hat[k], trace.c0_hat[k]
+        rf = 1.0 / (1.0 / rs - 1.0 / trace.baseline)
+        want = locate_fault(frames.v_n60[k], cfg.un, cfg.r_n_primary, rf, rf * max(c0, 0.0),
+                            f1=cfg.f1)
+        assert trace.x_hat[k] == want, k
+
+
+@st.composite
+def _short_records(draw):
+    """A short random record with a random valid mask, and an estimator
+    whose detector learns its baseline within a few used samples, so
+    that trips and contaminated or non-positive baselines all occur."""
+    n = draw(st.integers(2, 60))
+    cell = st.floats(-5.0, 5.0, allow_nan=False)
+    frames = SubharmonicFrames(
+        v_n=draw(st.lists(cell, min_size=n, max_size=n)),
+        i_n=draw(st.lists(cell, min_size=n, max_size=n)),
+        v_n60=draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)),
+        # mostly valid, so that most records arm the latch
+        valid=draw(st.lists(st.sampled_from([True, True, True, False]), min_size=n,
+                            max_size=n)))
+    detector = InsulationDetectorConfig(
+        baseline_start=draw(st.integers(0, 5)), baseline_window=draw(st.integers(1, 5)),
+        drop_fraction=draw(st.sampled_from([0.2, 0.5, 0.9])),
+        persistence=draw(st.integers(1, 3)))
+    cfg = A64SEstimatorConfig(detector=detector,
+                              smoothing_rate=draw(st.sampled_from([10.0, 500.0, math.inf])))
+    return frames, A64SEstimator(Subharmonic64SConfig(), cfg)
+
+
+@given(_short_records())
+@settings(max_examples=300, deadline=None)
+def test_run_is_the_step_chain_on_short_random_records(record):
+    """run() raises CalibrationError exactly when the per-step chain does
+    (with the same message) and otherwise matches it in every column and
+    the baseline."""
+    frames, est = record
+    try:
+        oracles.stepwise_a64s_run(frames, 1000.0, est.circuit, est.cfg)
+    except CalibrationError as exc:
+        with pytest.raises(CalibrationError) as got:
+            est.run(frames, 1000.0)
+        assert str(got.value) == str(exc)
+        return
+    _assert_run_is_the_step_chain(est, frames)
 
 
 def test_healthy_pipeline_estimates_and_sentinel():
@@ -488,6 +550,36 @@ def test_faulted_pipeline_recovers_parallel_resistance_and_location():
     rs_want = cfg.rs * rf / (cfg.rs + rf)
     assert rs == pytest.approx(rs_want, rel=0.05)
     assert trace.final_location() == pytest.approx(x, abs=0.05)
+
+
+@pytest.mark.parametrize("tail", [0, -1, -250])
+def test_final_summaries_refuse_an_empty_tail(tail):
+    """A tail below one used to read as the whole record (0) or as the
+    record less its first rows (negative)."""
+    cfg, frames = _fault_record_90_ohm()
+    trace = A64SEstimator(cfg).run(frames, 1000.0)
+    with pytest.raises(ValueError, match="tail"):
+        trace.final_estimates(tail)
+    with pytest.raises(ValueError, match="tail"):
+        trace.final_location(tail)
+
+
+def test_final_summaries_are_the_medians_of_the_last_rows():
+    """The summaries are the medians over the last tail used (or located)
+    samples, also for a tail longer than the record."""
+    cfg, frames = _fault_record_90_ohm()
+    trace = A64SEstimator(cfg).run(frames, 1000.0)
+    used = [k for k, ok in enumerate(trace.valid) if ok]
+    located = [k for k, (x, t) in enumerate(zip(trace.x_hat, trace.trip))
+               if t and x != HEALTHY_SENTINEL]
+    assert len(located) > 10
+    for tail in (1, 7, 250, 10**6):
+        rows = used[-tail:]
+        assert trace.final_estimates(tail) == tuple(
+            float(np.median([column[k] for k in rows]))
+            for column in (trace.rs_hat, trace.c0_hat, trace.tau0_hat))
+        assert trace.final_location(tail) == float(
+            np.median([trace.x_hat[k] for k in located[-tail:]]))
 
 
 def test_pipeline_offline_replay_matches_online(tmp_path):

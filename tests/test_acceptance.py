@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from statorguard import a64g2, a64s
+from statorguard import a64g2
 from statorguard.a64g2 import AdaptiveRatioDetector, DetectorConfig, FixedRatioDetector
 from statorguard.a64s import HEALTHY_SENTINEL, A64SEstimator, tustin_coeffs
 from statorguard.harness import SweepGrid, sweep_security, sweep_sensitivity
@@ -321,8 +321,8 @@ def test_criterion_11_discretization_round_trip(announce):
             for rs in np.logspace(1.0, 5.0, 41):
                 kd, a0 = tustin_coeffs(rs / n**2, float(tau0), 1e-3)
                 # smoother bypassed (alpha 1), no memories
-                tau_hat, rs_hat, *_ = a64s._extract_step(a0, kd, None, None, 1.0, 1e-3,
-                                                         n**2 / 1e-3)
+                tau_hat, rs_hat, *_ = oracles._extract_step(a0, kd, None, None, 1.0, 1e-3,
+                                                            n**2 / 1e-3)
                 worst_tau = max(worst_tau,
                                 abs(tau_hat - tau0) / max(tau0, 1e-3))
                 worst_rs = max(worst_rs, abs(rs_hat - rs) / rs)
@@ -410,15 +410,15 @@ def test_criterion_14_covariance_health(announce):
         memories = (None, None)
         healthy = True
         for (phi0, phi1), target in zip(phis.tolist(), targets.tolist()):
-            a0, kd, p00, p01, p11, _ = a64s._theta_step(a0, kd, p00, p01, p11, 1e-4, 0.25,
-                                                        target, phi0, phi1)
+            a0, kd, p00, p01, p11, _ = oracles._theta_step(a0, kd, p00, p01, p11, 1e-4, 0.25,
+                                                           target, phi0, phi1)
             # the kernel keeps one off-diagonal term, so the covariance is
             # symmetric by construction
             if not (p00 > 0.0 and p00 * p11 - p01 ** 2 > 0.0):
                 healthy = False
                 break
-            tau0, rs, *memories, _ = a64s._extract_step(a0, kd, *memories, 1.0, 1e-3,
-                                                        2.0**2 / 1e-3)
+            tau0, rs, *memories, _ = oracles._extract_step(a0, kd, *memories, 1.0, 1e-3,
+                                                           2.0**2 / 1e-3)
             if tau0 < 0.0 or rs < 0.0:
                 healthy = False
                 break

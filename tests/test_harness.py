@@ -16,7 +16,7 @@ import pytest
 import statorguard
 from statorguard import harness, signalcore
 from statorguard.a64g2 import AdaptiveRatioDetector, SchemeTrace
-from statorguard.a64s import A64SEstimatorConfig, A64STrace
+from statorguard.a64s import A64SEstimatorConfig, A64STrace, CalibrationError
 from statorguard.cli import main as cli_main
 from statorguard.harness import (
     ConfigError,
@@ -1168,3 +1168,26 @@ def test_cli_runs_and_imports_without_scipy(tmp_path):
                             capture_output=True, text=True, timeout=300, env=env)
     assert loaded.returncode == 0, loaded.stderr
     assert json.loads(loaded.stdout) == []
+
+
+# a 90 ohm fault at 1.1 s lands inside the default baseline window
+# (used samples 1000-1249), so the window already holds the drop
+_CONTAMINATED_BASELINE_64S = {"kind": "64s", "seed": 2,
+                              "fault": {"x": 0.3, "rf": 90.0, "t_on": 1.1},
+                              "profile": {"duration": 2.5, "speed": 1.0}}
+
+
+def test_contaminated_64s_baseline_raises_through_run_scenario():
+    with pytest.raises(CalibrationError,
+                       match="baseline window already contains a resistance drop"):
+        run_scenario(copy.deepcopy(_CONTAMINATED_BASELINE_64S))
+
+
+def test_contaminated_64s_baseline_is_a_cli_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_CONTAMINATED_BASELINE_64S))
+    out = tmp_path / "out"
+    assert cli_main(["detect-64s", "--config", str(path), "--out", str(out)]) == 2
+    assert ("error: baseline window already contains a resistance drop"
+            in capsys.readouterr().err)
+    assert not out.exists()

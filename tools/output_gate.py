@@ -3,12 +3,13 @@
 Runs short CLI commands in a temporary directory: ``simulate`` and
 ``detect-64g2`` on a 64G2 fault that trips, ``detect-64g2 --input`` on the
 simulated waveforms, ``simulate`` and ``detect-64s`` on a 64S fault that
-trips, both detections again on two no-fault records (the 64G2
-``gen_stop`` record of the seed-48 security sweep, whose supervision
-dropouts and adaptive trip cover the scheme loop's invalid-frame path,
-and the 64S ``gen_stop_64s`` speed ramp; every detection with ``--format
-csv``), ``calibrate`` at the default commissioning points, and both
-sweeps at seed 0.  The SHA-256 of every file they write is compared with
+trips, ``detect-64s --input`` on its simulated waveforms (fs re-inferred
+from the CSV time column), both detections again on two no-fault records
+(the 64G2 ``gen_stop`` record of the seed-48 security sweep, whose
+supervision dropouts and adaptive trip cover the scheme loop's
+invalid-frame path, and the 64S ``gen_stop_64s`` speed ramp; every
+detection with ``--format csv``), ``calibrate`` at the default
+commissioning points, and both sweeps at seed 0.  The SHA-256 of every file they write is compared with
 ``output_digests.json`` next to this script.  A change meant to keep behaviour must leave every digest as it is.
 
     python tools/output_gate.py            # compare; exit 1 on a mismatch
@@ -63,6 +64,8 @@ def _runs(tmp: Path):
                                "--input", str(tmp / "simulate-64g2" / "waveforms.csv")]),
         ("simulate-64s", ["simulate", "--config", str(s)]),
         ("detect-64s", ["detect-64s", "--config", str(s), "--format", "csv"]),
+        ("detect-64s-input", ["detect-64s", "--config", str(s), "--format", "csv",
+                              "--input", str(tmp / "simulate-64s" / "waveforms.csv")]),
         ("detect-64g2-gen-stop", ["detect-64g2", "--config", str(stop_g2), "--format", "csv"]),
         ("detect-64s-gen-stop", ["detect-64s", "--config", str(stop_s), "--format", "csv"]),
         ("calibrate", ["calibrate", "--config", str(sweep), "--seed", "0"]),
