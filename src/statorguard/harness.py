@@ -98,6 +98,14 @@ def load_config(path) -> Dict[str, Any]:
 
 # The config schema: a section with no library type to read it into has a
 # record below.  _build reads every section by its type's constructor.
+# A run reads the top-level sections and profile keys _READS gives its kind.
+_BOTH = {"kind", "seed", "noise", "fault", "profile", "profile.duration", "profile.fs"}
+_READS = {"64g2": {*_BOTH, "machine", "disturbances", "schemes", "calibration", "kaf", "detector",
+                   "profile.load_pu", "profile.pf", "profile.window_cycles",
+                   "profile.supervision_frac"},
+          "64s": {*_BOTH, "sub64s", "estimator", "profile.speed"}}
+_SWEEP_ONLY = {"grid", "scenarios", "onset_sample"}
+
 
 @dataclass(frozen=True)
 class _SpeedRamp:
@@ -174,13 +182,12 @@ class _Commissioning:
 
 @dataclass(frozen=True)
 class _Entry:
-    """One security-catalog scenario.  Its cell is the base config with
-    this kind and these disturbances, and the base profile updated by
-    this one; a fault is refused."""
+    """One security-catalog scenario: its cell takes the base keys that its
+    kind reads, then these, unfiltered.  A fault is refused."""
 
     name: Optional[str] = None
     kind: Literal["64g2", "64s"] = "64g2"
-    disturbances: Tuple[dict, ...] = ()
+    disturbances: Optional[Tuple[dict, ...]] = None
     profile: Optional[dict] = None
     fault: Optional[dict] = None
 
@@ -191,10 +198,9 @@ class _Entry:
 
 @dataclass(frozen=True)
 class _Scenario:
-    """Every top-level setting of a config.  One file is meant to serve
-    simulate, detect, calibrate and the sweeps, so it admits every section
-    any of them reads.  kaf is the adaptive detector, with the trip
-    settings of the detector section."""
+    """Every top-level setting of a config; _read refuses one the kind does
+    not read, but admits the sweeps' own.  kaf is the adaptive detector,
+    with the trip settings of the detector section."""
 
     kind: Literal["64g2", "64s"] = "64g2"
     seed: int = 0
@@ -220,16 +226,6 @@ class _Scenario:
             raise ValueError(f"'noise' must be >= 0, got {self.noise}")
         if not self.schemes:
             raise ValueError("'schemes' must name at least one scheme")
-        if self.kind == "64g2" and self.sub64s is not None and self.machine is None:
-            raise ValueError("64g2 scenario given only a sub64s section; wrong kind?")
-        if self.kind == "64g2" and self.profile.speed is not None:
-            raise ValueError("64g2 scenarios model speed via gen_start/gen_stop "
-                             "disturbances, not profile.speed")
-        if self.kind == "64s":
-            if self.machine is not None and self.sub64s is None:
-                raise ValueError("64s scenario given only a machine section; wrong kind?")
-            if self.disturbances:
-                raise ValueError("64s scenarios model speed via profile.speed, not disturbances")
 
 
 @functools.cache
@@ -303,17 +299,23 @@ def _value(hint, value, where: str):
     return _build(hint, value, where)
 
 
-def _read(config) -> _Scenario:
-    """The config's record: the one reader of a config dict.  A record
-    reads as itself, so a run can commission from the record it read."""
+def _read(config, any_kind: bool = False) -> _Scenario:
+    """The config's record: the one reader of a config dict, which then
+    refuses a non-null key that its kind (any_kind: either kind) never
+    reads.  A record reads as itself, so a run can commission from it."""
     if isinstance(config, _Scenario):
         return config
     if not isinstance(config, dict):
         raise ConfigError(f"config must be an object, got {config!r}")
     scenario = _build(_Scenario, {**config, "kaf": None}, "")
     # the adaptive detector takes the detector section's trip settings
-    return replace(scenario, kaf=_build(AdaptiveRatioDetector, config.get("kaf"), "kaf",
-                                        cfg=scenario.detector))
+    kaf = _build(AdaptiveRatioDetector, config.get("kaf"), "kaf", cfg=scenario.detector)
+    given = {**config, **{"profile." + k: v for k, v in (config.get("profile") or {}).items()}}
+    unread = [key for key, value in given.items()
+              if not (value is None or key in _READS[scenario.kind] or key in _SWEEP_ONLY)]
+    if unread and not any_kind:
+        raise ConfigError(f"a {scenario.kind} scenario never reads {unread}")
+    return replace(scenario, kaf=kaf)
 
 
 @contextmanager
@@ -372,6 +374,10 @@ class SweepGrid:
             raise ConfigError("grid taps must lie in [0, 1]")
         if any(not 0.0 <= r < math.inf for r in self.rfs):
             raise ConfigError("grid fault resistances must be finite and >= 0")
+        try:
+            check_operating_point(self.loads, self.pfs)
+        except ValueError as exc:
+            raise ConfigError(f"grid loads and pfs: {exc}") from exc
 
     def cells(self) -> List[Tuple[float, float, float, float]]:
         return [
@@ -440,6 +446,9 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
     per-point medians that produced it."""
     scenario = _read(config)
     commissioning = scenario.calibration
+    if commissioning.ratio is not None:
+        raise ConfigError("calibrate commissions the fixed scheme and reads no fixed setting: "
+                          "omit 'calibration.ratio' and 'calibration.beta_ng'")
     points = commissioning.points
     op_points = (default_calibration_points() if points is None
                  else [(p.load_pu, p.pf) for p in points])
@@ -780,26 +789,24 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
     schemes (and the injection scheme for speed scenarios); any trip is a
     misoperation.  scenarios None takes the base config's 'scenarios'
     list, or the default catalog when it has none."""
-    base = _read(base_config)
+    base = _read(base_config, any_kind=True)
     catalog = base.scenarios if scenarios is None else _value(Tuple[_Entry, ...], scenarios,
                                                               "scenarios")
     if catalog is None:
         catalog = _value(Tuple[_Entry, ...], default_security_catalog(), "scenarios")
     calibration = _resolve_calibration(base)
     fixed = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
-    rest = {k: v for k, v in base_config.items() if k not in ("fault", "disturbances")}
+    # a 64s cell runs at speed 1.0 unless its base or entry sets one
+    base_config = {**base_config, "fault": None, "calibration": fixed,
+                   "profile": {"speed": 1.0, **(base_config.get("profile") or {})}}
     rows: List[Dict[str, Any]] = []
     misoperations: List[Dict[str, Any]] = []
     for index, entry in enumerate(catalog):
-        profile = {**(base_config.get("profile") or {}), **(entry.profile or {})}
-        cfg = {**rest, "kind": entry.kind, "disturbances": list(entry.disturbances),
-               "profile": profile, "seed": _derive_seed(base.seed, 2, index)}
-        if entry.kind == "64g2":
-            cfg["calibration"] = fixed
-            if "speed" not in (entry.profile or {}):
-                profile.pop("speed", None)  # a 64s base's speed, for its 64s cells
-        else:
-            profile.setdefault("speed", 1.0)
+        reads = _READS[entry.kind]
+        profile = {k: v for k, v in base_config["profile"].items() if "profile." + k in reads}
+        cfg = {**{k: v for k, v in base_config.items() if k in reads}, "kind": entry.kind,
+               "disturbances": entry.disturbances, "seed": _derive_seed(base.seed, 2, index),
+               "profile": {**profile, **(entry.profile or {})}}
         name = f"scenario_{index}" if entry.name is None else entry.name
         result = run_scenario(cfg, name=name)
         for scheme, verdict in result.verdicts.items():

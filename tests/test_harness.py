@@ -105,7 +105,7 @@ def test_64g2_speed_profile_is_a_config_error(tmp_path, capsys, speed):
     """A 64g2 run never read profile.speed: at half speed it tripped at
     the rated-speed frame 314 with identical verdicts."""
     cfg = _fault_config(seed=3, profile={"duration": 0.9, "speed": speed})
-    with pytest.raises(ConfigError, match="gen_start/gen_stop disturbances, not profile.speed"):
+    with pytest.raises(ConfigError, match=r"a 64g2 scenario never reads \['profile.speed'\]"):
         run_scenario(cfg)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -115,8 +115,117 @@ def test_64g2_speed_profile_is_a_config_error(tmp_path, capsys, speed):
     # a 64s base's speed sets its 64s cells only; a 64g2 entry's own is refused
     report = sweep_security([entry], {"kind": "64s", "seed": 3, "profile": {"speed": speed}})
     assert [row["scenario"] for row in report.cells] == ["steady", "steady"]
-    with pytest.raises(ConfigError, match="not profile.speed"):
+    with pytest.raises(ConfigError, match=r"a 64g2 scenario never reads \['profile.speed'\]"):
         sweep_security([{**entry, "profile": {"speed": speed}}], {"kind": "64s"})
+
+
+# 64s: the 90 ohm fault that trips; 64g2: the 50 ohm fault at the neutral
+_KIND_BASES = {
+    "64s": {"kind": "64s", "seed": 2, "noise": 0.0, "sub64s": {},
+            "fault": {"x": 0.25, "rf": 90.0, "t_on": 1.6},
+            "profile": {"duration": 2.5, "speed": 1.0}},
+    "64g2": {**_fault_config(), "machine": {}},
+}
+_UNREAD = [
+    ("64s", "machine", {}),
+    ("64s", "disturbances", [{"kind": "load_step", "magnitude": 0.75, "t_on": 0.5}]),
+    ("64s", "schemes", ["fixed"]),
+    ("64s", "calibration", dict(CAL)),
+    ("64s", "kaf", {}),
+    ("64s", "detector", {"persistence": 999}),
+    ("64s", "profile.load_pu", 0.5),
+    ("64s", "profile.pf", 0.9),
+    ("64s", "profile.window_cycles", 4),
+    ("64s", "profile.supervision_frac", 0.5),
+    ("64g2", "sub64s", {}),
+    ("64g2", "estimator", {"smoothing_rate": 12.0}),
+    ("64g2", "profile.speed", 1.0),
+]
+
+
+def _with_unread(kind, key, value):
+    config = copy.deepcopy(_KIND_BASES[kind])
+    section, _, name = key.partition(".")
+    if name:
+        config[section][name] = value
+    else:
+        config[key] = value
+    return config
+
+
+@pytest.mark.parametrize("kind,key,value", _UNREAD)
+def test_a_key_the_kind_never_reads_is_a_config_error(tmp_path, capsys, kind, key, value):
+    """Most of these once ran, with verdicts identical to the run without
+    them; each is now one error naming the dotted key and the kind."""
+    config = _with_unread(kind, key, value)
+    message = f"a {kind} scenario never reads ['{key}']"
+    with pytest.raises(ConfigError) as info:
+        run_scenario(config)
+    assert str(info.value) == message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli_main([f"detect-{kind}", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_every_setting_is_read_by_a_kind_or_a_sweep():
+    """Every settable field is declared: read by at least one kind or by
+    the sweeps alone, and every declared key is a field."""
+    settings = set(harness._schema(harness._Scenario))
+    settings |= {f"profile.{name}" for name in harness._schema(harness._Profile)}
+    reads = harness._READS["64g2"] | harness._READS["64s"]
+    assert reads | harness._SWEEP_ONLY == settings
+    assert not reads & harness._SWEEP_ONLY
+
+
+@pytest.mark.parametrize("kind", ["64g2", "64s"])
+def test_sweep_only_sections_are_admitted_on_both_kinds(kind):
+    """One file serves every command of its kind, its sweeps' too."""
+    sweeps = {"grid": {"taps": [0.5]}, "onset_sample": 100,
+              "scenarios": [{"name": "steady", "kind": "64g2"}]}
+    config = {"kind": kind, "calibration": dict(CAL)} if kind == "64g2" else {"kind": kind}
+    config["profile"] = {"duration": 0.5}
+    assert run_scenario({**config, **sweeps}).verdicts == run_scenario(config).verdicts
+
+
+def test_a_security_cell_gets_only_its_kinds_base_keys(monkeypatch):
+    """A 64g2 base's 64s settings reach the 64s cells, its 64g2 settings
+    the 64g2 cells, and neither kind's cells the other's."""
+    base = {"seed": 1, "calibration": dict(CAL), "detector": {"persistence": 14},
+            "kaf": {"rho0": 1.2}, "sub64s": {"rs": 2.0e5}, "estimator": {"smoothing_rate": 12.0},
+            "profile": {"load_pu": 0.9, "fs": 1000.0}}
+    catalog = [{"name": "steady", "kind": "64g2", "profile": {"duration": 0.5}},
+               {"name": "spin", "kind": "64s", "profile": {"duration": 1.5}}]
+    configs = []
+
+    def spy(config, name="scenario", input_channels=None):
+        configs.append(copy.deepcopy(config))
+        return run_scenario(config, name, input_channels)
+
+    monkeypatch.setattr(harness, "run_scenario", spy)
+    report = sweep_security(catalog, base)
+    assert [(row["scenario"], row["scheme"]) for row in report.cells] == [
+        ("steady", "a64g2"), ("steady", "ng64g2"), ("spin", "a64s")]
+    g2, s = configs
+    assert {key for key, value in g2.items() if value is not None} == {
+        "kind", "seed", "calibration", "detector", "kaf", "profile"}
+    assert (g2["detector"], g2["kaf"]) == (base["detector"], base["kaf"])
+    assert g2["profile"] == {"load_pu": 0.9, "fs": 1000.0, "duration": 0.5}
+    assert {key for key, value in s.items() if value is not None} == {
+        "kind", "seed", "sub64s", "estimator", "profile"}
+    assert (s["sub64s"], s["estimator"]) == (base["sub64s"], base["estimator"])
+    assert s["profile"] == {"speed": 1.0, "fs": 1000.0, "duration": 1.5}
+
+
+def test_a_security_entry_key_its_kind_never_reads_is_a_config_error():
+    entry = {"name": "spin", "kind": "64s", "profile": {"duration": 1.5, "load_pu": 0.5}}
+    with pytest.raises(ConfigError, match=r"a 64s scenario never reads \['profile.load_pu'\]"):
+        sweep_security([entry], {"calibration": dict(CAL)})
+    entry = {"name": "spin", "kind": "64s", "disturbances": [], "profile": {"duration": 1.5}}
+    with pytest.raises(ConfigError, match=r"a 64s scenario never reads \['disturbances'\]"):
+        sweep_security([entry], {"calibration": dict(CAL)})
 
 
 def test_unknown_machine_key_rejected():
@@ -475,6 +584,34 @@ def test_sensitivity_sweep_reads_grid_from_config():
     base = {"seed": 5, "calibration": dict(CAL)}
     from_config = sweep_sensitivity(None, {**base, "grid": grid})
     assert from_config.digest() == sweep_sensitivity(_small_grid(), base).digest()
+
+
+@pytest.mark.parametrize("axis,value", [("pfs", 0.5), ("loads", 1.5)])
+def test_grid_operating_point_is_a_grid_error_before_commissioning(monkeypatch, axis, value):
+    """An operating point the machine model refuses is a grid error, found
+    before the eleven healthy commissioning runs."""
+    def commission(config):
+        raise AssertionError("commissioned before checking the grid")
+
+    monkeypatch.setattr(harness, "calibrate_from_config", commission)
+    with pytest.raises(ConfigError, match=r"^grid: grid loads and pfs: "):
+        sweep_sensitivity(None, {"grid": {axis: [value]}})
+    with pytest.raises(ConfigError, match=r"^grid loads and pfs: "):
+        sweep_sensitivity(SweepGrid(**{axis: (value,)}), {})
+
+
+def test_calibrate_refuses_a_fixed_setting(tmp_path, capsys):
+    """calibrate commissions; it used to ignore a fixed setting and return
+    a ratio of 1.2198."""
+    config = {"calibration": {"ratio": 1.0, "beta_ng": 0.1}}
+    with pytest.raises(ConfigError, match="'calibration.ratio'"):
+        calibrate_from_config(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli_main(["calibrate", "--config", str(path), "--out", str(out)]) == 1
+    assert "'calibration.ratio'" in capsys.readouterr().err
+    assert not (out / "calibration.json").exists()
 
 
 def test_sensitivity_sweep_rejects_64s_config():
@@ -905,7 +1042,7 @@ def test_cli_non_numeric_profile_value_is_config_error(tmp_path, capsys):
 ])
 def test_cli_out_of_range_or_non_integral_setting_is_config_error(tmp_path, capsys,
                                                                   command, config):
-    if command != "calibrate":
+    if command != "calibrate" and config.get("kind") != "64s":
         config = {"calibration": dict(CAL), **config}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -1109,14 +1246,17 @@ def test_cli_runtime_error_exit_code(cli_workspace, capsys):
     capsys.readouterr()
 
 
-def test_cli_entry_point_subprocess(cli_workspace, tmp_path):
+def test_cli_entry_point_subprocess(tmp_path):
     # the child imports the package these tests import, installed or not
     package_root = str(Path(statorguard.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    # calibrate commissions, so the config gives no fixed setting
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(_fault_config(calibration=None)))
     proc = subprocess.run(
         [sys.executable, "-m", "statorguard.cli", "calibrate",
-         "--config", str(cli_workspace["config"]),
+         "--config", str(config),
          "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr

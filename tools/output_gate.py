@@ -9,7 +9,10 @@ from the CSV time column), both detections again on two no-fault records
 supervision dropouts and adaptive trip cover the scheme loop's
 invalid-frame path, and the 64S ``gen_stop_64s`` speed ramp; every
 detection with ``--format csv``), ``calibrate`` at the default
-commissioning points, and both sweeps at seed 0.  The SHA-256 of every file they write is compared with
+commissioning points, both sweeps at seed 0, and the security sweep again
+on a base that sets keys only one kind reads (its 64g2 cells read the
+profile and detector settings, its 64s cells the estimator's).  The
+SHA-256 of every file they write is compared with
 ``output_digests.json`` next to this script.  A change meant to keep behaviour must leave every digest as it is.
 
     python tools/output_gate.py            # compare; exit 1 on a mismatch
@@ -45,6 +48,8 @@ GEN_STOP_64G2 = {"kind": "64g2", "seed": 221267776,
 GEN_STOP_64S = {"kind": "64s", "seed": 5,
                 "profile": {"duration": 3.5, "speed": {"t_start": 0.5, "t_end": 3.0,
                                                        "start": 1.0, "end": 0.0}}}
+MIXED_BASE = {"profile": {"load_pu": 0.9, "window_cycles": 4}, "detector": {"persistence": 14},
+              "estimator": {"smoothing_rate": 12.0}}
 
 
 def _runs(tmp: Path):
@@ -57,6 +62,8 @@ def _runs(tmp: Path):
     stop_s.write_text(json.dumps(GEN_STOP_64S))
     sweep = tmp / "sweep.json"
     sweep.write_text("{}")
+    mixed = tmp / "mixed.json"
+    mixed.write_text(json.dumps(MIXED_BASE))
     return [
         ("simulate-64g2", ["simulate", "--config", str(g2)]),
         ("detect-64g2", ["detect-64g2", "--config", str(g2), "--format", "csv"]),
@@ -71,6 +78,7 @@ def _runs(tmp: Path):
         ("calibrate", ["calibrate", "--config", str(sweep), "--seed", "0"]),
         ("sweep-sensitivity", ["sweep-sensitivity", "--config", str(sweep), "--seed", "0"]),
         ("sweep-security", ["sweep-security", "--config", str(sweep), "--seed", "0"]),
+        ("sweep-security-mixed", ["sweep-security", "--config", str(mixed), "--seed", "0"]),
     ]
 
 
