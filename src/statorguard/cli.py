@@ -33,22 +33,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("simulate", help="simulate a scenario to waveform CSVs")
 
-    p = sub.add_parser("detect-64g2", help="run the third-harmonic ratio schemes")
-    p.add_argument("--input", default=None,
-                   help="waveform CSV with vp3/vn3 channels (default: simulate)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--adaptive", action="store_true",
+    # the detections share one handler: the command sets the kind, and
+    # detect-64g2's flags its schemes
+    for name, kind, channels, text in (
+            ("detect-64g2", "64g2", "vp3/vn3", "run the third-harmonic ratio schemes"),
+            ("detect-64s", "64s", "vn/in", "run the injection-based scheme"),
+            ("locate", "64s", "vn/in", "estimate the fault position along the winding")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(kind=kind, schemes=None)
+        p.add_argument("--input", default=None,
+                       help=f"waveform CSV with {channels} channels (default: simulate)")
+    group = sub.choices["detect-64g2"].add_mutually_exclusive_group()
+    group.add_argument("--adaptive", dest="schemes", action="store_const", const=["adaptive"],
                        help="run only the adaptive scheme")
-    group.add_argument("--fixed", action="store_true",
+    group.add_argument("--fixed", dest="schemes", action="store_const", const=["fixed"],
                        help="run only the fixed-ratio scheme")
-
-    p = sub.add_parser("detect-64s", help="run the injection-based scheme")
-    p.add_argument("--input", default=None,
-                   help="waveform CSV with vn/in channels (default: simulate)")
-
-    p = sub.add_parser("locate", help="estimate the fault position along the winding")
-    p.add_argument("--input", default=None,
-                   help="waveform CSV with vn/in channels (default: simulate)")
 
     sub.add_parser("calibrate", help="commission the fixed-ratio scheme")
     sub.add_parser("sweep-sensitivity", help="fault-coverage study")
@@ -104,33 +103,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_detect_64g2(args) -> int:
+def _cmd_detect(args) -> int:
     config = _load(args)
-    config["kind"] = "64g2"
-    if args.adaptive:
-        config["schemes"] = ["adaptive"]
-    elif args.fixed:
-        config["schemes"] = ["fixed"]
+    config["kind"] = args.kind
+    if args.schemes:
+        config["schemes"] = args.schemes
     channels = ingest_csv(args.input) if args.input else None
-    result = harness.run_scenario(config, name="detect_64g2", input_channels=channels)
-    _emit_and_print(result, args, "statorguard_out")
-    return 0
-
-
-def _cmd_detect_64s(args) -> int:
-    config = _load(args)
-    config["kind"] = "64s"
-    channels = ingest_csv(args.input) if args.input else None
-    result = harness.run_scenario(config, name="detect_64s", input_channels=channels)
-    _emit_and_print(result, args, "statorguard_out")
-    return 0
-
-
-def _cmd_locate(args) -> int:
-    config = _load(args)
-    config["kind"] = "64s"
-    channels = ingest_csv(args.input) if args.input else None
-    result = harness.run_scenario(config, name="locate", input_channels=channels)
+    result = harness.run_scenario(config, name=args.command.replace("-", "_"),
+                                  input_channels=channels)
+    if args.command != "locate":
+        _emit_and_print(result, args, "statorguard_out")
+        return 0
     verdict = result.verdicts["a64s"]
     print(json.dumps({"x_hat": verdict.get("x_final"),
                       "tripped": verdict["tripped"],
@@ -141,6 +124,11 @@ def _cmd_locate(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load(args)
+    # calibrate_from_config reads any record, as the sweeps commission the
+    # 64g2 cells of a 64s base through it
+    if config.get("kind") == "64s":
+        raise ConfigError("calibrate commissions the 64g2 fixed-ratio scheme; "
+                          "a 64s config has no calibration")
     calibration, points = harness.calibrate_from_config(config)
     payload = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng,
                "threshold": calibration.threshold, "points": points}
@@ -152,15 +140,10 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_sweep_sensitivity(args) -> int:
-    report = harness.sweep_sensitivity(None, _load(args))
-    _emit_and_print(report, args, "statorguard_out")
-    return 0
-
-
-def _cmd_sweep_security(args) -> int:
-    report = harness.sweep_security(None, _load(args))
-    _emit_and_print(report, args, "statorguard_out")
+def _cmd_sweep(args) -> int:
+    study = (harness.sweep_sensitivity if args.command == "sweep-sensitivity"
+             else harness.sweep_security)
+    _emit_and_print(study(None, _load(args)), args, "statorguard_out")
     return 0
 
 
@@ -182,12 +165,12 @@ def _cmd_report(args) -> int:
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "detect-64g2": _cmd_detect_64g2,
-    "detect-64s": _cmd_detect_64s,
-    "locate": _cmd_locate,
+    "detect-64g2": _cmd_detect,
+    "detect-64s": _cmd_detect,
+    "locate": _cmd_detect,
     "calibrate": _cmd_calibrate,
-    "sweep-sensitivity": _cmd_sweep_sensitivity,
-    "sweep-security": _cmd_sweep_security,
+    "sweep-sensitivity": _cmd_sweep,
+    "sweep-security": _cmd_sweep,
     "report": _cmd_report,
 }
 

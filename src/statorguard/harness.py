@@ -182,8 +182,10 @@ class _Commissioning:
 
 @dataclass(frozen=True)
 class _Entry:
-    """One security-catalog scenario: its cell takes the base keys that its
-    kind reads, then these, unfiltered.  A fault is refused."""
+    """One security-catalog scenario: its kind, disturbances and non-null
+    profile keys replace the base's in its cell.  They are read as a
+    config of that kind, which refuses a key the kind never reads; a fault
+    is refused."""
 
     name: Optional[str] = None
     kind: Literal["64g2", "64s"] = "64g2"
@@ -222,6 +224,8 @@ class _Scenario:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"'seed' must be >= 0, got {self.seed}")
+        if self.onset_sample < 0:
+            raise ValueError(f"'onset_sample' must be >= 0, got {self.onset_sample}")
         if self.noise < 0:
             raise ValueError(f"'noise' must be >= 0, got {self.noise}")
         if not self.schemes:
@@ -302,7 +306,8 @@ def _value(hint, value, where: str):
 def _read(config, any_kind: bool = False) -> _Scenario:
     """The config's record: the one reader of a config dict, which then
     refuses a non-null key that its kind (any_kind: either kind) never
-    reads.  A record reads as itself, so a run can commission from it."""
+    reads.  A record reads as itself, so a run can commission from it and
+    a sweep can run its cells."""
     if isinstance(config, _Scenario):
         return config
     if not isinstance(config, dict):
@@ -656,8 +661,10 @@ def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) ->
     """Fault-coverage study: run every (tap, Rf, load, pf) cell through
     both ratio schemes and derive the blind zone at the minimum fault
     resistance.  grid None takes the base config's 'grid' section, or
-    the default SweepGrid when it has none.  A cell is the base config
-    with the cell's fault, load and pf."""
+    the default SweepGrid when it has none.  A cell is the base's record
+    with the commissioned calibration, a derived seed, the cell's fault
+    at onset_sample and its load and pf; its duration is the base's, or
+    the onset, the detection window and 0.25 s when the base has none."""
     base = _read(base_config)
     if base.kind != "64g2":
         raise ConfigError("sensitivity sweep applies to 64g2 configs")
@@ -669,17 +676,17 @@ def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) ->
     seed, fs, onset = base.seed, base.profile.fs, base.onset_sample
     calibration = _resolve_calibration(base)
     fixed = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
-    profile = base_config.get("profile") or {}
+    duration = base.profile.duration
+    if duration is None:
+        duration = onset / fs + DETECTION_WINDOW_S + 0.25
+    base = replace(base, calibration=_Commissioning(**fixed),
+                   profile=replace(base.profile, duration=duration))
 
     rows: List[Dict[str, Any]] = []
     for index, (x, rf, load, pf) in enumerate(grid.cells()):
-        cfg = {**base_config,
-               "fault": {"x": x, "rf": rf, "t_on": onset / fs},
-               "profile": {"duration": (onset / fs) + DETECTION_WINDOW_S + 0.25,
-                           **profile, "load_pu": load, "pf": pf},
-               "seed": _derive_seed(seed, 1, index),
-               "calibration": fixed}
-        result = run_scenario(cfg, name=f"cell_{index}")
+        cell = replace(base, fault=FaultSpec(x, rf, onset / fs), seed=_derive_seed(seed, 1, index),
+                       profile=replace(base.profile, load_pu=load, pf=pf))
+        result = run_scenario(cell, name=f"cell_{index}")
         rows.append({
             "x": x, "rf": rf, "load_pu": load, "pf": pf,
             "detected_adaptive": bool(result.verdicts["a64g2"]["detected"]),
@@ -788,27 +795,33 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
     """Misoperation study: run each non-fault scenario through the ratio
     schemes (and the injection scheme for speed scenarios); any trip is a
     misoperation.  scenarios None takes the base config's 'scenarios'
-    list, or the default catalog when it has none."""
+    list, or the default catalog when it has none.  A cell is the base's
+    record with no fault, the commissioned calibration, a derived seed,
+    and the entry's kind, disturbances and non-null profile keys."""
     base = _read(base_config, any_kind=True)
     catalog = base.scenarios if scenarios is None else _value(Tuple[_Entry, ...], scenarios,
                                                               "scenarios")
     if catalog is None:
         catalog = _value(Tuple[_Entry, ...], default_security_catalog(), "scenarios")
+    # every entry's own keys are read, and refused, before any run
+    entries = [(entry, _read({"kind": entry.kind, "disturbances": entry.disturbances,
+                              "profile": entry.profile})) for entry in catalog]
     calibration = _resolve_calibration(base)
     fixed = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
     # a 64s cell runs at speed 1.0 unless its base or entry sets one
-    base_config = {**base_config, "fault": None, "calibration": fixed,
-                   "profile": {"speed": 1.0, **(base_config.get("profile") or {})}}
+    speed = 1.0 if base.profile.speed is None else base.profile.speed
+    base = replace(base, fault=None, calibration=_Commissioning(**fixed),
+                   profile=replace(base.profile, speed=speed))
     rows: List[Dict[str, Any]] = []
     misoperations: List[Dict[str, Any]] = []
-    for index, entry in enumerate(catalog):
-        reads = _READS[entry.kind]
-        profile = {k: v for k, v in base_config["profile"].items() if "profile." + k in reads}
-        cfg = {**{k: v for k, v in base_config.items() if k in reads}, "kind": entry.kind,
-               "disturbances": entry.disturbances, "seed": _derive_seed(base.seed, 2, index),
-               "profile": {**profile, **(entry.profile or {})}}
+    for index, (entry, own) in enumerate(entries):
+        profile = {key: getattr(own.profile, key)
+                   for key, value in (entry.profile or {}).items() if value is not None}
+        cell = replace(base, kind=own.kind, disturbances=own.disturbances,
+                       seed=_derive_seed(base.seed, 2, index),
+                       profile=replace(base.profile, **profile))
         name = f"scenario_{index}" if entry.name is None else entry.name
-        result = run_scenario(cfg, name=name)
+        result = run_scenario(cell, name=name)
         for scheme, verdict in result.verdicts.items():
             tripped = bool(verdict["tripped"])
             row = {"scenario": name, "scheme": scheme, "tripped": tripped,

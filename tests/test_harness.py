@@ -192,31 +192,82 @@ def test_sweep_only_sections_are_admitted_on_both_kinds(kind):
 
 def test_a_security_cell_gets_only_its_kinds_base_keys(monkeypatch):
     """A 64g2 base's 64s settings reach the 64s cells, its 64g2 settings
-    the 64g2 cells, and neither kind's cells the other's."""
+    the 64g2 cells, and each cell runs as the dict of its kind's keys."""
     base = {"seed": 1, "calibration": dict(CAL), "detector": {"persistence": 14},
             "kaf": {"rho0": 1.2}, "sub64s": {"rs": 2.0e5}, "estimator": {"smoothing_rate": 12.0},
             "profile": {"load_pu": 0.9, "fs": 1000.0}}
     catalog = [{"name": "steady", "kind": "64g2", "profile": {"duration": 0.5}},
                {"name": "spin", "kind": "64s", "profile": {"duration": 1.5}}]
-    configs = []
+    cells, results = [], []
 
     def spy(config, name="scenario", input_channels=None):
-        configs.append(copy.deepcopy(config))
-        return run_scenario(config, name, input_channels)
+        cells.append(config)
+        results.append(run_scenario(config, name, input_channels))
+        return results[-1]
 
     monkeypatch.setattr(harness, "run_scenario", spy)
     report = sweep_security(catalog, base)
     assert [(row["scenario"], row["scheme"]) for row in report.cells] == [
         ("steady", "a64g2"), ("steady", "ng64g2"), ("spin", "a64s")]
-    g2, s = configs
-    assert {key for key, value in g2.items() if value is not None} == {
-        "kind", "seed", "calibration", "detector", "kaf", "profile"}
-    assert (g2["detector"], g2["kaf"]) == (base["detector"], base["kaf"])
-    assert g2["profile"] == {"load_pu": 0.9, "fs": 1000.0, "duration": 0.5}
-    assert {key for key, value in s.items() if value is not None} == {
-        "kind", "seed", "sub64s", "estimator", "profile"}
-    assert (s["sub64s"], s["estimator"]) == (base["sub64s"], base["estimator"])
-    assert s["profile"] == {"speed": 1.0, "fs": 1000.0, "duration": 1.5}
+    read = harness._read(base, any_kind=True)
+    g2, s = cells
+    assert (g2.kind, s.kind) == ("64g2", "64s")
+    assert g2.detector == read.detector == harness.DetectorConfig(persistence=14)
+    assert vars(g2.kaf) == vars(read.kaf) and g2.kaf._ratio == 1.2
+    assert (g2.profile.load_pu, g2.profile.fs, g2.profile.duration) == (0.9, 1000.0, 0.5)
+    assert (s.sub64s, s.estimator) == (read.sub64s, read.estimator)
+    assert (s.sub64s.rs, s.estimator.smoothing_rate) == (2.0e5, 12.0)
+    assert (s.profile.speed, s.profile.fs, s.profile.duration) == (1.0, 1000.0, 1.5)
+    for index, cell in enumerate(cells):
+        assert cell.fault is None
+        assert cell.calibration == harness._Commissioning(**CAL)
+        assert cell.seed == harness._derive_seed(1, 2, index)
+    # the dicts a cell ran as before records: the base keys its kind reads
+    g2_dict = {"kind": "64g2", "seed": g2.seed, "calibration": dict(CAL),
+               "detector": base["detector"], "kaf": base["kaf"],
+               "profile": {"load_pu": 0.9, "fs": 1000.0, "duration": 0.5}}
+    s_dict = {"kind": "64s", "seed": s.seed, "sub64s": base["sub64s"],
+              "estimator": base["estimator"],
+              "profile": {"speed": 1.0, "fs": 1000.0, "duration": 1.5}}
+    assert [result.verdicts for result in results] == [
+        run_scenario(g2_dict).verdicts, run_scenario(s_dict).verdicts]
+
+
+def test_a_null_base_setting_reads_as_absent_in_sweep_cells(monkeypatch):
+    """A null base duration or speed takes the sweep's own default: the
+    cells used to run 1.0 s records and a 64s rotor at rest."""
+    base = {"seed": 0, "calibration": dict(CAL), "onset_sample": 990,
+            "grid": {"taps": [0.0], "rfs": [50.0], "loads": [1.0], "pfs": [1.0]}}
+    null = {**base, "profile": {"duration": None}}
+    assert sweep_sensitivity(None, null).digest() == sweep_sensitivity(None, base).digest()
+    durations, speeds = [], []
+
+    def spy(config, name="scenario", input_channels=None):
+        durations.append(harness._read(config).profile.duration)
+        speeds.append(harness._read(config).profile.speed)
+        return run_scenario(config, name, input_channels)
+
+    monkeypatch.setattr(harness, "run_scenario", spy)
+    sweep_sensitivity(None, null)
+    assert durations == [0.99 + harness.DETECTION_WINDOW_S + 0.25]
+    speeds.clear()
+    sweep_security([{"name": "spin", "kind": "64s", "profile": {"duration": 1.0}}],
+                   {"calibration": dict(CAL), "profile": {"speed": None}})
+    assert speeds == [1.0]
+
+
+def test_every_security_entry_is_read_before_the_first_cell(monkeypatch):
+    """An entry key its kind never reads fails the study before any cell
+    or commissioning run; it used to fail after the entries before it."""
+    def never(*args, **kwargs):
+        raise AssertionError("a cell or commissioning run started")
+
+    monkeypatch.setattr(harness, "run_scenario", never)
+    monkeypatch.setattr(harness, "calibrate_from_config", never)
+    catalog = [{"name": "steady", "kind": "64g2", "profile": {"duration": 0.5}},
+               {"name": "spin", "kind": "64s", "profile": {"duration": 1.5, "load_pu": 0.5}}]
+    with pytest.raises(ConfigError, match=r"a 64s scenario never reads \['profile.load_pu'\]"):
+        sweep_security(catalog, {})
 
 
 def test_a_security_entry_key_its_kind_never_reads_is_a_config_error():
@@ -348,6 +399,13 @@ def test_sweep_onset_sample_must_be_an_integer():
     grid = SweepGrid(taps=(0.0,), rfs=(50.0,), loads=(1.0,))
     with pytest.raises(ConfigError, match="onset_sample"):
         sweep_sensitivity(grid, {"onset_sample": 270.5, "calibration": dict(CAL)})
+
+
+def test_a_negative_onset_sample_is_a_config_error():
+    """The sweep's fault onset must lie in the record; it used to fail
+    at the first cell, after commissioning, naming 'fault'."""
+    with pytest.raises(ConfigError, match="'onset_sample' must be >= 0"):
+        sweep_sensitivity(None, {"onset_sample": -5})
 
 
 def _numeric_settings(hint, path=()):
@@ -611,6 +669,17 @@ def test_calibrate_refuses_a_fixed_setting(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["calibrate", "--config", str(path), "--out", str(out)]) == 1
     assert "'calibration.ratio'" in capsys.readouterr().err
+    assert not (out / "calibration.json").exists()
+
+
+def test_calibrate_refuses_a_64s_config(tmp_path, capsys):
+    """calibrate commissions the 64g2 fixed scheme; on a 64s config it
+    used to exit 0 with a default-machine calibration, sub64s unread."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "64s", "sub64s": {"rs": 1e5}}))
+    out = tmp_path / "out"
+    assert cli_main(["calibrate", "--config", str(path), "--out", str(out)]) == 1
+    assert "config error: calibrate" in capsys.readouterr().err
     assert not (out / "calibration.json").exists()
 
 

@@ -11,7 +11,9 @@ invalid-frame path, and the 64S ``gen_stop_64s`` speed ramp; every
 detection with ``--format csv``), ``calibrate`` at the default
 commissioning points, both sweeps at seed 0, and the security sweep again
 on a base that sets keys only one kind reads (its 64g2 cells read the
-profile and detector settings, its 64s cells the estimator's).  The
+profile and detector settings, its 64s cells the estimator's), and the
+sensitivity sweep again on a base whose profile, detector, adaptive
+filter and onset settings every cell inherits.  The
 SHA-256 of every file they write is compared with
 ``output_digests.json`` next to this script.  A change meant to keep behaviour must leave every digest as it is.
 
@@ -50,6 +52,11 @@ GEN_STOP_64S = {"kind": "64s", "seed": 5,
                                                        "start": 1.0, "end": 0.0}}}
 MIXED_BASE = {"profile": {"load_pu": 0.9, "window_cycles": 4}, "detector": {"persistence": 14},
               "estimator": {"smoothing_rate": 12.0}}
+SENSITIVITY_BASE = {"profile": {"window_cycles": 6, "supervision_frac": 0.12},
+                    "detector": {"window": 14, "persistence": 10},
+                    "kaf": {"rho0": 1.2, "measurement_noise": 0.01},
+                    "onset_sample": 200,
+                    "grid": {"taps": [0, 0.5, 1], "rfs": [50], "loads": [0.75], "pfs": [0.9]}}
 
 
 def _runs(tmp: Path):
@@ -64,6 +71,8 @@ def _runs(tmp: Path):
     sweep.write_text("{}")
     mixed = tmp / "mixed.json"
     mixed.write_text(json.dumps(MIXED_BASE))
+    sens_base = tmp / "sensitivity_base.json"
+    sens_base.write_text(json.dumps(SENSITIVITY_BASE))
     return [
         ("simulate-64g2", ["simulate", "--config", str(g2)]),
         ("detect-64g2", ["detect-64g2", "--config", str(g2), "--format", "csv"]),
@@ -79,6 +88,8 @@ def _runs(tmp: Path):
         ("sweep-sensitivity", ["sweep-sensitivity", "--config", str(sweep), "--seed", "0"]),
         ("sweep-security", ["sweep-security", "--config", str(sweep), "--seed", "0"]),
         ("sweep-security-mixed", ["sweep-security", "--config", str(mixed), "--seed", "0"]),
+        ("sweep-sensitivity-base", ["sweep-sensitivity", "--config", str(sens_base),
+                                    "--seed", "0"]),
     ]
 
 
