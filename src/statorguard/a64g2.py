@@ -142,7 +142,8 @@ class SchemeTrace:
         positive restraint; > 1 means the trip inequality was crossed at
         least once.  The scheme loop tracks it in margin_peak, and the
         first frame that reaches it in margin_index (None while it is 0).
-        It is infinite when sensitivity*restraint underflows to 0."""
+        It is infinite when the quotient overflows, as it does when
+        sensitivity*restraint underflows to 0 or the operate energy to inf."""
         return self.margin_peak
 
 

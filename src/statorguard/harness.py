@@ -16,12 +16,13 @@ import inspect
 import json
 import math
 import numbers
+import pickle
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import (Any, Dict, List, Literal, Optional, Tuple, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import (Any, Callable, Dict, List, Literal, Optional, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -51,7 +52,8 @@ from .plantsim import (
 )
 # extract_phasor is not called here; it stays importable from harness
 # because perfbench/tracing.py wraps it by that binding.
-from .signalcore import TimeSeries, extract_phasor, output_file, write_table  # noqa: F401
+from .signalcore import (TimeSeries, extract_phasor, in_two_processes, output_file,  # noqa: F401
+                         write_table)
 
 __all__ = [
     "ConfigError",
@@ -576,8 +578,19 @@ def _verdict_64g2(trace: SchemeTrace) -> Dict[str, Any]:
     first = trace.first_trip_index
     margin = trace.margin()
     if margin == math.inf:
-        raise ValueError(f"the {trace.scheme} margin is infinite: sensitivity "
-                         f"{trace.sensitivity!r} times the restraint underflows to 0")
+        index = trace.margin_index
+        operate, floor = ((0.0, 0.0) if index is None else
+                          (trace.operate[index], trace.sensitivity * trace.restraint[index]))
+        # operate/floor overflowed: blame the factor further from 1
+        if operate * floor < 1.0:
+            cause = (f"sensitivity {trace.sensitivity!r} times the restraint underflows "
+                     f"to {floor:.3g}")
+        else:
+            cause = (f"it overflows at frame {index}, with operate energy {operate:.3g} "
+                     f"against restraint {trace.restraint[index]:.3g}")
+            if trace.scheme == "a64g2":
+                cause += f"; the ratio filter diverged, to {trace.rho_hat[index]:.3g}"
+        raise ValueError(f"the {trace.scheme} margin is infinite: {cause}")
     return {
         "tripped": first is not None,
         "first_trip_index": first,
@@ -657,6 +670,29 @@ def simulate_waveforms(config: Dict[str, Any]) -> Tuple[str, Dict[str, TimeSerie
     return scenario.kind, {"vn": v_ts, "in": i_ts}, onset
 
 
+def _run_cells(run_cell: Callable[[int], Any], count: int) -> List[Any]:
+    """``[run_cell(i) for i in range(count)]``, with the odd-indexed cells
+    run by a forked child where ``in_two_processes`` forks one.  Each
+    process runs its cells in index order and stops at its first failing
+    cell; the cells neither delivered then run here in index order, so the
+    error raised is the first failing cell's, as in one process."""
+
+    def run(first: int) -> List[Any]:
+        rows: List[Any] = []
+        with suppress(Exception):  # a failed cell runs again below, for its error
+            for index in range(first, count, 2):
+                rows.append(run_cell(index))
+        return rows
+
+    def odd(part) -> None:
+        pickle.dump(run(1), part, pickle.HIGHEST_PROTOCOL)
+
+    with in_two_processes(lambda: run(0), odd) as (even, part):
+        done = dict(zip(range(0, count, 2), even))
+        done.update(zip(range(1, count, 2), pickle.load(part)))
+    return [done[index] if index in done else run_cell(index) for index in range(count)]
+
+
 def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) -> ReliabilityReport:
     """Fault-coverage study: run every (tap, Rf, load, pf) cell through
     both ratio schemes and derive the blind zone at the minimum fault
@@ -682,18 +718,22 @@ def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) ->
     base = replace(base, calibration=_Commissioning(**fixed),
                    profile=replace(base.profile, duration=duration))
 
-    rows: List[Dict[str, Any]] = []
-    for index, (x, rf, load, pf) in enumerate(grid.cells()):
+    cells = grid.cells()
+
+    def run_cell(index: int) -> Dict[str, Any]:
+        x, rf, load, pf = cells[index]
         cell = replace(base, fault=FaultSpec(x, rf, onset / fs), seed=_derive_seed(seed, 1, index),
                        profile=replace(base.profile, load_pu=load, pf=pf))
         result = run_scenario(cell, name=f"cell_{index}")
-        rows.append({
+        return {
             "x": x, "rf": rf, "load_pu": load, "pf": pf,
             "detected_adaptive": bool(result.verdicts["a64g2"]["detected"]),
             "detected_fixed": bool(result.verdicts["ng64g2"]["detected"]),
             "latency_adaptive_samples": result.verdicts["a64g2"]["latency_samples"],
             "latency_fixed_samples": result.verdicts["ng64g2"]["latency_samples"],
-        })
+        }
+
+    rows = _run_cells(run_cell, len(cells))
 
     min_rf = min(grid.rfs)
     blind_taps = []
@@ -812,9 +852,9 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
     speed = 1.0 if base.profile.speed is None else base.profile.speed
     base = replace(base, fault=None, calibration=_Commissioning(**fixed),
                    profile=replace(base.profile, speed=speed))
-    rows: List[Dict[str, Any]] = []
-    misoperations: List[Dict[str, Any]] = []
-    for index, (entry, own) in enumerate(entries):
+
+    def run_cell(index: int) -> List[Dict[str, Any]]:
+        entry, own = entries[index]
         profile = {key: getattr(own.profile, key)
                    for key, value in (entry.profile or {}).items() if value is not None}
         cell = replace(base, kind=own.kind, disturbances=own.disturbances,
@@ -822,13 +862,12 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
                        profile=replace(base.profile, **profile))
         name = f"scenario_{index}" if entry.name is None else entry.name
         result = run_scenario(cell, name=name)
-        for scheme, verdict in result.verdicts.items():
-            tripped = bool(verdict["tripped"])
-            row = {"scenario": name, "scheme": scheme, "tripped": tripped,
-                   "margin": verdict.get("margin")}
-            rows.append(row)
-            if tripped:
-                misoperations.append(row)
+        return [{"scenario": name, "scheme": scheme, "tripped": bool(verdict["tripped"]),
+                 "margin": verdict.get("margin")}
+                for scheme, verdict in result.verdicts.items()]
+
+    rows = [row for cell in _run_cells(run_cell, len(entries)) for row in cell]
+    misoperations = [row for row in rows if row["tripped"]]
     return ReliabilityReport(
         study="security",
         cells=rows,

@@ -18,11 +18,13 @@ import gc
 import math
 import os
 import re
+import signal
 import struct
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, NoReturn, Optional, Sequence, TextIO, Tuple
+from typing import (Any, BinaryIO, Callable, Dict, Iterator, List, Mapping, NoReturn, Optional,
+                    Sequence, TextIO, Tuple)
 
 import numpy as np
 import orjson
@@ -37,6 +39,7 @@ __all__ = [
     "write_csv",
     "write_table",
     "output_file",
+    "in_two_processes",
 ]
 
 # Max relative jitter of the time column accepted as "uniformly sampled".
@@ -437,11 +440,11 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
     both files.  The melted lines are joined per column and block and
     written once the table is done.
 
-    Where ``os.fork`` exists and this process may run on more than one
-    CPU, a table of at least ``_FORK_ROWS`` rows is formatted by two
-    processes (see ``_write_halves``); the bytes written are the same
-    either way.  When a cell cannot be formatted or a write fails, the
-    table file is removed and the error raised."""
+    A table of at least ``_FORK_ROWS`` rows, whose long file (if any) has
+    a byte ``buffer``, is formatted in two halves, the second by a forked
+    child where ``in_two_processes`` forks one; the bytes written are the
+    same either way.  When a cell cannot be formatted or a write fails,
+    the table file is removed and the error raised."""
     if len({len(column) for column in columns.values()}) > 1:
         raise ValueError("table columns differ in length")
     names, data = list(columns), list(columns.values())
@@ -461,15 +464,40 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
 
     with output_file(path) as fh:
         fh.write(",".join(map(_text, names)) + "\n")
-        cpus = (os.sched_getaffinity(0) if n >= _FORK_ROWS and hasattr(os, "fork")
-                and hasattr(os, "sched_getaffinity") else ())
-        if len(cpus) > 1:
-            # the block boundary nearest the middle
-            mid = (n + _BLOCK) // (2 * _BLOCK) * _BLOCK
-            _write_halves(fh, sink, format_rows, mid, n, cpus)
-        else:
+        # a sink with no byte buffer (an io.StringIO) cannot take the
+        # second half's encoded lines
+        if n < _FORK_ROWS or not hasattr(sink or fh, "buffer"):
             for texts in format_rows(fh.write, 0, n):
                 sink.writelines(texts)
+            return
+        # the block boundary nearest the middle
+        mid = (n + _BLOCK) // (2 * _BLOCK) * _BLOCK
+
+        def second_half(part):
+            """Rows [mid, n) to ``part``: the table rows, then each long
+            section's lines (encoded as ``sink`` encodes), then their byte
+            sizes."""
+            texts = format_rows(lambda text: part.write(text.encode("utf-8")), mid, n)
+            sizes = [part.tell()]
+            for section in texts:
+                for text in section:
+                    part.write(text.encode(sink.encoding))
+                sizes.append(part.tell() - sum(sizes))
+            part.write(struct.pack(f"<{len(sizes)}Q", *sizes))
+
+        directory = os.path.dirname(os.path.abspath(fh.name))
+        with in_two_processes(lambda: format_rows(fh.write, 0, mid), second_half,
+                              directory) as (texts, part):
+            count = 1 + len(texts)
+            part.seek(-8 * count, os.SEEK_END)
+            sizes = struct.unpack(f"<{count}Q", part.read(8 * count))
+            part.seek(0)
+            fh.flush()
+            _copy(part, fh.buffer, sizes[0])
+            for own, size in zip(texts, sizes[1:]):
+                sink.writelines(own)
+                sink.flush()
+                _copy(part, sink.buffer, size)
 
 
 def _format_rows(write, data, rules, sections, start: int, stop: int) -> List[List[str]]:
@@ -490,73 +518,73 @@ def _format_rows(write, data, rules, sections, start: int, stop: int) -> List[Li
     return texts
 
 
-def _write_halves(fh, sink, format_rows, mid: int, n: int, cpus) -> None:
-    """Format rows [mid, n) in a forked child while this process formats
-    [0, mid), then write the child's bytes after this process's own: its
-    table rows to ``fh``, and its part of each long section to ``sink``
-    after this process's part.  When the fork or the child fails, this
-    process formats [mid, n) itself, so a formatting error is raised
-    here and the file is never short.
+@contextmanager
+def in_two_processes(mine: Callable[[], Any], theirs: Callable[[BinaryIO], None],
+                     directory=None) -> Iterator[Tuple[Any, BinaryIO]]:
+    """Call ``mine()`` here while a forked child calls ``theirs(part)``,
+    which writes its result to ``part``, a temporary binary file in
+    ``directory``; yield mine's result and ``part``, rewound.
 
-    While both format, this process runs on the lowest of ``cpus`` and the
-    child on the others: left to itself, the scheduler kept a forked
-    child on its parent's CPU, at half speed each, in about a third of
-    the forks of two CPU-bound processes on an idle 2-vCPU machine."""
-    directory = os.path.dirname(os.path.abspath(fh.name))
+    A child is forked only where the os module can fork and this process
+    may run on more than one CPU.  While both work, this process runs on
+    the lowest of its CPUs and the child on the others: left to itself,
+    the scheduler kept a forked child on its parent's CPU, at half speed
+    each, in about a third of the forks of two CPU-bound processes on an
+    idle 2-vCPU machine.  Where no child is forked, the fork fails or the child
+    exits non-zero, this process calls ``theirs(part)`` itself after
+    ``mine()``, on an emptied ``part``, so an error of theirs is raised
+    here.  The child is always reaped; when ``mine()`` raises, it is
+    killed first."""
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") else ())
     with tempfile.TemporaryFile(dir=directory) as part:
-        # numpy's OpenBLAS threads make every statorguard process
-        # multi-threaded.  The child is still safe: it runs only the
-        # formatting loop, writes only its own part file, and takes no
-        # lock another thread can hold.  Python 3.12 and later warn about
-        # this fork with a DeprecationWarning; CI runs 3.10 and 3.11.
-        try:
-            pid = os.fork()
-        except OSError:
-            pid = None
-        if pid == 0:
-            _format_in_child(part, format_rows, mid, n, sink, cpus - {min(cpus)})
+        pid = None
+        if len(cpus) > 1:
+            # numpy's OpenBLAS threads make every statorguard process
+            # multi-threaded.  OpenBLAS stops its threads at a fork (its
+            # pthread_atfork handler), and the sweep cells and the table
+            # formatting take no lock another thread could hold.
+            # Python 3.12 and later warn about this fork with a
+            # DeprecationWarning; CI runs 3.10 and 3.11.
+            try:
+                pid = os.fork()
+            except OSError:
+                pass
+            if pid == 0:
+                _child(theirs, part, cpus - {min(cpus)})
+        ok = False
         try:
             if pid is not None:
                 os.sched_setaffinity(0, {min(cpus)})
-            texts = format_rows(fh.write, 0, mid)
+            result = mine()
+        except BaseException:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            os.sched_setaffinity(0, cpus)
-            ok = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            if pid is not None:
+                os.sched_setaffinity(0, cpus)
+                ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
         if not ok:
-            for own, rest in zip(texts, format_rows(fh.write, mid, n)):
-                sink.writelines(own)
-                sink.writelines(rest)
-            return
-        count = 1 + len(texts)
-        part.seek(-8 * count, os.SEEK_END)
-        sizes = struct.unpack(f"<{count}Q", part.read(8 * count))
+            part.seek(0)
+            part.truncate()
+            theirs(part)
         part.seek(0)
-        fh.flush()
-        _copy(part, fh.buffer, sizes[0])
-        for own, size in zip(texts, sizes[1:]):
-            sink.writelines(own)
-            sink.flush()
-            _copy(part, sink.buffer, size)
+        yield result, part
 
 
-def _format_in_child(part, format_rows, start: int, stop: int, sink, cpus) -> NoReturn:
-    """The forked child: on ``cpus``, write rows [start, stop) of the
-    table, then its part of each long section in section order (encoded
-    as ``sink`` encodes), then their byte sizes, to ``part``, and leave without flushing or closing
-    anything of the parent's or running its exit handlers."""
+def _child(theirs, part, cpus) -> NoReturn:
+    """The forked child: on ``cpus``, call ``theirs(part)`` and flush
+    ``part``, then leave without flushing or closing anything of the
+    parent's or running its exit handlers; the exit status is 0 only
+    when ``theirs`` returned."""
     code = 1
     try:
         # a collection here could finalize the parent's garbage, such as a
         # file object that would flush the parent's buffered bytes again
         gc.disable()
         os.sched_setaffinity(0, cpus)
-        texts = format_rows(lambda text: part.write(text.encode("utf-8")), start, stop)
-        sizes = [part.tell()]
-        for section in texts:
-            for text in section:
-                part.write(text.encode(sink.encoding))
-            sizes.append(part.tell() - sum(sizes))
-        part.write(struct.pack(f"<{len(sizes)}Q", *sizes))
+        theirs(part)
         part.flush()
         code = 0
     finally:

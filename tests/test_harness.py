@@ -15,7 +15,8 @@ import pytest
 
 import statorguard
 from statorguard import harness, signalcore
-from statorguard.a64g2 import AdaptiveRatioDetector, SchemeTrace
+from statorguard.a64g2 import (AdaptiveRatioDetector, DetectorConfig, FixedRatioDetector,
+                               SchemeTrace)
 from statorguard.a64s import A64SEstimatorConfig, A64STrace, CalibrationError
 from statorguard.cli import main as cli_main
 from statorguard.harness import (
@@ -31,6 +32,7 @@ from statorguard.harness import (
     sweep_security,
     sweep_sensitivity,
 )
+from statorguard.plantsim import HarmonicFrames
 from statorguard.signalcore import TimeSeries, ingest_csv, write_csv
 
 import oracles
@@ -206,6 +208,8 @@ def test_a_security_cell_gets_only_its_kinds_base_keys(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(harness, "run_scenario", spy)
+    # the spy sees only this process's cells, so none runs in a child
+    monkeypatch.delattr(os, "fork")
     report = sweep_security(catalog, base)
     assert [(row["scenario"], row["scheme"]) for row in report.cells] == [
         ("steady", "a64g2"), ("steady", "ng64g2"), ("spin", "a64s")]
@@ -590,6 +594,35 @@ def test_an_infinite_margin_is_an_error_not_a_report():
         harness._verdict_64g2(trace)
 
 
+@pytest.mark.parametrize("v_p3,ratio,floor", [(1e-9, 1.0, "0"), (1e-5, 10.0, "2.67e-317")])
+def test_an_infinite_margin_from_an_underflowing_floor_names_the_underflow(v_p3, ratio, floor):
+    """A floor of 0 makes the margin infinite, and so does a subnormal one
+    under an operate energy of ordinary size."""
+    cfg = DetectorConfig(window=2, sensitivity=sys.float_info.min)
+    frames = HarmonicFrames(v_p3=[v_p3] * 6, v_n3=[2 * v_p3] * 6, valid=[True] * 6)
+    trace = FixedRatioDetector(ratio=ratio, cfg=cfg).run(frames, fs=1000.0)
+    assert trace.margin() == math.inf and trace.operate[trace.margin_index] < 1.0
+    with pytest.raises(ValueError, match="^the ng64g2 margin is infinite: sensitivity .* "
+                                         f"times the restraint underflows to {floor}$"):
+        harness._verdict_64g2(trace)
+
+
+# process_noise 1e-5 makes the adaptive filter's error gain fall below -1
+DIVERGING_KAF = {"seed": 5, "calibration": {"ratio": 1.233, "beta_ng": 0.155},
+                 "kaf": {"process_noise": 1e-5},
+                 "fault": {"x": 0.0, "rf": 50.0, "t_on": 0.27}, "profile": {"duration": 1.02}}
+
+
+def test_a_diverging_adaptive_filter_is_named_as_the_cause_of_an_infinite_margin():
+    """The restraint at the frame is 71.3, so nothing underflows: the
+    ratio estimate grows until the operate energy overflows."""
+    with pytest.raises(ValueError) as excinfo:
+        run_scenario(DIVERGING_KAF)
+    assert str(excinfo.value) == (
+        "the a64g2 margin is infinite: it overflows at frame 383, with operate energy inf "
+        "against restraint 71.3; the ratio filter diverged, to -2.9e+154")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_write_json_refuses_non_finite_numbers(tmp_path, bad):
     path = tmp_path / "report.json"
@@ -635,6 +668,129 @@ def test_sensitivity_sweep_digest_stable_across_runs():
     second = sweep_sensitivity(_small_grid(), base)
     assert first.digest() == second.digest()
     assert first.to_dict() == second.to_dict()
+
+
+# ---------------------------------------------- sweeps in two processes
+
+# a sweep shares its cells with a forked child only where it may run on two CPUs
+_SPLITS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+_SWEEPS = {"sensitivity": lambda base: sweep_sensitivity(None, base),
+           "security": lambda base: sweep_security(None, base)}
+
+
+def _one_process(run_cell, count):
+    return [run_cell(index) for index in range(count)]
+
+
+@functools.cache
+def _serial_digest(sweep, seed):
+    """The sweep's digest with every cell run here, in index order."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_run_cells", _one_process)
+        return _SWEEPS[sweep]({"seed": seed, "calibration": dict(CAL)}).digest()
+
+
+@pytest.fixture
+def one_cpu():
+    """This process pinned to its lowest CPU for the test."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    yield
+    os.sched_setaffinity(0, cpus)
+
+
+def _no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.parametrize("seed", [0, 7, 48])
+@pytest.mark.parametrize("sweep", sorted(_SWEEPS))
+def test_a_sweep_in_two_processes_writes_the_one_process_report(forks, sweep, seed):
+    report = _SWEEPS[sweep]({"seed": seed, "calibration": dict(CAL)})
+    assert report.digest() == _serial_digest(sweep, seed)
+    assert len(forks) == _SPLITS
+    assert _no_child()
+
+
+def _absent(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+def _failing(monkeypatch):
+    def failing_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+
+
+def _child_exits_3(monkeypatch):
+    fork = os.fork
+
+    def fork_of_a_failing_child():
+        pid = fork()
+        if pid == 0:
+            os._exit(3)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_of_a_failing_child)
+
+
+@pytest.mark.parametrize("fork", [_absent, _failing, _child_exits_3],
+                         ids=["fork_absent", "fork_fails", "child_fails"])
+@pytest.mark.parametrize("sweep", sorted(_SWEEPS))
+def test_a_sweep_runs_the_childs_cells_itself_when_no_child_delivers_them(
+        monkeypatch, sweep, fork):
+    fork(monkeypatch)
+    report = _SWEEPS[sweep]({"seed": 7, "calibration": dict(CAL)})
+    assert report.digest() == _serial_digest(sweep, 7)
+    assert _no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize("sweep", sorted(_SWEEPS))
+def test_a_sweep_on_one_cpu_forks_no_child(one_cpu, forks, sweep):
+    report = _SWEEPS[sweep]({"seed": 7, "calibration": dict(CAL)})
+    assert report.digest() == _serial_digest(sweep, 7)
+    assert forks == []
+
+
+def _sweep_error(base):
+    grid = SweepGrid(taps=(0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0), rfs=(50.0,))
+    with pytest.raises(Exception) as excinfo:
+        sweep_sensitivity(grid, base)
+    return type(excinfo.value), str(excinfo.value)
+
+
+def test_a_failing_sensitivity_cell_raises_the_one_process_error(monkeypatch, forks):
+    # process_noise 1e-5 makes the adaptive filter diverge in every cell
+    base = {"seed": 5, "calibration": dict(CAL), "kaf": {"process_noise": 1e-5}}
+    error = _sweep_error(base)
+    assert error[0] is ValueError and "ratio filter diverged" in error[1]
+    assert len(forks) == _SPLITS and _no_child()
+    monkeypatch.setattr(harness, "_run_cells", _one_process)
+    assert _sweep_error(base) == error
+
+
+@pytest.mark.parametrize("failing", [{3, 6}, {2, 5}, {5}])
+def test_the_first_failing_cell_in_index_order_is_raised(monkeypatch, forks, failing):
+    """Of the seven cells, 1, 3 and 5 run in the child, the others here."""
+    run = harness.run_scenario
+
+    def failing_cells(config, name="scenario", input_channels=None):
+        if int(name.removeprefix("cell_")) in failing:
+            raise RuntimeError(f"{name} failed")
+        return run(config, name, input_channels)
+
+    monkeypatch.setattr(harness, "run_scenario", failing_cells)
+    base = {"seed": 5, "calibration": dict(CAL)}
+    assert _sweep_error(base) == (RuntimeError, f"cell_{min(failing)} failed")
+    assert len(forks) == _SPLITS and _no_child()
+    monkeypatch.setattr(harness, "_run_cells", _one_process)
+    assert _sweep_error(base) == (RuntimeError, f"cell_{min(failing)} failed")
 
 
 def test_sensitivity_sweep_reads_grid_from_config():
@@ -854,11 +1010,11 @@ def _security_sweep(seed):
         results.append(run(*args, **kwargs))
         return results[-1]
 
-    harness.run_scenario = spy
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "run_scenario", spy)
+        # the spy sees only this process's cells, so none runs in a child
+        patch.delattr(os, "fork")
         report = sweep_security(None, {"seed": seed})
-    finally:
-        harness.run_scenario = run
     return report, results
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import struct
 import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -278,20 +279,6 @@ def _emitted(columns, directory):
 _SPLITS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The number of os.fork calls this process makes."""
-    calls = []
-    fork = os.fork
-
-    def counting_fork():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
-
-
 @pytest.mark.parametrize("rows,split", [(signalcore._FORK_ROWS + 1, True),
                                         (signalcore._FORK_ROWS - 1, False)])
 def test_write_table_matches_the_naive_oracle_either_side_of_the_cutoff(
@@ -331,6 +318,23 @@ def test_a_cell_error_in_the_childs_half_is_raised_in_the_parent(tmp_path, forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert os.listdir(out) == []
+
+
+@pytest.mark.skipif(not _SPLITS, reason="a child is forked only on two or more CPUs")
+def test_a_failing_part_here_kills_and_reaps_the_child(forks):
+    cpus = os.sched_getaffinity(0)
+
+    def failing():
+        raise RuntimeError("this process's part failed")
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="part failed"):
+        with signalcore.in_two_processes(failing, lambda part: time.sleep(60)):
+            pass
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1 and os.sched_getaffinity(0) == cpus
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class _FullSink(io.StringIO):

@@ -13,9 +13,14 @@ commissioning points, both sweeps at seed 0, and the security sweep again
 on a base that sets keys only one kind reads (its 64g2 cells read the
 profile and detector settings, its 64s cells the estimator's), and the
 sensitivity sweep again on a base whose profile, detector, adaptive
-filter and onset settings every cell inherits.  The
-SHA-256 of every file they write is compared with
-``output_digests.json`` next to this script.  A change meant to keep behaviour must leave every digest as it is.
+filter and onset settings every cell inherits, and the default
+sensitivity sweep once more with this process pinned to one CPU, where
+the sweep runs every cell itself instead of sharing them with a forked
+child.  The SHA-256 of every file they write is compared with
+``output_digests.json`` next to this script.  A change meant to keep
+behaviour must leave every digest as it is.  The gate fails on a digest
+that differs, on a recorded one that no run wrote (MISSING) and on one
+that is not recorded (NEW).
 
     python tools/output_gate.py            # compare; exit 1 on a mismatch
     python tools/output_gate.py --record   # rewrite output_digests.json
@@ -31,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -90,7 +96,27 @@ def _runs(tmp: Path):
         ("sweep-security-mixed", ["sweep-security", "--config", str(mixed), "--seed", "0"]),
         ("sweep-sensitivity-base", ["sweep-sensitivity", "--config", str(sens_base),
                                     "--seed", "0"]),
+        ("sweep-sensitivity-one-cpu", ["sweep-sensitivity", "--config", str(sweep),
+                                       "--seed", "0"]),
     ]
+
+
+# runs made with this process pinned to one CPU
+ONE_CPU = {"sweep-sensitivity-one-cpu"}
+
+
+@contextlib.contextmanager
+def _one_cpu():
+    """This process pinned to its lowest allowed CPU, then restored."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 def compute() -> dict:
@@ -100,7 +126,8 @@ def compute() -> dict:
         tmp = Path(name)
         for run, args in _runs(tmp):
             out = tmp / run
-            with contextlib.redirect_stdout(io.StringIO()):
+            pinned = _one_cpu() if run in ONE_CPU else contextlib.nullcontext()
+            with pinned, contextlib.redirect_stdout(io.StringIO()):
                 code = main(args + ["--out", str(out)])
             if code != 0:
                 raise SystemExit(f"{run}: statorguard exited {code}")
@@ -120,11 +147,17 @@ def main_gate(argv=None) -> int:
         print(f"recorded {len(got)} digests in {DIGESTS}")
         return 0
     want = json.loads(DIGESTS.read_text())
-    bad = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    bad = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
     for key in bad:
-        print(f"MISMATCH {key}: expected {want.get(key)}, got {got.get(key)}")
-    print(f"{len(want) - len(bad)}/{len(want)} output digests match")
-    return 1 if bad else 0
+        print(f"MISMATCH {key}: expected {want[key]}, got {got[key]}")
+    missing, new = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+    for key in missing:
+        print(f"MISSING {key}: expected {want[key]}, no run wrote it")
+    for key in new:
+        print(f"NEW {key}: got {got[key]}, not recorded")
+    print(f"{len(want) - len(bad) - len(missing)}/{len(want)} recorded output digests match"
+          + (f"; {len(new)} new" if new else ""))
+    return 1 if bad or missing or new else 0
 
 
 if __name__ == "__main__":
