@@ -33,8 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("simulate", help="simulate a scenario to waveform CSVs")
 
-    # the detections share one handler: the command sets the kind, and
-    # detect-64g2's flags its schemes
+    # the detections share one handler: a config that names no kind takes
+    # the command's, one that names another is refused, and detect-64g2's
+    # flags select its schemes
     for name, kind, channels, text in (
             ("detect-64g2", "64g2", "vp3/vn3", "run the third-harmonic ratio schemes"),
             ("detect-64s", "64s", "vn/in", "run the injection-based scheme"),
@@ -105,6 +106,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = _load(args)
+    kind = config.get("kind")
+    if kind not in (None, args.kind):
+        raise ConfigError(f"{args.command} runs a {args.kind} scenario; "
+                          f"the config's kind is {kind!r}")
     config["kind"] = args.kind
     if args.schemes:
         config["schemes"] = args.schemes

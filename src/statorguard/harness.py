@@ -16,12 +16,11 @@ import inspect
 import json
 import math
 import numbers
-import pickle
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Literal, Optional, Tuple, Union, get_args,
+from typing import (Any, Callable, Dict, Iterator, List, Literal, Optional, Tuple, Union, get_args,
                     get_origin, get_type_hints)
 
 import numpy as np
@@ -677,19 +676,14 @@ def _run_cells(run_cell: Callable[[int], Any], count: int) -> List[Any]:
     cell; the cells neither delivered then run here in index order, so the
     error raised is the first failing cell's, as in one process."""
 
-    def run(first: int) -> List[Any]:
-        rows: List[Any] = []
+    def run(first: int) -> Iterator[Any]:
         with suppress(Exception):  # a failed cell runs again below, for its error
             for index in range(first, count, 2):
-                rows.append(run_cell(index))
-        return rows
+                yield run_cell(index)
 
-    def odd(part) -> None:
-        pickle.dump(run(1), part, pickle.HIGHEST_PROTOCOL)
-
-    with in_two_processes(lambda: run(0), odd) as (even, part):
+    with in_two_processes(lambda: list(run(0)), lambda: run(1)) as (even, odd):
         done = dict(zip(range(0, count, 2), even))
-        done.update(zip(range(1, count, 2), pickle.load(part)))
+        done.update(zip(range(1, count, 2), odd))
     return [done[index] if index in done else run_cell(index) for index in range(count)]
 
 

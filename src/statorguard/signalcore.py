@@ -17,14 +17,15 @@ import csv
 import gc
 import math
 import os
+import pickle
 import re
 import signal
-import struct
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Any, BinaryIO, Callable, Dict, Iterator, List, Mapping, NoReturn, Optional,
-                    Sequence, TextIO, Tuple)
+from itertools import islice
+from typing import (Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Mapping, NoReturn,
+                    Optional, Sequence, TextIO, Tuple)
 
 import numpy as np
 import orjson
@@ -366,15 +367,13 @@ _CELL = {float: float.__repr__, bool: int.__repr__, int: int.__repr__, str: _tex
 _BLOCK = 1024
 
 # Tables with at least this many rows are formatted by two processes.
-# For a 64G2 trace with its long.csv melt, in a 250 MB process on two
-# vCPUs, the split broke even at about 22,000 rows (best of 7: 58.6 ms
-# serial against 77.0 ms split at 16,384 rows, 90.3 against 80.3 ms at
-# 24,576, 230 against 220 ms at 60,000).
+# For a 64G2 trace with its long.csv melt, on two vCPUs, the split broke
+# even at about 22,000 rows (best of 7: 58.6 ms serial against 77.0 ms
+# split at 16,384 rows, 90.3 against 80.3 ms at 24,576, 230 against
+# 220 ms at 60,000).  That was measured in a 250 MB process; the CLI
+# process has since shrunk to 65-80 MB, and the break-even has not been
+# measured again.
 _FORK_ROWS = 24576
-
-# Largest piece of a child's output held in memory while it is copied;
-# at 1 MiB the CLI's peak memory on a 60 s 64S replay was 1.3 MB higher.
-_COPY_CHUNK = 1 << 16
 
 
 def _cell(value) -> str:
@@ -440,11 +439,13 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
     both files.  The melted lines are joined per column and block and
     written once the table is done.
 
-    A table of at least ``_FORK_ROWS`` rows, whose long file (if any) has
-    a byte ``buffer``, is formatted in two halves, the second by a forked
-    child where ``in_two_processes`` forks one; the bytes written are the
-    same either way.  When a cell cannot be formatted or a write fails,
-    the table file is removed and the error raised."""
+    The texts come from ``_format_rows``.  A table of at least
+    ``_FORK_ROWS`` rows is formatted in two halves by ``in_two_processes``:
+    this process formats the first half, writing its table texts as it
+    goes, while theirs formats the second; each file then takes its texts
+    from the two halves in turn, so the bytes written are the same either
+    way.  When a cell cannot be formatted or a write fails, the table file
+    is removed and the error raised."""
     if len({len(column) for column in columns.values()}) > 1:
         raise ValueError("table columns differ in length")
     names, data = list(columns), list(columns.values())
@@ -459,99 +460,92 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
                     for j in sorted(range(1, len(names)), key=names.__getitem__)]
     n = len(data[0]) if data else 0
 
-    def format_rows(write, start, stop):
-        return _format_rows(write, data, rules, sections, start, stop)
+    def texts(start, stop):
+        return _format_rows(data, rules, sections, start, stop)
 
     with output_file(path) as fh:
         fh.write(",".join(map(_text, names)) + "\n")
-        # a sink with no byte buffer (an io.StringIO) cannot take the
-        # second half's encoded lines
-        if n < _FORK_ROWS or not hasattr(sink or fh, "buffer"):
-            for texts in format_rows(fh.write, 0, n):
-                sink.writelines(texts)
+        if n < _FORK_ROWS:
+            own = texts(0, n)
+            fh.writelines(islice(own, len(range(0, n, _BLOCK))))
+            if sections:
+                sink.writelines(own)
             return
         # the block boundary nearest the middle
         mid = (n + _BLOCK) // (2 * _BLOCK) * _BLOCK
+        own_blocks, their_blocks = mid // _BLOCK, len(range(mid, n, _BLOCK))
 
-        def second_half(part):
-            """Rows [mid, n) to ``part``: the table rows, then each long
-            section's lines (encoded as ``sink`` encodes), then their byte
-            sizes."""
-            texts = format_rows(lambda text: part.write(text.encode("utf-8")), mid, n)
-            sizes = [part.tell()]
-            for section in texts:
-                for text in section:
-                    part.write(text.encode(sink.encoding))
-                sizes.append(part.tell() - sum(sizes))
-            part.write(struct.pack(f"<{len(sizes)}Q", *sizes))
+        def first_half() -> List[str]:
+            own = texts(0, mid)
+            fh.writelines(islice(own, own_blocks))
+            return list(own)
 
-        directory = os.path.dirname(os.path.abspath(fh.name))
-        with in_two_processes(lambda: format_rows(fh.write, 0, mid), second_half,
-                              directory) as (texts, part):
-            count = 1 + len(texts)
-            part.seek(-8 * count, os.SEEK_END)
-            sizes = struct.unpack(f"<{count}Q", part.read(8 * count))
-            part.seek(0)
-            fh.flush()
-            _copy(part, fh.buffer, sizes[0])
-            for own, size in zip(texts, sizes[1:]):
-                sink.writelines(own)
-                sink.flush()
-                _copy(part, sink.buffer, size)
+        with in_two_processes(first_half, lambda: texts(mid, n)) as (own, theirs):
+            fh.writelines(islice(theirs, their_blocks))
+            own = iter(own)
+            for _ in sections:
+                sink.writelines(islice(own, own_blocks))
+                sink.writelines(islice(theirs, their_blocks))
 
 
-def _format_rows(write, data, rules, sections, start: int, stop: int) -> List[List[str]]:
-    """Format rows [start, stop) of the table, block by block: pass each
-    block's table rows to ``write``, and return, for each long section
-    ``(column, line prefix)``, that column's melted lines, one text per
-    block."""
-    texts: List[List[str]] = [[] for _ in sections]
+def _format_rows(data, rules, sections, start: int, stop: int) -> Iterator[str]:
+    """The texts of rows [start, stop) of the table: each block's table
+    rows, then, for each long section ``(column, line prefix)``, that
+    column's melted lines, one text per block."""
+    melted: List[List[str]] = [[] for _ in sections]
     for lo in range(start, stop, _BLOCK):
         block = [column[lo:min(lo + _BLOCK, stop)] for column in data]
         cells = [_floats(part) if rule is float.__repr__ else list(map(rule, part))
                  for rule, part in zip(rules, block)]
-        write("\n".join(map(",".join, zip(*cells))) + "\n")
-        for out, (j, prefix) in zip(texts, sections):
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        for out, (j, prefix) in zip(melted, sections):
             values = cells[j] if rules[j] is float.__repr__ else _melted(block[j])
             out.append(prefix + ("\n" + prefix).join(
                 map(",".join, zip(cells[0], values))) + "\n")
-    return texts
+    for out in melted:
+        yield from out
 
 
 @contextmanager
-def in_two_processes(mine: Callable[[], Any], theirs: Callable[[BinaryIO], None],
-                     directory=None) -> Iterator[Tuple[Any, BinaryIO]]:
-    """Call ``mine()`` here while a forked child calls ``theirs(part)``,
-    which writes its result to ``part``, a temporary binary file in
-    ``directory``; yield mine's result and ``part``, rewound.
+def in_two_processes(mine: Callable[[], Any], theirs: Callable[[], Iterable[Any]]
+                     ) -> Iterator[Tuple[Any, Iterator[Any]]]:
+    """Call ``mine()`` here while a forked child iterates ``theirs()``;
+    yield mine's result and an iterator over theirs' items, in order.
+
+    The child pickles each item, as it is produced, into an unnamed
+    temporary file, and this process loads them one at a time as the
+    iterator is read.  Each item is dumped and loaded by a pickler of its
+    own: one pickler for the whole stream would keep every loaded item
+    alive through its memo.
 
     A child is forked only where the os module can fork and this process
     may run on more than one CPU.  While both work, this process runs on
     the lowest of its CPUs and the child on the others: left to itself,
     the scheduler kept a forked child on its parent's CPU, at half speed
     each, in about a third of the forks of two CPU-bound processes on an
-    idle 2-vCPU machine.  Where no child is forked, the fork fails or the child
-    exits non-zero, this process calls ``theirs(part)`` itself after
-    ``mine()``, on an emptied ``part``, so an error of theirs is raised
-    here.  The child is always reaped; when ``mine()`` raises, it is
-    killed first."""
+    idle 2-vCPU machine.  Where no child is forked, the fork fails or the
+    child exits non-zero, the iterator is ``iter(theirs())``, called here
+    after ``mine()``, so an error of theirs is raised here; without a fork
+    no temporary file is made.  The child is always reaped; when
+    ``mine()`` raises, it is killed first."""
     cpus = (os.sched_getaffinity(0) if hasattr(os, "fork")
             and hasattr(os, "sched_getaffinity") else ())
-    with tempfile.TemporaryFile(dir=directory) as part:
-        pid = None
-        if len(cpus) > 1:
-            # numpy's OpenBLAS threads make every statorguard process
-            # multi-threaded.  OpenBLAS stops its threads at a fork (its
-            # pthread_atfork handler), and the sweep cells and the table
-            # formatting take no lock another thread could hold.
-            # Python 3.12 and later warn about this fork with a
-            # DeprecationWarning; CI runs 3.10 and 3.11.
-            try:
-                pid = os.fork()
-            except OSError:
-                pass
-            if pid == 0:
-                _child(theirs, part, cpus - {min(cpus)})
+    if len(cpus) < 2:
+        yield mine(), iter(theirs())
+        return
+    with tempfile.TemporaryFile() as part:
+        # numpy's OpenBLAS threads make every statorguard process
+        # multi-threaded.  OpenBLAS stops its threads at a fork (its
+        # pthread_atfork handler), and the sweep cells and the table
+        # formatting take no lock another thread could hold.
+        # Python 3.12 and later warn about this fork with a
+        # DeprecationWarning; CI runs 3.10 and 3.11.
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = None
+        if pid == 0:
+            _child(theirs, part, cpus - {min(cpus)})
         ok = False
         try:
             if pid is not None:
@@ -565,38 +559,35 @@ def in_two_processes(mine: Callable[[], Any], theirs: Callable[[BinaryIO], None]
             if pid is not None:
                 os.sched_setaffinity(0, cpus)
                 ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        if not ok:
-            part.seek(0)
-            part.truncate()
-            theirs(part)
         part.seek(0)
-        yield result, part
+        yield result, (_loaded(part) if ok else iter(theirs()))
+
+
+def _loaded(part: BinaryIO) -> Iterator[Any]:
+    """The items pickled one after another into ``part``, loaded one at a
+    time; a child that exited 0 wrote them all."""
+    while True:
+        try:
+            item = pickle.load(part)
+        except EOFError:
+            return
+        yield item
 
 
 def _child(theirs, part, cpus) -> NoReturn:
-    """The forked child: on ``cpus``, call ``theirs(part)`` and flush
-    ``part``, then leave without flushing or closing anything of the
-    parent's or running its exit handlers; the exit status is 0 only
-    when ``theirs`` returned."""
+    """The forked child: on ``cpus``, pickle each item of ``theirs()``
+    into ``part`` and flush it, then leave without flushing or closing
+    anything of the parent's or running its exit handlers; the exit
+    status is 0 only when every item was written."""
     code = 1
     try:
         # a collection here could finalize the parent's garbage, such as a
         # file object that would flush the parent's buffered bytes again
         gc.disable()
         os.sched_setaffinity(0, cpus)
-        theirs(part)
+        for item in theirs():
+            pickle.dump(item, part, pickle.HIGHEST_PROTOCOL)
         part.flush()
         code = 0
     finally:
         os._exit(code)
-
-
-def _copy(src, dst, size: int) -> None:
-    """Copy the next ``size`` bytes of ``src`` to ``dst``, at most
-    ``_COPY_CHUNK`` at a time."""
-    while size > 0:
-        chunk = src.read(min(size, _COPY_CHUNK))
-        if not chunk:
-            raise EOFError(f"{size} bytes short of a formatted table part")
-        dst.write(chunk)
-        size -= len(chunk)

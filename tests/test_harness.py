@@ -691,15 +691,6 @@ def _serial_digest(sweep, seed):
         return _SWEEPS[sweep]({"seed": seed, "calibration": dict(CAL)}).digest()
 
 
-@pytest.fixture
-def one_cpu():
-    """This process pinned to its lowest CPU for the test."""
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    yield
-    os.sched_setaffinity(0, cpus)
-
-
 def _no_child():
     """No child of this process is left, running or unreaped."""
     with pytest.raises(ChildProcessError):
@@ -716,35 +707,8 @@ def test_a_sweep_in_two_processes_writes_the_one_process_report(forks, sweep, se
     assert _no_child()
 
 
-def _absent(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-
-
-def _failing(monkeypatch):
-    def failing_fork():
-        raise OSError("no more processes")
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-
-
-def _child_exits_3(monkeypatch):
-    fork = os.fork
-
-    def fork_of_a_failing_child():
-        pid = fork()
-        if pid == 0:
-            os._exit(3)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork_of_a_failing_child)
-
-
-@pytest.mark.parametrize("fork", [_absent, _failing, _child_exits_3],
-                         ids=["fork_absent", "fork_fails", "child_fails"])
 @pytest.mark.parametrize("sweep", sorted(_SWEEPS))
-def test_a_sweep_runs_the_childs_cells_itself_when_no_child_delivers_them(
-        monkeypatch, sweep, fork):
-    fork(monkeypatch)
+def test_a_sweep_runs_the_childs_cells_itself_when_no_child_delivers_them(sweep, no_child):
     report = _SWEEPS[sweep]({"seed": 7, "calibration": dict(CAL)})
     assert report.digest() == _serial_digest(sweep, 7)
     assert _no_child()
@@ -1215,6 +1179,35 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text(json.dumps({"kind": "64x"}))
     assert cli_main(["simulate", "--config", str(bad)]) == 1
     capsys.readouterr()
+
+
+_DETECTIONS = {"detect-64g2": "64g2", "detect-64s": "64s", "locate": "64s"}
+
+
+@pytest.mark.parametrize("command", sorted(_DETECTIONS))
+def test_cli_detection_refuses_a_config_of_the_other_kind(tmp_path, capsys, monkeypatch,
+                                                          command):
+    monkeypatch.chdir(tmp_path)
+    other = "64s" if _DETECTIONS[command] == "64g2" else "64g2"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": other, "seed": 1, "profile": {"duration": 3.0}}))
+    assert cli_main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "64g2" in err and "64s" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", sorted(_DETECTIONS))
+def test_cli_detection_gives_a_config_without_kind_its_own(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "profile": {"duration": 1.0}}))
+    out = [] if command == "locate" else ["--out", str(tmp_path / "out")]
+    assert cli_main([command, "--config", str(path), *out]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    if command == "locate":
+        assert set(printed) == {"x_hat", "tripped", "rs_final_ohms"}
+    else:
+        assert printed["report"]["kind"] == _DETECTIONS[command]
 
 
 def test_cli_rejects_unknown_top_level_key(tmp_path, capsys):

@@ -260,15 +260,19 @@ def _mixed_table(n):
     }
 
 
-def _emitted(columns, directory):
+def _emitted(columns, directory, in_memory=False):
     """The table and its melt as write_table writes them beside a long.csv
-    header, and as the naive csv-module oracle writes them."""
+    header (in_memory: into an io.StringIO, saved afterwards), and as the
+    naive csv-module oracle writes them."""
     ours, naive = directory / "ours", directory / "naive"
     ours.mkdir()
     naive.mkdir()
-    with open(ours / "long.csv", "w", encoding="utf-8", newline="\n") as sink:
+    with (io.StringIO() if in_memory
+          else open(ours / "long.csv", "w", encoding="utf-8", newline="\n")) as sink:
         sink.write("trace,signal,t,value\n")
         write_table(ours / "trace_tbl.csv", columns, (sink, "tbl"))
+        if in_memory:
+            (ours / "long.csv").write_bytes(sink.getvalue().encode("utf-8"))
     trace = SimpleNamespace(columns=lambda: dict(columns))
     oracles.naive_emit_csv(SimpleNamespace(traces={"tbl": trace}), naive)
     return ([(ours / name).read_bytes() for name in ("trace_tbl.csv", "long.csv")],
@@ -288,6 +292,12 @@ def test_write_table_matches_the_naive_oracle_either_side_of_the_cutoff(
     assert ours == naive
     assert len(forks) == (split and _SPLITS)
     assert sorted(os.listdir(tmp_path / "ours")) == ["long.csv", "trace_tbl.csv"]
+
+
+def test_write_table_splits_a_table_whose_long_file_is_in_memory(tmp_path, forks):
+    ours, naive = _emitted(_mixed_table(signalcore._FORK_ROWS + 1), tmp_path, in_memory=True)
+    assert ours == naive
+    assert len(forks) == _SPLITS
 
 
 def test_write_table_without_fork_writes_the_same_bytes_serially(tmp_path, monkeypatch):
@@ -327,14 +337,83 @@ def test_a_failing_part_here_kills_and_reaps_the_child(forks):
     def failing():
         raise RuntimeError("this process's part failed")
 
+    def sleeping():
+        time.sleep(60)
+        yield "never loaded"
+
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="part failed"):
-        with signalcore.in_two_processes(failing, lambda part: time.sleep(60)):
+        with signalcore.in_two_processes(failing, sleeping):
             pass
     assert time.monotonic() - start < 30
     assert len(forks) == 1 and os.sched_getaffinity(0) == cpus
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# theirs' items: small ones around one of more than 1 MiB
+_ITEMS = ["first", "x" * (1 << 20) + "y", {"row": 3, "value": 2.5}, [1.5, None]]
+
+
+@pytest.fixture
+def parts(monkeypatch):
+    """The temporary files in_two_processes makes, as it makes them."""
+    made = []
+    make = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    return made
+
+
+def _two_processes(on_first_item=lambda: None):
+    """Theirs' items and the calls made here, through in_two_processes;
+    on_first_item runs once the first item is loaded."""
+    calls = []
+
+    def mine():
+        calls.append("mine")
+        return "mine's result"
+
+    def theirs():
+        calls.append("theirs")
+        return (item for item in _ITEMS)
+
+    with signalcore.in_two_processes(mine, theirs) as (result, items):
+        loaded = [next(items)]
+        on_first_item()
+        loaded.extend(items)
+    assert result == "mine's result"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return loaded, calls
+
+
+def test_in_two_processes_loads_a_childs_items_in_order_one_at_a_time(forks, parts):
+    def part_not_read_to_its_end():
+        if _SPLITS:
+            part, = parts
+            assert part.tell() < os.fstat(part.fileno()).st_size
+
+    loaded, calls = _two_processes(part_not_read_to_its_end)
+    assert loaded == _ITEMS
+    assert calls == (["mine"] if _SPLITS else ["mine", "theirs"])
+    assert len(forks) == len(parts) == _SPLITS
+
+
+def test_in_two_processes_iterates_theirs_here_when_no_child_delivers(no_child, parts):
+    assert _two_processes() == (_ITEMS, ["mine", "theirs"])
+    # a file is made only for a child
+    assert len(parts) == (_SPLITS and no_child != "fork_absent")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_in_two_processes_on_one_cpu_forks_no_child_and_makes_no_file(one_cpu, forks, parts):
+    assert _two_processes() == (_ITEMS, ["mine", "theirs"])
+    assert forks == parts == []
 
 
 class _FullSink(io.StringIO):
