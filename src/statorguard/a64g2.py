@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .plantsim import HarmonicFrames
@@ -137,6 +137,20 @@ class SchemeTrace:
                 "VN3": self.v_n3, "rho_hat": self.rho_hat, "residual": self.residual,
                 "JAO": self.operate, "JAR": self.restraint, "trip": self.trip}
 
+    def without_record(self) -> "SchemeTrace":
+        """A copy holding only what the scheme computed: the columns its
+        record gives (t_index, the frames' v_p3, v_n3 and valid, and the
+        restraint column) are left empty, for with_record to put back."""
+        return replace(self, t_index=range(0), v_p3=(), v_n3=(), valid=(), restraint=())
+
+    def with_record(self, frames: HarmonicFrames, restraint: Sequence[float]) -> "SchemeTrace":
+        """This trace, given the columns of its record: the frames and
+        their restraint column."""
+        self.t_index = range(len(frames))
+        self.v_p3, self.v_n3, self.valid = frames.v_p3, frames.v_n3, frames.valid
+        self.restraint = restraint
+        return self
+
     def margin(self) -> float:
         """Largest operate/(sensitivity*restraint) over the frames with a
         positive restraint; > 1 means the trip inequality was crossed at
@@ -228,9 +242,7 @@ def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
         residual_col(residual)
         operate_col(jao)
         trip_col(tripped)
-    trace.t_index = range(len(frames))
-    trace.v_p3, trace.v_n3, trace.valid = frames.v_p3, frames.v_n3, frames.valid
-    trace.restraint = restraint
+    trace.with_record(frames, restraint)
     trace.margin_peak, trace.margin_index = peak, peak_index
 
 

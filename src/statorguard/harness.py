@@ -20,8 +20,8 @@ import sys
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterator, List, Literal, Optional, Tuple, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (Any, Callable, Dict, Iterator, List, Literal, Optional, TextIO, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .plantsim import (
     simulate_64g2_scenario,
     simulate_64s_timeseries,
 )
+from . import signalcore
 # extract_phasor is not called here; it stays importable from harness
 # because perfbench/tracing.py wraps it by that binding.
 from .signalcore import (TimeSeries, extract_phasor, in_two_processes, output_file,  # noqa: F401
@@ -544,31 +545,44 @@ def _onset_index(fault: Optional[FaultSpec], ts: TimeSeries) -> Optional[int]:
 
 def _run_64g2(scenario: _Scenario, name: str,
               input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
+    """Both ratio schemes, or the one the config selects, on one record.
+    On a record of at least ``_FORK_ROWS`` frames the fixed scheme runs in
+    a child by ``in_two_processes``, which hands back only the columns it
+    computed, while the adaptive scheme and its verdict run here; so the
+    adaptive scheme's error is raised first, as in one process."""
     det_cfg = scenario.detector
+    detectors = [scenario.kaf] if "adaptive" in scenario.schemes else []
     if "fixed" in scenario.schemes:
         calibration = _resolve_calibration(scenario)
         with _config_errors():
-            fixed = FixedRatioDetector.from_calibration(
-                calibration, window=det_cfg.window, persistence=det_cfg.persistence)
+            detectors.append(FixedRatioDetector.from_calibration(
+                calibration, window=det_cfg.window, persistence=det_cfg.persistence))
     sim = _scenario_64g2(scenario, input_channels)
     # both schemes read one restraint column; building it checks the magnitudes
     restraint = restraint_column(sim.frames, det_cfg.window)
 
     verdicts: Dict[str, Dict[str, Any]] = {}
     traces: Dict[str, Any] = {}
-    if "adaptive" in scenario.schemes:
-        trace = scenario.kaf.run(sim.frames, sim.fs, onset_index=sim.onset_index,
-                                 restraint=restraint)
-        verdicts["a64g2"] = _verdict_64g2(trace)
-        traces["a64g2"] = trace
-    if "fixed" in scenario.schemes:
-        trace = fixed.run(sim.frames, sim.fs, onset_index=sim.onset_index,
-                          restraint=restraint)
-        verdict = _verdict_64g2(trace)
-        verdict["calibration"] = {"ratio": calibration.ratio,
-                                  "beta_ng": calibration.beta_ng}
-        verdicts["ng64g2"] = verdict
-        traces["ng64g2"] = trace
+
+    def run(detector) -> SchemeTrace:
+        return detector.run(sim.frames, sim.fs, onset_index=sim.onset_index,
+                            restraint=restraint)
+
+    def judge(trace: SchemeTrace) -> None:
+        verdicts[trace.scheme] = _verdict_64g2(trace)
+        traces[trace.scheme] = trace
+
+    if len(detectors) == 2 and len(sim.frames) >= signalcore._FORK_ROWS:
+        adaptive, fixed = detectors
+        with in_two_processes(lambda: judge(run(adaptive)),
+                              lambda: [run(fixed).without_record()]) as (_, theirs):
+            judge(next(theirs).with_record(sim.frames, restraint))
+    else:
+        for detector in detectors:
+            judge(run(detector))
+    if "ng64g2" in verdicts:
+        verdicts["ng64g2"]["calibration"] = {"ratio": calibration.ratio,
+                                             "beta_ng": calibration.beta_ng}
     return ScenarioResult(kind="64g2", name=name, seed=scenario.seed,
                           verdicts=verdicts, traces=traces)
 
@@ -694,10 +708,14 @@ def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) ->
     the default SweepGrid when it has none.  A cell is the base's record
     with the commissioned calibration, a derived seed, the cell's fault
     at onset_sample and its load and pf; its duration is the base's, or
-    the onset, the detection window and 0.25 s when the base has none."""
+    the onset, the detection window and 0.25 s when the base has none.
+    A base fault is refused, as every cell sets its own."""
     base = _read(base_config)
     if base.kind != "64g2":
         raise ConfigError("sensitivity sweep applies to 64g2 configs")
+    if base.fault is not None:
+        raise ConfigError("the sensitivity sweep sets each cell's fault from its grid; "
+                          "the base config must not contain a 'fault'")
     if set(base.schemes) != set(_SCHEMES):
         raise ConfigError("the sensitivity sweep compares both ratio schemes; "
                           "'schemes' must list 'adaptive' and 'fixed'")
@@ -830,9 +848,13 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
     schemes (and the injection scheme for speed scenarios); any trip is a
     misoperation.  scenarios None takes the base config's 'scenarios'
     list, or the default catalog when it has none.  A cell is the base's
-    record with no fault, the commissioned calibration, a derived seed,
-    and the entry's kind, disturbances and non-null profile keys."""
+    record with the commissioned calibration, a derived seed, and the
+    entry's kind, disturbances and non-null profile keys; a fault is
+    refused in the base as in an entry."""
     base = _read(base_config, any_kind=True)
+    if base.fault is not None:
+        raise ConfigError("the security sweep runs no-fault scenarios; "
+                          "the base config must not contain a 'fault'")
     catalog = base.scenarios if scenarios is None else _value(Tuple[_Entry, ...], scenarios,
                                                               "scenarios")
     if catalog is None:
@@ -844,7 +866,7 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
     fixed = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
     # a 64s cell runs at speed 1.0 unless its base or entry sets one
     speed = 1.0 if base.profile.speed is None else base.profile.speed
-    base = replace(base, fault=None, calibration=_Commissioning(**fixed),
+    base = replace(base, calibration=_Commissioning(**fixed),
                    profile=replace(base.profile, speed=speed))
 
     def run_cell(index: int) -> List[Dict[str, Any]]:
@@ -918,16 +940,57 @@ def _emit(obj, out: Path, fmt: str, written: List[str]) -> None:
         with opened as long:
             if long:
                 long.write("trace,signal,t,value\n")
-            for scheme, trace in obj.traces.items():
-                path = out / f"trace_{scheme}.csv"
-                writer = write_trace_csv if isinstance(trace, SchemeTrace) else write_a64s_trace_csv
-                writer(trace, path, (long, scheme) if long else None)
-                written.append(str(path))
+            _write_traces(list(obj.traces.items()), out, long, written)
         if fmt == "csv":
             written.append(str(long_path))
         return
 
     raise ConfigError(f"cannot emit a report for {type(obj).__name__}")
+
+
+class _Texts(list):
+    """A text sink that keeps each text written to it as an item."""
+
+    writelines = list.extend
+
+
+def _write_traces(traces: List[Tuple[str, Any]], out: Path, long: Optional[TextIO],
+                  written: List[str]) -> None:
+    """Write each trace's CSV file, and its long.csv sections when long is
+    open, in order.  Two traces of at least ``_FORK_ROWS`` rows each are
+    written by ``in_two_processes``: this process writes the first, while
+    theirs writes the second trace's file itself and hands back only its
+    long.csv texts, which follow the first trace's sections.  When either
+    fails, the second trace's file is removed too, since a child killed
+    because this process raised may leave part of it."""
+
+    def write(scheme: str, trace, sink) -> str:
+        path = out / f"trace_{scheme}.csv"
+        writer = write_trace_csv if isinstance(trace, SchemeTrace) else write_a64s_trace_csv
+        writer(trace, path, (sink, scheme) if sink is not None else None)
+        return str(path)
+
+    if len(traces) != 2 or min(len(trace.t_index) for _, trace in traces) < signalcore._FORK_ROWS:
+        for scheme, trace in traces:
+            written.append(write(scheme, trace, long))
+        return
+    first, second = traces
+
+    def theirs() -> List[str]:
+        texts = _Texts()
+        write(*second, texts if long else None)
+        return texts
+
+    second_path = out / f"trace_{second[0]}.csv"
+    try:
+        with in_two_processes(lambda: written.append(write(*first, long)), theirs) as (_, texts):
+            if long:
+                long.writelines(texts)
+    except BaseException:
+        with suppress(OSError):
+            second_path.unlink()
+        raise
+    written.append(str(second_path))
 
 
 def write_json(path: Path, payload) -> str:

@@ -21,7 +21,7 @@ import pickle
 import re
 import signal
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import (Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Mapping, NoReturn,
@@ -366,13 +366,18 @@ _CELL = {float: float.__repr__, bool: int.__repr__, int: int.__repr__, str: _tex
 # a block raised the peak memory of a 60 s 64S replay by 6 MB.
 _BLOCK = 1024
 
-# Tables with at least this many rows are formatted by two processes.
-# For a 64G2 trace with its long.csv melt, on two vCPUs, the split broke
-# even at about 22,000 rows (best of 7: 58.6 ms serial against 77.0 ms
-# split at 16,384 rows, 90.3 against 80.3 ms at 24,576, 230 against
-# 220 ms at 60,000).  That was measured in a 250 MB process; the CLI
-# process has since shrunk to 65-80 MB, and the break-even has not been
-# measured again.
+# Tables with at least this many rows are formatted by two processes, and
+# harness splits a 64G2 record of this many frames, and its two trace
+# files, the same way.  Measured on two vCPUs in a 64 MB process holding
+# a 60 s replay's result, best of 11, serial against split: one 64G2
+# trace with its long.csv melt 44.0 against 50.4 ms at 16,384 rows, 57.4
+# against 59.2 at 20,480, 82.0 against 71.9 at 32,768; both ratio
+# schemes 45.8 against 50.5 ms at 16,384 frames, 66.3 against 65.1 at
+# 20,480; both trace files with long.csv 67.2 against 58.0 ms at 12,288
+# rows, 127 against 97 at 24,576.  The lone table and the schemes break
+# even between 20,000 and 24,576 (an earlier run put both nearer
+# 24,576); the trace files win from 12,000 rows.  One size serves all
+# three.
 _FORK_ROWS = 24576
 
 
@@ -436,8 +441,8 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
     that file: for each column after the first, in sorted name order, one
     ``label,<column>,<first column's cell>,<value>`` line per row, the
     value as a float (None an empty cell).  A float cell's string serves
-    both files.  The melted lines are joined per column and block and
-    written once the table is done.
+    both files.  The melted lines are joined per column and block, kept
+    in an unnamed temporary file, and written once the table is done.
 
     The texts come from ``_format_rows``.  A table of at least
     ``_FORK_ROWS`` rows is formatted in two halves by ``in_two_processes``:
@@ -475,14 +480,13 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
         mid = (n + _BLOCK) // (2 * _BLOCK) * _BLOCK
         own_blocks, their_blocks = mid // _BLOCK, len(range(mid, n, _BLOCK))
 
-        def first_half() -> List[str]:
+        def first_half() -> Iterator[str]:
             own = texts(0, mid)
             fh.writelines(islice(own, own_blocks))
-            return list(own)
+            return own
 
         with in_two_processes(first_half, lambda: texts(mid, n)) as (own, theirs):
             fh.writelines(islice(theirs, their_blocks))
-            own = iter(own)
             for _ in sections:
                 sink.writelines(islice(own, own_blocks))
                 sink.writelines(islice(theirs, their_blocks))
@@ -491,19 +495,27 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
 def _format_rows(data, rules, sections, start: int, stop: int) -> Iterator[str]:
     """The texts of rows [start, stop) of the table: each block's table
     rows, then, for each long section ``(column, line prefix)``, that
-    column's melted lines, one text per block."""
-    melted: List[List[str]] = [[] for _ in sections]
-    for lo in range(start, stop, _BLOCK):
-        block = [column[lo:min(lo + _BLOCK, stop)] for column in data]
-        cells = [_floats(part) if rule is float.__repr__ else list(map(rule, part))
-                 for rule, part in zip(rules, block)]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
-        for out, (j, prefix) in zip(melted, sections):
-            values = cells[j] if rules[j] is float.__repr__ else _melted(block[j])
-            out.append(prefix + ("\n" + prefix).join(
-                map(",".join, zip(cells[0], values))) + "\n")
-    for out in melted:
-        yield from out
+    column's melted lines, one text per block.  The melted lines wait in
+    an unnamed temporary file rather than in memory, where a 60 s 64G2
+    trace's would take about 20 MB."""
+    spans: List[List[Tuple[int, int]]] = [[] for _ in sections]
+    end = 0
+    with tempfile.TemporaryFile() if sections else nullcontext() as spool:
+        for lo in range(start, stop, _BLOCK):
+            block = [column[lo:min(lo + _BLOCK, stop)] for column in data]
+            cells = [_floats(part) if rule is float.__repr__ else list(map(rule, part))
+                     for rule, part in zip(rules, block)]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            for span, (j, prefix) in zip(spans, sections):
+                values = cells[j] if rules[j] is float.__repr__ else _melted(block[j])
+                text = prefix + ("\n" + prefix).join(map(",".join, zip(cells[0], values)))
+                size = spool.write((text + "\n").encode("utf-8", "surrogatepass"))
+                span.append((end, size))
+                end += size
+        for span in spans:
+            for offset, size in span:
+                spool.seek(offset)
+                yield spool.read(size).decode("utf-8", "surrogatepass")
 
 
 @contextmanager

@@ -8,13 +8,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
 import typing
 from pathlib import Path
 
 import pytest
 
 import statorguard
-from statorguard import harness, signalcore
+from statorguard import a64g2, harness, signalcore
 from statorguard.a64g2 import (AdaptiveRatioDetector, DetectorConfig, FixedRatioDetector,
                                SchemeTrace)
 from statorguard.a64s import A64SEstimatorConfig, A64STrace, CalibrationError
@@ -815,6 +817,25 @@ def test_security_sweep_rejects_fault_scenarios():
         sweep_security(catalog, {"calibration": dict(CAL)})
 
 
+_BASE_FAULT = {"x": 0.0, "rf": 0.0, "t_on": 0.1}
+
+
+@pytest.mark.parametrize("command,sweep", [("sweep-sensitivity", sweep_sensitivity),
+                                           ("sweep-security", sweep_security)])
+def test_a_sweep_refuses_a_base_fault(tmp_path, capsys, command, sweep):
+    """Each cell of either sweep sets its own fault (the security sweep's
+    none), so a base fault used to be dropped without a word."""
+    base = {"calibration": dict(CAL), "fault": dict(_BASE_FAULT)}
+    with pytest.raises(ConfigError, match="must not contain a 'fault'"):
+        sweep(None, base)
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "must not contain a 'fault'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_security_sweep_small_catalog_quiet():
     catalog = [{
         "name": "load_step", "kind": "64g2",
@@ -1070,6 +1091,181 @@ def test_emit_report_removes_what_it_wrote_when_a_writer_fails(tmp_path, fmt):
     with pytest.raises(RuntimeError, match="cell cannot be formatted"):
         emit_report(result, tmp_path, fmt=fmt)
     assert os.listdir(tmp_path) == ["keep.txt"]
+
+
+# A record of just over four write blocks, long enough for both two-process paths
+# of a 64g2 scenario once _FORK_ROWS is lowered to two blocks.
+_LONG_64G2 = _fault_config(profile={"duration": 4.1}, fault={"x": 0.0, "rf": 50.0, "t_on": 3.0})
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """_FORK_ROWS lowered so that _LONG_64G2 takes both two-process paths."""
+    monkeypatch.setattr(signalcore, "_FORK_ROWS", 2 * signalcore._BLOCK)
+
+
+def _outputs(out, fmt="csv", config=_LONG_64G2):
+    """The bytes of every file emit_report writes for config's result."""
+    emit_report(run_scenario(config, name="long"), out, fmt=fmt)
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@functools.cache
+def _one_process_outputs(fmt):
+    """_outputs with every part in this process, as below _FORK_ROWS."""
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
+        patch.setattr(signalcore, "_FORK_ROWS", 10**9)
+        return _outputs(Path(out), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_long_64g2_record_in_two_processes_writes_the_one_process_files(
+        tmp_path, split, forks, fmt):
+    outputs = _outputs(tmp_path, fmt)
+    assert set(outputs) == ({"report.json", "trace_a64g2.csv", "trace_ng64g2.csv"}
+                            | ({"long.csv"} if fmt == "csv" else set()))
+    assert outputs == _one_process_outputs(fmt)
+    # one fork for the schemes, one for the trace files
+    assert len(forks) == 2 * _SPLITS
+    assert _no_child()
+
+
+def test_both_schemes_in_two_processes_give_the_one_process_traces(split, forks):
+    result = run_scenario(_LONG_64G2)
+    assert len(forks) == _SPLITS
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signalcore, "_FORK_ROWS", 10**9)
+        alone = run_scenario(_LONG_64G2)
+    assert result.to_dict() == alone.to_dict()
+    assert result.traces == alone.traces
+    fixed = result.traces["ng64g2"]
+    # the record's columns are this process's own, not copies from the child
+    assert fixed.v_p3 is result.traces["a64g2"].v_p3
+    assert fixed.restraint is result.traces["a64g2"].restraint
+
+
+def test_a_long_64g2_record_gives_the_one_process_files_when_no_child_delivers(
+        tmp_path, split, no_child):
+    assert _outputs(tmp_path) == _one_process_outputs("csv")
+    assert _no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_a_long_64g2_record_on_one_cpu_forks_no_child(tmp_path, split, one_cpu, forks):
+    assert _outputs(tmp_path) == _one_process_outputs("csv")
+    assert forks == []
+
+
+def test_a_short_64g2_record_forks_no_child(tmp_path, forks):
+    _outputs(tmp_path, config=_fault_config())
+    assert forks == []
+
+
+def _failing_runs(monkeypatch, failing):
+    """The ratio schemes named in failing raise when they run."""
+    advance = a64g2._advance
+
+    def failing_advance(trace, *args):
+        if trace.scheme in failing:
+            raise RuntimeError(f"{trace.scheme} failed")
+        advance(trace, *args)
+
+    monkeypatch.setattr(a64g2, "_advance", failing_advance)
+
+
+@pytest.mark.parametrize("failing", [{"a64g2", "ng64g2"}, {"a64g2"}, {"ng64g2"}])
+def test_a_failing_scheme_raises_the_one_process_error(monkeypatch, split, forks, failing):
+    _failing_runs(monkeypatch, failing)
+    first = "a64g2" if "a64g2" in failing else "ng64g2"
+    with pytest.raises(RuntimeError, match=f"^{first} failed$"):
+        run_scenario(_LONG_64G2)
+    assert len(forks) == _SPLITS and _no_child()
+    monkeypatch.setattr(signalcore, "_FORK_ROWS", 10**9)
+    with pytest.raises(RuntimeError, match=f"^{first} failed$"):
+        run_scenario(_LONG_64G2)
+
+
+def test_an_adaptive_verdict_error_comes_before_a_fixed_scheme_error(monkeypatch, split, forks):
+    """The adaptive verdict is part of this process's share, so its error
+    is raised, as in one process, though the child's fixed scheme fails."""
+    _failing_runs(monkeypatch, {"ng64g2"})
+    # process_noise 1e-5 makes the adaptive filter diverge
+    config = {**_LONG_64G2, "kaf": {"process_noise": 1e-5}}
+    with pytest.raises(ValueError, match="^the a64g2 margin is infinite"):
+        run_scenario(config)
+    assert len(forks) == _SPLITS and _no_child()
+    monkeypatch.setattr(signalcore, "_FORK_ROWS", 10**9)
+    with pytest.raises(ValueError, match="^the a64g2 margin is infinite"):
+        run_scenario(config)
+
+
+@pytest.mark.parametrize("broken", ["a64g2", "ng64g2"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failing_writer_of_a_split_emission_leaves_no_file(tmp_path, split, forks,
+                                                             broken, fmt):
+    """The first trace is written here, the second by the child and, when
+    the child fails, here again."""
+    result = run_scenario(_LONG_64G2, name="broken")
+    trace = copy.deepcopy(result.traces[broken])
+    trace.operate = trace.operate[:-1] + [_Unprintable()]
+    result.traces[broken] = trace
+    (tmp_path / "keep.txt").write_text("not emit_report's\n")
+    with pytest.raises(RuntimeError, match="cell cannot be formatted"):
+        emit_report(result, tmp_path, fmt=fmt)
+    assert os.listdir(tmp_path) == ["keep.txt"]
+    # written here again, unpinned, the second trace forks for its row split
+    assert len(forks) == (2 + (broken == "ng64g2")) * _SPLITS and _no_child()
+
+
+@pytest.mark.skipif(not _SPLITS, reason="a child is forked only on two or more CPUs")
+def test_a_child_killed_because_this_process_failed_leaves_no_partial_file(
+        monkeypatch, tmp_path, split):
+    result = run_scenario(_LONG_64G2)
+    here = os.getpid()
+    second = tmp_path / "trace_ng64g2.csv"
+
+    def writer(trace, path, long=None):
+        if os.getpid() != here:
+            Path(path).write_text("t,VP3\n0.0,")
+            time.sleep(60)
+        # the child has begun its file; fail here while it is left unfinished
+        deadline = time.monotonic() + 30
+        while not second.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        raise RuntimeError("the first trace failed")
+
+    monkeypatch.setattr(harness, "write_trace_csv", writer)
+    with pytest.raises(RuntimeError, match="the first trace failed"):
+        emit_report(result, tmp_path, fmt="csv")
+    assert os.listdir(tmp_path) == []
+    assert _no_child()
+
+
+def test_a_split_emission_writes_each_trace_through_its_module_binding(
+        monkeypatch, tmp_path, split, forks):
+    # test_emit_report_writes_each_trace_through_its_module_binding on the
+    # two-process path: a child's calls reach no list of this process, so
+    # the spy logs them to a file
+    expected = _one_process_outputs("csv")
+    log = tmp_path / "calls.log"
+    write = harness.write_trace_csv
+
+    def spy(trace, path, *args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {trace.scheme} {Path(path).name}\n")
+        write(trace, path, *args)
+
+    monkeypatch.setattr(harness, "write_trace_csv", spy)
+    out = tmp_path / "out"
+    assert _outputs(out) == expected
+    calls = sorted((line.split() for line in log.read_text().splitlines()),
+                   key=lambda call: call[1])
+    assert [call[1:] for call in calls] == [["a64g2", "trace_a64g2.csv"],
+                                            ["ng64g2", "trace_ng64g2.csv"]]
+    first, second = (int(call[0]) for call in calls)
+    assert first == os.getpid()
+    assert (second != os.getpid()) == bool(_SPLITS)
+    assert len(forks) == 2 * _SPLITS
 
 
 def test_emit_report_validation(tmp_path):

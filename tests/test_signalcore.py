@@ -416,6 +416,15 @@ def test_in_two_processes_on_one_cpu_forks_no_child_and_makes_no_file(one_cpu, f
     assert forks == parts == []
 
 
+def test_the_melt_keeps_any_label_and_column_name_as_it_was(tmp_path):
+    """The melted lines wait in a temporary file as bytes; non-ASCII text,
+    and even a lone surrogate in the label, come back unchanged."""
+    sink = io.StringIO()
+    label, name = "l\u00e4\ud800bel", "\u00e4,\u00f6"
+    write_table(tmp_path / "t.csv", {"t": [0.0, 0.5], name: [1.0, None]}, (sink, label))
+    assert sink.getvalue() == f'{label},"{name}",0.0,1.0\n{label},"{name}",0.5,\n'
+
+
 class _FullSink(io.StringIO):
     """A long.csv sink on a full disk."""
 

@@ -16,7 +16,10 @@ sensitivity sweep again on a base whose profile, detector, adaptive
 filter and onset settings every cell inherits, and the default
 sensitivity sweep once more with this process pinned to one CPU, where
 the sweep runs every cell itself instead of sharing them with a forked
-child.  The SHA-256 of every file they write is compared with
+child.  A 30 s 64G2 detection with a fixed calibration, whose 30,000
+frames reach the two-process paths of the schemes and of their trace
+files, runs twice: as it is, and pinned to one CPU, where no child is
+forked.  The SHA-256 of every file they write is compared with
 ``output_digests.json`` next to this script.  A change meant to keep
 behaviour must leave every digest as it is.  The gate fails on a digest
 that differs, on a recorded one that no run wrote (MISSING) and on one
@@ -58,6 +61,8 @@ GEN_STOP_64S = {"kind": "64s", "seed": 5,
                                                        "start": 1.0, "end": 0.0}}}
 MIXED_BASE = {"profile": {"load_pu": 0.9, "window_cycles": 4}, "detector": {"persistence": 14},
               "estimator": {"smoothing_rate": 12.0}}
+LONG_64G2 = {"kind": "64g2", "seed": 3, "fault": {"x": 0.05, "rf": 100.0, "t_on": 25.0},
+             "profile": {"duration": 30.0}, "calibration": {"ratio": 1.22, "beta_ng": 0.148}}
 SENSITIVITY_BASE = {"profile": {"window_cycles": 6, "supervision_frac": 0.12},
                     "detector": {"window": 14, "persistence": 10},
                     "kaf": {"rho0": 1.2, "measurement_noise": 0.01},
@@ -79,6 +84,8 @@ def _runs(tmp: Path):
     mixed.write_text(json.dumps(MIXED_BASE))
     sens_base = tmp / "sensitivity_base.json"
     sens_base.write_text(json.dumps(SENSITIVITY_BASE))
+    long_g2 = tmp / "long_64g2.json"
+    long_g2.write_text(json.dumps(LONG_64G2))
     return [
         ("simulate-64g2", ["simulate", "--config", str(g2)]),
         ("detect-64g2", ["detect-64g2", "--config", str(g2), "--format", "csv"]),
@@ -98,11 +105,14 @@ def _runs(tmp: Path):
                                     "--seed", "0"]),
         ("sweep-sensitivity-one-cpu", ["sweep-sensitivity", "--config", str(sweep),
                                        "--seed", "0"]),
+        ("detect-64g2-long", ["detect-64g2", "--config", str(long_g2), "--format", "csv"]),
+        ("detect-64g2-long-one-cpu", ["detect-64g2", "--config", str(long_g2),
+                                      "--format", "csv"]),
     ]
 
 
 # runs made with this process pinned to one CPU
-ONE_CPU = {"sweep-sensitivity-one-cpu"}
+ONE_CPU = {"sweep-sensitivity-one-cpu", "detect-64g2-long-one-cpu"}
 
 
 @contextlib.contextmanager
