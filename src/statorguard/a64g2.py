@@ -18,8 +18,10 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .plantsim import HarmonicFrames
-from .signalcore import write_table
+from .signalcore import _float_column, _seconds, write_table
 
 __all__ = [
     "DetectorConfig",
@@ -131,11 +133,13 @@ class SchemeTrace:
     def tripped(self) -> bool:
         return self.first_trip_index is not None
 
-    def columns(self) -> Dict[str, List]:
-        """Time in seconds and every per-frame signal, by CSV column name."""
-        return {"t": [i / self.fs for i in self.t_index], "VP3": self.v_p3,
-                "VN3": self.v_n3, "rho_hat": self.rho_hat, "residual": self.residual,
-                "JAO": self.operate, "JAR": self.restraint, "trip": self.trip}
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Time in seconds and every per-frame signal, by CSV column name,
+        as float64 arrays and a bool ``trip``."""
+        a = _float_column
+        return {"t": _seconds(self.t_index, self.fs), "VP3": a(self.v_p3),
+                "VN3": a(self.v_n3), "rho_hat": a(self.rho_hat), "residual": a(self.residual),
+                "JAO": a(self.operate), "JAR": a(self.restraint), "trip": np.asarray(self.trip)}
 
     def without_record(self) -> "SchemeTrace":
         """A copy holding only what the scheme computed: the columns its

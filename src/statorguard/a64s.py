@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .plantsim import Subharmonic64SConfig, _freeze_columns
-from .signalcore import TimeSeries, extract_phasor, reconstruct_narrowband, write_table
+from .signalcore import (TimeSeries, _float_column, _seconds, extract_phasor,
+                         reconstruct_narrowband, write_table)
 
 __all__ = [
     "SubharmonicFrames",
@@ -242,14 +243,16 @@ class A64STrace:
     def tripped(self) -> bool:
         return self.first_trip_index is not None
 
-    def columns(self) -> Dict[str, List]:
-        """Time in seconds and every per-sample signal, by CSV column name
-        (time constant in ms, resistance in ohms, capacitance in µF)."""
-        return {"t": [i / self.fs for i in self.t_index], "vn": self.v_n, "in": self.i_n,
-                "a0_hat": self.a0_hat, "kd_hat": self.kd_hat,
-                "tau0_hat_ms": [v * 1e3 for v in self.tau0_hat], "rs_hat_ohm": self.rs_hat,
-                "c0_hat_uF": [v * 1e6 for v in self.c0_hat], "x_hat": self.x_hat,
-                "trip": self.trip}
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Time in seconds and every per-sample signal, by CSV column name,
+        as float64 arrays and a bool ``trip`` (time constant in ms,
+        resistance in ohms, capacitance in µF)."""
+        a = _float_column
+        return {"t": _seconds(self.t_index, self.fs), "vn": a(self.v_n), "in": a(self.i_n),
+                "a0_hat": a(self.a0_hat), "kd_hat": a(self.kd_hat),
+                "tau0_hat_ms": a(self.tau0_hat) * 1e3, "rs_hat_ohm": a(self.rs_hat),
+                "c0_hat_uF": a(self.c0_hat) * 1e6, "x_hat": a(self.x_hat),
+                "trip": np.asarray(self.trip)}
 
     def final_estimates(self, tail: int = 250) -> Tuple[float, float, float]:
         """(resistance, capacitance, time constant) medians over the last

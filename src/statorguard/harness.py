@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import sys
+import tempfile
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
@@ -532,15 +533,22 @@ def _scenario_64g2(scenario: _Scenario,
                 supervision_frac=profile.supervision_frac, seed=scenario.seed,
             )
     vp3, vn3 = _channels(input_channels, "vp3", "vn3")
+    onset = _onset_index(scenario.fault, vp3, replay=True)
     sim = frames_from_64g2_waveforms(vp3, vn3, machine, profile.load_pu, profile.pf,
                                      profile.window_cycles, profile.supervision_frac)
-    return replace(sim, onset_index=_onset_index(scenario.fault, vp3))
+    return replace(sim, onset_index=onset)
 
 
-def _onset_index(fault: Optional[FaultSpec], ts: TimeSeries) -> Optional[int]:
+def _onset_index(fault: Optional[FaultSpec], ts: TimeSeries, replay: bool) -> Optional[int]:
     """Fault onset sample of a replayed or 64s record; the 64g2 simulator
-    applies the same FaultSpec.onset_index rule."""
-    return None if fault is None else fault.onset_index(ts.fs, len(ts))
+    applies the same FaultSpec.onset_index rule.  A replay's fault is the
+    label its verdicts are scored against, so one whose onset lies past
+    the record's last sample is a config error."""
+    onset = None if fault is None else fault.onset_index(ts.fs, len(ts))
+    if replay and onset == len(ts):
+        raise ConfigError(f"fault.t_on {fault.t_on!r} s lies past the end of the replayed "
+                          f"record, which is {len(ts) / ts.fs:g} s long ({len(ts)} samples)")
+    return onset
 
 
 def _run_64g2(scenario: _Scenario, name: str,
@@ -634,7 +642,8 @@ def _scenario_64s(scenario: _Scenario,
             )
     else:
         v_ts, i_ts = _channels(input_channels, "vn", "in")
-    return circuit, v_ts, i_ts, _onset_index(scenario.fault, v_ts)
+    return circuit, v_ts, i_ts, _onset_index(scenario.fault, v_ts,
+                                             replay=input_channels is not None)
 
 
 def _run_64s(scenario: _Scenario, name: str,
@@ -948,10 +957,8 @@ def _emit(obj, out: Path, fmt: str, written: List[str]) -> None:
     raise ConfigError(f"cannot emit a report for {type(obj).__name__}")
 
 
-class _Texts(list):
-    """A text sink that keeps each text written to it as an item."""
-
-    writelines = list.extend
+# Characters of the second trace's long.csv texts handed back at a time.
+_PIECE = 1 << 20
 
 
 def _write_traces(traces: List[Tuple[str, Any]], out: Path, long: Optional[TextIO],
@@ -960,7 +967,9 @@ def _write_traces(traces: List[Tuple[str, Any]], out: Path, long: Optional[TextI
     open, in order.  Two traces of at least ``_FORK_ROWS`` rows each are
     written by ``in_two_processes``: this process writes the first, while
     theirs writes the second trace's file itself and hands back only its
-    long.csv texts, which follow the first trace's sections.  When either
+    long.csv texts, which follow the first trace's.  Those texts wait in
+    an unnamed temporary file and come back in pieces of ``_PIECE``
+    characters, so neither process holds a whole melt.  When either
     fails, the second trace's file is removed too, since a child killed
     because this process raised may leave part of it."""
 
@@ -976,16 +985,21 @@ def _write_traces(traces: List[Tuple[str, Any]], out: Path, long: Optional[TextI
         return
     first, second = traces
 
-    def theirs() -> List[str]:
-        texts = _Texts()
-        write(*second, texts if long else None)
-        return texts
+    def theirs() -> Iterator[str]:
+        # newline="" reads back a quoted CR as it was written
+        with (tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass", newline="")
+              if long else nullcontext()) as spool:
+            write(*second, spool)
+            if spool:
+                spool.seek(0)
+                yield from iter(functools.partial(spool.read, _PIECE), "")
 
     second_path = out / f"trace_{second[0]}.csv"
     try:
         with in_two_processes(lambda: written.append(write(*first, long)), theirs) as (_, texts):
-            if long:
-                long.writelines(texts)
+            # read to the end even without long.csv: without a child, theirs runs here
+            for text in texts:
+                long.write(text)
     except BaseException:
         with suppress(OSError):
             second_path.unlink()

@@ -327,6 +327,28 @@ def _walk_rows(path, reader, width: int) -> np.ndarray:
     return np.asarray(rows)
 
 
+def _float_column(values: Sequence[Any]) -> np.ndarray:
+    """A trace column as a float64 array, read in one pass (``np.asarray``
+    reads a list twice, for its type and then for its values).  A column
+    holding a value that ``float`` refuses, or a NaN (as which fromiter
+    reads None), is read by ``np.asarray`` instead, so a None stays None
+    and write_table formats that column cell by cell."""
+    try:
+        column = np.fromiter(values, dtype=float, count=len(values))
+    except (TypeError, ValueError):
+        return np.asarray(values)
+    return np.asarray(values) if np.isnan(column).any() else column
+
+
+def _seconds(index: Sequence[int], fs: float) -> np.ndarray:
+    """``[i / fs for i in index]`` as a float64 array, bit for bit; a
+    range, as every trace's sample index is, is read without a Python
+    loop."""
+    if isinstance(index, range):
+        index = np.arange(index.start, index.stop, index.step)
+    return np.asarray(index, dtype=float) / fs
+
+
 def write_csv(path, channels: Mapping[str, TimeSeries]) -> None:
     """Write channels sharing one time base as ``t,<chan>,...`` CSV."""
     if not channels:
@@ -338,8 +360,7 @@ def write_csv(path, channels: Mapping[str, TimeSeries]) -> None:
     for s in series[1:]:
         if abs(s.fs - ref.fs) > 1e-9 * ref.fs or abs(s.t0 - ref.t0) > 1e-12 or len(s) != len(ref):
             raise ValueError("all channels must share fs, t0 and length")
-    write_table(path, {"t": ref.times().tolist(),
-                       **{name: s.samples.tolist() for name, s in channels.items()}})
+    write_table(path, {"t": ref.times(), **{name: s.samples for name, s in channels.items()}})
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
@@ -358,8 +379,9 @@ def _text(value) -> str:
 # The one cell rule of every CSV file, by value type: floats as repr
 # writes them (round-trips exactly), bools as 0/1, ints in decimal,
 # strings as they are (quoted when they must be); None is an empty cell,
-# anything else goes by str, quoted the same way.  A column of floats
-# goes through ``_floats`` in blocks rather than float.__repr__ per cell.
+# anything else goes by str, quoted the same way.  A float64 array, or a
+# column of floats, goes through ``_floats`` in blocks rather than
+# float.__repr__ per cell, and a bool array through ``_bools``.
 _CELL = {float: float.__repr__, bool: int.__repr__, int: int.__repr__, str: _text}
 
 # Rows formatted and written per block; at 4096 rows the cell strings of
@@ -385,24 +407,51 @@ def _cell(value) -> str:
     return "" if value is None else _CELL.get(type(value), _text)(value)
 
 
-def _floats(values: List[float]) -> List[str]:
-    """``float.__repr__`` of each of ``values`` (exact floats), from one
-    ``orjson.dumps`` call: orjson writes the same shortest round-trip
-    digits about ten times faster.  Its notation differs for nonzero
-    values below 1e-4 in magnitude (``0.00001``, ``1e-6``), for values of
-    1e16 and above (``1e16``) and for NaN and infinities (``null``); those
-    cells, picked by value, are formatted by ``repr`` instead.  Each of
-    them puts an ``e``, an ``n`` or ``.0000`` in orjson's text, so a text
-    without these needs no value check."""
-    if not values:
+def _floats(values: Sequence[float]) -> List[str]:
+    """``float.__repr__`` of each of ``values`` (exact floats, or a float64
+    array), from one ``orjson.dumps`` call: orjson writes the same
+    shortest round-trip digits about ten times faster.  Its notation
+    differs for nonzero values below 1e-4 in magnitude (``0.00001``,
+    ``1e-6``), for values of 1e16 and above (``1e16``) and for NaN and
+    infinities (``null``); those cells, picked by value, are formatted by
+    ``repr`` instead.  Each of them puts an ``e``, an ``n`` or ``.0000``
+    in orjson's text, so a text without these needs no value check."""
+    if not len(values):
         return []
-    raw = orjson.dumps(values)
+    if isinstance(values, np.ndarray):
+        # orjson reads only C-contiguous arrays, such as a column's block
+        raw = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    else:
+        raw = orjson.dumps(values)
     cells = raw[1:-1].decode().split(",")
     if b"e" in raw or b"n" in raw or b".0000" in raw:
-        size = np.abs(np.array(values))
+        size = np.abs(np.asarray(values))
         for i in np.flatnonzero(((size < 1e-4) & (size != 0)) | ~(size < 1e16)).tolist():
             cells[i] = float.__repr__(values[i])
     return cells
+
+
+def _bools(values: np.ndarray, texts: Tuple[str, str] = ("0", "1")) -> List[str]:
+    """The cells of a bool array by lookup: ``texts[0]`` for False,
+    ``texts[1]`` for True."""
+    return list(map(texts.__getitem__, values.tolist()))
+
+
+def _rule(column: Sequence[Any]) -> Callable[[Sequence[Any]], List[str]]:
+    """The cells of a block of ``column``: a float64 or bool array by its
+    dtype, a column whose cells share one type by that type's rule, any
+    other column cell by cell."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return _floats
+        if column.dtype == np.bool_:
+            return _bools
+    kinds = set(map(type, column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        return _floats
+    rule = _CELL.get(kind, _cell)
+    return lambda part: list(map(rule, part))
 
 
 def _melted(values) -> List[str]:
@@ -434,8 +483,9 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
                 long: Optional[Tuple[TextIO, str]] = None) -> None:
     """Write equal-length columns as CSV: a header line of the column
     names, then one LF-terminated row per index, formatted and written in
-    blocks of rows.  A column of one type is converted by that type's
-    rule; any other column cell by cell.
+    blocks of rows.  A float64 or bool array is converted by its dtype's
+    rule, a column of one type by that type's rule, any other column
+    (an int or object array among them) cell by cell.
 
     ``long``, an open text file and a label, also melts the table into
     that file: for each column after the first, in sorted name order, one
@@ -454,10 +504,7 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
     if len({len(column) for column in columns.values()}) > 1:
         raise ValueError("table columns differ in length")
     names, data = list(columns), list(columns.values())
-    rules = []
-    for column in data:
-        kinds = set(map(type, column))
-        rules.append(_CELL.get(kinds.pop(), _cell) if len(kinds) == 1 else _cell)
+    rules = list(map(_rule, data))
     sink, sections = None, []
     if long:
         sink, label = long
@@ -503,11 +550,13 @@ def _format_rows(data, rules, sections, start: int, stop: int) -> Iterator[str]:
     with tempfile.TemporaryFile() if sections else nullcontext() as spool:
         for lo in range(start, stop, _BLOCK):
             block = [column[lo:min(lo + _BLOCK, stop)] for column in data]
-            cells = [_floats(part) if rule is float.__repr__ else list(map(rule, part))
-                     for rule, part in zip(rules, block)]
+            cells = [rule(part) for rule, part in zip(rules, block)]
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
             for span, (j, prefix) in zip(spans, sections):
-                values = cells[j] if rules[j] is float.__repr__ else _melted(block[j])
+                rule = rules[j]
+                values = (cells[j] if rule is _floats else
+                          _bools(block[j], ("0.0", "1.0")) if rule is _bools else
+                          _melted(block[j]))
                 text = prefix + ("\n" + prefix).join(map(",".join, zip(cells[0], values)))
                 size = spool.write((text + "\n").encode("utf-8", "surrogatepass"))
                 span.append((end, size))

@@ -490,9 +490,10 @@ def stepwise_a64s_run(frames, fs, circuit, cfg):
 
 def naive_emit_csv(result, out_dir):
     """The trace CSVs and long.csv of a scenario result, written row by
-    row through the csv module: floats by repr, bools as 0/1, None as an
-    empty cell; long.csv melts every trace, signals in sorted order,
-    values as floats."""
+    row through the csv module from the traces' columns as Python values
+    (an array column through ``tolist``): floats by repr, bools as 0/1,
+    None as an empty cell; long.csv melts every trace, signals in sorted
+    order, values as floats."""
     def cell(value):
         if isinstance(value, bool):
             return int(value)
@@ -503,7 +504,8 @@ def naive_emit_csv(result, out_dir):
         long = csv.writer(long_fh, lineterminator="\n")
         long.writerow(["trace", "signal", "t", "value"])
         for scheme, trace in result.traces.items():
-            columns = trace.columns()
+            columns = {name: column.tolist() if isinstance(column, np.ndarray) else column
+                       for name, column in trace.columns().items()}
             with open(out / f"trace_{scheme}.csv", "w", newline="") as fh:
                 rows = csv.writer(fh, lineterminator="\n")
                 rows.writerow(list(columns))

@@ -11,8 +11,10 @@ import sys
 import tempfile
 import time
 import typing
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import statorguard
@@ -967,6 +969,30 @@ def test_trip_is_integer_in_trace_files_and_float_in_long_csv(emitted):
     assert {row[3] for row in rows if row[1] == "trip"} == {"0.0", "1.0"}
 
 
+def test_trace_columns_are_float_or_bool_arrays_with_the_index_times(emitted):
+    result, _ = emitted
+    for trace in result.traces.values():
+        columns = trace.columns()
+        assert {name: column.dtype for name, column in columns.items()} == {
+            name: np.bool_ if name == "trip" else np.float64 for name in columns}
+        assert columns["t"].tolist() == [i / trace.fs for i in trace.t_index]
+        assert columns["trip"].tolist() == trace.trip
+        if isinstance(trace, A64STrace):
+            assert columns["tau0_hat_ms"].tolist() == [v * 1e3 for v in trace.tau0_hat]
+            assert columns["c0_hat_uF"].tolist() == [v * 1e6 for v in trace.c0_hat]
+
+
+def test_a_hand_built_trace_writes_its_ints_as_floats_and_none_as_an_empty_cell(tmp_path):
+    trace = SchemeTrace(scheme="a64g2", fs=1000.0, sensitivity=1.0, t_index=range(2),
+                        v_p3=(1, 2.5), v_n3=(0.5, 0.5), rho_hat=[2.0, None],
+                        residual=[0.0, -0.0], operate=[0.0, 3], restraint=(1.0, 1.0),
+                        trip=[False, True])
+    a64g2.write_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text() == (
+        "t,VP3,VN3,rho_hat,residual,JAO,JAR,trip\n"
+        "0.0,1.0,0.5,2.0,0.0,0.0,1.0,0\n0.001,2.5,0.5,,-0.0,3.0,1.0,1\n")
+
+
 def test_emitted_trace_and_long_csv_match_the_naive_oracle(emitted, tmp_path):
     result, out = emitted
     oracles.naive_emit_csv(result, tmp_path)
@@ -1154,6 +1180,27 @@ def test_a_long_64g2_record_gives_the_one_process_files_when_no_child_delivers(
 def test_a_long_64g2_record_on_one_cpu_forks_no_child(tmp_path, split, one_cpu, forks):
     assert _outputs(tmp_path) == _one_process_outputs("csv")
     assert forks == []
+
+
+@pytest.mark.parametrize("pinned", [False, pytest.param(True, marks=pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity"))])
+def test_a_split_emission_hands_back_the_second_melt_in_bounded_pieces(
+        request, monkeypatch, tmp_path, split, pinned):
+    if pinned:
+        request.getfixturevalue("one_cpu")
+    monkeypatch.setattr(harness, "_PIECE", 100_000)
+    pieces = []
+    two = harness.in_two_processes
+
+    @contextmanager
+    def recording(mine, theirs):
+        with two(mine, theirs) as (result, items):
+            yield result, (pieces.append(len(item)) or item if isinstance(item, str) else item
+                           for item in items)
+
+    monkeypatch.setattr(harness, "in_two_processes", recording)
+    assert _outputs(tmp_path) == _one_process_outputs("csv")
+    assert len(pieces) > 1 and max(pieces) <= 100_000
 
 
 def test_a_short_64g2_record_forks_no_child(tmp_path, forks):
@@ -1616,6 +1663,45 @@ def test_cli_replay_with_case_twin_channels_is_config_error(cli_workspace, tmp_p
                      "--input", str(recording), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err and "'VN3' and 'vn3'" in err
+    assert not (tmp_path / "out").exists()
+
+
+# a 0.9 s record of each kind, 900 samples at 1 kHz; the label moves
+_LABELLED = {"64g2": _fault_config(),
+             "64s": {"kind": "64s", "seed": 2, "fault": {"x": 0.25, "rf": 90.0, "t_on": 0.3},
+                     "profile": {"duration": 0.9, "speed": 1.0}}}
+
+
+def _relabelled(kind, t_on):
+    config = copy.deepcopy(_LABELLED[kind])
+    config["fault"]["t_on"] = t_on
+    return config
+
+
+@pytest.mark.parametrize("kind", ["64g2", "64s"])
+def test_a_replay_labelled_past_the_records_end_is_a_config_error(kind):
+    _, channels, _ = harness.simulate_waveforms(_LABELLED[kind])
+    assert len(next(iter(channels.values()))) == 900
+    # the last sample, 0.899 s, is still a label
+    result = run_scenario(_relabelled(kind, 0.899), input_channels=channels)
+    assert "latency_samples" in next(iter(result.verdicts.values()))
+    for t_on in (0.9, 5.0):
+        with pytest.raises(ConfigError, match=rf"fault\.t_on {t_on} s lies past the end "
+                                              r"of the replayed record, which is 0\.9 s long"):
+            run_scenario(_relabelled(kind, t_on), input_channels=channels)
+
+
+@pytest.mark.parametrize("kind", ["64g2", "64s"])
+def test_cli_replay_labelled_past_the_records_end_exits_1(tmp_path, capsys, kind):
+    _, channels, _ = harness.simulate_waveforms(_LABELLED[kind])
+    recording = tmp_path / "recording.csv"
+    write_csv(recording, channels)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_relabelled(kind, 5.0)))
+    assert cli_main([f"detect-{kind}", "--config", str(path), "--input", str(recording),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "fault.t_on 5.0 s" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -265,7 +265,7 @@ def _emitted(columns, directory, in_memory=False):
     header (in_memory: into an io.StringIO, saved afterwards), and as the
     naive csv-module oracle writes them."""
     ours, naive = directory / "ours", directory / "naive"
-    ours.mkdir()
+    ours.mkdir(parents=True)
     naive.mkdir()
     with (io.StringIO() if in_memory
           else open(ours / "long.csv", "w", encoding="utf-8", newline="\n")) as sink:
@@ -474,12 +474,14 @@ _ANY_FLOAT = st.one_of(st.integers(0, 2**64 - 1).map(_float_bits), st.floats())
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_ANY_FLOAT, max_size=200), st.booleans(), st.randoms(use_true_random=False))
-def test_float_cells_are_repr(xs, edges, rnd):
+@given(st.lists(_ANY_FLOAT, max_size=200), st.booleans(), st.randoms(use_true_random=False),
+       st.booleans())
+def test_float_cells_are_repr(xs, edges, rnd, as_array):
     if edges:
         xs = xs + _EDGE_FLOATS
         rnd.shuffle(xs)
-    assert signalcore._floats(xs) == list(map(float.__repr__, xs))
+    values = np.array(xs, dtype=np.float64) if as_array else xs
+    assert signalcore._floats(values) == list(map(float.__repr__, xs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -511,6 +513,73 @@ def _edge_table(n):
 def test_edge_float_cells_match_the_naive_oracle_either_side_of_the_cutoff(tmp_path, rows):
     ours, naive = _emitted(_edge_table(rows), tmp_path)
     assert ours == naive
+
+
+def _as_arrays(columns):
+    return {name: np.asarray(column) for name, column in columns.items()}
+
+
+@pytest.mark.parametrize("rows", [signalcore._FORK_ROWS + 3, signalcore._FORK_ROWS - 3])
+def test_float_arrays_write_the_bytes_of_float_lists(tmp_path, rows):
+    """The edge values as float64 arrays (edges_or_none, holding None, as
+    an object array) write what the same values in lists write."""
+    columns = _edge_table(rows)
+    arrays = _as_arrays(columns)
+    assert [arrays[name].dtype for name in ("t", "edges", "tiny", "huge")] == [np.float64] * 4
+    ours, naive = _emitted(arrays, tmp_path / "arrays")
+    assert ours == naive == _emitted(columns, tmp_path / "lists")[0]
+
+
+def test_a_bool_array_writes_the_bytes_of_a_bool_list(tmp_path):
+    n = 3 * signalcore._BLOCK + 5
+    bits = [i % 3 == 0 or i % 7 == 0 for i in range(n)]
+    columns = {"t": [i / 1000.0 for i in range(n)], "trip": bits}
+    ours, naive = _emitted(_as_arrays(columns), tmp_path / "arrays")
+    assert ours == naive == _emitted(columns, tmp_path / "lists")[0]
+    table, long = ours
+    assert table.splitlines()[1:4] == [b"0.0,1", b"0.001,0", b"0.002,0"]
+    assert long.splitlines()[1:3] == [b"tbl,trip,0.0,1.0", b"tbl,trip,0.001,0.0"]
+
+
+def test_int_and_object_arrays_take_the_per_cell_rules(tmp_path):
+    mixed = [None, 2.5, 3, True, "4.25", -0.0]
+    columns = {"t": np.arange(6) / 4.0, "i": np.arange(-3, 3), "o": np.array(mixed, dtype=object)}
+    ours, naive = _emitted(columns, tmp_path)
+    assert ours == naive
+    assert ours[0] == (b"t,i,o\n0.0,-3,\n0.25,-2,2.5\n0.5,-1,3\n0.75,0,1\n1.0,1,4.25\n"
+                       b"1.25,2,-0.0\n")
+
+
+def test_a_column_that_is_a_strided_view_writes_its_own_values(tmp_path):
+    n = 2 * signalcore._BLOCK + 9
+    data = np.random.default_rng(5).normal(scale=1e3, size=(n, 3))
+    data[::17, 1] = 1e-7
+    data[5, 1] = math.nan
+    columns = {"t": data[:, 0], "x": data[:, 1]}
+    assert not columns["x"].flags.c_contiguous
+    ours, naive = _emitted(columns, tmp_path / "view")
+    assert ours == naive == _emitted({k: v.tolist() for k, v in columns.items()},
+                                     tmp_path / "lists")[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e6), st.integers(0, 3000), st.integers(0, 100))
+def test_sample_times_are_the_index_over_fs_bit_for_bit(fs, n, start):
+    index = range(start, start + n)
+    expected = [i / fs for i in index]
+    for given_index in (index, list(index)):
+        times = signalcore._seconds(given_index, fs)
+        assert times.dtype == np.float64 and times.tolist() == expected
+
+
+def test_a_trace_column_is_read_as_floats_unless_a_value_is_no_number():
+    numbers = signalcore._float_column((1.5, 2, True, np.float64(0.25)))
+    assert numbers.dtype == np.float64 and numbers.tolist() == [1.5, 2.0, 1.0, 0.25]
+    nan = signalcore._float_column([math.nan, 1.0])
+    assert nan.dtype == np.float64 and math.isnan(nan[0]) and nan[1] == 1.0
+    for values in ([1.5, None], [0.5, _Unprintable()]):
+        column = signalcore._float_column(values)
+        assert column.dtype == object and column.tolist() == values
 
 
 def test_ingest_rejects_nonuniform_time(tmp_path):
