@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,21 +85,28 @@ class Calibration64RAT:
         return self.beta_ng**2
 
 
-def _kaf_step(rho_hat: float, variance: float, process_noise: float,
-              measurement_noise: float, v_p3: float, v_n3: float) -> Tuple[float, float, float]:
-    """One ratio-filter step on a valid frame's terminal and neutral
-    magnitudes; returns the new ratio, the new variance and the
-    innovation (measured neutral magnitude minus prediction).
+def _kaf_track(rho_hat: float, variance: float, process_noise: float, measurement_noise: float,
+               v_p3: Sequence[float], v_n3: Sequence[float], ratios: List[float],
+               residuals: List[float]) -> float:
+    """The ratio filter stepped over valid frames' terminal and neutral
+    magnitudes, one step per frame on Python floats; appends each step's
+    new ratio and innovation (measured neutral magnitude minus
+    prediction) to ratios and residuals, and returns the last variance.
+    A step that raises leaves the lists holding the steps before it.
 
     Variance is propagated first, then the gain is formed from the
     updated variance; a zero terminal magnitude degenerates gracefully
     (no correction, variance grows by the process noise).
     """
-    variance = (variance * measurement_noise / (measurement_noise + variance * v_p3**2)
-                + process_noise)
-    gain = variance * v_p3 / measurement_noise
-    residual = v_n3 - rho_hat * v_p3
-    return rho_hat + gain * residual, variance, residual
+    add_ratio, add_residual = ratios.append, residuals.append
+    for vp, vn in zip(v_p3, v_n3):
+        variance = (variance * measurement_noise / (measurement_noise + variance * vp**2)
+                    + process_noise)
+        residual = vn - rho_hat * vp
+        rho_hat += variance * vp / measurement_noise * residual
+        add_ratio(rho_hat)
+        add_residual(residual)
+    return variance
 
 
 @dataclass
@@ -141,28 +148,65 @@ class SchemeTrace:
                 "VN3": a(self.v_n3), "rho_hat": a(self.rho_hat), "residual": a(self.residual),
                 "JAO": a(self.operate), "JAR": a(self.restraint), "trip": np.asarray(self.trip)}
 
-    def without_record(self) -> "SchemeTrace":
-        """A copy holding only what the scheme computed: the columns its
-        record gives (t_index, the frames' v_p3, v_n3 and valid, and the
-        restraint column) are left empty, for with_record to put back."""
-        return replace(self, t_index=range(0), v_p3=(), v_n3=(), valid=(), restraint=())
-
-    def with_record(self, frames: HarmonicFrames, restraint: Sequence[float]) -> "SchemeTrace":
-        """This trace, given the columns of its record: the frames and
-        their restraint column."""
-        self.t_index = range(len(frames))
-        self.v_p3, self.v_n3, self.valid = frames.v_p3, frames.v_n3, frames.valid
-        self.restraint = restraint
-        return self
-
     def margin(self) -> float:
         """Largest operate/(sensitivity*restraint) over the frames with a
         positive restraint; > 1 means the trip inequality was crossed at
-        least once.  The scheme loop tracks it in margin_peak, and the
+        least once.  The scheme run records it in margin_peak, and the
         first frame that reaches it in margin_index (None while it is 0).
         It is infinite when the quotient overflows, as it does when
         sensitivity*restraint underflows to 0 or the operate energy to inf."""
         return self.margin_peak
+
+
+def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
+    """``math.fsum`` of every full window of ``width`` consecutive values
+    (non-negative, NaN or inf), oldest first, bit for bit.
+
+    A TwoSum pass (Knuth; Ogita, Rump & Oishi 2005) over ``width - 1``
+    shifted views gives each window's rounded sum s and its exact
+    rounding errors, summed into c.  r = s + c is the correctly rounded
+    sum where it lies clearly inside its rounding interval: where
+    |(s - r) + c| is below half the gap under r (the smaller gap, at a
+    power of two) by more than 2**-20 of it, far more than c's own
+    error.  Every other window (a near tie, a subnormal sum, a NaN, an
+    inf or an overflow) is summed again by ``math.fsum``, in order, so
+    it returns or raises what fsum always has."""
+    count = len(values) - width + 1
+    if count <= 0:
+        return np.zeros(0)
+    with np.errstate(all="ignore"):
+        s, c = values[:count].copy(), np.zeros(count)
+        t, z, e = np.empty(count), np.empty(count), np.empty(count)
+        for k in range(1, width):
+            x = values[k:k + count]
+            # t = s + x, and its rounding error (s - (t - z)) + (x - z)
+            np.add(s, x, out=t)
+            np.subtract(t, s, out=z)
+            np.subtract(t, z, out=e)
+            np.subtract(s, e, out=e)
+            np.subtract(x, z, out=z)
+            e += z
+            c += e
+            s, t = t, s
+        r = s + c
+        np.subtract(s, r, out=z)
+        z += c
+        np.nextafter(r, 0.0, out=e)
+        np.subtract(r, e, out=e)
+        e *= 0.5 - 2.0**-21
+        exact = np.abs(z, out=z) < e
+    for j in np.flatnonzero(~exact).tolist():
+        r[j] = math.fsum(values[j:j + width].tolist())
+    return r
+
+
+def _by_frame(values: Sequence[float], index: np.ndarray, fill: float) -> List[float]:
+    """A per-frame column from one value per valid frame: values[k - 1]
+    where index holds k, fill where it holds 0.  The floats of a list are
+    shared, not copied; an array's values become floats once each."""
+    table = np.empty(len(values) + 1, dtype=object if isinstance(values, list) else float)
+    table[0], table[1:] = fill, values
+    return table[index].tolist()
 
 
 def restraint_column(frames: HarmonicFrames, window: int) -> Tuple[float, ...]:
@@ -170,25 +214,20 @@ def restraint_column(frames: HarmonicFrames, window: int) -> Tuple[float, ...]:
     squared neutral magnitudes of the last window+1 valid frames, repeated
     on invalid frames.  It depends only on the frames and the window, so
     both ratio schemes of one record can share it."""
-    fsum = math.fsum
-    vn3_sq: Deque[float] = deque(maxlen=window + 1)
-    push = vn3_sq.append
-    jar = 0.0
-    column: List[float] = []
-    append = column.append
-    for vn, ok in zip(frames.v_n3, frames.valid):
-        if ok:
-            push(vn * vn)
-            jar = fsum(vn3_sq)
-        append(jar)
-    return tuple(column)
+    counts = np.cumsum(np.fromiter(frames.valid, bool, len(frames)))
+    squares = np.zeros(window + (int(counts[-1]) if len(counts) else 0))
+    squares[window:] = np.fromiter(compress(frames.v_n3, frames.valid), float,
+                                   len(squares) - window)
+    with np.errstate(over="ignore"):
+        squares *= squares
+    return tuple(_by_frame(_window_sums(squares, window + 1), counts, 0.0))
 
 
 def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
-             kaf: Optional[Tuple[float, float, float]], frames: HarmonicFrames,
-             restraint: Sequence[float]) -> None:
-    """Run a ratio scheme over checked frames and their restraint column,
-    filling a fresh trace with one row per frame and its margin.
+             kaf: Optional[Tuple[float, float, float]], restraint: np.ndarray) -> None:
+    """Run a ratio scheme over the record a fresh trace holds (its frames,
+    and their restraint column, given here as an array too), filling in
+    the computed columns and the margin.
 
     kaf holds the adaptive scheme's filter settings (process noise,
     measurement noise, initial variance); the filter starts at the first
@@ -197,57 +236,63 @@ def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
     ``ratio``.  Invalid frames are recorded with the last ratio and
     energies but do not advance the filter, the operate window (the
     squared residuals of the last L+1 valid frames), or the trip logic.
+    Only the filter steps one frame at a time, on Python floats.
     """
-    window, sensitivity, hold = cfg.window, cfg.sensitivity, cfg.hold
-    if kaf is not None:
-        process_noise, measurement_noise, initial_variance = kaf
-    rho_hat = variance = None
-    residual_sq: Deque[float] = deque(maxlen=window + 1)
-    t = streak = 0
-    tripped = False
-    peak, peak_index = 0.0, None
-    fsum = math.fsum
-    rho = ratio or 0.0
-    jao = 0.0
-    push_residual = residual_sq.append
-    rho_col, residual_col, operate_col, trip_col = (
-        col.append for col in (trace.rho_hat, trace.residual, trace.operate, trace.trip))
-    for idx, vp, vn, ok, jar in zip(range(len(frames)), frames.v_p3, frames.v_n3,
-                                    frames.valid, restraint):
-        residual = 0.0
-        if ok:
-            if kaf is None:
-                residual = vn - ratio * vp
-            else:
-                if rho_hat is None:
-                    rho_hat = ratio if ratio is not None else vn / vp if vp > 0 else 0.5
-                    variance = initial_variance
-                rho_hat, variance, residual = _kaf_step(
-                    rho_hat, variance, process_noise, measurement_noise, vp, vn)
-                rho = rho_hat
-            t += 1
-            push_residual(residual * residual)
-            if t > window:
-                jao = fsum(residual_sq)
-            floor = sensitivity * jar
-            if not tripped:
-                streak = streak + 1 if jao > floor else 0
-                tripped = streak >= hold
-            # invalid frames repeat these energies, so only a valid frame
-            # can raise the margin
-            if jar > 0.0:
-                try:
-                    margin = jao / floor
-                except ZeroDivisionError:
-                    margin = math.inf
-                if margin > peak:
-                    peak, peak_index = margin, idx
-        rho_col(rho)
-        residual_col(residual)
-        operate_col(jao)
-        trip_col(tripped)
-    trace.with_record(frames, restraint)
-    trace.margin_peak, trace.margin_index = peak, peak_index
+    window, n, valid = cfg.window, len(trace.t_index), trace.valid
+    is_valid = np.fromiter(valid, bool, n)
+    counts = np.cumsum(is_valid)
+    m = int(counts[-1]) if n else 0
+    if kaf is None:
+        trace.rho_hat = [ratio] * n
+        v_p3, v_n3 = (np.fromiter(compress(column, valid), float, m)
+                      for column in (trace.v_p3, trace.v_n3))
+        with np.errstate(all="ignore"):
+            residual = v_n3 - ratio * v_p3
+    else:
+        rho_hat = ratio
+        if rho_hat is None and m:
+            first = valid.index(True)
+            vp, vn = trace.v_p3[first], trace.v_n3[first]
+            rho_hat = vn / vp if vp > 0 else 0.5
+        ratios: List[float] = []
+        residuals: List[float] = []
+        try:
+            _kaf_track(rho_hat, kaf[2], kaf[0], kaf[1], compress(trace.v_p3, valid),
+                       compress(trace.v_n3, valid), ratios, residuals)
+        except OverflowError:
+            # one frame at a time, the operate windows of the frames
+            # before this one were summed first, and may have overflowed
+            with np.errstate(over="ignore"):
+                _window_sums(np.square(residuals), window + 1)
+            raise
+        trace.rho_hat = _by_frame(ratios, counts, ratio or 0.0)
+        residual = residuals
+    operate, jar = np.zeros(m), restraint[is_valid]
+    with np.errstate(all="ignore"):
+        squares = np.square(residual)
+        operate[window:] = _window_sums(squares, window + 1)
+        floor = cfg.sensitivity * jar
+        # the trip latches at the first valid frame ending a run of hold
+        # valid frames whose operate energy exceeds the floor
+        run = np.arange(1, m + 1)
+        last = np.where(operate > floor, 0, run)
+        run -= np.maximum.accumulate(last, out=last)
+        margin = operate / floor
+    hits = np.flatnonzero(run >= cfg.hold)
+    # the frame of valid frame k (from 0) is the first whose count exceeds k
+    first = int(np.searchsorted(counts, hits[0] + 1)) if len(hits) else n
+    # a floor that underflows to 0 makes the margin infinite; a NaN margin,
+    # or a frame without restraint, never raises it
+    margin[floor == 0.0] = math.inf
+    margin[np.isnan(margin) | ~(jar > 0.0)] = 0.0
+    if m:
+        peak = int(np.argmax(margin))
+        if margin[peak] > 0.0:
+            trace.margin_peak = float(margin[peak])
+            trace.margin_index = int(np.searchsorted(counts, peak + 1))
+    trace.residual = _by_frame(residual, counts * is_valid, 0.0)
+    trace.operate = _by_frame(operate, counts, 0.0)
+    trace.trip = [False] * first + [True] * (n - first)
 
 
 def calibrate_64rat(
@@ -292,16 +337,24 @@ class _RatioDetector:
         """Trace of the scheme over a record sampled at fs frames per
         second.  restraint is the record's restraint_column(frames,
         self.cfg.window), built here when None; a caller running both
-        schemes on one record builds it once."""
+        schemes on one record builds it once.  A given column must be
+        finite and >= 0."""
         if not 0.0 < fs < math.inf:
             raise ValueError(f"fs must be positive and finite, got {fs!r}")
-        restraint = (restraint_column(frames, self.cfg.window) if restraint is None
-                     else tuple(restraint))
+        given = restraint is not None
+        restraint = tuple(restraint) if given else restraint_column(frames, self.cfg.window)
         if len(restraint) != len(frames):
             raise ValueError("the restraint column must have one value per frame")
+        jar = np.fromiter(restraint, float, len(restraint))
+        # a NaN or infinite restraint would blind the scheme, a negative one trip it
+        bad = np.flatnonzero(~((jar >= 0.0) & (jar < math.inf))) if given else ()
+        if len(bad):
+            raise ValueError(f"restraint must be finite and >= 0, got {restraint[bad[0]]!r} "
+                             f"at frame {bad[0]}")
         trace = SchemeTrace(scheme=self.scheme, fs=fs, sensitivity=self.cfg.sensitivity,
-                            onset_index=onset_index)
-        _advance(trace, self.cfg, self._ratio, self._kaf, frames, restraint)
+                            t_index=range(len(frames)), v_p3=frames.v_p3, v_n3=frames.v_n3,
+                            restraint=restraint, valid=frames.valid, onset_index=onset_index)
+        _advance(trace, self.cfg, self._ratio, self._kaf, jar)
         return trace
 
 

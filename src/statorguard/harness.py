@@ -553,11 +553,7 @@ def _onset_index(fault: Optional[FaultSpec], ts: TimeSeries, replay: bool) -> Op
 
 def _run_64g2(scenario: _Scenario, name: str,
               input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
-    """Both ratio schemes, or the one the config selects, on one record.
-    On a record of at least ``_FORK_ROWS`` frames the fixed scheme runs in
-    a child by ``in_two_processes``, which hands back only the columns it
-    computed, while the adaptive scheme and its verdict run here; so the
-    adaptive scheme's error is raised first, as in one process."""
+    """Both ratio schemes, or the one the config selects, on one record."""
     det_cfg = scenario.detector
     detectors = [scenario.kaf] if "adaptive" in scenario.schemes else []
     if "fixed" in scenario.schemes:
@@ -566,28 +562,16 @@ def _run_64g2(scenario: _Scenario, name: str,
             detectors.append(FixedRatioDetector.from_calibration(
                 calibration, window=det_cfg.window, persistence=det_cfg.persistence))
     sim = _scenario_64g2(scenario, input_channels)
-    # both schemes read one restraint column; building it checks the magnitudes
+    # both schemes read one restraint column
     restraint = restraint_column(sim.frames, det_cfg.window)
 
     verdicts: Dict[str, Dict[str, Any]] = {}
     traces: Dict[str, Any] = {}
-
-    def run(detector) -> SchemeTrace:
-        return detector.run(sim.frames, sim.fs, onset_index=sim.onset_index,
-                            restraint=restraint)
-
-    def judge(trace: SchemeTrace) -> None:
+    for detector in detectors:
+        trace = detector.run(sim.frames, sim.fs, onset_index=sim.onset_index,
+                             restraint=restraint)
         verdicts[trace.scheme] = _verdict_64g2(trace)
         traces[trace.scheme] = trace
-
-    if len(detectors) == 2 and len(sim.frames) >= signalcore._FORK_ROWS:
-        adaptive, fixed = detectors
-        with in_two_processes(lambda: judge(run(adaptive)),
-                              lambda: [run(fixed).without_record()]) as (_, theirs):
-            judge(next(theirs).with_record(sim.frames, restraint))
-    else:
-        for detector in detectors:
-            judge(run(detector))
     if "ng64g2" in verdicts:
         verdicts["ng64g2"]["calibration"] = {"ratio": calibration.ratio,
                                              "beta_ng": calibration.beta_ng}

@@ -33,7 +33,6 @@ import orjson
 __all__ = [
     "TimeSeries",
     "PhasorSeries",
-    "synth_waveform",
     "extract_phasor",
     "reconstruct_narrowband",
     "ingest_csv",
@@ -92,55 +91,6 @@ class PhasorSeries:
 
     def __len__(self) -> int:
         return len(self.magnitude)
-
-    def complex_values(self) -> np.ndarray:
-        """Frames as complex phasors magnitude*exp(j*phase)."""
-        return self.magnitude * np.exp(1j * self.phase)
-
-
-def synth_waveform(
-    tones: Sequence[Tuple[float, float, float]],
-    fs: float,
-    duration: float,
-    noise_std: float = 0.0,
-    seed: Optional[int] = None,
-    t0: float = 0.0,
-) -> TimeSeries:
-    """Sum of cosine tones plus white Gaussian noise.
-
-    Args:
-        tones: iterable of (freq_hz, amplitude, phase_rad); each tone is
-            amplitude*cos(2*pi*freq*t + phase) evaluated at absolute time.
-        fs: sample rate, must exceed twice the highest tone frequency.
-        duration: length in seconds; the sample count is round(duration*fs).
-        noise_std: standard deviation of additive white Gaussian noise.
-        seed: RNG seed for the noise; ignored when noise_std == 0.
-    """
-    if not fs > 0:
-        raise ValueError(f"fs must be positive, got {fs}")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
-    tones = list(tones)
-    for f, _, _ in tones:
-        if f < 0:
-            raise ValueError(f"tone frequency must be >= 0, got {f}")
-        if fs <= 2.0 * f:
-            raise ValueError(
-                f"fs={fs} cannot represent a {f} Hz tone (needs fs > {2 * f})"
-            )
-    n = int(round(duration * fs))
-    if n < 1:
-        raise ValueError("duration too short for one sample")
-    t = t0 + np.arange(n) / fs
-    x = np.zeros(n)
-    for f, amp, ph in tones:
-        x += amp * np.cos(2.0 * np.pi * f * t + ph)
-    if noise_std > 0:
-        rng = np.random.default_rng(seed)
-        x = x + rng.normal(0.0, noise_std, size=n)
-    return TimeSeries(fs=fs, t0=t0, samples=x)
 
 
 def _snap_window(target: float, f0: float, fs: float) -> int:
@@ -389,17 +339,15 @@ _CELL = {float: float.__repr__, bool: int.__repr__, int: int.__repr__, str: _tex
 _BLOCK = 1024
 
 # Tables with at least this many rows are formatted by two processes, and
-# harness splits a 64G2 record of this many frames, and its two trace
-# files, the same way.  Measured on two vCPUs in a 64 MB process holding
-# a 60 s replay's result, best of 11, serial against split: one 64G2
-# trace with its long.csv melt 44.0 against 50.4 ms at 16,384 rows, 57.4
-# against 59.2 at 20,480, 82.0 against 71.9 at 32,768; both ratio
-# schemes 45.8 against 50.5 ms at 16,384 frames, 66.3 against 65.1 at
-# 20,480; both trace files with long.csv 67.2 against 58.0 ms at 12,288
-# rows, 127 against 97 at 24,576.  The lone table and the schemes break
-# even between 20,000 and 24,576 (an earlier run put both nearer
-# 24,576); the trace files win from 12,000 rows.  One size serves all
-# three.
+# harness writes a 64G2 record's two trace files of this many rows the
+# same way.  Measured on two vCPUs in a 64 MB process holding a 60 s
+# replay's result, best of 11, serial against split: one 64G2 trace with
+# its long.csv melt 44.0 against 50.4 ms at 16,384 rows, 57.4 against
+# 59.2 at 20,480, 82.0 against 71.9 at 32,768; both trace files with
+# long.csv 67.2 against 58.0 ms at 12,288 rows, 127 against 97 at
+# 24,576.  The lone table breaks even between 20,000 and 24,576 rows (an
+# earlier run put it nearer 24,576); the trace files win from 12,000
+# rows.  One size serves both.
 _FORK_ROWS = 24576
 
 

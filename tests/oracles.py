@@ -11,12 +11,65 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
+from typing import Optional, Sequence, Tuple
+
 import numpy as np
 import scipy.signal
 import scipy.sparse
 import scipy.sparse.linalg
 
 from statorguard.a64s import HEALTHY_SENTINEL, CalibrationError, locate_fault
+from statorguard.signalcore import TimeSeries
+
+
+def synth_waveform(
+    tones: Sequence[Tuple[float, float, float]],
+    fs: float,
+    duration: float,
+    noise_std: float = 0.0,
+    seed: Optional[int] = None,
+    t0: float = 0.0,
+) -> TimeSeries:
+    """Sum of cosine tones plus white Gaussian noise.
+
+    Args:
+        tones: iterable of (freq_hz, amplitude, phase_rad); each tone is
+            amplitude*cos(2*pi*freq*t + phase) evaluated at absolute time.
+        fs: sample rate, must exceed twice the highest tone frequency.
+        duration: length in seconds; the sample count is round(duration*fs).
+        noise_std: standard deviation of additive white Gaussian noise.
+        seed: RNG seed for the noise; ignored when noise_std == 0.
+    """
+    if not fs > 0:
+        raise ValueError(f"fs must be positive, got {fs}")
+    if duration <= 0:
+        raise ValueError(f"duration must be positive, got {duration}")
+    if noise_std < 0:
+        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    tones = list(tones)
+    for f, _, _ in tones:
+        if f < 0:
+            raise ValueError(f"tone frequency must be >= 0, got {f}")
+        if fs <= 2.0 * f:
+            raise ValueError(
+                f"fs={fs} cannot represent a {f} Hz tone (needs fs > {2 * f})"
+            )
+    n = int(round(duration * fs))
+    if n < 1:
+        raise ValueError("duration too short for one sample")
+    t = t0 + np.arange(n) / fs
+    x = np.zeros(n)
+    for f, amp, ph in tones:
+        x += amp * np.cos(2.0 * np.pi * f * t + ph)
+    if noise_std > 0:
+        rng = np.random.default_rng(seed)
+        x = x + rng.normal(0.0, noise_std, size=n)
+    return TimeSeries(fs=fs, t0=t0, samples=x)
+
+
+def complex_values(phasors):
+    """A PhasorSeries' frames as complex phasors magnitude*exp(j*phase)."""
+    return phasors.magnitude * np.exp(1j * phasors.phase)
 
 
 def dense_ladder_solve(e3, cs, ct, r_ground, segments, alpha,
@@ -225,6 +278,14 @@ def naive_ratio_run(v_p3, v_n3, valid, window, sensitivity, hold, ratio=None, ka
     return out
 
 
+def margin_at(operate, floor):
+    """operate/floor, infinite where the floor underflowed to 0."""
+    try:
+        return operate / floor
+    except ZeroDivisionError:
+        return math.inf
+
+
 def naive_margin(trace):
     """A ratio-scheme trace's margin as a post-pass over its operate and
     restraint columns: the largest operate/(sensitivity*restraint) over
@@ -233,7 +294,7 @@ def naive_margin(trace):
     for jao, jar in zip(trace.operate, trace.restraint):
         if jar <= 0.0:
             continue
-        worst = max(worst, jao / (trace.sensitivity * jar))
+        worst = max(worst, margin_at(jao, trace.sensitivity * jar))
     return worst
 
 

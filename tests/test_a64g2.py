@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -43,10 +44,18 @@ def _frames(rows):
 
 # ------------------------------------------------------------- ratio KAF
 
+def _kaf_step(rho_hat, variance, process_noise, measurement_noise, v_p3, v_n3):
+    """One frame of a64g2._kaf_track: the new ratio, variance and innovation."""
+    ratios, residuals = [], []
+    variance = a64g2._kaf_track(rho_hat, variance, process_noise, measurement_noise,
+                                [v_p3], [v_n3], ratios, residuals)
+    return ratios[0], variance, residuals[0]
+
+
 def test_kaf_update_worked_example():
     """One update from (rho=1, P=1, Q=0, R=1) on a frame (VP=1, VN=2)
     gives exactly P=0.5, K=0.5, rho=1.5."""
-    rho_hat, variance, residual = a64g2._kaf_step(1.0, 1.0, 0.0, 1.0, 1.0, 2.0)
+    rho_hat, variance, residual = _kaf_step(1.0, 1.0, 0.0, 1.0, 1.0, 2.0)
     assert variance == 0.5
     assert residual == 1.0
     assert rho_hat == 1.5
@@ -56,7 +65,7 @@ def test_kaf_update_rejects_invalid_frames(monkeypatch):
     """A negative magnitude is refused where its frames are built, so
     neither the ratio filter nor the restraint column takes it in."""
     steps = []
-    monkeypatch.setattr(a64g2, "_kaf_step", lambda *args: steps.append(args))
+    monkeypatch.setattr(a64g2, "_kaf_track", lambda *args: steps.append(args))
     rows = [_frame(0, -1.0, 1.0)] + [_frame(i, 1.0, 1.0) for i in range(1, 5)]
     with pytest.raises(ValueError, match="finite and >= 0"):
         AdaptiveRatioDetector().run(_frames(rows), fs=1000.0)
@@ -68,7 +77,7 @@ def test_kaf_update_rejects_invalid_frames(monkeypatch):
 def test_kaf_zero_terminal_voltage_is_inert():
     """A zero regressor cannot move the estimate and only grows the
     variance by the process noise."""
-    rho_hat, variance, residual = a64g2._kaf_step(0.7, 2.0, 0.1, 1.0, 0.0, 5.0)
+    rho_hat, variance, residual = _kaf_step(0.7, 2.0, 0.1, 1.0, 0.0, 5.0)
     assert rho_hat == 0.7
     assert variance == pytest.approx(2.1)
     assert residual == 5.0
@@ -88,7 +97,7 @@ def test_kaf_with_zero_process_noise_equals_batch_least_squares(seed, rho_true, 
     vps = rng.uniform(0.5, 10.0, size=n_steps)
     rho_hat, variance = 0.0, 4.0
     for vp in vps:
-        rho_hat, variance, _ = a64g2._kaf_step(rho_hat, variance, 0.0, 2.5,
+        rho_hat, variance, _ = _kaf_step(rho_hat, variance, 0.0, 2.5,
                                                float(vp), float(rho_true * vp))
     want_err = oracles.batch_scalar_rls_error(0.0 - rho_true, vps, 4.0, 2.5)
     assert rho_hat - rho_true == pytest.approx(want_err, abs=1e-9)
@@ -101,7 +110,7 @@ def test_kaf_variance_stays_positive_and_monotone_without_process_noise(seed):
     rho_hat, variance = 0.5, 1.0
     for i in range(50):
         prev = variance
-        rho_hat, variance, _ = a64g2._kaf_step(
+        rho_hat, variance, _ = _kaf_step(
             rho_hat, variance, 0.0, 1e-4,
             float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)))
         assert 0.0 < variance <= prev + 1e-15
@@ -116,8 +125,8 @@ def test_kaf_scale_invariance():
     for c in (0.1, 3.0, 17.0):
         base = scaled = (0.5, 1.0)
         for vp, vn in frames:
-            *base, r_base = a64g2._kaf_step(*base, 1e-8, 1e-4, vp, vn)
-            *scaled, r_scaled = a64g2._kaf_step(*scaled, 1e-8, 1e-4 * c * c, c * vp, c * vn)
+            *base, r_base = _kaf_step(*base, 1e-8, 1e-4, vp, vn)
+            *scaled, r_scaled = _kaf_step(*scaled, 1e-8, 1e-4 * c * c, c * vp, c * vn)
             assert scaled[0] == pytest.approx(base[0], rel=1e-12)
             assert r_scaled == pytest.approx(c * r_base, rel=1e-9)
 
@@ -247,20 +256,27 @@ def test_ratio_schemes_match_naive_oracle_exactly(record, cfg, settings):
     assert (trace.v_p3, trace.v_n3, trace.valid) == (frames.v_p3, frames.v_n3, frames.valid)
 
 
-_magnitude = st.floats(min_value=0.0, max_value=10.0)
+# from subnormal to about 1e150, whose squares still sum without overflow
+_magnitude = st.floats(min_value=0.0, max_value=1e150)
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def _settings(draw):
+    window = draw(st.integers(min_value=2, max_value=20))
+    return DetectorConfig(window=window, persistence=draw(st.integers(1, window)))
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     fixed=st.booleans(),
+    cfg=_settings(),
     prefix=st.integers(min_value=1, max_value=8),
     middle=st.lists(st.tuples(_magnitude, _magnitude, st.booleans()), min_size=1, max_size=60),
 )
-def test_run_matches_naive_oracle_in_every_column_margin_and_peak(fixed, prefix, middle):
+def test_run_matches_naive_oracle_in_every_column_margin_and_peak(fixed, cfg, prefix, middle):
     """The batch run equals the longhand oracle in every column, margin
     and peak frame included: an all-invalid prefix (zero restraint),
     invalid frames in the middle, and a sustained deviation that trips."""
-    cfg = DetectorConfig()
     if fixed:
         detector, kaf = FixedRatioDetector(ratio=1.0, cfg=cfg), None
     else:
@@ -281,9 +297,114 @@ def test_run_matches_naive_oracle_in_every_column_margin_and_peak(fixed, prefix,
     assert trace.margin() == peak
     # an invalid frame repeats an earlier frame's energies, so the first
     # frame at the peak is a valid one
-    ratios = [jao / (cfg.sensitivity * jar) if jar > 0.0 else 0.0
+    ratios = [oracles.margin_at(jao, cfg.sensitivity * jar) if jar > 0.0 else 0.0
               for jao, jar in zip(trace.operate, trace.restraint)]
     assert trace.margin_index == ratios.index(peak)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.one_of(_magnitude, st.floats(0.0, 1e300), st.sampled_from(
+    [0.0, 1.0, 0.25, 2.0**-54, 2.0**-53, 5e-324, 1e-320])), max_size=40),
+    width=st.integers(1, 21))
+def test_window_sums_equal_fsum_of_every_window(values, width):
+    got = a64g2._window_sums(np.array(values, dtype=float), width)
+    want = [math.fsum(values[j:j + width]) for j in range(len(values) - width + 1)]
+    assert got.tolist() == want
+
+
+def _counted_fsum(monkeypatch):
+    """The windows math.fsum sums from now on."""
+    calls = []
+    fsum = math.fsum
+
+    def counted(values):
+        calls.append(list(values))
+        return fsum(calls[-1])
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return calls
+
+
+def test_a_window_that_lands_on_a_rounding_tie_is_summed_by_fsum(monkeypatch):
+    """1 + 0.25 + 2**-54 + 2**-54 lies halfway between 1.25 and the next
+    float, where TwoSum's own sum cannot say which way the rounding goes:
+    of the record's restraint windows only that one goes to fsum."""
+    tiny = 2.0**-27
+    frames = _frames([_frame(i, 1.0, vn) for i, vn in enumerate([1.0, 0.5, tiny, tiny])])
+    calls = _counted_fsum(monkeypatch)
+    column = restraint_column(frames, 3)
+    assert calls == [[1.0, 0.25, 2.0**-54, 2.0**-54]]
+    assert column == (1.0, 1.25, 1.25, 1.25)
+    assert list(column) == oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid,
+                                                   3, 0.005, 3, ratio=1.0)["restraint"]
+
+
+def test_a_sum_near_a_tie_under_a_power_of_two_is_summed_by_fsum(monkeypatch):
+    """The exact sum 1 - 2**-54 - 2**-108 lies just under the midpoint
+    between 1 - 2**-53 and 1, and rounds down; TwoSum's error sum loses
+    the 2**-108 and lands on the midpoint, whose rounding goes up to 1.
+    Under a power of two the gap below is half the gap above, and only
+    the gap below shows that this window is a near tie."""
+    values = [0.5, 0.5 - 2.0**-53, 2.0**-55 - 2.0**-108, 2.0**-55]
+    calls = _counted_fsum(monkeypatch)
+    assert a64g2._window_sums(np.array(values), 4).tolist() == [1.0 - 2.0**-53]
+    assert calls == [values]
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("channel", ["v_p3", "v_n3"])
+@pytest.mark.parametrize("magnitude", [1e154, 1e155, 1e200])
+def test_an_overflowing_energy_raises_what_the_oracle_raises(fixed, channel, magnitude):
+    """A window of squares that overflows raises fsum's OverflowError; a
+    terminal magnitude whose square overflows raises the filter's; any
+    other overflow runs on to the oracle's inf and NaN energies."""
+    cfg = DetectorConfig(window=3, persistence=2)
+    rows = [(1.0, 1.2)] * 6 + [(magnitude, 1.2) if channel == "v_p3" else (1.0, magnitude)] * 2
+    rows += [(1.0, 1.2)] * 6
+    frames = _frames([_frame(i, *row) for i, row in enumerate(rows)])
+    kaf = None if fixed else (1e-8, 1e-4, 1.0)
+    detector = (FixedRatioDetector(ratio=1.2, cfg=cfg) if fixed
+                else AdaptiveRatioDetector(cfg=cfg, rho0=1.2))
+    try:
+        want = oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid, cfg.window,
+                                       cfg.sensitivity, cfg.hold, ratio=1.2, kaf=kaf)
+    except ArithmeticError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            detector.run(frames, fs=1000.0)
+        return
+    trace = detector.run(frames, fs=1000.0)
+    for name, column in want.items():
+        np.testing.assert_array_equal(getattr(trace, name), column, err_msg=name)
+
+
+def test_an_operate_window_that_overflows_raises_before_a_later_filter_overflow():
+    """Frame 2's operate window overflows fsum, and frame 3's terminal
+    magnitude squares past the float range in the ratio filter; frame by
+    frame, the window's error comes first."""
+    rows = [(1.0, 7e153), (1.0, 5e153), (1.0, 7e153), (1e155, 0.0), (1.0, 1.0)]
+    frames = _frames([_frame(i, *row) for i, row in enumerate(rows)])
+    cfg = DetectorConfig(window=2)
+    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+        oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid, cfg.window,
+                                cfg.sensitivity, cfg.hold, ratio=1.2, kaf=(1e-4, 1e-4, 1.0))
+    detector = AdaptiveRatioDetector(cfg=cfg, process_noise=1e-4, rho0=1.2)
+    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+        detector.run(frames, fs=1000.0)
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "adaptive"])
+def test_a_record_without_a_valid_frame_matches_the_oracle(fixed):
+    cfg = DetectorConfig(window=3)
+    frames = _frames([_frame(i, 1.0 + i, 2.0, False) for i in range(8)])
+    detector = FixedRatioDetector(ratio=1.2, cfg=cfg) if fixed else AdaptiveRatioDetector(cfg=cfg)
+    trace = detector.run(frames, fs=1000.0)
+    want = oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid, cfg.window,
+                                   cfg.sensitivity, cfg.hold, ratio=1.2 if fixed else None,
+                                   kaf=None if fixed else (1e-8, 1e-4, 1.0))
+    for name, column in want.items():
+        assert list(getattr(trace, name)) == column, name
+    assert trace.rho_hat == [1.2 if fixed else 0.0] * 8
+    assert (trace.margin(), trace.margin_index, trace.first_trip_index) == (0.0, None, None)
 
 
 def test_margin_index_is_the_first_frame_at_the_peak():
@@ -331,6 +452,31 @@ def test_run_reads_a_given_restraint_column():
             frames, fs=1000.0)
         with pytest.raises(ValueError, match="one value per frame"):
             detector.run(frames, fs=1000.0, restraint=restraint[:-1])
+
+
+@functools.cache
+def _bolted_terminal_fault():
+    return simulate_64g2_scenario(MachineConfig(), FaultSpec(x=0.0, rf=50.0, t_on=0.5),
+                                  duration=1.0, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("scheme", ["adaptive", "fixed"])
+def test_run_refuses_a_restraint_column_that_is_not_finite_and_non_negative(scheme, bad):
+    """A NaN or infinite column used to blind the scheme (a bolted
+    terminal fault reported no trip and margin 0.0), a negative one to
+    trip it with margin 0.0; the column is refused, by name and frame."""
+    sim = _bolted_terminal_fault()
+    detector = AdaptiveRatioDetector() if scheme == "adaptive" else FixedRatioDetector(ratio=1.2)
+    restraint = list(restraint_column(sim.frames, 12))
+    own = detector.run(sim.frames, sim.fs, restraint=restraint)
+    assert own.tripped and own.margin() > 100.0
+    restraint[600] = bad
+    with pytest.raises(ValueError, match=rf"^restraint must be finite and >= 0, got "
+                                         rf"{bad!r} at frame 600$"):
+        detector.run(sim.frames, sim.fs, restraint=restraint)
+    with pytest.raises(ValueError, match="^restraint must be finite and >= 0"):
+        detector.run(sim.frames, sim.fs, restraint=[bad] * len(sim.frames))
 
 
 @pytest.mark.parametrize("sensitivity", [math.nan, math.inf, 1e-320, 0.0, -0.1])

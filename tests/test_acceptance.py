@@ -105,7 +105,9 @@ def test_criterion_03_ratio_filter_worked_example(announce):
     ok = False
     detail = ""
     try:
-        rho_hat, variance, residual = a64g2._kaf_step(1.0, 1.0, 0.0, 1.0, 1.0, 2.0)
+        ratios, residuals = [], []
+        variance = a64g2._kaf_track(1.0, 1.0, 0.0, 1.0, [1.0], [2.0], ratios, residuals)
+        (rho_hat,), (residual,) = ratios, residuals
         gain = (rho_hat - 1.0) / residual
         detail = f"P={variance}, K={gain}, rho={rho_hat}, residual={residual}"
         ok = (variance == 0.5 and gain == 0.5 and rho_hat == 1.5

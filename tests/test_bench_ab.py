@@ -59,3 +59,46 @@ def test_summary_gives_medians_quartiles_and_wins_per_metric():
 def test_summary_of_one_pair_within_the_spread():
     _, study, _ = bench_ab.summarize(END_TO_END, [_pair(0.3, 0.3)], "HEAD")
     assert study.endswith("+0.0%, within rev IQR  tree better in 0 of 1")
+
+
+def test_compare_gives_each_sides_median_quartiles_runs_and_wins():
+    pairs = [_pair(b, o) for b, o in [(0.33, 0.31), (0.34, 0.30), (0.32, 0.33), (0.35, 0.31)]]
+    got = bench_ab.compare(END_TO_END[0], pairs)
+    assert got["rev"]["values"] == [0.33, 0.34, 0.32, 0.35]
+    assert got["tree"]["median"] == pytest.approx(0.31)
+    assert (got["tree_wins"], got["pairs"], got["better"]) == (3, 4, "lower")
+
+
+def test_out_records_each_workload_with_its_env_and_keeps_the_others(monkeypatch, tmp_path):
+    """main with canned perfbench runs: the revision is copied by git
+    archive, and each workload's record joins those already in the file."""
+    out = tmp_path / "BENCH_test.json"
+    out.write_text(json.dumps({"workloads": {"replay_64s_60s": {"kept": True}}}))
+    studies = iter([0.33, 0.31, 0.30, 0.34] * 2)  # rev first in odd pairs
+    runs = []
+
+    names = [m["name"] for m in json.loads((bench_ab.ROOT / "BENCHMARK.json").read_text())[
+        "end_to_end"]]
+
+    def canned(where, workload, args):
+        runs.append((where, workload))
+        value = next(studies)
+        return {"correct": True, "metrics": {name: {"value": value} for name in names}}
+
+    monkeypatch.setattr(bench_ab, "_run", canned)
+    code = bench_ab.main(["--rev", "HEAD", "--workload", "security_sweep", "replay_64g2_60s",
+                          "--pairs", "2", "--out", str(out)])
+    assert code == 0
+    assert [w for _, w in runs] == ["security_sweep"] * 4 + ["replay_64g2_60s"] * 4
+    # the revision's copy holds the benchmark, and is gone after the run
+    copies = {where for where, _ in runs} - {bench_ab.ROOT}
+    assert len(copies) == 1 and not copies.pop().exists()
+    saved = json.loads(out.read_text())["workloads"]
+    assert saved["replay_64s_60s"] == {"kept": True}
+    entry = saved["security_sweep"]
+    assert entry["env"]["rev_sha"] == entry["env"]["tree_sha"]
+    assert {"cpu", "python", "numpy", "orjson", "tree_dirty"} <= set(entry["env"])
+    study = entry["metrics"]["study_s"]
+    # pair 1 runs the checkout first (0.33), pair 2 the revision first (0.30)
+    assert study["rev"]["values"] == [0.31, 0.30] and study["tree"]["values"] == [0.33, 0.34]
+    assert study["tree_wins"] == 0 and entry["failed_pairs"] == 0

@@ -1151,23 +1151,9 @@ def test_a_long_64g2_record_in_two_processes_writes_the_one_process_files(
     assert set(outputs) == ({"report.json", "trace_a64g2.csv", "trace_ng64g2.csv"}
                             | ({"long.csv"} if fmt == "csv" else set()))
     assert outputs == _one_process_outputs(fmt)
-    # one fork for the schemes, one for the trace files
-    assert len(forks) == 2 * _SPLITS
-    assert _no_child()
-
-
-def test_both_schemes_in_two_processes_give_the_one_process_traces(split, forks):
-    result = run_scenario(_LONG_64G2)
+    # one fork, for the trace files; both schemes run here
     assert len(forks) == _SPLITS
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(signalcore, "_FORK_ROWS", 10**9)
-        alone = run_scenario(_LONG_64G2)
-    assert result.to_dict() == alone.to_dict()
-    assert result.traces == alone.traces
-    fixed = result.traces["ng64g2"]
-    # the record's columns are this process's own, not copies from the child
-    assert fixed.v_p3 is result.traces["a64g2"].v_p3
-    assert fixed.restraint is result.traces["a64g2"].restraint
+    assert _no_child()
 
 
 def test_a_long_64g2_record_gives_the_one_process_files_when_no_child_delivers(
@@ -1221,29 +1207,23 @@ def _failing_runs(monkeypatch, failing):
 
 
 @pytest.mark.parametrize("failing", [{"a64g2", "ng64g2"}, {"a64g2"}, {"ng64g2"}])
-def test_a_failing_scheme_raises_the_one_process_error(monkeypatch, split, forks, failing):
+def test_a_failing_scheme_raises_its_error_adaptive_first(monkeypatch, forks, failing):
     _failing_runs(monkeypatch, failing)
     first = "a64g2" if "a64g2" in failing else "ng64g2"
     with pytest.raises(RuntimeError, match=f"^{first} failed$"):
         run_scenario(_LONG_64G2)
-    assert len(forks) == _SPLITS and _no_child()
-    monkeypatch.setattr(signalcore, "_FORK_ROWS", 10**9)
-    with pytest.raises(RuntimeError, match=f"^{first} failed$"):
-        run_scenario(_LONG_64G2)
+    assert forks == []
 
 
-def test_an_adaptive_verdict_error_comes_before_a_fixed_scheme_error(monkeypatch, split, forks):
-    """The adaptive verdict is part of this process's share, so its error
-    is raised, as in one process, though the child's fixed scheme fails."""
+def test_an_adaptive_verdict_error_comes_before_a_fixed_scheme_error(monkeypatch, forks):
+    """The adaptive scheme and its verdict run before the fixed scheme, so
+    the verdict's error is raised though the fixed scheme would fail."""
     _failing_runs(monkeypatch, {"ng64g2"})
     # process_noise 1e-5 makes the adaptive filter diverge
     config = {**_LONG_64G2, "kaf": {"process_noise": 1e-5}}
     with pytest.raises(ValueError, match="^the a64g2 margin is infinite"):
         run_scenario(config)
-    assert len(forks) == _SPLITS and _no_child()
-    monkeypatch.setattr(signalcore, "_FORK_ROWS", 10**9)
-    with pytest.raises(ValueError, match="^the a64g2 margin is infinite"):
-        run_scenario(config)
+    assert forks == []
 
 
 @pytest.mark.parametrize("broken", ["a64g2", "ng64g2"])
@@ -1261,7 +1241,7 @@ def test_a_failing_writer_of_a_split_emission_leaves_no_file(tmp_path, split, fo
         emit_report(result, tmp_path, fmt=fmt)
     assert os.listdir(tmp_path) == ["keep.txt"]
     # written here again, unpinned, the second trace forks for its row split
-    assert len(forks) == (2 + (broken == "ng64g2")) * _SPLITS and _no_child()
+    assert len(forks) == (1 + (broken == "ng64g2")) * _SPLITS and _no_child()
 
 
 @pytest.mark.skipif(not _SPLITS, reason="a child is forked only on two or more CPUs")
@@ -1312,7 +1292,7 @@ def test_a_split_emission_writes_each_trace_through_its_module_binding(
     first, second = (int(call[0]) for call in calls)
     assert first == os.getpid()
     assert (second != os.getpid()) == bool(_SPLITS)
-    assert len(forks) == 2 * _SPLITS
+    assert len(forks) == _SPLITS
 
 
 def test_emit_report_validation(tmp_path):

@@ -6,7 +6,7 @@ simulated waveforms, ``simulate`` and ``detect-64s`` on a 64S fault that
 trips, ``detect-64s --input`` on its simulated waveforms (fs re-inferred
 from the CSV time column), both detections again on two no-fault records
 (the 64G2 ``gen_stop`` record of the seed-48 security sweep, whose
-supervision dropouts and adaptive trip cover the scheme loop's
+supervision dropouts and adaptive trip cover the scheme kernel's
 invalid-frame path, and the 64S ``gen_stop_64s`` speed ramp; every
 detection with ``--format csv``), ``calibrate`` at the default
 commissioning points, both sweeps at seed 0, and the security sweep again
@@ -17,13 +17,12 @@ filter and onset settings every cell inherits, and the default
 sensitivity sweep once more with this process pinned to one CPU, where
 the sweep runs every cell itself instead of sharing them with a forked
 child.  A 30 s 64G2 detection with a fixed calibration, whose 30,000
-frames reach the two-process paths of the schemes and of their trace
-files, runs twice: as it is, and pinned to one CPU, where no child is
-forked.  The SHA-256 of every file they write is compared with
-``output_digests.json`` next to this script.  A change meant to keep
-behaviour must leave every digest as it is.  The gate fails on a digest
-that differs, on a recorded one that no run wrote (MISSING) and on one
-that is not recorded (NEW).
+frames reach the two-process path of their trace files, runs twice: as
+it is, and pinned to one CPU, where no child is forked.  The SHA-256 of
+every file they write is compared with ``output_digests.json`` next to
+this script.  A change meant to keep behaviour must leave every digest
+as it is.  The gate fails on a digest that differs, on a recorded one
+that no run wrote (MISSING) and on one that is not recorded (NEW).
 
     python tools/output_gate.py            # compare; exit 1 on a mismatch
     python tools/output_gate.py --record   # rewrite output_digests.json
