@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .plantsim import HarmonicFrames
-from .signalcore import _float_column, _seconds, write_table
+from .plantsim import HarmonicFrames, _frozen_column
+from .signalcore import _first_true, _seconds, write_table
 
 __all__ = [
     "DetectorConfig",
@@ -111,7 +110,12 @@ def _kaf_track(rho_hat: float, variance: float, process_noise: float, measuremen
 
 @dataclass
 class SchemeTrace:
-    """Per-frame record of one detector run plus trip summary."""
+    """Per-frame record of one detector run plus trip summary.
+
+    A run's columns are read-only numpy arrays, float64 and a bool
+    ``trip``; v_p3, v_n3 are the frames' own arrays and restraint the
+    column the run read.  valid holds the frames' flags as a tuple of
+    bools, so that ``sum`` of it counts them as an int."""
 
     scheme: str
     fs: float
@@ -119,11 +123,11 @@ class SchemeTrace:
     t_index: Sequence[int] = range(0)
     v_p3: Sequence[float] = ()
     v_n3: Sequence[float] = ()
-    rho_hat: List[float] = field(default_factory=list)
-    residual: List[float] = field(default_factory=list)
-    operate: List[float] = field(default_factory=list)
+    rho_hat: Sequence[float] = ()
+    residual: Sequence[float] = ()
+    operate: Sequence[float] = ()
     restraint: Sequence[float] = ()
-    trip: List[bool] = field(default_factory=list)
+    trip: Sequence[bool] = ()
     valid: Sequence[bool] = ()
     onset_index: Optional[int] = None
     margin_peak: float = 0.0
@@ -131,22 +135,22 @@ class SchemeTrace:
 
     @property
     def first_trip_index(self) -> Optional[int]:
-        try:
-            return self.trip.index(True)
-        except ValueError:
-            return None
+        return _first_true(self.trip)
 
     @property
     def tripped(self) -> bool:
         return self.first_trip_index is not None
 
     def columns(self) -> Dict[str, np.ndarray]:
-        """Time in seconds and every per-frame signal, by CSV column name,
-        as float64 arrays and a bool ``trip``."""
-        a = _float_column
+        """Time in seconds and every per-frame signal, by CSV column name:
+        a run's own arrays, float64 and a bool ``trip``.  A hand-built
+        trace's sequences go through ``np.asarray``, so a column holding
+        None stays an object column, which write_table writes cell by
+        cell."""
+        a = np.asarray
         return {"t": _seconds(self.t_index, self.fs), "VP3": a(self.v_p3),
                 "VN3": a(self.v_n3), "rho_hat": a(self.rho_hat), "residual": a(self.residual),
-                "JAO": a(self.operate), "JAR": a(self.restraint), "trip": np.asarray(self.trip)}
+                "JAO": a(self.operate), "JAR": a(self.restraint), "trip": a(self.trip)}
 
     def margin(self) -> float:
         """Largest operate/(sensitivity*restraint) over the frames with a
@@ -200,34 +204,35 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     return r
 
 
-def _by_frame(values: Sequence[float], index: np.ndarray, fill: float) -> List[float]:
-    """A per-frame column from one value per valid frame: values[k - 1]
-    where index holds k, fill where it holds 0.  The floats of a list are
-    shared, not copied; an array's values become floats once each."""
-    table = np.empty(len(values) + 1, dtype=object if isinstance(values, list) else float)
+def _by_frame(values: Sequence[float], index: np.ndarray, fill: float) -> np.ndarray:
+    """A read-only per-frame column from one value per valid frame:
+    values[k - 1] where index holds k, fill where it holds 0."""
+    table = np.empty(len(values) + 1)
     table[0], table[1:] = fill, values
-    return table[index].tolist()
+    column = table[index]
+    column.flags.writeable = False
+    return column
 
 
-def restraint_column(frames: HarmonicFrames, window: int) -> Tuple[float, ...]:
-    """The restraint energy JAR at every frame of a record: the sum of the
-    squared neutral magnitudes of the last window+1 valid frames, repeated
-    on invalid frames.  It depends only on the frames and the window, so
-    both ratio schemes of one record can share it."""
-    counts = np.cumsum(np.fromiter(frames.valid, bool, len(frames)))
+def restraint_column(frames: HarmonicFrames, window: int) -> np.ndarray:
+    """The restraint energy JAR at every frame of a record, as a read-only
+    array: the sum of the squared neutral magnitudes of the last window+1
+    valid frames, repeated on invalid frames.  It depends only on the
+    frames and the window, so both ratio schemes of one record can share
+    it."""
+    counts = np.cumsum(frames.valid)
     squares = np.zeros(window + (int(counts[-1]) if len(counts) else 0))
-    squares[window:] = np.fromiter(compress(frames.v_n3, frames.valid), float,
-                                   len(squares) - window)
+    squares[window:] = frames.v_n3[frames.valid]
     with np.errstate(over="ignore"):
         squares *= squares
-    return tuple(_by_frame(_window_sums(squares, window + 1), counts, 0.0))
+    return _by_frame(_window_sums(squares, window + 1), counts, 0.0)
 
 
 def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
-             kaf: Optional[Tuple[float, float, float]], restraint: np.ndarray) -> None:
+             kaf: Optional[Tuple[float, float, float]], valid: np.ndarray) -> None:
     """Run a ratio scheme over the record a fresh trace holds (its frames,
-    and their restraint column, given here as an array too), filling in
-    the computed columns and the margin.
+    whose valid flags are given here as an array, and their restraint
+    column), filling in the computed columns and the margin.
 
     kaf holds the adaptive scheme's filter settings (process noise,
     measurement noise, initial variance); the filter starts at the first
@@ -238,27 +243,27 @@ def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
     squared residuals of the last L+1 valid frames), or the trip logic.
     Only the filter steps one frame at a time, on Python floats.
     """
-    window, n, valid = cfg.window, len(trace.t_index), trace.valid
-    is_valid = np.fromiter(valid, bool, n)
-    counts = np.cumsum(is_valid)
+    window, n = cfg.window, len(valid)
+    counts = np.cumsum(valid)
     m = int(counts[-1]) if n else 0
+    v_p3, v_n3 = trace.v_p3[valid], trace.v_n3[valid]
     if kaf is None:
-        trace.rho_hat = [ratio] * n
-        v_p3, v_n3 = (np.fromiter(compress(column, valid), float, m)
-                      for column in (trace.v_p3, trace.v_n3))
+        # one value, read-only, seen n times
+        trace.rho_hat = np.broadcast_to(float(ratio), n)
         with np.errstate(all="ignore"):
             residual = v_n3 - ratio * v_p3
     else:
+        # the filter steps on Python floats: numpy's square differs from
+        # vp**2 in the last bit, and numpy scalars warn where it raises
+        v_p3, v_n3 = v_p3.tolist(), v_n3.tolist()
         rho_hat = ratio
         if rho_hat is None and m:
-            first = valid.index(True)
-            vp, vn = trace.v_p3[first], trace.v_n3[first]
+            vp, vn = v_p3[0], v_n3[0]
             rho_hat = vn / vp if vp > 0 else 0.5
         ratios: List[float] = []
         residuals: List[float] = []
         try:
-            _kaf_track(rho_hat, kaf[2], kaf[0], kaf[1], compress(trace.v_p3, valid),
-                       compress(trace.v_n3, valid), ratios, residuals)
+            _kaf_track(rho_hat, kaf[2], kaf[0], kaf[1], v_p3, v_n3, ratios, residuals)
         except OverflowError:
             # one frame at a time, the operate windows of the frames
             # before this one were summed first, and may have overflowed
@@ -267,7 +272,7 @@ def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
             raise
         trace.rho_hat = _by_frame(ratios, counts, ratio or 0.0)
         residual = residuals
-    operate, jar = np.zeros(m), restraint[is_valid]
+    operate, jar = np.zeros(m), trace.restraint[valid]
     with np.errstate(all="ignore"):
         squares = np.square(residual)
         operate[window:] = _window_sums(squares, window + 1)
@@ -290,9 +295,12 @@ def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
         if margin[peak] > 0.0:
             trace.margin_peak = float(margin[peak])
             trace.margin_index = int(np.searchsorted(counts, peak + 1))
-    trace.residual = _by_frame(residual, counts * is_valid, 0.0)
+    trace.residual = _by_frame(residual, counts * valid, 0.0)
     trace.operate = _by_frame(operate, counts, 0.0)
-    trace.trip = [False] * first + [True] * (n - first)
+    trip = np.zeros(n, dtype=bool)
+    trip[first:] = True
+    trip.flags.writeable = False
+    trace.trip = trip
 
 
 def calibrate_64rat(
@@ -337,24 +345,26 @@ class _RatioDetector:
         """Trace of the scheme over a record sampled at fs frames per
         second.  restraint is the record's restraint_column(frames,
         self.cfg.window), built here when None; a caller running both
-        schemes on one record builds it once.  A given column must be
-        finite and >= 0."""
+        schemes on one record builds it once.  The column, given or
+        built, must be finite and >= 0: a neutral magnitude whose square
+        overflows makes it infinite."""
         if not 0.0 < fs < math.inf:
             raise ValueError(f"fs must be positive and finite, got {fs!r}")
-        given = restraint is not None
-        restraint = tuple(restraint) if given else restraint_column(frames, self.cfg.window)
+        restraint = (restraint_column(frames, self.cfg.window) if restraint is None
+                     else _frozen_column(restraint))
         if len(restraint) != len(frames):
             raise ValueError("the restraint column must have one value per frame")
-        jar = np.fromiter(restraint, float, len(restraint))
         # a NaN or infinite restraint would blind the scheme, a negative one trip it
-        bad = np.flatnonzero(~((jar >= 0.0) & (jar < math.inf))) if given else ()
+        finite = np.isfinite(restraint)
+        bad = np.flatnonzero(~finite | (np.where(finite, restraint, 0.0) < 0.0))
         if len(bad):
-            raise ValueError(f"restraint must be finite and >= 0, got {restraint[bad[0]]!r} "
-                             f"at frame {bad[0]}")
+            raise ValueError(f"restraint must be finite and >= 0, got "
+                             f"{restraint[bad[0]].item()!r} at frame {bad[0]}")
         trace = SchemeTrace(scheme=self.scheme, fs=fs, sensitivity=self.cfg.sensitivity,
                             t_index=range(len(frames)), v_p3=frames.v_p3, v_n3=frames.v_n3,
-                            restraint=restraint, valid=frames.valid, onset_index=onset_index)
-        _advance(trace, self.cfg, self._ratio, self._kaf, jar)
+                            restraint=restraint, valid=tuple(frames.valid.tolist()),
+                            onset_index=onset_index)
+        _advance(trace, self.cfg, self._ratio, self._kaf, frames.valid)
         return trace
 
 

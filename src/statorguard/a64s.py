@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .plantsim import Subharmonic64SConfig, _freeze_columns
-from .signalcore import (TimeSeries, _float_column, _seconds, extract_phasor,
+from .plantsim import Subharmonic64SConfig, _freeze_columns, _frozen_column
+from .signalcore import (TimeSeries, _first_true, _seconds, extract_phasor,
                          reconstruct_narrowband, write_table)
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "A64SEstimatorConfig",
     "A64STrace",
     "A64SEstimator",
-    "tustin_coeffs",
     "locate_fault",
     "locator_consistent",
     "frames_from_timeseries",
@@ -57,7 +56,9 @@ class CalibrationError(RuntimeError):
 @dataclass(frozen=True)
 class SubharmonicFrames:
     """Processed measurement samples for the injection scheme, as
-    immutable columns; a sample's index is its position.
+    read-only numpy columns (float64, valid bool); any sequence is
+    accepted and copied once, and assigning a cell or a column raises.
+    A sample's index is its position.
 
     v_n and i_n are the injection-band (narrowband-filtered) neutral
     voltage and injected current on the relay side, finite; v_n60 is the
@@ -65,10 +66,10 @@ class SubharmonicFrames:
     machine side, finite and >= 0, used only by the locator.
     """
 
-    v_n: Tuple[float, ...]
-    i_n: Tuple[float, ...]
-    v_n60: Tuple[float, ...]
-    valid: Tuple[bool, ...]
+    v_n: np.ndarray
+    i_n: np.ndarray
+    v_n60: np.ndarray
+    valid: np.ndarray
 
     def __post_init__(self):
         _freeze_columns(self, ("v_n60",), ("v_n", "i_n"))
@@ -102,17 +103,6 @@ class InsulationDetectorConfig:
             raise ValueError("drop_fraction must be in (0, 1)")
         if self.persistence < 1:
             raise ValueError("persistence must be >= 1")
-
-
-def tustin_coeffs(k3: float, tau0: float, period: float) -> Tuple[float, float]:
-    """Bilinear-map coefficients (drive gain, feedback coefficient) of a
-    first-order gain/time-constant load sampled at the given period."""
-    if period <= 0:
-        raise ValueError("period must be positive")
-    if tau0 < 0:
-        raise ValueError("tau0 must be >= 0")
-    denom = period + 2.0 * tau0
-    return k3 * period / denom, (period - 2.0 * tau0) / denom
 
 
 def locate_fault(
@@ -173,10 +163,10 @@ def frames_from_timeseries(
     i_band = reconstruct_narrowband(ph_i).samples
     valid = ph_v.valid & ph_i.valid & ph_60.valid
     return SubharmonicFrames(
-        v_n=v_band.tolist(),
-        i_n=i_band.tolist(),
-        v_n60=np.where(valid, ph_60.magnitude * circuit.turns_ratio, 0.0).tolist(),
-        valid=valid.tolist(),
+        v_n=v_band,
+        i_n=i_band,
+        v_n60=np.where(valid, ph_60.magnitude * circuit.turns_ratio, 0.0),
+        valid=valid,
     )
 
 
@@ -215,29 +205,31 @@ class A64SEstimatorConfig:
 
 @dataclass
 class A64STrace:
-    """Per-sample record of one estimator run plus summary fields."""
+    """Per-sample record of one estimator run plus summary fields.
+
+    A run's columns are read-only numpy arrays, float64 and a bool
+    ``trip``; v_n and i_n are the frames' own arrays.  valid (the
+    samples the estimator took in) is a tuple of bools, so that ``sum``
+    of it counts them as an int."""
 
     fs: float
     t_index: Sequence[int] = range(0)
     v_n: Sequence[float] = ()
     i_n: Sequence[float] = ()
-    a0_hat: List[float] = field(default_factory=list)
-    kd_hat: List[float] = field(default_factory=list)
-    tau0_hat: List[float] = field(default_factory=list)
-    rs_hat: List[float] = field(default_factory=list)
-    c0_hat: List[float] = field(default_factory=list)
-    x_hat: List[float] = field(default_factory=list)
-    trip: List[bool] = field(default_factory=list)
-    valid: List[bool] = field(default_factory=list)
+    a0_hat: Sequence[float] = ()
+    kd_hat: Sequence[float] = ()
+    tau0_hat: Sequence[float] = ()
+    rs_hat: Sequence[float] = ()
+    c0_hat: Sequence[float] = ()
+    x_hat: Sequence[float] = ()
+    trip: Sequence[bool] = ()
+    valid: Sequence[bool] = ()
     baseline: Optional[float] = None
     onset_index: Optional[int] = None
 
     @property
     def first_trip_index(self) -> Optional[int]:
-        try:
-            return self.trip.index(True)
-        except ValueError:
-            return None
+        return _first_true(self.trip)
 
     @property
     def tripped(self) -> bool:
@@ -246,13 +238,14 @@ class A64STrace:
     def columns(self) -> Dict[str, np.ndarray]:
         """Time in seconds and every per-sample signal, by CSV column name,
         as float64 arrays and a bool ``trip`` (time constant in ms,
-        resistance in ohms, capacitance in µF)."""
-        a = _float_column
+        resistance in ohms, capacitance in µF): a run's own arrays, a
+        hand-built trace's sequences through ``np.asarray``."""
+        a = np.asarray
         return {"t": _seconds(self.t_index, self.fs), "vn": a(self.v_n), "in": a(self.i_n),
                 "a0_hat": a(self.a0_hat), "kd_hat": a(self.kd_hat),
                 "tau0_hat_ms": a(self.tau0_hat) * 1e3, "rs_hat_ohm": a(self.rs_hat),
                 "c0_hat_uF": a(self.c0_hat) * 1e6, "x_hat": a(self.x_hat),
-                "trip": np.asarray(self.trip)}
+                "trip": a(self.trip)}
 
     def final_estimates(self, tail: int = 250) -> Tuple[float, float, float]:
         """(resistance, capacitance, time constant) medians over the last
@@ -261,19 +254,19 @@ class A64STrace:
         rows = _last(tail, (k for k in range(len(valid) - 1, -1, -1) if valid[k]))
         if not rows:
             raise ValueError("trace holds no valid samples")
-        med = np.median(np.array([(self.rs_hat[k], self.c0_hat[k], self.tau0_hat[k])
-                                  for k in rows]), axis=0)
-        return float(med[0]), float(med[1]), float(med[2])
+        rs, c0, tau0 = (float(np.median(np.asarray(column)[rows]))
+                        for column in (self.rs_hat, self.c0_hat, self.tau0_hat))
+        return rs, c0, tau0
 
     def final_location(self, tail: int = 250) -> float:
         """Median located position over the last tail tripped samples, or
         the healthy sentinel when the run never tripped."""
-        x_hat, trip = self.x_hat, self.trip
-        xs = _last(tail, (x_hat[k] for k in range(len(trip) - 1, -1, -1)
-                          if trip[k] and x_hat[k] != HEALTHY_SENTINEL))
-        if not xs:
+        x_hat = np.asarray(self.x_hat)
+        located = np.flatnonzero(np.asarray(self.trip, dtype=bool) & (x_hat != HEALTHY_SENTINEL))
+        rows = _last(tail, reversed(located.tolist()))
+        if not rows:
             return HEALTHY_SENTINEL
-        return float(np.median(xs))
+        return float(np.median(x_hat[rows]))
 
 
 def _last(tail: int, backwards) -> list:
@@ -335,13 +328,14 @@ class A64SEstimator:
         omega_r_n = 2.0 * math.pi * circuit.f1 * r_n
         sentinel = HEALTHY_SENTINEL
         prev_vn = prev_in = None
+        first_trip = len(frames)
 
-        trace = A64STrace(fs=fs, onset_index=onset_index, t_index=range(len(frames)),
-                          v_n=frames.v_n, i_n=frames.i_n)
-        a0_col, kd_col, tau0_col, rs_col, c0_col, x_col, trip_col, valid_col = (
-            col.append for col in (trace.a0_hat, trace.kd_hat, trace.tau0_hat, trace.rs_hat,
-                                   trace.c0_hat, trace.x_hat, trace.trip, trace.valid))
-        for v_n, i_n, v_n60, valid in zip(frames.v_n, frames.i_n, frames.v_n60, frames.valid):
+        columns: Dict[str, List[float]] = {
+            name: [] for name in ("a0_hat", "kd_hat", "tau0_hat", "rs_hat", "c0_hat", "x_hat")}
+        a0_col, kd_col, tau0_col, rs_col, c0_col, x_col = (col.append for col in columns.values())
+        samples = zip(frames.v_n.tolist(), frames.i_n.tolist(), frames.v_n60.tolist(),
+                      frames.valid.tolist())
+        for k, (v_n, i_n, v_n60, valid) in enumerate(samples):
             x_hat = sentinel
             if valid and prev_vn is not None:
                 # regression vector: negated previous voltage, summed current
@@ -406,6 +400,7 @@ class A64SEstimator:
                     streak = streak + 1 if rs < drop_level else 0
                     if streak >= persistence:
                         tripped = True
+                        first_trip = k
                         # the circuit just changed structurally; re-open the
                         # filter so the faulted parameters are re-identified
                         # quickly instead of creeping in at the tracking rate
@@ -419,22 +414,26 @@ class A64SEstimator:
                     rf_hat = 1.0 / (1.0 / rs - 1.0 / baseline)
                     tau0_f = rf_hat * max(c0_hat, 0.0)
                     x_hat = (v_n60 / v_scale) * math.hypot(r_n + rf_hat, omega_r_n * tau0_f)
-                used = True
             else:
                 # an invalid sample clears the regression memory; the next
                 # valid one only primes it
                 prev_vn, prev_in = (v_n, i_n) if valid else (None, None)
-                used = False
             a0_col(a0)
             kd_col(kd)
             tau0_col(tau0)
             rs_col(rs)
             c0_col(c0_hat)
             x_col(x_hat)
-            trip_col(tripped)
-            valid_col(used)
-        trace.baseline = baseline
-        return trace
+        trip = np.zeros(len(frames), dtype=bool)
+        trip[first_trip:] = True
+        trip.flags.writeable = False
+        # a sample is used when it and the one before it are valid
+        used = np.zeros(len(frames), dtype=bool)
+        np.logical_and(frames.valid[1:], frames.valid[:-1], out=used[1:])
+        return A64STrace(fs=fs, t_index=range(len(frames)), v_n=frames.v_n, i_n=frames.i_n,
+                         trip=trip, valid=tuple(used.tolist()), baseline=baseline,
+                         onset_index=onset_index,
+                         **{name: _frozen_column(column) for name, column in columns.items()})
 
     def run_timeseries(self, v_ts: TimeSeries, i_ts: TimeSeries,
                        onset_index: Optional[int] = None) -> A64STrace:

@@ -471,9 +471,8 @@ def calibrate_from_config(config: Dict[str, Any]) -> Tuple[Calibration64RAT, Lis
                 duration=commissioning.duration, fs=scenario.profile.fs,
                 noise_std=scenario.noise, seed=_derive_seed(scenario.seed, 7000, i),
             )
-        valid = np.array(sim.frames.valid)
-        vp = np.array(sim.frames.v_p3)[valid]
-        vn = np.array(sim.frames.v_n3)[valid]
+        valid = sim.frames.valid
+        vp, vn = sim.frames.v_p3[valid], sim.frames.v_n3[valid]
         if vp.size == 0:
             raise ConfigError(f"calibration point load={load}, pf={pf} produced no valid frames")
         point = (float(np.median(vp)), float(np.median(vn)))
@@ -585,7 +584,8 @@ def _verdict_64g2(trace: SchemeTrace) -> Dict[str, Any]:
     if margin == math.inf:
         index = trace.margin_index
         operate, floor = ((0.0, 0.0) if index is None else
-                          (trace.operate[index], trace.sensitivity * trace.restraint[index]))
+                          (float(trace.operate[index]),
+                           trace.sensitivity * float(trace.restraint[index])))
         # operate/floor overflowed: blame the factor further from 1
         if operate * floor < 1.0:
             cause = (f"sensitivity {trace.sensitivity!r} times the restraint underflows "

@@ -42,7 +42,6 @@ __all__ = [
     "emf_split_fraction",
     "check_operating_point",
     "third_harmonic_solve",
-    "subharmonic_transfer",
     "neutral_60hz_component",
     "simulate_64s_timeseries",
     "simulate_64g2_scenario",
@@ -217,34 +216,54 @@ class Subharmonic64SConfig:
         return self.turns_ratio**2 * self.rn
 
 
+def _frozen_column(values, dtype=float) -> np.ndarray:
+    """values as a read-only 1-d array of dtype.  A column that already is
+    one, owning its data, is returned itself, so records built from
+    another record's columns share them; anything else is copied, so a
+    caller's array is never frozen or aliased."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype and values.ndim == 1
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    if dtype is bool and not isinstance(values, np.ndarray):
+        values = list(map(bool, values))
+    column = np.array(values, dtype=dtype)
+    if column.ndim != 1:
+        raise ValueError(f"a frame column must be one-dimensional, got shape {column.shape}")
+    column.flags.writeable = False
+    return column
+
+
 def _freeze_columns(frames, magnitudes: Tuple[str, ...], signals: Tuple[str, ...] = ()) -> None:
-    """Store each column of a frozen frame record as a tuple (valid as
-    bools) and check them once, in valid and invalid frames alike: equal
-    lengths, every magnitude finite and >= 0, every signal finite.  A bad
-    value raises ValueError naming its column."""
-    valid = tuple(map(bool, frames.valid))
+    """Store each column of a frozen frame record as a read-only array
+    (float64, valid bool) and check them once, in valid and invalid
+    frames alike: equal lengths, every magnitude finite and >= 0, every
+    signal finite.  A bad value raises ValueError naming its column."""
+    valid = _frozen_column(frames.valid, bool)
     object.__setattr__(frames, "valid", valid)
     for name in magnitudes + signals:
-        column = tuple(getattr(frames, name))
+        column = _frozen_column(getattr(frames, name))
         object.__setattr__(frames, name, column)
         if len(column) != len(valid):
             raise ValueError(f"frame columns must have equal length: {name} has "
                              f"{len(column)}, valid {len(valid)}")
         rule = "finite and >= 0" if name in magnitudes else "finite"
-        negative = name in magnitudes and min(column, default=0.0) < 0.0
-        if negative or not all(map(math.isfinite, column)):
+        # min() only once every value is finite
+        if not np.isfinite(column).all() or (
+                name in magnitudes and len(column) and column.min() < 0.0):
             raise ValueError(f"{name} must be {rule}")
 
 
 @dataclass(frozen=True)
 class HarmonicFrames:
-    """Third-harmonic measurement frames as immutable columns: terminal
-    and neutral magnitudes (finite and >= 0) and whether each frame may
-    advance a detector.  A frame's index is its position."""
+    """Third-harmonic measurement frames as read-only numpy columns:
+    terminal and neutral magnitudes (float64, finite and >= 0) and
+    whether each frame may advance a detector (bool).  Any sequence is
+    accepted and copied once; assigning a cell or a column raises.  A
+    frame's index is its position."""
 
-    v_p3: Tuple[float, ...]
-    v_n3: Tuple[float, ...]
-    valid: Tuple[bool, ...]
+    v_p3: np.ndarray
+    v_n3: np.ndarray
+    valid: np.ndarray
 
     def __post_init__(self):
         _freeze_columns(self, ("v_p3", "v_n3"))
@@ -354,31 +373,6 @@ def third_harmonic_solve(cfg: MachineConfig, fault: Optional[FaultSpec] = None,
             g_f = 1.0 / fault.rf
             v_n = -e3 * (yc_sum + g_f * c_k) / (y_sum + g_f)
     return v_n, v_n + e3
-
-
-def subharmonic_transfer(
-    cfg: Subharmonic64SConfig, rs_eff: float, omega: float
-) -> Tuple[complex, complex]:
-    """Injection-circuit transfer functions (H1, H2) at angular frequency
-    omega: H1 = I_N/V_s in siemens, H2 = V_N/V_s dimensionless, for
-    machine insulation resistance rs_eff (primary ohms).
-
-    H1 = K1*(1 + tau0*s)/(1 + a*tau0*s), H2 = K2/(1 + a*tau0*s) with
-    tau0 = rs_eff*c0 and the gains set by the resistive divider among the
-    band-pass resistance, grounding resistor, and referred insulation.
-    """
-    if rs_eff <= 0:
-        raise ValueError("rs_eff must be positive")
-    n2 = cfg.turns_ratio**2
-    denom = n2 * cfg.rn * cfg.rbpf + rs_eff * (cfg.rn + cfg.rbpf)
-    k1 = n2 * cfg.rn / denom
-    k2 = cfg.rn * rs_eff / denom
-    a = n2 * cfg.rn * cfg.rbpf / denom
-    tau0 = rs_eff * cfg.c0
-    s = 1j * omega
-    h1 = k1 * (1.0 + tau0 * s) / (1.0 + a * tau0 * s)
-    h2 = k2 / (1.0 + a * tau0 * s)
-    return h1, h2
 
 
 def neutral_60hz_component(cfg: Subharmonic64SConfig, x: float, rf: float) -> float:
@@ -679,9 +673,9 @@ def frames_from_64g2_waveforms(
         valid = valid & in_band
     return Scenario64G2Result(
         frames=HarmonicFrames(
-            v_p3=ph_p.magnitude.tolist(),
-            v_n3=ph_n.magnitude.tolist(),
-            valid=valid.tolist(),
+            v_p3=ph_p.magnitude,
+            v_n3=ph_n.magnitude,
+            valid=valid,
         ),
         v_p3_wave=vp3_wave,
         v_n3_wave=vn3_wave,

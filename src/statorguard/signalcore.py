@@ -277,17 +277,12 @@ def _walk_rows(path, reader, width: int) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _float_column(values: Sequence[Any]) -> np.ndarray:
-    """A trace column as a float64 array, read in one pass (``np.asarray``
-    reads a list twice, for its type and then for its values).  A column
-    holding a value that ``float`` refuses, or a NaN (as which fromiter
-    reads None), is read by ``np.asarray`` instead, so a None stays None
-    and write_table formats that column cell by cell."""
-    try:
-        column = np.fromiter(values, dtype=float, count=len(values))
-    except (TypeError, ValueError):
-        return np.asarray(values)
-    return np.asarray(values) if np.isnan(column).any() else column
+def _first_true(flags: Sequence[bool]) -> Optional[int]:
+    """The index of the first True of a trace's flags (its ``trip``), None
+    when there is none."""
+    flags = np.asarray(flags, dtype=bool)
+    first = int(flags.argmax()) if len(flags) else 0
+    return first if len(flags) and flags[first] else None
 
 
 def _seconds(index: Sequence[int], fs: float) -> np.ndarray:

@@ -7,6 +7,7 @@ obvious beats fast and clever for an oracle.
 """
 
 import csv
+import dataclasses
 import math
 from collections import namedtuple
 from pathlib import Path
@@ -19,6 +20,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from statorguard.a64s import HEALTHY_SENTINEL, CalibrationError, locate_fault
+from statorguard.plantsim import Subharmonic64SConfig
 from statorguard.signalcore import TimeSeries
 
 
@@ -70,6 +72,42 @@ def synth_waveform(
 def complex_values(phasors):
     """A PhasorSeries' frames as complex phasors magnitude*exp(j*phase)."""
     return phasors.magnitude * np.exp(1j * phasors.phase)
+
+
+def subharmonic_transfer(
+    cfg: Subharmonic64SConfig, rs_eff: float, omega: float
+) -> Tuple[complex, complex]:
+    """Injection-circuit transfer functions (H1, H2) at angular frequency
+    omega: H1 = I_N/V_s in siemens, H2 = V_N/V_s dimensionless, for
+    machine insulation resistance rs_eff (primary ohms).
+
+    H1 = K1*(1 + tau0*s)/(1 + a*tau0*s), H2 = K2/(1 + a*tau0*s) with
+    tau0 = rs_eff*c0 and the gains set by the resistive divider among the
+    band-pass resistance, grounding resistor, and referred insulation.
+    """
+    if rs_eff <= 0:
+        raise ValueError("rs_eff must be positive")
+    n2 = cfg.turns_ratio**2
+    denom = n2 * cfg.rn * cfg.rbpf + rs_eff * (cfg.rn + cfg.rbpf)
+    k1 = n2 * cfg.rn / denom
+    k2 = cfg.rn * rs_eff / denom
+    a = n2 * cfg.rn * cfg.rbpf / denom
+    tau0 = rs_eff * cfg.c0
+    s = 1j * omega
+    h1 = k1 * (1.0 + tau0 * s) / (1.0 + a * tau0 * s)
+    h2 = k2 / (1.0 + a * tau0 * s)
+    return h1, h2
+
+
+def tustin_coeffs(k3: float, tau0: float, period: float) -> Tuple[float, float]:
+    """Bilinear-map coefficients (drive gain, feedback coefficient) of a
+    first-order gain/time-constant load sampled at the given period."""
+    if period <= 0:
+        raise ValueError("period must be positive")
+    if tau0 < 0:
+        raise ValueError("tau0 must be >= 0")
+    denom = period + 2.0 * tau0
+    return k3 * period / denom, (period - 2.0 * tau0) / denom
 
 
 def dense_ladder_solve(e3, cs, ct, r_ground, segments, alpha,
@@ -226,16 +264,29 @@ def naive_ratio_run(v_p3, v_n3, valid, window, sensitivity, hold, ratio=None, ka
     adaptive scheme, whose filter starts at the first valid frame from
     ratio or, when that is None, from that frame's own ratio.  Without
     it, ratio is the fixed scheme's frozen setting.  Invalid frames
-    repeat the last ratio and energies with a zero residual.  Returns the
-    per-frame columns rho_hat, residual, operate, restraint and trip.
+    repeat the last ratio and energies with a zero residual.  The
+    restraint column is the record's, summed and checked (finite and
+    >= 0, or ValueError) before the scheme runs.  Returns the per-frame
+    columns rho_hat, residual, operate, restraint and trip.
     """
     out = {name: [] for name in ("rho_hat", "residual", "operate", "restraint", "trip")}
+    vn3s = []
+    restraint = 0.0
+    for vn, ok in zip(v_n3, valid):
+        if ok:
+            vn3s.append(vn)
+            restraint = math.fsum(v * v for v in vn3s[-(window + 1):])
+        out["restraint"].append(restraint)
+    for k, restraint in enumerate(out["restraint"]):
+        if not 0.0 <= restraint < math.inf:
+            raise ValueError(f"restraint must be finite and >= 0, got {restraint!r} "
+                             f"at frame {k}")
     filt = None
-    residuals, vn3s = [], []
+    residuals = []
     t = streak = 0
     tripped = False
-    operate = restraint = 0.0
-    for vp, vn, ok in zip(v_p3, v_n3, valid):
+    operate = 0.0
+    for vp, vn, ok, jar in zip(v_p3, v_n3, valid, out["restraint"]):
         residual = 0.0
         if ok:
             if kaf is None:
@@ -254,14 +305,12 @@ def naive_ratio_run(v_p3, v_n3, valid, window, sensitivity, hold, ratio=None, ka
                 filt = _RatioFilter(filt.rho_hat + gain * residual, variance)
             t += 1
             residuals.append(residual)
-            vn3s.append(vn)
-            restraint = math.fsum(v * v for v in vn3s[-(window + 1):])
             if t <= window:
                 operate = 0.0
             else:
                 operate = math.fsum(r * r for r in residuals[-(window + 1):])
             if not tripped:
-                if operate > sensitivity * restraint:
+                if operate > sensitivity * jar:
                     streak += 1
                 else:
                     streak = 0
@@ -273,9 +322,19 @@ def naive_ratio_run(v_p3, v_n3, valid, window, sensitivity, hold, ratio=None, ka
             out["rho_hat"].append(ratio or 0.0)
         out["residual"].append(residual)
         out["operate"].append(operate)
-        out["restraint"].append(restraint)
         out["trip"].append(tripped)
     return out
+
+
+def plain_fields(record):
+    """A dataclass record's fields as plain values, each array as its
+    dtype and its values, so that two records compare with ==."""
+    fields = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        fields[field.name] = ((value.dtype.str, value.tolist()) if isinstance(value, np.ndarray)
+                              else value)
+    return fields
 
 
 def margin_at(operate, floor):
@@ -291,7 +350,7 @@ def naive_margin(trace):
     restraint columns: the largest operate/(sensitivity*restraint) over
     the frames whose restraint is positive."""
     worst = 0.0
-    for jao, jar in zip(trace.operate, trace.restraint):
+    for jao, jar in zip(np.asarray(trace.operate).tolist(), np.asarray(trace.restraint).tolist()):
         if jar <= 0.0:
             continue
         worst = max(worst, margin_at(jao, trace.sensitivity * jar))
@@ -525,7 +584,9 @@ def stepwise_a64s_run(frames, fs, circuit, cfg):
     prev = None
     out = {k: [] for k in ("a0_hat", "kd_hat", "tau0_hat", "rs_hat", "c0_hat",
                            "x_hat", "trip", "valid")}
-    for v_n, i_n, v_n60, valid in zip(frames.v_n, frames.i_n, frames.v_n60, frames.valid):
+    samples = zip(frames.v_n.tolist(), frames.i_n.tolist(), frames.v_n60.tolist(),
+                  frames.valid.tolist())
+    for v_n, i_n, v_n60, valid in samples:
         x_hat = HEALTHY_SENTINEL
         used = valid and prev is not None
         if used:

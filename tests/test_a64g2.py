@@ -42,6 +42,12 @@ def _frames(rows):
     return HarmonicFrames(v_p3=vp, v_n3=vn, valid=valid)
 
 
+def _columns(frames):
+    """The frames' columns as Python floats and bools, as the oracles
+    read them."""
+    return frames.v_p3.tolist(), frames.v_n3.tolist(), frames.valid.tolist()
+
+
 # ------------------------------------------------------------- ratio KAF
 
 def _kaf_step(rho_hat, variance, process_noise, measurement_noise, v_p3, v_n3):
@@ -144,7 +150,7 @@ def test_operate_zero_through_window_prefix():
     residuals = [vn - vp for vp, vn in zip(vps, vns)]
     frames = HarmonicFrames(v_p3=vps, v_n3=vns, valid=[True] * 40)
     trace = FixedRatioDetector(ratio=1.0, cfg=cfg).run(frames, fs=1000.0)
-    assert trace.restraint == restraint_column(frames, cfg.window)
+    assert trace.restraint.tolist() == restraint_column(frames, cfg.window).tolist()
     for t, (jao, jar) in enumerate(zip(trace.operate, trace.restraint)):
         if t < cfg.window:
             assert jao == 0.0
@@ -240,7 +246,7 @@ def test_ratio_schemes_match_naive_oracle_exactly(record, cfg, settings):
     frames = sim.frames
     flips = sum(a and not b for a, b in zip(frames.valid, frames.valid[1:]))
     assert flips >= 3 if record == "gen_stop_chatter" else flips == 0
-    columns = (frames.v_p3, frames.v_n3, frames.valid, cfg.window, cfg.sensitivity, cfg.hold)
+    columns = (*_columns(frames), cfg.window, cfg.sensitivity, cfg.hold)
     if "ratio" in settings:
         trace = FixedRatioDetector(cfg=cfg, **settings).run(frames, sim.fs)
         want = oracles.naive_ratio_run(*columns, ratio=settings["ratio"])
@@ -251,9 +257,10 @@ def test_ratio_schemes_match_naive_oracle_exactly(record, cfg, settings):
             settings["initial_variance"]))
     assert trace.tripped or record == "gen_stop_chatter"
     for name, column in want.items():
-        assert list(getattr(trace, name)) == column, name
+        assert getattr(trace, name).tolist() == column, name
     assert trace.t_index == range(len(frames))
-    assert (trace.v_p3, trace.v_n3, trace.valid) == (frames.v_p3, frames.v_n3, frames.valid)
+    assert trace.v_p3 is frames.v_p3 and trace.v_n3 is frames.v_n3
+    assert trace.valid == tuple(frames.valid.tolist())
 
 
 # from subnormal to about 1e150, whose squares still sum without overflow
@@ -286,19 +293,20 @@ def test_run_matches_naive_oracle_in_every_column_margin_and_peak(fixed, cfg, pr
     rows += [(1.0, 3.0, i % 5 != 2) for i in range(40)]
     frames = _frames([_frame(i, *row) for i, row in enumerate(rows)])
     trace = detector.run(frames, fs=1000.0)
-    assert trace.tripped and trace.restraint[:prefix] == (0.0,) * prefix
-    want = oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid, cfg.window,
-                                   cfg.sensitivity, cfg.hold, ratio=1.0, kaf=kaf)
+    assert trace.tripped and trace.restraint[:prefix].tolist() == [0.0] * prefix
+    want = oracles.naive_ratio_run(*_columns(frames), cfg.window, cfg.sensitivity, cfg.hold,
+                                   ratio=1.0, kaf=kaf)
     for name, column in want.items():
-        assert list(getattr(trace, name)) == column, name
+        assert getattr(trace, name).tolist() == column, name
     assert trace.t_index == range(len(rows))
-    assert (trace.v_p3, trace.v_n3, trace.valid) == (frames.v_p3, frames.v_n3, frames.valid)
+    assert trace.v_p3 is frames.v_p3 and trace.v_n3 is frames.v_n3
+    assert trace.valid == tuple(frames.valid.tolist())
     peak = oracles.naive_margin(trace)
     assert trace.margin() == peak
     # an invalid frame repeats an earlier frame's energies, so the first
     # frame at the peak is a valid one
     ratios = [oracles.margin_at(jao, cfg.sensitivity * jar) if jar > 0.0 else 0.0
-              for jao, jar in zip(trace.operate, trace.restraint)]
+              for jao, jar in zip(trace.operate.tolist(), trace.restraint.tolist())]
     assert trace.margin_index == ratios.index(peak)
 
 
@@ -334,9 +342,9 @@ def test_a_window_that_lands_on_a_rounding_tie_is_summed_by_fsum(monkeypatch):
     calls = _counted_fsum(monkeypatch)
     column = restraint_column(frames, 3)
     assert calls == [[1.0, 0.25, 2.0**-54, 2.0**-54]]
-    assert column == (1.0, 1.25, 1.25, 1.25)
-    assert list(column) == oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid,
-                                                   3, 0.005, 3, ratio=1.0)["restraint"]
+    assert column.tolist() == [1.0, 1.25, 1.25, 1.25]
+    assert column.tolist() == oracles.naive_ratio_run(*_columns(frames), 3, 0.005, 3,
+                                                      ratio=1.0)["restraint"]
 
 
 def test_a_sum_near_a_tie_under_a_power_of_two_is_summed_by_fsum(monkeypatch):
@@ -356,8 +364,11 @@ def test_a_sum_near_a_tie_under_a_power_of_two_is_summed_by_fsum(monkeypatch):
 @pytest.mark.parametrize("magnitude", [1e154, 1e155, 1e200])
 def test_an_overflowing_energy_raises_what_the_oracle_raises(fixed, channel, magnitude):
     """A window of squares that overflows raises fsum's OverflowError; a
-    terminal magnitude whose square overflows raises the filter's; any
-    other overflow runs on to the oracle's inf and NaN energies."""
+    terminal magnitude whose square overflows raises the filter's; a
+    neutral magnitude whose square overflows makes the restraint
+    infinite, which both refuse at its first frame (the fixed scheme used
+    to go blind on it, margin 0.0); any other overflow runs on to the
+    oracle's inf and NaN energies."""
     cfg = DetectorConfig(window=3, persistence=2)
     rows = [(1.0, 1.2)] * 6 + [(magnitude, 1.2) if channel == "v_p3" else (1.0, magnitude)] * 2
     rows += [(1.0, 1.2)] * 6
@@ -365,9 +376,16 @@ def test_an_overflowing_energy_raises_what_the_oracle_raises(fixed, channel, mag
     kaf = None if fixed else (1e-8, 1e-4, 1.0)
     detector = (FixedRatioDetector(ratio=1.2, cfg=cfg) if fixed
                 else AdaptiveRatioDetector(cfg=cfg, rho0=1.2))
+    columns = (*_columns(frames), cfg.window, cfg.sensitivity, cfg.hold)
+    if channel == "v_n3" and magnitude * magnitude == math.inf:
+        refusal = "^restraint must be finite and >= 0, got inf at frame 6$"
+        with pytest.raises(ValueError, match=refusal):
+            oracles.naive_ratio_run(*columns, ratio=1.2, kaf=kaf)
+        with pytest.raises(ValueError, match=refusal):
+            detector.run(frames, fs=1000.0)
+        return
     try:
-        want = oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid, cfg.window,
-                                       cfg.sensitivity, cfg.hold, ratio=1.2, kaf=kaf)
+        want = oracles.naive_ratio_run(*columns, ratio=1.2, kaf=kaf)
     except ArithmeticError as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             detector.run(frames, fs=1000.0)
@@ -385,11 +403,30 @@ def test_an_operate_window_that_overflows_raises_before_a_later_filter_overflow(
     frames = _frames([_frame(i, *row) for i, row in enumerate(rows)])
     cfg = DetectorConfig(window=2)
     with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
-        oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid, cfg.window,
-                                cfg.sensitivity, cfg.hold, ratio=1.2, kaf=(1e-4, 1e-4, 1.0))
+        oracles.naive_ratio_run(*_columns(frames), cfg.window, cfg.sensitivity, cfg.hold,
+                                ratio=1.2, kaf=(1e-4, 1e-4, 1.0))
     detector = AdaptiveRatioDetector(cfg=cfg, process_noise=1e-4, rho0=1.2)
     with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
         detector.run(frames, fs=1000.0)
+
+
+def test_the_ratio_filter_squares_the_terminal_magnitude_as_python_does():
+    """At 1.01808, Python's vp**2 (libm pow) is 1.0364868864000003 where
+    numpy's square and vp*vp give 1.0364868864, and on this record the
+    two squares give different ratios from the first frame on; the
+    adaptive trace is the oracle's bit for bit, so the filter steps on
+    Python floats."""
+    vp = 1.01808
+    cfg = DetectorConfig(window=3)
+    v_n3 = [0.68, 1.64, 1.21, 1.07, 0.81, 1.23, 1.84, 1.08, 1.41, 1.65, 1.54, 0.9]
+    frames = _frames([_frame(i, vp, vn) for i, vn in enumerate(v_n3)])
+    detector = AdaptiveRatioDetector(cfg=cfg, process_noise=1e-6, measurement_noise=1e-3,
+                                     rho0=1.0)
+    trace = detector.run(frames, fs=1000.0)
+    want = oracles.naive_ratio_run(*_columns(frames), cfg.window, cfg.sensitivity, cfg.hold,
+                                   ratio=1.0, kaf=(1e-6, 1e-3, 1.0))
+    for name, column in want.items():
+        assert getattr(trace, name).tolist() == column, name
 
 
 @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "adaptive"])
@@ -398,12 +435,12 @@ def test_a_record_without_a_valid_frame_matches_the_oracle(fixed):
     frames = _frames([_frame(i, 1.0 + i, 2.0, False) for i in range(8)])
     detector = FixedRatioDetector(ratio=1.2, cfg=cfg) if fixed else AdaptiveRatioDetector(cfg=cfg)
     trace = detector.run(frames, fs=1000.0)
-    want = oracles.naive_ratio_run(frames.v_p3, frames.v_n3, frames.valid, cfg.window,
-                                   cfg.sensitivity, cfg.hold, ratio=1.2 if fixed else None,
+    want = oracles.naive_ratio_run(*_columns(frames), cfg.window, cfg.sensitivity, cfg.hold,
+                                   ratio=1.2 if fixed else None,
                                    kaf=None if fixed else (1e-8, 1e-4, 1.0))
     for name, column in want.items():
-        assert list(getattr(trace, name)) == column, name
-    assert trace.rho_hat == [1.2 if fixed else 0.0] * 8
+        assert getattr(trace, name).tolist() == column, name
+    assert trace.rho_hat.tolist() == [1.2 if fixed else 0.0] * 8
     assert (trace.margin(), trace.margin_index, trace.first_trip_index) == (0.0, None, None)
 
 
@@ -415,7 +452,7 @@ def test_margin_index_is_the_first_frame_at_the_peak():
             (1.0, 2.0, False), (1.0, 1.0)]
     trace = det.run(_frames([_frame(i, *row) for i, row in enumerate(rows)]), fs=1000.0)
     ratios = [jao / (0.5 * jar) if jar > 0 else 0.0
-              for jao, jar in zip(trace.operate, trace.restraint)]
+              for jao, jar in zip(trace.operate.tolist(), trace.restraint.tolist())]
     assert trace.margin() == max(ratios) == oracles.naive_margin(trace)
     assert [i for i, r in enumerate(ratios) if r == max(ratios)] == [5, 6, 7]
     assert trace.margin_index == 5
@@ -448,8 +485,8 @@ def test_run_reads_a_given_restraint_column():
     frames = _frames([_frame(i, 1.0, 1.0 + 0.01 * i, i % 4 != 1) for i in range(40)])
     restraint = restraint_column(frames, 12)
     for detector in (AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.0)):
-        assert detector.run(frames, fs=1000.0, restraint=restraint) == detector.run(
-            frames, fs=1000.0)
+        assert oracles.plain_fields(detector.run(frames, fs=1000.0, restraint=restraint)) == (
+            oracles.plain_fields(detector.run(frames, fs=1000.0)))
         with pytest.raises(ValueError, match="one value per frame"):
             detector.run(frames, fs=1000.0, restraint=restraint[:-1])
 
@@ -524,17 +561,47 @@ def test_harmonic_frames_cannot_change_after_construction():
     sim = simulate_64g2_scenario(MachineConfig(), FaultSpec(x=0.0, rf=50.0, t_on=0.27),
                                  duration=0.9, seed=1)
     frames = sim.frames
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="cannot delete array elements"):
         del frames.v_n3[250:]
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="read-only"):
         frames.valid[0] = False
     with pytest.raises(dataclasses.FrozenInstanceError):
         frames.v_n3 = frames.v_n3[:250]
     trace = AdaptiveRatioDetector().run(frames, sim.fs)
     assert trace.first_trip_index == 284
     assert len(trace.trip) == len(trace.t_index) == len(frames) == 900
-    assert trace.v_p3 is frames.v_p3 and trace.valid is frames.valid
+    assert trace.v_p3 is frames.v_p3 and trace.valid == tuple(frames.valid.tolist())
     assert dataclasses.replace(frames, valid=frames.valid).v_n3 is frames.v_n3
+
+
+def test_frame_and_trace_columns_are_shared_read_only_arrays():
+    """The frames hold read-only arrays, which a replaced record and every
+    trace share; a caller's own array is copied, never frozen or aliased;
+    columns() hands the writer the trace's own arrays."""
+    sim = simulate_64g2_scenario(MachineConfig(), FaultSpec(x=0.0, rf=50.0, t_on=0.27),
+                                 duration=0.5, seed=1)
+    frames = sim.frames
+    for name, dtype in (("v_p3", np.float64), ("v_n3", np.float64), ("valid", np.bool_)):
+        column = getattr(frames, name)
+        assert type(column) is np.ndarray and column.dtype == dtype
+        assert not column.flags.writeable
+    moved = dataclasses.replace(frames, valid=~frames.valid)
+    assert moved.v_p3 is frames.v_p3 and moved.v_n3 is frames.v_n3
+    own = frames.v_n3.copy()
+    copied = dataclasses.replace(frames, v_n3=own)
+    assert own.flags.writeable and not copied.v_n3.flags.writeable
+    own[0] = -1.0
+    assert copied.v_n3[0] == frames.v_n3[0]
+    restraint = restraint_column(frames, 12)
+    for detector in (AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.2)):
+        trace = detector.run(frames, sim.fs, restraint=restraint)
+        assert trace.v_p3 is frames.v_p3 and trace.v_n3 is frames.v_n3
+        assert trace.restraint is restraint
+        columns = trace.columns()
+        assert columns["JAO"] is trace.operate and columns["rho_hat"] is trace.rho_hat
+        for name, column in columns.items():
+            assert column.dtype == (np.bool_ if name == "trip" else np.float64), name
+            assert name == "t" or not column.flags.writeable, name
 
 
 @pytest.mark.parametrize("column", ["v_p3", "v_n3"])

@@ -545,7 +545,8 @@ def test_fixed_scheme_alone_matches_both_schemes():
     fixed = run_scenario(_fault_config(schemes=["fixed"]))
     assert set(fixed.verdicts) == set(fixed.traces) == {"ng64g2"}
     assert fixed.verdicts["ng64g2"] == both.verdicts["ng64g2"]
-    assert fixed.traces["ng64g2"] == both.traces["ng64g2"]
+    assert (oracles.plain_fields(fixed.traces["ng64g2"])
+            == oracles.plain_fields(both.traces["ng64g2"]))
 
 
 def _cli_config_error(tmp_path, capsys, cfg):
@@ -976,10 +977,10 @@ def test_trace_columns_are_float_or_bool_arrays_with_the_index_times(emitted):
         assert {name: column.dtype for name, column in columns.items()} == {
             name: np.bool_ if name == "trip" else np.float64 for name in columns}
         assert columns["t"].tolist() == [i / trace.fs for i in trace.t_index]
-        assert columns["trip"].tolist() == trace.trip
+        assert columns["trip"].tolist() == trace.trip.tolist()
         if isinstance(trace, A64STrace):
-            assert columns["tau0_hat_ms"].tolist() == [v * 1e3 for v in trace.tau0_hat]
-            assert columns["c0_hat_uF"].tolist() == [v * 1e6 for v in trace.c0_hat]
+            assert columns["tau0_hat_ms"].tolist() == [v * 1e3 for v in trace.tau0_hat.tolist()]
+            assert columns["c0_hat_uF"].tolist() == [v * 1e6 for v in trace.c0_hat.tolist()]
 
 
 def test_a_hand_built_trace_writes_its_ints_as_floats_and_none_as_an_empty_cell(tmp_path):
@@ -1066,8 +1067,9 @@ def test_emit_melts_none_bool_and_mixed_columns_like_the_naive_oracle(tmp_path):
     result = run_scenario(_fault_config(profile={"duration": 3.2}), name="mixed")
     trace = copy.deepcopy(result.traces["a64g2"])
     assert len(trace.t_index) > 3 * signalcore._BLOCK
-    trace.rho_hat = [None if i % 7 == 0 else v for i, v in enumerate(trace.rho_hat)]
-    trace.residual = [int(v > 0) if i % 5 == 0 else v for i, v in enumerate(trace.residual)]
+    trace.rho_hat = [None if i % 7 == 0 else v for i, v in enumerate(trace.rho_hat.tolist())]
+    trace.residual = [int(v > 0) if i % 5 == 0 else v
+                      for i, v in enumerate(trace.residual.tolist())]
     trace.operate = [None] * len(trace.operate)
     result.traces = {"mixed": trace, "ng64g2": result.traces["ng64g2"]}
     emit_report(result, tmp_path / "emitted", fmt="csv")
@@ -1111,7 +1113,7 @@ class _Unprintable:
 def test_emit_report_removes_what_it_wrote_when_a_writer_fails(tmp_path, fmt):
     result = run_scenario(_fault_config(), name="broken")
     trace = copy.deepcopy(result.traces["ng64g2"])
-    trace.operate = [_Unprintable()] + trace.operate[1:]
+    trace.operate = [_Unprintable()] + trace.operate[1:].tolist()
     result.traces["ng64g2"] = trace
     (tmp_path / "keep.txt").write_text("not emit_report's\n")
     with pytest.raises(RuntimeError, match="cell cannot be formatted"):
@@ -1234,7 +1236,7 @@ def test_a_failing_writer_of_a_split_emission_leaves_no_file(tmp_path, split, fo
     the child fails, here again."""
     result = run_scenario(_LONG_64G2, name="broken")
     trace = copy.deepcopy(result.traces[broken])
-    trace.operate = trace.operate[:-1] + [_Unprintable()]
+    trace.operate = trace.operate[:-1].tolist() + [_Unprintable()]
     result.traces[broken] = trace
     (tmp_path / "keep.txt").write_text("not emit_report's\n")
     with pytest.raises(RuntimeError, match="cell cannot be formatted"):

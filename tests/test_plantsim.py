@@ -21,12 +21,12 @@ from statorguard.plantsim import (
     ramp_speed,
     simulate_64g2_scenario,
     simulate_64s_timeseries,
-    subharmonic_transfer,
     third_harmonic_solve,
 )
 from statorguard.signalcore import extract_phasor
 
 import oracles
+from oracles import subharmonic_transfer
 
 
 # ---------------------------------------------------------------- configs
@@ -386,7 +386,8 @@ def test_64g2_replayed_waveforms_give_the_simulated_frames():
                                  load_pu=0.8, pf=0.9, duration=0.6, seed=4)
     replay = frames_from_64g2_waveforms(sim.v_p3_wave, sim.v_n3_wave, cfg,
                                         load_pu=0.8, pf=0.9)
-    assert replay.frames == sim.frames
+    for name in ("v_p3", "v_n3", "valid"):
+        assert getattr(replay.frames, name).tolist() == getattr(sim.frames, name).tolist()
 
 
 @pytest.mark.parametrize("frac", [-0.1, 1.0, 5.0])

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statorguard import signalcore
+from statorguard.a64g2 import SchemeTrace
 from statorguard.signalcore import (
     PhasorSeries,
     TimeSeries,
@@ -573,13 +574,19 @@ def test_sample_times_are_the_index_over_fs_bit_for_bit(fs, n, start):
 
 
 def test_a_trace_column_is_read_as_floats_unless_a_value_is_no_number():
-    numbers = signalcore._float_column((1.5, 2, True, np.float64(0.25)))
+    """A hand-built trace's sequence goes to the writer as a float64
+    array, or as an object array when a value is no number."""
+
+    def column(values):
+        return SchemeTrace(scheme="a64g2", fs=1000.0, sensitivity=1.0,
+                           rho_hat=values).columns()["rho_hat"]
+
+    numbers = column((1.5, 2, True, np.float64(0.25)))
     assert numbers.dtype == np.float64 and numbers.tolist() == [1.5, 2.0, 1.0, 0.25]
-    nan = signalcore._float_column([math.nan, 1.0])
+    nan = column([math.nan, 1.0])
     assert nan.dtype == np.float64 and math.isnan(nan[0]) and nan[1] == 1.0
     for values in ([1.5, None], [0.5, _Unprintable()]):
-        column = signalcore._float_column(values)
-        assert column.dtype == object and column.tolist() == values
+        assert column(values).dtype == object and column(values).tolist() == values
 
 
 def test_ingest_rejects_nonuniform_time(tmp_path):
