@@ -430,6 +430,7 @@ class FixedRatioDetector(_RatioDetector):
 
 
 def write_trace_csv(trace: SchemeTrace, path, long=None) -> None:
-    """Write a detector trace as CSV, one row per frame; ``long`` (an open
-    file and a label) also melts it into that file, as write_table does."""
+    """Write a detector trace as CSV, one row per frame; ``long`` (a file
+    open for bytes and a label) also melts it into that file, as
+    write_table does."""
     write_table(path, trace.columns(), long)

@@ -442,7 +442,7 @@ class A64SEstimator:
 
 
 def write_a64s_trace_csv(trace: A64STrace, path, long=None) -> None:
-    """Write an estimator trace as CSV, one row per sample; ``long`` (an
-    open file and a label) also melts it into that file, as write_table
-    does."""
+    """Write an estimator trace as CSV, one row per sample; ``long`` (a
+    file open for bytes and a label) also melts it into that file, as
+    write_table does."""
     write_table(path, trace.columns(), long)

@@ -16,13 +16,14 @@ import inspect
 import json
 import math
 import numbers
+import shutil
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterator, List, Literal, Optional, TextIO, Tuple, Union,
-                    get_args, get_origin, get_type_hints)
+from typing import (Any, BinaryIO, Callable, Dict, Iterator, List, Literal, Optional, Tuple,
+                    Union, get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -658,8 +659,12 @@ def _run_64s(scenario: _Scenario, name: str,
 def run_scenario(config: Dict[str, Any], name: str = "scenario",
                  input_channels: Optional[Dict[str, TimeSeries]] = None) -> ScenarioResult:
     """Execute one scenario end to end (simulate, or use ingested
-    waveforms, then detect) and return verdicts plus traces."""
+    waveforms, then detect) and return verdicts plus traces.  A replay
+    refuses disturbances, which only the simulator would apply."""
     scenario = _read(config)
+    if input_channels is not None and scenario.disturbances:
+        raise ConfigError("a replayed record never reads 'disturbances': "
+                          "they shape only a simulated one")
     run = _run_64g2 if scenario.kind == "64g2" else _run_64s
     return run(scenario, name, input_channels)
 
@@ -929,10 +934,10 @@ def _emit(obj, out: Path, fmt: str, written: List[str]) -> None:
     if isinstance(obj, ScenarioResult):
         written.append(write_json(out / "report.json", obj.to_dict()))
         long_path = out / "long.csv"
-        opened = output_file(long_path) if fmt == "csv" else nullcontext()
+        opened = output_file(long_path, binary=True) if fmt == "csv" else nullcontext()
         with opened as long:
             if long:
-                long.write("trace,signal,t,value\n")
+                long.write(b"trace,signal,t,value\n")
             _write_traces(list(obj.traces.items()), out, long, written)
         if fmt == "csv":
             written.append(str(long_path))
@@ -941,21 +946,18 @@ def _emit(obj, out: Path, fmt: str, written: List[str]) -> None:
     raise ConfigError(f"cannot emit a report for {type(obj).__name__}")
 
 
-# Characters of the second trace's long.csv texts handed back at a time.
-_PIECE = 1 << 20
-
-
-def _write_traces(traces: List[Tuple[str, Any]], out: Path, long: Optional[TextIO],
+def _write_traces(traces: List[Tuple[str, Any]], out: Path, long: Optional[BinaryIO],
                   written: List[str]) -> None:
     """Write each trace's CSV file, and its long.csv sections when long is
     open, in order.  Two traces of at least ``_FORK_ROWS`` rows each are
     written by ``in_two_processes``: this process writes the first, while
-    theirs writes the second trace's file itself and hands back only its
-    long.csv texts, which follow the first trace's.  Those texts wait in
-    an unnamed temporary file and come back in pieces of ``_PIECE``
-    characters, so neither process holds a whole melt.  When either
-    fails, the second trace's file is removed too, since a child killed
-    because this process raised may leave part of it."""
+    the child writes the second trace's file and melts it into an unnamed
+    temporary file made before the fork.  Once the child is done, that
+    file is copied into long.csv in bounded chunks, after the first
+    trace's sections.  Where no child delivers, the file is emptied and
+    the second trace written here.  When either fails, the second trace's
+    file is removed too, since a child killed because this process raised
+    may leave part of it."""
 
     def write(scheme: str, trace, sink) -> str:
         path = out / f"trace_{scheme}.csv"
@@ -968,22 +970,26 @@ def _write_traces(traces: List[Tuple[str, Any]], out: Path, long: Optional[TextI
             written.append(write(scheme, trace, long))
         return
     first, second = traces
-
-    def theirs() -> Iterator[str]:
-        # newline="" reads back a quoted CR as it was written
-        with (tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass", newline="")
-              if long else nullcontext()) as spool:
-            write(*second, spool)
-            if spool:
-                spool.seek(0)
-                yield from iter(functools.partial(spool.read, _PIECE), "")
-
     second_path = out / f"trace_{second[0]}.csv"
     try:
-        with in_two_processes(lambda: written.append(write(*first, long)), theirs) as (_, texts):
-            # read to the end even without long.csv: without a child, theirs runs here
-            for text in texts:
-                long.write(text)
+        with tempfile.TemporaryFile() if long else nullcontext() as melt:
+            def theirs() -> tuple:
+                # here, after a child that did not deliver, melt may hold part
+                if melt:
+                    melt.seek(0)
+                    melt.truncate()
+                write(*second, melt)
+                if melt:
+                    # a child leaves by os._exit, which flushes nothing
+                    melt.flush()
+                return ()
+
+            # theirs has run, in the child or here, once the block is entered
+            with in_two_processes(lambda: written.append(write(*first, long)), theirs):
+                pass
+            if melt:
+                melt.seek(0)
+                shutil.copyfileobj(melt, long)
     except BaseException:
         with suppress(OSError):
             second_path.unlink()

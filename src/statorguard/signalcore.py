@@ -24,8 +24,8 @@ import tempfile
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import (Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Mapping, NoReturn,
-                    Optional, Sequence, TextIO, Tuple)
+from typing import (IO, Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    NoReturn, Optional, Sequence, Tuple, Union)
 
 import numpy as np
 import orjson
@@ -335,13 +335,13 @@ _BLOCK = 1024
 
 # Tables with at least this many rows are formatted by two processes, and
 # harness writes a 64G2 record's two trace files of this many rows the
-# same way.  Measured on two vCPUs in a 64 MB process holding a 60 s
-# replay's result, best of 11, serial against split: one 64G2 trace with
-# its long.csv melt 44.0 against 50.4 ms at 16,384 rows, 57.4 against
-# 59.2 at 20,480, 82.0 against 71.9 at 32,768; both trace files with
-# long.csv 67.2 against 58.0 ms at 12,288 rows, 127 against 97 at
-# 24,576.  The lone table breaks even between 20,000 and 24,576 rows (an
-# earlier run put it nearer 24,576); the trace files win from 12,000
+# same way.  Measured on two vCPUs in a 57 MB process holding a 60 s
+# replay's result, best of 11 in each of three runs, serial against
+# split: one 64G2 trace with its long.csv melt 21-32 against 25-37 ms at
+# 12,288 rows, 47-51 against 45-50 at 24,576, 62-76 against 55-57 at
+# 32,768; both trace files with long.csv 43-68 against 35-52 ms at 12,288
+# rows, 98-100 against 78-92 at 24,576.  The lone table breaks even
+# between 16,384 and 24,576 rows; the trace files win from about 12,000
 # rows.  One size serves both.
 _FORK_ROWS = 24576
 
@@ -376,8 +376,8 @@ def _floats(values: Sequence[float]) -> List[str]:
 
 def _bools(values: np.ndarray, texts: Tuple[str, str] = ("0", "1")) -> List[str]:
     """The cells of a bool array by lookup: ``texts[0]`` for False,
-    ``texts[1]`` for True."""
-    return list(map(texts.__getitem__, values.tolist()))
+    ``texts[1]`` for True, taken from an object array by numpy."""
+    return np.array(texts, dtype=object).take(values.view(np.uint8)).tolist()
 
 
 def _rule(column: Sequence[Any]) -> Callable[[Sequence[Any]], List[str]]:
@@ -408,12 +408,12 @@ def _melted(values) -> List[str]:
 
 
 @contextmanager
-def output_file(path) -> Iterator[TextIO]:
-    """``path`` opened for writing as UTF-8 text with LF line ends, and
-    removed again, once closed, when the ``with`` block raises, so a
-    failed write leaves no partial file.  A file that could not be opened
-    is left as it was."""
-    fh = open(path, "w", encoding="utf-8", newline="\n")
+def output_file(path, binary: bool = False) -> Iterator[IO]:
+    """``path`` opened for writing as UTF-8 text with LF line ends, or as
+    bytes (binary), and removed again, once closed, when the ``with``
+    block raises, so a failed write leaves no partial file.  A file that
+    could not be opened is left as it was."""
+    fh = open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
             yield fh
@@ -423,19 +423,22 @@ def output_file(path) -> Iterator[TextIO]:
 
 
 def write_table(path, columns: Mapping[str, Sequence[Any]],
-                long: Optional[Tuple[TextIO, str]] = None) -> None:
+                long: Optional[Tuple[BinaryIO, str]] = None) -> None:
     """Write equal-length columns as CSV: a header line of the column
     names, then one LF-terminated row per index, formatted and written in
     blocks of rows.  A float64 or bool array is converted by its dtype's
     rule, a column of one type by that type's rule, any other column
     (an int or object array among them) cell by cell.
 
-    ``long``, an open text file and a label, also melts the table into
-    that file: for each column after the first, in sorted name order, one
-    ``label,<column>,<first column's cell>,<value>`` line per row, the
-    value as a float (None an empty cell).  A float cell's string serves
-    both files.  The melted lines are joined per column and block, kept
-    in an unnamed temporary file, and written once the table is done.
+    ``long``, a file open for writing bytes and a label, also melts the
+    table into that file: for each column after the first, in sorted name
+    order, one ``label,<column>,<first column's cell>,<value>`` line per
+    row, the value as a float (None an empty cell), in UTF-8.  A float
+    cell's string serves both files.  The melted lines are joined per
+    column and block, kept as bytes in an unnamed temporary file, and
+    written as they are once the table is done; a label or name that
+    UTF-8 cannot encode, such as a lone surrogate, raises
+    ``UnicodeEncodeError``.
 
     The texts come from ``_format_rows``.  A table of at least
     ``_FORK_ROWS`` rows is formatted in two halves by ``in_two_processes``:
@@ -470,7 +473,7 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
         mid = (n + _BLOCK) // (2 * _BLOCK) * _BLOCK
         own_blocks, their_blocks = mid // _BLOCK, len(range(mid, n, _BLOCK))
 
-        def first_half() -> Iterator[str]:
+        def first_half() -> Iterator[Union[str, bytes]]:
             own = texts(0, mid)
             fh.writelines(islice(own, own_blocks))
             return own
@@ -482,32 +485,48 @@ def write_table(path, columns: Mapping[str, Sequence[Any]],
                 sink.writelines(islice(theirs, their_blocks))
 
 
-def _format_rows(data, rules, sections, start: int, stop: int) -> Iterator[str]:
+def _format_rows(data, rules, sections, start: int, stop: int
+                 ) -> Iterator[Union[str, bytes]]:
     """The texts of rows [start, stop) of the table: each block's table
-    rows, then, for each long section ``(column, line prefix)``, that
-    column's melted lines, one text per block.  The melted lines wait in
-    an unnamed temporary file rather than in memory, where a 60 s 64G2
-    trace's would take about 20 MB."""
+    rows as one str, then, for each long section ``(column, line prefix)``,
+    that column's melted lines as UTF-8 bytes, one span per block.  Each
+    text is one ``"".join`` over a list laid out in advance and filled by
+    slice assignment: a row's cells at a stride of twice the width, with
+    a comma between them and LF at its end, and a melted line as its
+    prefix, the first column's cell and a comma (made once per block for
+    every section), its value and LF.  The melted lines are encoded once
+    and wait in an unnamed temporary file rather than in memory, where a
+    60 s 64G2 trace's would take about 20 MB."""
+    width = len(data)
+    separators = [","] * (2 * width - 1) + ["\n"]
     spans: List[List[Tuple[int, int]]] = [[] for _ in sections]
     end = 0
     with tempfile.TemporaryFile() if sections else nullcontext() as spool:
         for lo in range(start, stop, _BLOCK):
             block = [column[lo:min(lo + _BLOCK, stop)] for column in data]
             cells = [rule(part) for rule, part in zip(rules, block)]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            rows = len(cells[0])
+            table = separators * rows
+            for j, column in enumerate(cells):
+                table[2 * j::2 * width] = column
+            yield "".join(table)
+            if not sections:
+                continue
+            times = [t + "," for t in cells[0]]
             for span, (j, prefix) in zip(spans, sections):
                 rule = rules[j]
-                values = (cells[j] if rule is _floats else
-                          _bools(block[j], ("0.0", "1.0")) if rule is _bools else
-                          _melted(block[j]))
-                text = prefix + ("\n" + prefix).join(map(",".join, zip(cells[0], values)))
-                size = spool.write((text + "\n").encode("utf-8", "surrogatepass"))
+                melt = [prefix, "", "", "\n"] * rows
+                melt[1::4] = times
+                melt[2::4] = (cells[j] if rule is _floats else
+                              _bools(block[j], ("0.0", "1.0")) if rule is _bools else
+                              _melted(block[j]))
+                size = spool.write("".join(melt).encode())
                 span.append((end, size))
                 end += size
         for span in spans:
             for offset, size in span:
                 spool.seek(offset)
-                yield spool.read(size).decode("utf-8", "surrogatepass")
+                yield spool.read(size)
 
 
 @contextmanager

@@ -6,12 +6,12 @@ import functools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 import time
 import typing
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -1170,25 +1170,58 @@ def test_a_long_64g2_record_on_one_cpu_forks_no_child(tmp_path, split, one_cpu, 
     assert forks == []
 
 
-@pytest.mark.parametrize("pinned", [False, pytest.param(True, marks=pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity"))])
-def test_a_split_emission_hands_back_the_second_melt_in_bounded_pieces(
-        request, monkeypatch, tmp_path, split, pinned):
-    if pinned:
+class _LoggedReads:
+    """A file whose reads log the size asked for."""
+
+    def __init__(self, file, sizes):
+        self.file, self.sizes = file, sizes
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return self.file.read(size)
+
+
+def _child_fails_after_its_melt(monkeypatch):
+    """A child that writes the second trace and its whole melt, then more
+    bytes into the shared file, and exits 3."""
+    here = os.getpid()
+    write = harness.write_trace_csv
+
+    def writer(trace, path, long=None):
+        write(trace, path, long)
+        if os.getpid() != here:
+            long[0].write(b"left by a failed child\n" * 10_000)
+            long[0].flush()
+            os._exit(3)
+
+    monkeypatch.setattr(harness, "write_trace_csv", writer)
+
+
+@pytest.mark.parametrize("how", ["as_it_is", "one_cpu", "child_fails"])
+def test_a_split_emission_hands_over_the_second_melt_in_a_shared_file(
+        request, monkeypatch, tmp_path, split, how):
+    """The second trace's melt reaches long.csv through one temporary file
+    that the child shares; where no child delivers, this process empties
+    it before writing the second trace itself; the other ways a fork
+    delivers nothing take that path too, and the files they write are
+    checked by the no_child test above.  Either way the file is copied in
+    bounded chunks, and every file is the one-process file."""
+    if how == "one_cpu":
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity")
         request.getfixturevalue("one_cpu")
-    monkeypatch.setattr(harness, "_PIECE", 100_000)
-    pieces = []
-    two = harness.in_two_processes
+    elif how == "child_fails":
+        _child_fails_after_its_melt(monkeypatch)
+    sizes = []
+    copy_file = shutil.copyfileobj
 
-    @contextmanager
-    def recording(mine, theirs):
-        with two(mine, theirs) as (result, items):
-            yield result, (pieces.append(len(item)) or item if isinstance(item, str) else item
-                           for item in items)
+    def logged_copy(source, target, *args):
+        copy_file(_LoggedReads(source, sizes), target, *args)
 
-    monkeypatch.setattr(harness, "in_two_processes", recording)
+    monkeypatch.setattr(shutil, "copyfileobj", logged_copy)
     assert _outputs(tmp_path) == _one_process_outputs("csv")
-    assert len(pieces) > 1 and max(pieces) <= 100_000
+    assert len(sizes) > 2 and all(0 < size <= 1 << 20 for size in sizes)
+    assert _no_child()
 
 
 def test_a_short_64g2_record_forks_no_child(tmp_path, forks):
@@ -1685,6 +1718,30 @@ def test_cli_replay_labelled_past_the_records_end_exits_1(tmp_path, capsys, kind
     err = capsys.readouterr().err
     assert "config error:" in err and "fault.t_on 5.0 s" in err
     assert not (tmp_path / "out").exists()
+
+
+_DISTURBED = [{"kind": "load_step", "magnitude": 0.75, "t_on": 0.5},
+              {"kind": "terminal_pt_scale", "magnitude": 0.4, "t_on": 0.2, "t_off": 0.6}]
+
+
+def test_a_64g2_replay_refuses_disturbances(cli_workspace, tmp_path, capsys):
+    """Disturbances shape only a simulated record; a replay that took them
+    gave the verdicts of the undisturbed recording."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_fault_config(disturbances=_DISTURBED)))
+    argv = ["detect-64g2", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli_main(argv + ["--input", str(cli_workspace["waveforms"])]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "'disturbances'" in err
+    assert not (tmp_path / "out").exists()
+    # the same config simulates its disturbances
+    assert cli_main(argv) == 0
+    with pytest.raises(ConfigError, match="never reads 'disturbances'"):
+        run_scenario(_fault_config(disturbances=_DISTURBED[:1]),
+                     input_channels=ingest_csv(cli_workspace["waveforms"]))
+    # an empty list disturbs nothing, so a replay takes it
+    run_scenario(_fault_config(disturbances=[]),
+                 input_channels=ingest_csv(cli_workspace["waveforms"]))
 
 
 def test_cli_replay_of_broken_data_stays_a_runtime_error(tmp_path, capsys):

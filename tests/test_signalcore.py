@@ -263,17 +263,16 @@ def _mixed_table(n):
 
 def _emitted(columns, directory, in_memory=False):
     """The table and its melt as write_table writes them beside a long.csv
-    header (in_memory: into an io.StringIO, saved afterwards), and as the
+    header (in_memory: into an io.BytesIO, saved afterwards), and as the
     naive csv-module oracle writes them."""
     ours, naive = directory / "ours", directory / "naive"
     ours.mkdir(parents=True)
     naive.mkdir()
-    with (io.StringIO() if in_memory
-          else open(ours / "long.csv", "w", encoding="utf-8", newline="\n")) as sink:
-        sink.write("trace,signal,t,value\n")
+    with io.BytesIO() if in_memory else open(ours / "long.csv", "wb") as sink:
+        sink.write(b"trace,signal,t,value\n")
         write_table(ours / "trace_tbl.csv", columns, (sink, "tbl"))
         if in_memory:
-            (ours / "long.csv").write_bytes(sink.getvalue().encode("utf-8"))
+            (ours / "long.csv").write_bytes(sink.getvalue())
     trace = SimpleNamespace(columns=lambda: dict(columns))
     oracles.naive_emit_csv(SimpleNamespace(traces={"tbl": trace}), naive)
     return ([(ours / name).read_bytes() for name in ("trace_tbl.csv", "long.csv")],
@@ -321,7 +320,7 @@ def test_a_cell_error_in_the_childs_half_is_raised_in_the_parent(tmp_path, forks
     columns["m"][-1] = _Unprintable()
     out = tmp_path / "out"
     out.mkdir()
-    with open(tmp_path / "long.csv", "w", encoding="utf-8", newline="\n") as sink:
+    with open(tmp_path / "long.csv", "wb") as sink:
         with pytest.raises(RuntimeError, match="cell cannot be formatted") as excinfo:
             write_table(out / "table.csv", columns, (sink, "tbl"))
     assert len(forks) == _SPLITS
@@ -418,15 +417,19 @@ def test_in_two_processes_on_one_cpu_forks_no_child_and_makes_no_file(one_cpu, f
 
 
 def test_the_melt_keeps_any_label_and_column_name_as_it_was(tmp_path):
-    """The melted lines wait in a temporary file as bytes; non-ASCII text,
-    and even a lone surrogate in the label, come back unchanged."""
-    sink = io.StringIO()
-    label, name = "l\u00e4\ud800bel", "\u00e4,\u00f6"
+    """The melted lines reach the sink as UTF-8 bytes; non-ASCII text
+    comes back unchanged, and a lone surrogate, which UTF-8 cannot encode,
+    raises as long.csv's text writer did and leaves no table file."""
+    sink = io.BytesIO()
+    label, name = "l\u00e4bel", "\u00e4,\u00f6"
     write_table(tmp_path / "t.csv", {"t": [0.0, 0.5], name: [1.0, None]}, (sink, label))
-    assert sink.getvalue() == f'{label},"{name}",0.0,1.0\n{label},"{name}",0.5,\n'
+    assert sink.getvalue().decode() == f'{label},"{name}",0.0,1.0\n{label},"{name}",0.5,\n'
+    with pytest.raises(UnicodeEncodeError):
+        write_table(tmp_path / "s.csv", {"t": [0.0], name: [1.0]}, (io.BytesIO(), "l\ud800"))
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
-class _FullSink(io.StringIO):
+class _FullSink(io.BytesIO):
     """A long.csv sink on a full disk."""
 
     def writelines(self, lines):
@@ -561,6 +564,64 @@ def test_a_column_that_is_a_strided_view_writes_its_own_values(tmp_path):
     ours, naive = _emitted(columns, tmp_path / "view")
     assert ours == naive == _emitted({k: v.tolist() for k, v in columns.items()},
                                      tmp_path / "lists")[0]
+
+
+# strings float() reads, which the table quotes for their LF (the csv
+# module's writer, the oracle, quotes no lone CR under an LF terminator)
+_QUOTED = ["\n1.5", "2.5\n", " -3e-7\r\n", "\n4"]
+
+
+def _cells(kind, n, rng):
+    """n cells of one kind, drawn from rng."""
+    floats = rng.normal(scale=1e3, size=n)
+    edges = rng.random(n) < 0.1
+    floats[edges] = rng.choice(_EDGE_FLOATS, size=int(edges.sum()))
+    if kind == "float_array":
+        return floats
+    if kind == "float_list":
+        return floats.tolist()
+    if kind == "bool_array":
+        return floats > 0
+    if kind == "bool_view":
+        return np.stack([floats > 0, floats < 0], axis=1)[:, 1]
+    if kind == "int_list":
+        return rng.integers(-10**6, 10**6, size=n).tolist()
+    if kind == "int_array":
+        return rng.integers(-10**6, 10**6, size=n)
+    if kind == "none":
+        return [None] * n
+    if kind == "quoted":
+        return [_QUOTED[i] for i in rng.integers(0, len(_QUOTED), size=n)]
+    pick = rng.integers(0, 6, size=n)
+    return [(None, float(v), int(v) if math.isfinite(v) else 7, v > 0, _QUOTED[i % 4],
+             "8.25")[k] for i, (k, v) in enumerate(zip(pick.tolist(), floats.tolist()))]
+
+
+_KINDS = ["float_array", "float_list", "bool_array", "bool_view", "int_list", "int_array",
+          "none", "quoted", "mixed"]
+# names the header and the melt quote, and plain ones
+_NAMES = ["a,b", 'q"x', "line\nname", "c", "d", "e", "f", "g", "h", "i", "j", "k"]
+_ROWS = [0, 1, signalcore._BLOCK - 1, signalcore._BLOCK, signalcore._BLOCK + 1,
+         2 * signalcore._BLOCK + 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_KINDS), min_size=0, max_size=11), st.sampled_from(_ROWS),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_rows_and_melted_lines_are_assembled_as_the_naive_oracle_writes_them(
+        kinds, rows, time_array, split, seed):
+    """Tables 1 to 12 columns wide, the time column first, of every cell
+    kind, at row counts around a write block, on the serial path and on
+    the two-process split path."""
+    rng = np.random.default_rng(seed)
+    names = rng.permutation(_NAMES)[:len(kinds)].tolist()
+    times = np.arange(rows) / 1000.0
+    columns = {"t": times if time_array else times.tolist(),
+               **{name: _cells(kind, rows, rng) for name, kind in zip(names, kinds)}}
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signalcore, "_FORK_ROWS", 0 if split else 10**9)
+        ours, naive = _emitted(columns, Path(directory))
+    assert ours == naive
 
 
 @settings(max_examples=200, deadline=None)

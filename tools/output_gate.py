@@ -18,7 +18,9 @@ sensitivity sweep once more with this process pinned to one CPU, where
 the sweep runs every cell itself instead of sharing them with a forked
 child.  A 30 s 64G2 detection with a fixed calibration, whose 30,000
 frames reach the two-process path of their trace files, runs twice: as
-it is, and pinned to one CPU, where no child is forked.  The SHA-256 of
+it is, and pinned to one CPU, where no child is forked.  So does a 30 s
+64S detection, whose 30,000-row trace reaches the two-process row split
+of its trace file with a long.csv melt.  The SHA-256 of
 every file they write is compared with ``output_digests.json`` next to
 this script.  A change meant to keep behaviour must leave every digest
 as it is.  The gate fails on a digest that differs, on a recorded one
@@ -62,6 +64,8 @@ MIXED_BASE = {"profile": {"load_pu": 0.9, "window_cycles": 4}, "detector": {"per
               "estimator": {"smoothing_rate": 12.0}}
 LONG_64G2 = {"kind": "64g2", "seed": 3, "fault": {"x": 0.05, "rf": 100.0, "t_on": 25.0},
              "profile": {"duration": 30.0}, "calibration": {"ratio": 1.22, "beta_ng": 0.148}}
+LONG_64S = {"kind": "64s", "seed": 6, "fault": {"x": 0.3, "rf": 500.0, "t_on": 25.0},
+            "profile": {"duration": 30.0, "speed": 1.0}}
 SENSITIVITY_BASE = {"profile": {"window_cycles": 6, "supervision_frac": 0.12},
                     "detector": {"window": 14, "persistence": 10},
                     "kaf": {"rho0": 1.2, "measurement_noise": 0.01},
@@ -85,6 +89,8 @@ def _runs(tmp: Path):
     sens_base.write_text(json.dumps(SENSITIVITY_BASE))
     long_g2 = tmp / "long_64g2.json"
     long_g2.write_text(json.dumps(LONG_64G2))
+    long_s = tmp / "long_64s.json"
+    long_s.write_text(json.dumps(LONG_64S))
     return [
         ("simulate-64g2", ["simulate", "--config", str(g2)]),
         ("detect-64g2", ["detect-64g2", "--config", str(g2), "--format", "csv"]),
@@ -107,11 +113,14 @@ def _runs(tmp: Path):
         ("detect-64g2-long", ["detect-64g2", "--config", str(long_g2), "--format", "csv"]),
         ("detect-64g2-long-one-cpu", ["detect-64g2", "--config", str(long_g2),
                                       "--format", "csv"]),
+        ("detect-64s-long", ["detect-64s", "--config", str(long_s), "--format", "csv"]),
+        ("detect-64s-long-one-cpu", ["detect-64s", "--config", str(long_s), "--format", "csv"]),
     ]
 
 
 # runs made with this process pinned to one CPU
-ONE_CPU = {"sweep-sensitivity-one-cpu", "detect-64g2-long-one-cpu"}
+ONE_CPU = {"sweep-sensitivity-one-cpu", "detect-64g2-long-one-cpu",
+           "detect-64s-long-one-cpu"}
 
 
 @contextlib.contextmanager
