@@ -163,45 +163,17 @@ class SchemeTrace:
 
 
 def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
-    """``math.fsum`` of every full window of ``width`` consecutive values
-    (non-negative, NaN or inf), oldest first, bit for bit.
-
-    A TwoSum pass (Knuth; Ogita, Rump & Oishi 2005) over ``width - 1``
-    shifted views gives each window's rounded sum s and its exact
-    rounding errors, summed into c.  r = s + c is the correctly rounded
-    sum where it lies clearly inside its rounding interval: where
-    |(s - r) + c| is below half the gap under r (the smaller gap, at a
-    power of two) by more than 2**-20 of it, far more than c's own
-    error.  Every other window (a near tie, a subnormal sum, a NaN, an
-    inf or an overflow) is summed again by ``math.fsum``, in order, so
-    it returns or raises what fsum always has."""
+    """The sum of every full window of ``width`` consecutive values,
+    oldest first, each added left to right: ((v0 + v1) + v2) + ...  A
+    window that overflows sums to inf, one holding a NaN to NaN."""
     count = len(values) - width + 1
     if count <= 0:
         return np.zeros(0)
-    with np.errstate(all="ignore"):
-        s, c = values[:count].copy(), np.zeros(count)
-        t, z, e = np.empty(count), np.empty(count), np.empty(count)
+    sums = values[:count].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, width):
-            x = values[k:k + count]
-            # t = s + x, and its rounding error (s - (t - z)) + (x - z)
-            np.add(s, x, out=t)
-            np.subtract(t, s, out=z)
-            np.subtract(t, z, out=e)
-            np.subtract(s, e, out=e)
-            np.subtract(x, z, out=z)
-            e += z
-            c += e
-            s, t = t, s
-        r = s + c
-        np.subtract(s, r, out=z)
-        z += c
-        np.nextafter(r, 0.0, out=e)
-        np.subtract(r, e, out=e)
-        e *= 0.5 - 2.0**-21
-        exact = np.abs(z, out=z) < e
-    for j in np.flatnonzero(~exact).tolist():
-        r[j] = math.fsum(values[j:j + width].tolist())
-    return r
+            sums += values[k:k + count]
+    return sums
 
 
 def _by_frame(values: Sequence[float], index: np.ndarray, fill: float) -> np.ndarray:
@@ -241,7 +213,9 @@ def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
     ``ratio``.  Invalid frames are recorded with the last ratio and
     energies but do not advance the filter, the operate window (the
     squared residuals of the last L+1 valid frames), or the trip logic.
-    Only the filter steps one frame at a time, on Python floats.
+    Only the filter steps one frame at a time, on Python floats.  A filter
+    step that squares past the float range raises its OverflowError; an
+    operate window that overflows is inf, and so is its margin.
     """
     window, n = cfg.window, len(valid)
     counts = np.cumsum(valid)
@@ -262,14 +236,7 @@ def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
             rho_hat = vn / vp if vp > 0 else 0.5
         ratios: List[float] = []
         residuals: List[float] = []
-        try:
-            _kaf_track(rho_hat, kaf[2], kaf[0], kaf[1], v_p3, v_n3, ratios, residuals)
-        except OverflowError:
-            # one frame at a time, the operate windows of the frames
-            # before this one were summed first, and may have overflowed
-            with np.errstate(over="ignore"):
-                _window_sums(np.square(residuals), window + 1)
-            raise
+        _kaf_track(rho_hat, kaf[2], kaf[0], kaf[1], v_p3, v_n3, ratios, residuals)
         trace.rho_hat = _by_frame(ratios, counts, ratio or 0.0)
         residual = residuals
     operate, jar = np.zeros(m), trace.restraint[valid]

@@ -38,8 +38,6 @@ __all__ = [
     "A64SEstimatorConfig",
     "A64STrace",
     "A64SEstimator",
-    "locate_fault",
-    "locator_consistent",
     "frames_from_timeseries",
     "write_a64s_trace_csv",
     "HEALTHY_SENTINEL",
@@ -103,41 +101,6 @@ class InsulationDetectorConfig:
             raise ValueError("drop_fraction must be in (0, 1)")
         if self.persistence < 1:
             raise ValueError("persistence must be >= 1")
-
-
-def locate_fault(
-    v_n60: float,
-    un: float,
-    r_n: float,
-    rs_f: float,
-    tau0_f: float,
-    fault_active: bool = True,
-    f1: float = 60.0,
-) -> float:
-    """Fault position from the fundamental neutral voltage.
-
-    Inverts the divider formed by the fault resistance against the
-    grounding resistance shunted by the winding capacitance: the faulted
-    winding fraction is proportional to the measured fundamental neutral
-    magnitude scaled by the divider's impedance magnitude.  rs_f is the
-    fault-path resistance, tau0_f = rs_f times the winding capacitance.
-    With no active fault the sentinel 2 is returned.  Computed positions
-    above 1.2 indicate inconsistent inputs (see locator_consistent).
-    """
-    if not fault_active:
-        return HEALTHY_SENTINEL
-    if un <= 0 or r_n <= 0:
-        raise ValueError("un and r_n must be positive")
-    if v_n60 < 0 or rs_f < 0 or tau0_f < 0:
-        raise ValueError("v_n60, rs_f, tau0_f must be >= 0")
-    omega = 2.0 * math.pi * f1
-    return (v_n60 / (un * r_n)) * math.hypot(r_n + rs_f, omega * r_n * tau0_f)
-
-
-def locator_consistent(x: float) -> bool:
-    """True when a location output is physically interpretable: either
-    the healthy sentinel or a position at most 20% beyond the winding."""
-    return x == HEALTHY_SENTINEL or 0.0 <= x <= 1.2
 
 
 def frames_from_timeseries(
@@ -322,7 +285,7 @@ class A64SEstimator:
         baseline = drop_level = None
         streak = 0
         tripped = False
-        # locator constants (see locate_fault)
+        # locator constants: x = v_n60 / (un * r_n) * |r_n + rf + j*omega*r_n*tau0_f|
         r_n = circuit.r_n_primary
         v_scale = circuit.un * r_n
         omega_r_n = 2.0 * math.pi * circuit.f1 * r_n
@@ -410,7 +373,7 @@ class A64SEstimator:
                 if tripped and not (rs <= 0 or rs >= baseline):
                     # the measured drop is the parallel combination of the
                     # healthy insulation and the fault path; undo it to get
-                    # the fault branch, then locate as locate_fault does
+                    # the fault branch, then invert the divider it forms
                     rf_hat = 1.0 / (1.0 / rs - 1.0 / baseline)
                     tau0_f = rf_hat * max(c0_hat, 0.0)
                     x_hat = (v_n60 / v_scale) * math.hypot(r_n + rf_hat, omega_r_n * tau0_f)

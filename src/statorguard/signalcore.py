@@ -356,9 +356,8 @@ def _floats(values: Sequence[float]) -> List[str]:
     shortest round-trip digits about ten times faster.  Its notation
     differs for nonzero values below 1e-4 in magnitude (``0.00001``,
     ``1e-6``), for values of 1e16 and above (``1e16``) and for NaN and
-    infinities (``null``); those cells, picked by value, are formatted by
-    ``repr`` instead.  Each of them puts an ``e``, an ``n`` or ``.0000``
-    in orjson's text, so a text without these needs no value check."""
+    infinities (``null``); those cells, picked by value with one numpy
+    mask over the block, are formatted by ``repr`` instead."""
     if not len(values):
         return []
     if isinstance(values, np.ndarray):
@@ -367,10 +366,9 @@ def _floats(values: Sequence[float]) -> List[str]:
     else:
         raw = orjson.dumps(values)
     cells = raw[1:-1].decode().split(",")
-    if b"e" in raw or b"n" in raw or b".0000" in raw:
-        size = np.abs(np.asarray(values))
-        for i in np.flatnonzero(((size < 1e-4) & (size != 0)) | ~(size < 1e16)).tolist():
-            cells[i] = float.__repr__(values[i])
+    size = np.abs(np.asarray(values))
+    for i in np.flatnonzero(((size < 1e-4) & (size != 0)) | ~(size < 1e16)).tolist():
+        cells[i] = float.__repr__(values[i])
     return cells
 
 

@@ -19,7 +19,7 @@ import scipy.signal
 import scipy.sparse
 import scipy.sparse.linalg
 
-from statorguard.a64s import HEALTHY_SENTINEL, CalibrationError, locate_fault
+from statorguard.a64s import HEALTHY_SENTINEL, CalibrationError
 from statorguard.plantsim import Subharmonic64SConfig
 from statorguard.signalcore import TimeSeries
 
@@ -251,6 +251,15 @@ def windowed_energy(values, window, t):
     return float(sum(float(v) ** 2 for v in values[lo: t + 1]))
 
 
+def sum_left_to_right(values):
+    """values added one at a time, oldest first, with no compensation
+    (the builtin sum compensates floats from Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 _RatioFilter = namedtuple("_RatioFilter", "rho_hat variance")
 
 
@@ -258,7 +267,8 @@ def naive_ratio_run(v_p3, v_n3, valid, window, sensitivity, hold, ratio=None, ka
     """Either 64G2 ratio scheme frame by frame, longhand: the ratio filter
     is a frozen tuple rebuilt on every update, and the operate and
     restraint energies are summed afresh from the raw residuals and
-    neutral magnitudes of the last window+1 valid frames.
+    neutral magnitudes of the last window+1 valid frames, added left to
+    right.
 
     kaf (process noise, measurement noise, initial variance) selects the
     adaptive scheme, whose filter starts at the first valid frame from
@@ -275,7 +285,7 @@ def naive_ratio_run(v_p3, v_n3, valid, window, sensitivity, hold, ratio=None, ka
     for vn, ok in zip(v_n3, valid):
         if ok:
             vn3s.append(vn)
-            restraint = math.fsum(v * v for v in vn3s[-(window + 1):])
+            restraint = sum_left_to_right(v * v for v in vn3s[-(window + 1):])
         out["restraint"].append(restraint)
     for k, restraint in enumerate(out["restraint"]):
         if not 0.0 <= restraint < math.inf:
@@ -308,7 +318,7 @@ def naive_ratio_run(v_p3, v_n3, valid, window, sensitivity, hold, ratio=None, ka
             if t <= window:
                 operate = 0.0
             else:
-                operate = math.fsum(r * r for r in residuals[-(window + 1):])
+                operate = sum_left_to_right(r * r for r in residuals[-(window + 1):])
             if not tripped:
                 if operate > sensitivity * jar:
                     streak += 1
@@ -549,6 +559,41 @@ class _DropLatch:
             self._streak = 0
         self.tripped = self._streak >= cfg.persistence
         return self.tripped
+
+
+def locate_fault(
+    v_n60: float,
+    un: float,
+    r_n: float,
+    rs_f: float,
+    tau0_f: float,
+    fault_active: bool = True,
+    f1: float = 60.0,
+) -> float:
+    """Fault position from the fundamental neutral voltage.
+
+    Inverts the divider formed by the fault resistance against the
+    grounding resistance shunted by the winding capacitance: the faulted
+    winding fraction is proportional to the measured fundamental neutral
+    magnitude scaled by the divider's impedance magnitude.  rs_f is the
+    fault-path resistance, tau0_f = rs_f times the winding capacitance.
+    With no active fault the sentinel 2 is returned.  Computed positions
+    above 1.2 indicate inconsistent inputs (see locator_consistent).
+    """
+    if not fault_active:
+        return HEALTHY_SENTINEL
+    if un <= 0 or r_n <= 0:
+        raise ValueError("un and r_n must be positive")
+    if v_n60 < 0 or rs_f < 0 or tau0_f < 0:
+        raise ValueError("v_n60, rs_f, tau0_f must be >= 0")
+    omega = 2.0 * math.pi * f1
+    return (v_n60 / (un * r_n)) * math.hypot(r_n + rs_f, omega * r_n * tau0_f)
+
+
+def locator_consistent(x: float) -> bool:
+    """True when a location output is physically interpretable: either
+    the healthy sentinel or a position at most 20% beyond the winding."""
+    return x == HEALTHY_SENTINEL or 0.0 <= x <= 1.2
 
 
 def _locate(circuit, v_n60, rs_hat, c0_hat, baseline, r_n):

@@ -312,63 +312,44 @@ def test_run_matches_naive_oracle_in_every_column_margin_and_peak(fixed, cfg, pr
 
 @settings(max_examples=150, deadline=None)
 @given(values=st.lists(st.one_of(_magnitude, st.floats(0.0, 1e300), st.sampled_from(
-    [0.0, 1.0, 0.25, 2.0**-54, 2.0**-53, 5e-324, 1e-320])), max_size=40),
+    [0.0, 1.0, 0.25, 2.0**-54, 2.0**-53, 5e-324, 1e-320, 1e308, sys.float_info.max,
+     math.inf])), max_size=40),
     width=st.integers(1, 21))
-def test_window_sums_equal_fsum_of_every_window(values, width):
+def test_window_sums_are_left_to_right_sums_of_every_window(values, width):
+    """Every window, those that sum past the float range to inf
+    included, is summed as the oracle's loop sums it."""
     got = a64g2._window_sums(np.array(values, dtype=float), width)
-    want = [math.fsum(values[j:j + width]) for j in range(len(values) - width + 1)]
+    want = [oracles.sum_left_to_right(values[j:j + width])
+            for j in range(len(values) - width + 1)]
     assert got.tolist() == want
 
 
-def _counted_fsum(monkeypatch):
-    """The windows math.fsum sums from now on."""
-    calls = []
-    fsum = math.fsum
-
-    def counted(values):
-        calls.append(list(values))
-        return fsum(calls[-1])
-
-    monkeypatch.setattr(math, "fsum", counted)
-    return calls
-
-
-def test_a_window_that_lands_on_a_rounding_tie_is_summed_by_fsum(monkeypatch):
-    """1 + 0.25 + 2**-54 + 2**-54 lies halfway between 1.25 and the next
-    float, where TwoSum's own sum cannot say which way the rounding goes:
-    of the record's restraint windows only that one goes to fsum."""
-    tiny = 2.0**-27
-    frames = _frames([_frame(i, 1.0, vn) for i, vn in enumerate([1.0, 0.5, tiny, tiny])])
-    calls = _counted_fsum(monkeypatch)
-    column = restraint_column(frames, 3)
-    assert calls == [[1.0, 0.25, 2.0**-54, 2.0**-54]]
-    assert column.tolist() == [1.0, 1.25, 1.25, 1.25]
-    assert column.tolist() == oracles.naive_ratio_run(*_columns(frames), 3, 0.005, 3,
+def test_window_sums_round_after_every_addition():
+    """1 + 2**-53 is a tie that rounds to even, 1.0, and so does adding
+    the second 2**-53; fsum (and the builtin sum from Python 3.12 on)
+    rounds the exact sum once, to 1 + 2**-52.  A restraint window of
+    1 and four 2**-54 squares sums as the kernel's windows do."""
+    values = [1.0, 2.0**-53, 2.0**-53]
+    assert a64g2._window_sums(np.array(values), 3).tolist() == [1.0]
+    assert oracles.sum_left_to_right(values) == 1.0
+    assert math.fsum(values) == 1.0 + 2.0**-52
+    frames = _frames([_frame(i, 1.0, vn) for i, vn in enumerate([1.0] + [2.0**-27] * 4)])
+    column = restraint_column(frames, 4)
+    assert column.tolist() == [1.0] * 5
+    assert column.tolist() == oracles.naive_ratio_run(*_columns(frames), 4, 0.005, 4,
                                                       ratio=1.0)["restraint"]
-
-
-def test_a_sum_near_a_tie_under_a_power_of_two_is_summed_by_fsum(monkeypatch):
-    """The exact sum 1 - 2**-54 - 2**-108 lies just under the midpoint
-    between 1 - 2**-53 and 1, and rounds down; TwoSum's error sum loses
-    the 2**-108 and lands on the midpoint, whose rounding goes up to 1.
-    Under a power of two the gap below is half the gap above, and only
-    the gap below shows that this window is a near tie."""
-    values = [0.5, 0.5 - 2.0**-53, 2.0**-55 - 2.0**-108, 2.0**-55]
-    calls = _counted_fsum(monkeypatch)
-    assert a64g2._window_sums(np.array(values), 4).tolist() == [1.0 - 2.0**-53]
-    assert calls == [values]
 
 
 @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "adaptive"])
 @pytest.mark.parametrize("channel", ["v_p3", "v_n3"])
 @pytest.mark.parametrize("magnitude", [1e154, 1e155, 1e200])
 def test_an_overflowing_energy_raises_what_the_oracle_raises(fixed, channel, magnitude):
-    """A window of squares that overflows raises fsum's OverflowError; a
-    terminal magnitude whose square overflows raises the filter's; a
-    neutral magnitude whose square overflows makes the restraint
-    infinite, which both refuse at its first frame (the fixed scheme used
-    to go blind on it, margin 0.0); any other overflow runs on to the
-    oracle's inf and NaN energies."""
+    """A neutral magnitude whose square overflows, or whose window of
+    squares does, makes the restraint infinite, which both refuse at its
+    first frame (the fixed scheme used to go blind on it, margin 0.0); a
+    terminal magnitude whose square overflows raises the filter's
+    OverflowError; any other overflow runs on to the oracle's inf and NaN
+    energies."""
     cfg = DetectorConfig(window=3, persistence=2)
     rows = [(1.0, 1.2)] * 6 + [(magnitude, 1.2) if channel == "v_p3" else (1.0, magnitude)] * 2
     rows += [(1.0, 1.2)] * 6
@@ -377,8 +358,10 @@ def test_an_overflowing_energy_raises_what_the_oracle_raises(fixed, channel, mag
     detector = (FixedRatioDetector(ratio=1.2, cfg=cfg) if fixed
                 else AdaptiveRatioDetector(cfg=cfg, rho0=1.2))
     columns = (*_columns(frames), cfg.window, cfg.sensitivity, cfg.hold)
-    if channel == "v_n3" and magnitude * magnitude == math.inf:
-        refusal = "^restraint must be finite and >= 0, got inf at frame 6$"
+    if channel == "v_n3":
+        # 1e154 squares to 1e308, and two of them sum past the float range
+        frame = 6 if magnitude * magnitude == math.inf else 7
+        refusal = f"^restraint must be finite and >= 0, got inf at frame {frame}$"
         with pytest.raises(ValueError, match=refusal):
             oracles.naive_ratio_run(*columns, ratio=1.2, kaf=kaf)
         with pytest.raises(ValueError, match=refusal):
@@ -395,19 +378,42 @@ def test_an_overflowing_energy_raises_what_the_oracle_raises(fixed, channel, mag
         np.testing.assert_array_equal(getattr(trace, name), column, err_msg=name)
 
 
-def test_an_operate_window_that_overflows_raises_before_a_later_filter_overflow():
-    """Frame 2's operate window overflows fsum, and frame 3's terminal
-    magnitude squares past the float range in the ratio filter; frame by
-    frame, the window's error comes first."""
+def test_an_operate_window_that_overflows_runs_on_to_a_later_filter_overflow():
+    """Frame 2's operate window sums past the float range to inf, which
+    raises nothing; frame 3's terminal magnitude squares past it in the
+    ratio filter, whose OverflowError kernel and oracle both raise."""
     rows = [(1.0, 7e153), (1.0, 5e153), (1.0, 7e153), (1e155, 0.0), (1.0, 1.0)]
-    frames = _frames([_frame(i, *row) for i, row in enumerate(rows)])
     cfg = DetectorConfig(window=2)
-    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
-        oracles.naive_ratio_run(*_columns(frames), cfg.window, cfg.sensitivity, cfg.hold,
-                                ratio=1.2, kaf=(1e-4, 1e-4, 1.0))
+    kaf = (1e-4, 1e-4, 1.0)
     detector = AdaptiveRatioDetector(cfg=cfg, process_noise=1e-4, rho0=1.2)
-    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+    head = _frames([_frame(i, *row) for i, row in enumerate(rows[:3])])
+    want = oracles.naive_ratio_run(*_columns(head), cfg.window, cfg.sensitivity, cfg.hold,
+                                   ratio=1.2, kaf=kaf)
+    assert want["operate"] == [0.0, 0.0, math.inf]
+    assert detector.run(head, fs=1000.0).operate.tolist() == want["operate"]
+    frames = _frames([_frame(i, *row) for i, row in enumerate(rows)])
+    overflow = r"^\(34, 'Numerical result out of range'\)$"
+    with pytest.raises(OverflowError, match=overflow):
+        oracles.naive_ratio_run(*_columns(frames), cfg.window, cfg.sensitivity, cfg.hold,
+                                ratio=1.2, kaf=kaf)
+    with pytest.raises(OverflowError, match=overflow):
         detector.run(frames, fs=1000.0)
+
+
+def test_the_adaptive_filter_starts_at_one_half_on_a_zero_terminal_magnitude():
+    """Without rho0 the filter starts at the first valid frame's own
+    ratio, or at 0.5 where that frame's V_P3 is 0; a zero V_P3 leaves the
+    ratio as it is for that step."""
+    rows = [(2.0, 1.0, False), (0.0, 0.3, True)] + [(1.0, 1.2, True)] * 6
+    frames = _frames([_frame(i, *row) for i, row in enumerate(rows)])
+    cfg = DetectorConfig(window=3)
+    kaf = (1e-8, 1e-4, 1.0)
+    trace = AdaptiveRatioDetector(cfg=cfg).run(frames, fs=1000.0)
+    assert trace.rho_hat[:2].tolist() == [0.0, 0.5]
+    want = oracles.naive_ratio_run(*_columns(frames), cfg.window, cfg.sensitivity, cfg.hold,
+                                   ratio=None, kaf=kaf)
+    for name, column in want.items():
+        assert getattr(trace, name).tolist() == column, name
 
 
 def test_the_ratio_filter_squares_the_terminal_magnitude_as_python_does():

@@ -15,8 +15,6 @@ from statorguard.a64s import (
     InsulationDetectorConfig,
     SubharmonicFrames,
     frames_from_timeseries,
-    locate_fault,
-    locator_consistent,
 )
 from statorguard.plantsim import (
     FaultSpec,
@@ -27,7 +25,7 @@ from statorguard.plantsim import (
 from statorguard.signalcore import TimeSeries
 
 import oracles
-from oracles import tustin_coeffs
+from oracles import locate_fault, locator_consistent, tustin_coeffs
 
 
 # ----------------------------------------------------------- discretization
@@ -472,8 +470,8 @@ def test_streaming_steps_reproduce_run_exactly():
 def test_located_positions_are_locate_fault():
     """Every located sample of a tripped run is locate_fault of that
     sample's fault branch, undone from the parallel drop against the
-    baseline, bit for bit: the CLI locate command and the estimator share
-    one formula."""
+    baseline, bit for bit: the estimator's inline locator is the oracle's
+    closed-form divider inversion."""
     cfg, frames = _fault_record_500_ohm()
     trace = A64SEstimator(cfg).run(frames, 1000.0)
     located = [k for k, x in enumerate(trace.x_hat) if x != HEALTHY_SENTINEL]

@@ -612,6 +612,20 @@ def test_an_infinite_margin_from_an_underflowing_floor_names_the_underflow(v_p3,
         harness._verdict_64g2(trace)
 
 
+@pytest.mark.parametrize("latency,detected", [(0, True), (500, True), (501, False),
+                                               (-1, False)])
+def test_a_trip_is_detected_up_to_the_end_of_the_detection_window(latency, detected):
+    """At 1 kHz the 0.5 s window ends 500 samples after the onset: a trip
+    there is detected, one sample later it is not, nor one before the
+    onset."""
+    onset, n = 100, 700
+    trace = SchemeTrace(scheme="a64g2", fs=1000.0, sensitivity=1.0, t_index=range(n),
+                        trip=[i >= onset + latency for i in range(n)], onset_index=onset)
+    verdict = harness._verdict_64g2(trace)
+    assert verdict["latency_samples"] == latency
+    assert verdict["detected"] is detected
+
+
 # process_noise 1e-5 makes the adaptive filter's error gain fall below -1
 DIVERGING_KAF = {"seed": 5, "calibration": {"ratio": 1.233, "beta_ng": 0.155},
                  "kaf": {"process_noise": 1e-5},
@@ -1052,7 +1066,7 @@ def test_margin_peak_frame_of_the_seed_48_gen_stop_trip():
     report, results = _security_sweep(48)
     (result,) = [r for r in results if r.name == "gen_stop"]
     trace = result.traces["a64g2"]
-    assert trace.margin() == 1.5752834939747131
+    assert trace.margin() == 1.5752834939747133
     assert (trace.margin_index, trace.first_trip_index) == (1482, 1486)
     ratios = [jao / (trace.sensitivity * jar) if jar > 0 else 0.0
               for jao, jar in zip(trace.operate, trace.restraint)]

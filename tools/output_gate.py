@@ -28,26 +28,69 @@ that no run wrote (MISSING) and on one that is not recorded (NEW).
 
     python tools/output_gate.py            # compare; exit 1 on a mismatch
     python tools/output_gate.py --record   # rewrite output_digests.json
+    python tools/output_gate.py --against HEAD~1   # what moved, and how far
 
 The digests hold for one numpy build (the Python 3.11 CI job's); another
 build may differ in the last bits of a float.
+
+``--against <rev>`` says what a digest cannot: it runs the same commands
+on this checkout and on a ``git archive`` copy of the revision, both in
+child processes, and compares the files they write.  In each JSON file
+it names every verdict field that differs (``tripped``,
+``first_trip_index``, ``detected``, ``latency_samples``,
+``misoperation``, the sensitivity sweep's per-scheme ``detected_*`` and
+``latency_*``, the ``blind_zone`` intervals and the ``misoperations``
+list) and every other field, a float that differs by more than RTOL
+relative included; a sweep report's ``digest``, a hash of its other
+fields, is shown but judged through them.  For each CSV it gives per
+column the largest absolute and relative difference of the numeric
+cells and the first data row (0 = the row under the header) that
+differs, and any change in the header or the row count.  It exits 0
+when every file is identical or differs only in floats within RTOL, 2
+when a verdict (a trace's ``trip`` column included) or another exact
+field (a label, a row count, a file) moved, and 3 when only floats
+moved beyond RTOL.  The digests and their comparison are not touched.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Any, Dict, List, Tuple
 
+import numpy as np
+
+import statorguard
 from statorguard.cli import main
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
+ROOT = Path(__file__).resolve().parent.parent
+
+# the largest relative difference --against accepts in a float that is
+# meant not to have moved: a few ulps of a reordered sum, far below any
+# physical resolution of the study
+RTOL = 1e-12
+# report fields and trace columns that carry a verdict, compared exactly;
+# a key under "blind_zone" or "misoperations" is one too, except a float's
+VERDICT_KEYS = {"tripped", "first_trip_index", "detected", "latency_samples", "misoperation",
+                "detected_adaptive", "detected_fixed", "latency_adaptive_samples",
+                "latency_fixed_samples", "blind_zone", "misoperations", "trip"}
+# a sweep report's SHA-256 of its other fields: it moves with any of them,
+# so it is shown but judged through them
+DERIVED_KEYS = {"digest"}
+# exit codes of --against
+SAME, VERDICTS_MOVED, FLOATS_MOVED = 0, 2, 3
 
 FAULT_64G2 = {"kind": "64g2", "seed": 11, "fault": {"x": 0.0, "rf": 50.0, "t_on": 0.3},
               "profile": {"duration": 0.9}}
@@ -137,28 +180,231 @@ def _one_cpu():
         os.sched_setaffinity(0, cpus)
 
 
+def write_outputs(tmp: Path) -> List[str]:
+    """Make every run, each writing to tmp/<run> (its config files are
+    written to tmp); returns the run names."""
+    tmp.mkdir(parents=True, exist_ok=True)
+    names = []
+    for run, args in _runs(tmp):
+        pinned = _one_cpu() if run in ONE_CPU else contextlib.nullcontext()
+        with pinned, contextlib.redirect_stdout(io.StringIO()):
+            code = main(args + ["--out", str(tmp / run)])
+        if code != 0:
+            raise SystemExit(f"{run}: statorguard exited {code}")
+        names.append(run)
+    return names
+
+
 def compute() -> dict:
     """Digest of every file each run writes, keyed '<run>/<file name>'."""
     digests = {}
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        for run, args in _runs(tmp):
-            out = tmp / run
-            pinned = _one_cpu() if run in ONE_CPU else contextlib.nullcontext()
-            with pinned, contextlib.redirect_stdout(io.StringIO()):
-                code = main(args + ["--out", str(out)])
-            if code != 0:
-                raise SystemExit(f"{run}: statorguard exited {code}")
-            for path in sorted(out.iterdir()):
+        for run in write_outputs(tmp):
+            for path in sorted((tmp / run).iterdir()):
                 digests[f"{run}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
+
+
+class _Diff:
+    """The differences found in one file: lines to print, and whether an
+    exact field or a float beyond RTOL moved."""
+
+    def __init__(self):
+        self.lines: List[str] = []
+        self.exact = self.floats = False
+
+    def moved(self, line: str) -> None:
+        self.lines.append(line)
+        self.exact = True
+
+
+def _float_pair(a: Any, b: Any) -> bool:
+    """True when a and b are numbers, one of them a float, so that they
+    compare within RTOL."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    return numbers and (isinstance(a, float) or isinstance(b, float))
+
+
+def _differences(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where two float arrays differ (NaN equals NaN here), and their
+    absolute and relative differences there (0 elsewhere, inf where one
+    side is not finite)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        moved = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+        absolute = np.where(moved, np.abs(x - y), 0.0)
+        rel = np.where(moved, absolute / np.maximum(np.abs(x), np.abs(y)), 0.0)
+    absolute[np.isnan(absolute)] = math.inf
+    rel[np.isnan(rel)] = math.inf
+    return moved, absolute, rel
+
+
+def _compare_json(a: Any, b: Any, path: str, diff: _Diff, verdict: bool = False) -> None:
+    """Every leaf of two JSON values that differs: a verdict's exactly, a
+    float's beyond RTOL."""
+    where = path or "/"
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            if key not in a or key not in b:
+                diff.moved(f"  {where}: key {key!r} only in the {'new' if key in b else 'old'}")
+            elif key in DERIVED_KEYS:
+                if a[key] != b[key]:
+                    diff.lines.append(f"  {path}/{key}: {a[key]!r} -> {b[key]!r} (derived)")
+            else:
+                _compare_json(a[key], b[key], f"{path}/{key}", diff,
+                              verdict or key in VERDICT_KEYS)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            diff.moved(f"  {where}: {len(a)} items -> {len(b)}"
+                       + (" (verdict)" if verdict else ""))
+        for i, (x, y) in enumerate(zip(a, b)):
+            _compare_json(x, y, f"{path}/{i}", diff, verdict)
+    elif _float_pair(a, b) and "/blind_zone" not in path:
+        _, (absolute,), (rel,) = _differences(np.array([a], float), np.array([b], float))
+        if rel > RTOL:
+            diff.lines.append(f"  {where}: {a!r} -> {b!r} (abs {absolute:.3g}, rel {rel:.3g})")
+            diff.floats = True
+        elif absolute:
+            diff.lines.append(f"  {where}: {a!r} -> {b!r} (rel {rel:.3g}, within {RTOL:g})")
+    elif a != b or type(a) is not type(b):
+        diff.moved(f"  {where}: {a!r} -> {b!r}" + (" (verdict)" if verdict else ""))
+
+
+def _numbers(cells: List[str]):
+    """The cells as a float64 array, or None when one is not a number."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return None
+
+
+def _compare_csv(old: Path, new: Path, diff: _Diff) -> None:
+    """Header and row count, then per column the largest absolute and
+    relative difference of its numeric cells and the first row that
+    differs; a trip column, and a cell that is not a number, compare
+    exactly."""
+    tables = []
+    for path in (old, new):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        tables.append((rows[0] if rows else [], rows[1:]))
+    (head_a, rows_a), (head_b, rows_b) = tables
+    if head_a != head_b:
+        diff.moved(f"  header {','.join(head_a)} -> {','.join(head_b)}")
+        return
+    if len(rows_a) != len(rows_b):
+        diff.moved(f"  {len(rows_a)} rows -> {len(rows_b)}")
+    n = min(len(rows_a), len(rows_b))
+    for j, name in enumerate(head_a):
+        cells_a = [row[j] for row in rows_a[:n]]
+        cells_b = [row[j] for row in rows_b[:n]]
+        if cells_a == cells_b:
+            continue
+        x, y = _numbers(cells_a), _numbers(cells_b)
+        if x is None or y is None or name in VERDICT_KEYS:
+            first = next(i for i, (p, q) in enumerate(zip(cells_a, cells_b)) if p != q)
+            diff.moved(f"  column {name}: row {first} {cells_a[first]!r} -> "
+                       f"{cells_b[first]!r}" + (" (verdict)" if name in VERDICT_KEYS else ""))
+            continue
+        moved, absolute, rel = _differences(x, y)
+        if not moved.any():
+            diff.moved(f"  column {name}: the same numbers, written differently")
+            continue
+        worst = float(rel.max())
+        diff.lines.append(
+            f"  column {name}: max abs {absolute.max():.3g}, max rel {worst:.3g}"
+            f"{' BEYOND ' if worst > RTOL else ' within '}{RTOL:g}, "
+            f"{int(moved.sum())} rows differ, first row {int(np.argmax(moved))}")
+        diff.floats |= worst > RTOL
+
+
+def compare_outputs(old: Path, new: Path) -> Tuple[List[str], int]:
+    """Report lines for every file of a run (<dir>/<run>/<file>) under two
+    output directories (old, then new) that differs, and the exit code:
+    SAME, VERDICTS_MOVED or FLOATS_MOVED."""
+    files = {p.relative_to(d).as_posix() for d in (old, new) for p in d.glob("*/*")
+             if p.is_file()}
+    lines: List[str] = []
+    counts = {"identical": 0, "floats within tolerance": 0, "floats beyond tolerance": 0,
+              "verdicts or exact fields moved": 0}
+    for name in sorted(files):
+        a, b = old / name, new / name
+        diff = _Diff()
+        if not (a.is_file() and b.is_file()):
+            diff.moved(f"  only in the {'new' if b.is_file() else 'old'} output")
+        elif a.read_bytes() == b.read_bytes():
+            counts["identical"] += 1
+            continue
+        elif name.endswith(".json"):
+            _compare_json(json.loads(a.read_text()), json.loads(b.read_text()), "", diff)
+        elif name.endswith(".csv"):
+            _compare_csv(a, b, diff)
+        else:
+            diff.moved("  bytes differ")
+        kind = ("verdicts or exact fields moved" if diff.exact else
+                "floats beyond tolerance" if diff.floats else "floats within tolerance")
+        counts[kind] += 1
+        lines += [f"{name}: {kind}"] + diff.lines
+    lines.append(", ".join(f"{n} {kind}" for kind, n in counts.items()) + f" (RTOL {RTOL:g})")
+    code = (VERDICTS_MOVED if counts["verdicts or exact fields moved"] else
+            FLOATS_MOVED if counts["floats beyond tolerance"] else SAME)
+    return lines, code
+
+
+def _write_in(tree: Path, out: Path) -> None:
+    """Every run made by a child process on the package under tree/src,
+    writing to out."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--write", str(out)],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"output_gate: the runs in {tree} failed:\n{proc.stderr}")
+    # the child names the package it imported, which must be tree's
+    if Path(lines[-1]).resolve() != (tree / "src" / "statorguard").resolve():
+        raise SystemExit(f"output_gate: the runs in {tree} imported {lines[-1]}")
+
+
+def against(rev: str) -> int:
+    """Compare this checkout's outputs with those of a revision; prints
+    the report and returns its exit code."""
+    tmp = Path(tempfile.mkdtemp(prefix="output_gate-"))
+    try:
+        sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                             check=True, capture_output=True, text=True).stdout.strip()
+        tree = tmp / "rev"
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        _write_in(tree, tmp / "old")
+        _write_in(ROOT, tmp / "new")
+        lines, code = compare_outputs(tmp / "old", tmp / "new")
+    except subprocess.CalledProcessError as exc:
+        raise SystemExit(f"output_gate: {' '.join(exc.cmd[:2])} failed: {exc.stderr}")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    print(f"{rev} ({sha[:12]}) -> this checkout")
+    print("\n".join(lines))
+    return code
 
 
 def main_gate(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--record", action="store_true",
                         help="write the digests instead of comparing them")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare the files with those a git revision writes")
+    parser.add_argument("--write", type=Path, metavar="DIR",
+                        help="only make the runs, writing to DIR/<run>")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against)
+    if args.write is not None:
+        write_outputs(args.write)
+        print(Path(statorguard.__file__).parent)
+        return 0
     got = compute()
     if args.record:
         DIGESTS.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
