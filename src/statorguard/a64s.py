@@ -296,9 +296,10 @@ class A64SEstimator:
         columns: Dict[str, List[float]] = {
             name: [] for name in ("a0_hat", "kd_hat", "tau0_hat", "rs_hat", "c0_hat", "x_hat")}
         a0_col, kd_col, tau0_col, rs_col, c0_col, x_col = (col.append for col in columns.values())
+        done = columns["x_hat"]  # one cell per sample stepped so far
         samples = zip(frames.v_n.tolist(), frames.i_n.tolist(), frames.v_n60.tolist(),
                       frames.valid.tolist())
-        for k, (v_n, i_n, v_n60, valid) in enumerate(samples):
+        for v_n, i_n, v_n60, valid in samples:
             x_hat = sentinel
             if valid and prev_vn is not None:
                 # regression vector: negated previous voltage, summed current
@@ -325,7 +326,7 @@ class A64SEstimator:
                 # low-pass smoothed and clamped at zero, and a memory of None
                 # restarts its smoother
                 one_plus = 1.0 + a0
-                if not abs(one_plus) < 1e-12:
+                if not -1e-12 < one_plus < 1e-12:
                     ratio_raw = (1.0 - a0) / one_plus
                     if ratio_memory is None:
                         ratio_memory = ratio_raw
@@ -363,7 +364,7 @@ class A64SEstimator:
                     streak = streak + 1 if rs < drop_level else 0
                     if streak >= persistence:
                         tripped = True
-                        first_trip = k
+                        first_trip = len(done)
                         # the circuit just changed structurally; re-open the
                         # filter so the faulted parameters are re-identified
                         # quickly instead of creeping in at the tracking rate
@@ -375,7 +376,7 @@ class A64SEstimator:
                     # healthy insulation and the fault path; undo it to get
                     # the fault branch, then invert the divider it forms
                     rf_hat = 1.0 / (1.0 / rs - 1.0 / baseline)
-                    tau0_f = rf_hat * max(c0_hat, 0.0)
+                    tau0_f = rf_hat * (0.0 if c0_hat < 0.0 else c0_hat)
                     x_hat = (v_n60 / v_scale) * math.hypot(r_n + rf_hat, omega_r_n * tau0_f)
             else:
                 # an invalid sample clears the regression memory; the next

@@ -8,6 +8,7 @@ obvious beats fast and clever for an oracle.
 
 import csv
 import dataclasses
+import io
 import math
 from collections import namedtuple
 from pathlib import Path
@@ -655,6 +656,21 @@ def stepwise_a64s_run(frames, fs, circuit, cfg):
     return out, latch.baseline
 
 
+def _csv_rows(fh):
+    """A csv writerow into fh: rows end with LF, and cells are quoted as
+    under a CRLF terminator, so a cell holding a lone CR is quoted too,
+    as write_table quotes it."""
+    row_text = io.StringIO()
+    writer = csv.writer(row_text, lineterminator="\r\n")
+
+    def writerow(row):
+        row_text.seek(0)
+        row_text.truncate()
+        writer.writerow(row)
+        fh.write(row_text.getvalue()[:-2] + "\n")
+    return writerow
+
+
 def naive_emit_csv(result, out_dir):
     """The trace CSVs and long.csv of a scenario result, written row by
     row through the csv module from the traces' columns as Python values
@@ -668,18 +684,17 @@ def naive_emit_csv(result, out_dir):
 
     out = Path(out_dir)
     with open(out / "long.csv", "w", newline="") as long_fh:
-        long = csv.writer(long_fh, lineterminator="\n")
-        long.writerow(["trace", "signal", "t", "value"])
+        long = _csv_rows(long_fh)
+        long(["trace", "signal", "t", "value"])
         for scheme, trace in result.traces.items():
             columns = {name: column.tolist() if isinstance(column, np.ndarray) else column
                        for name, column in trace.columns().items()}
             with open(out / f"trace_{scheme}.csv", "w", newline="") as fh:
-                rows = csv.writer(fh, lineterminator="\n")
-                rows.writerow(list(columns))
+                rows = _csv_rows(fh)
+                rows(list(columns))
                 for i in range(len(columns["t"])):
-                    rows.writerow([cell(column[i]) for column in columns.values()])
+                    rows([cell(column[i]) for column in columns.values()])
             t = columns.pop("t")
             for name in sorted(columns):
                 for ti, value in zip(t, columns[name]):
-                    long.writerow([scheme, name, repr(ti),
-                                   "" if value is None else repr(float(value))])
+                    long([scheme, name, repr(ti), "" if value is None else repr(float(value))])

@@ -484,6 +484,58 @@ def test_located_positions_are_locate_fault():
         assert trace.x_hat[k] == want, k
 
 
+def _exact_record(kd_values):
+    """A record that steps the estimator below through kd_values exactly:
+    per value a priming sample (v_n 0), an update sample (v_n the value,
+    a regression vector of (-0, 1)) and an invalid sample that clears the
+    regression memory."""
+    v_n, i_n, valid = [], [], []
+    for value in kd_values:
+        v_n += [0.0, value, 0.0]
+        i_n += [0.5, 0.5, 0.0]
+        valid += [True, True, False]
+    return SubharmonicFrames(v_n=v_n, i_n=i_n, v_n60=[1.0] * len(v_n), valid=valid)
+
+
+def _exact_estimator(**c0):
+    """An estimator whose kd gain stays 1 (p11 = 1 / 2 + 1 / 2), so that kd
+    becomes each update's v_n and a0 stays 0: the resistance estimate,
+    about 8 * kd ohms, is then a function of kd alone.  The first update
+    sets the baseline, and one sample below half of it trips."""
+    detector = InsulationDetectorConfig(baseline_start=0, baseline_window=1,
+                                        drop_fraction=0.5, persistence=1)
+    cfg = A64SEstimatorConfig(theta_process_noise=0.5, theta_measurement_noise=1.0,
+                              theta_initial_variance=1.0, smoothing_rate=math.inf,
+                              detector=detector, **c0)
+    return A64SEstimator(Subharmonic64SConfig(), cfg)
+
+
+def test_a_tripped_resistance_back_at_the_baseline_locates_nothing():
+    """After a trip, an estimate equal to the baseline is no fault branch
+    (its parallel undo would divide by zero): the sample keeps the
+    sentinel."""
+    est = _exact_estimator()
+    trace = _assert_run_is_the_step_chain(est, _exact_record([1.0, 0.0, 1.0]))
+    assert trace.baseline == 8.0 and trace.first_trip_index == 4
+    assert trace.rs_hat.tolist() == [0.0, 8.0, 8.0, 8.0, 0.0, 0.0, 0.0, 8.0, 8.0]
+    assert trace.x_hat.tolist() == [HEALTHY_SENTINEL] * 9
+
+
+def test_a_negative_capacitance_estimate_locates_with_no_capacitance():
+    """A c0 filter that overshoots below zero locates as if the winding had
+    no capacitance: tau0_f is rf * max(c0, 0), not rf * |c0|."""
+    est = _exact_estimator(c0_initial=1.0, c0_initial_variance=1.0, c0_process_noise=1.0,
+                           c0_measurement_noise=1.0)
+    trace = _assert_run_is_the_step_chain(est, _exact_record([1.0, 2.0**-10]))
+    rs, c0 = trace.rs_hat[4], trace.c0_hat[4]
+    assert trace.first_trip_index == 4 and trace.baseline == 8.0 and 0.0 < rs < 0.01
+    assert c0 < -60.0
+    rf = 1.0 / (1.0 / rs - 1.0 / 8.0)
+    cfg = est.circuit
+    assert trace.x_hat[4] == locate_fault(1.0, cfg.un, cfg.r_n_primary, rf, 0.0, f1=cfg.f1)
+    assert trace.x_hat[4] != HEALTHY_SENTINEL
+
+
 @st.composite
 def _short_records(draw):
     """A short random record with a random valid mask, and an estimator

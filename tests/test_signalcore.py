@@ -566,9 +566,8 @@ def test_a_column_that_is_a_strided_view_writes_its_own_values(tmp_path):
                                      tmp_path / "lists")[0]
 
 
-# strings float() reads, which the table quotes for their LF (the csv
-# module's writer, the oracle, quotes no lone CR under an LF terminator)
-_QUOTED = ["\n1.5", "2.5\n", " -3e-7\r\n", "\n4"]
+# strings float() reads, which the table quotes for their CR or LF
+_QUOTED = ["\n1.5", "2.5\n", " -3e-7\r\n", "\n4", "\r1.5"]
 
 
 def _cells(kind, n, rng):
@@ -593,7 +592,7 @@ def _cells(kind, n, rng):
     if kind == "quoted":
         return [_QUOTED[i] for i in rng.integers(0, len(_QUOTED), size=n)]
     pick = rng.integers(0, 6, size=n)
-    return [(None, float(v), int(v) if math.isfinite(v) else 7, v > 0, _QUOTED[i % 4],
+    return [(None, float(v), int(v) if math.isfinite(v) else 7, v > 0, _QUOTED[i % len(_QUOTED)],
              "8.25")[k] for i, (k, v) in enumerate(zip(pick.tolist(), floats.tolist()))]
 
 
@@ -734,9 +733,9 @@ def test_ingest_reads_what_the_row_walk_accepts(tmp_path, text):
 
 # Float64 values every generated column carries: both zeros, subnormals,
 # the normal limits and exponents out to +-308.
-_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
-                2.2250738585072014e-308, -1e-308, 1e308, -1.7976931348623157e308,
-                1.7976931348623157e308]
+_INGEST_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                       2.2250738585072014e-308, -1e-308, 1e308, -1.7976931348623157e308,
+                       1.7976931348623157e308]
 _FORMATS = {"repr": repr, "%.17g": "%.17g".__mod__, "%e": "%e".__mod__}
 
 
@@ -747,8 +746,8 @@ _FORMATS = {"repr": repr, "%.17g": "%.17g".__mod__, "%e": "%e".__mod__}
 def test_numpy_ingest_equals_the_row_walk_bit_for_bit(data, n_channels, n_rows, fmt, plus, pad):
     floats = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                       min_size=n_rows, max_size=n_rows)
-    columns = [[i / 1000.0 for i in range(n_rows + len(_EDGE_FLOATS))]]
-    columns += [data.draw(floats) + _EDGE_FLOATS for _ in range(n_channels)]
+    columns = [[i / 1000.0 for i in range(n_rows + len(_INGEST_EDGE_FLOATS))]]
+    columns += [data.draw(floats) + _INGEST_EDGE_FLOATS for _ in range(n_channels)]
 
     def cell(value):
         text = _FORMATS[fmt](value)
@@ -761,14 +760,114 @@ def test_numpy_ingest_equals_the_row_walk_bit_for_bit(data, n_channels, n_rows, 
         path = Path(tmp) / "rec.csv"
         path.write_text(lines[0] + "\n" + body)
         assert signalcore._loadtxt(io.StringIO(body), n_channels + 1) is not None
-        fast = ingest_csv(path)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signalcore, "_orjson_rows", lambda body, width: None)
+            fast = ingest_csv(path)
             mp.setattr(signalcore, "_loadtxt", lambda fh, width: None)
             walked = ingest_csv(path)
     assert list(fast) == list(walked)
     for name in fast:
         assert (fast[name].fs, fast[name].t0) == (walked[name].fs, walked[name].t0)
         assert fast[name].samples.tobytes() == walked[name].samples.tobytes()
+
+
+def _walked(body: bytes, width: int) -> np.ndarray:
+    """The body as the row walk reads it."""
+    reader = csv.reader(io.StringIO(body.decode(), newline=""))
+    return signalcore._walk_rows("rec.csv", reader, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_channels=st.integers(1, 3), n_rows=st.integers(0, 12),
+       fmt=st.sampled_from(sorted(_FORMATS)), crlf=st.booleans(),
+       pad=st.sampled_from(["", " ", "\t", " \t"]), last_end=st.booleans(),
+       lines_per_parse=st.integers(1, 5))
+def test_the_orjson_tier_reads_what_the_row_walk_reads_bit_for_bit(
+        data, n_channels, n_rows, fmt, crlf, pad, last_end, lines_per_parse):
+    """Whatever body the orjson tier accepts, it reads as the row walk does,
+    a few lines per parse; it accepts every body of repr and %e cells, and
+    refuses %.17g's ints (``0``, ``1e16`` as ``10000000000000000``)."""
+    floats = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                st.sampled_from(_INGEST_EDGE_FLOATS)),
+                      min_size=n_rows, max_size=n_rows)
+    columns = [[i / 1000.0 for i in range(n_rows + len(_INGEST_EDGE_FLOATS))]]
+    columns += [data.draw(floats) + _INGEST_EDGE_FLOATS for _ in range(n_channels)]
+    end = "\r\n" if crlf else "\n"
+    lines = [",".join(pad + _FORMATS[fmt](value) + pad for value in row)
+             for row in zip(*columns)]
+    body = (end.join(lines) + (end if last_end else "")).encode()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signalcore, "_PARSE_LINES", lines_per_parse)
+        got = signalcore._orjson_rows(body, n_channels + 1)
+    assert (got is None) == (fmt == "%.17g")
+    if got is not None:
+        assert got.tobytes() == _walked(body, n_channels + 1).tobytes()
+
+
+# Bodies of one time column and one channel that the orjson tier refuses,
+# leaving them to numpy or the row walk.
+_NOT_JSON_BODIES = [
+    ("a long row, then a short one", b"0.0,1.0,2.0\n0.001\n"),
+    ("a short row, then a long one", b"0.0\n0.001,1.0,2.0\n"),
+    ("a negative int zero", b"0.0,-0\n0.001,2.0\n"),
+    ("an int", b"0.0,1\n0.001,2.0\n"),
+    ("true", b"0.0,true\n0.001,2.0\n"),
+    ("null", b"0.0,null\n0.001,2.0\n"),
+    ("NaN", b"0.0,NaN\n0.001,2.0\n"),
+    ("Infinity", b"0.0,Infinity\n0.001,2.0\n"),
+    ("a value out of range", b"0.0,1.7976931348623159e308\n0.001,2.0\n"),
+    ("quoted cells", b'0.0,"1.0"\n0.001,2.0\n'),
+    ("a blank row", b"0.0,1.0\n\n0.001,2.0\n"),
+    ("a blank last row", b"0.0,1.0\n0.001,2.0\n \n"),
+    ("CR-only line ends", b"0.0,1.0\r0.001,2.0\r"),
+    ("a CR inside a row", b"0.0,\r1.0\n0.001,2.0\n"),
+    ("a leading plus", b"0.0,+1.0\n0.001,2.0\n"),
+    ("a leading point", b"0.0,.5\n0.001,2.0\n"),
+    ("an empty cell", b"0.0,\n0.001,2.0\n"),
+    ("an empty body", b""),
+]
+
+
+@pytest.mark.parametrize("body", [case[1] for case in _NOT_JSON_BODIES],
+                         ids=[case[0] for case in _NOT_JSON_BODIES])
+def test_the_orjson_tier_refuses_a_body_that_is_not_rows_of_json_floats(body):
+    assert signalcore._orjson_rows(body, 2) is None
+
+
+def test_a_negative_int_zero_keeps_its_sign(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(b"t,x\n0.0,-0\n0.001,2.0\n")
+    assert math.copysign(1.0, ingest_csv(path)["x"].samples[0]) == -1.0
+
+
+def test_the_body_starts_after_a_header_over_two_lines(tmp_path, monkeypatch):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(b't,"x\r\ny"\r\n0.0,1.0\r\n0.001,2.0\r\n')
+    monkeypatch.setattr(signalcore, "_walk_rows", None)
+    channels = ingest_csv(path)
+    assert list(channels) == ["x\r\ny"] and channels["x\r\ny"].samples.tolist() == [1.0, 2.0]
+
+
+def test_a_written_recording_takes_the_orjson_tier(tmp_path, monkeypatch):
+    """write_csv's bodies, with LF or CRLF line ends, are read by orjson
+    alone, as the row walk reads them."""
+    rng = np.random.default_rng(3)
+    channels = {name: TimeSeries(fs=1000.0, t0=0.5, samples=rng.normal(scale=1e3, size=9000))
+                for name in ("vp3", "vn3")}
+    channels["vn3"].samples[::7] = rng.choice(_INGEST_EDGE_FLOATS, size=1286)
+    path = tmp_path / "rec.csv"
+    write_csv(path, channels)
+    lf = path.read_bytes()
+    want = _walked(lf.split(b"\n", 1)[1], 3)
+    monkeypatch.setattr(signalcore, "_loadtxt", None)
+    monkeypatch.setattr(signalcore, "_walk_rows", None)
+    for text in (lf, lf.replace(b"\n", b"\r\n")):
+        path.write_bytes(text)
+        back = ingest_csv(path)
+        assert [back[name].t0 for name in back] == [0.5, 0.5]
+        for j, name in enumerate(("vp3", "vn3"), start=1):
+            assert back[name].samples.tobytes() == channels[name].samples.tobytes()
+            assert back[name].samples.tobytes() == want[:, j].tobytes()
 
 
 def test_extract_phasor_validation():
