@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -295,6 +296,10 @@ def e3_of_operating_point(cfg: MachineConfig, load_pu, pf):
     """Third-harmonic EMF magnitude at an operating point (affine model);
     load_pu and pf are scalars or equal-length per-sample arrays."""
     check_operating_point(load_pu, pf)
+    return _e3(cfg, load_pu, pf)
+
+
+def _e3(cfg: MachineConfig, load_pu, pf):
     c0, c1, c2 = cfg.e3_coeffs
     return cfg.e3 * (c0 + c1 * np.asarray(load_pu, dtype=float) + c2 * (1.0 - np.abs(pf)))
 
@@ -304,6 +309,10 @@ def emf_split_fraction(cfg: MachineConfig, load_pu, pf):
     the winding, clipped away from the degenerate extremes; scalars or
     equal-length per-sample arrays."""
     check_operating_point(load_pu, pf)
+    return _split(cfg, load_pu, pf)
+
+
+def _split(cfg: MachineConfig, load_pu, pf):
     a0, a1, a2 = cfg.alpha_coeffs
     alpha = (a0 + a1 * (np.asarray(load_pu, dtype=float) - 0.75)
              + a2 * (1.0 - np.abs(pf)) * np.sign(pf))
@@ -312,17 +321,22 @@ def emf_split_fraction(cfg: MachineConfig, load_pu, pf):
 
 def check_operating_point(load_pu, pf) -> None:
     """Reject a load (scalar or per-sample) outside [0, 1.2] pu or a power
-    factor with |pf| outside [0.8, 1]."""
+    factor with |pf| outside [0.8, 1]; NaN lies outside both, and an empty
+    array passes."""
     load_arr = np.asarray(load_pu, dtype=float)
-    pf_arr = np.asarray(pf, dtype=float)
-    if np.any(load_arr < 0) or np.any(load_arr > 1.2):
+    pf_abs = np.abs(np.asarray(pf, dtype=float))
+    # min() and max() are NaN when any value is, and NaN fails both bounds
+    if load_arr.size and not (0.0 <= load_arr.min() and load_arr.max() <= 1.2):
         raise ValueError(f"load_pu must be in [0, 1.2], got {load_pu}")
-    if np.any(np.abs(pf_arr) < 0.8) or np.any(np.abs(pf_arr) > 1.0):
+    if pf_abs.size and not (0.8 <= pf_abs.min() and pf_abs.max() <= 1.0):
         raise ValueError(f"power factor must satisfy 0.8 <= |pf| <= 1, got {pf}")
 
 
-def _cumulative_emf_coeffs(segments: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-node cumulative EMF fractions as c_i = p_i + q_i*alpha.
+@lru_cache(maxsize=None)  # one entry per segment count, at most 509
+def _cumulative_emf_coeffs(segments: int) -> Tuple[np.ndarray, np.ndarray, float, float]:
+    """Per-node cumulative EMF fractions as c_i = p_i + q_i*alpha, as
+    read-only arrays, and the sums of p and q over the nodes past the
+    neutral.
 
     The split profile puts fraction alpha of the EMF uniformly in the
     neutral-side half of the winding and 1-alpha in the terminal-side
@@ -333,7 +347,8 @@ def _cumulative_emf_coeffs(segments: int) -> Tuple[np.ndarray, np.ndarray]:
     x = np.arange(segments + 1) / segments
     p = np.where(x <= 0.5, 0.0, 2.0 * x - 1.0)
     q = np.where(x <= 0.5, 2.0 * x, 2.0 - 2.0 * x)
-    return p, q
+    p.flags.writeable = q.flags.writeable = False
+    return p, q, float(p[1:].sum()), float(q[1:].sum())
 
 
 def third_harmonic_solve(cfg: MachineConfig, fault: Optional[FaultSpec] = None,
@@ -352,15 +367,20 @@ def third_harmonic_solve(cfg: MachineConfig, fault: Optional[FaultSpec] = None,
     balance over the ground paths gives the neutral potential in closed
     form; rf == 0 pins the faulted node exactly instead.
     """
+    check_operating_point(load_pu, pf)
+    return _ladder(cfg, fault, load_pu, pf, freq_scale)
+
+
+def _ladder(cfg: MachineConfig, fault: Optional[FaultSpec], load_pu, pf, freq_scale):
+    """third_harmonic_solve at an operating point already checked."""
     freq_scale = np.asarray(freq_scale, dtype=float)
-    e3 = e3_of_operating_point(cfg, load_pu, pf) * freq_scale
-    alpha = emf_split_fraction(cfg, load_pu, pf)
+    e3 = _e3(cfg, load_pu, pf) * freq_scale
+    alpha = _split(cfg, load_pu, pf)
     m = cfg.segments
-    p, q = _cumulative_emf_coeffs(m)
+    p, q, p_sum, q_sum = _cumulative_emf_coeffs(m)
     omega = 2.0 * math.pi * 3.0 * cfg.f1 * freq_scale
     y_sum = 1j * omega * (cfg.cs + cfg.ct) + 1.0 / cfg.neutral_ground_ohms
-    yc_sum = 1j * omega * (cfg.cs / m * (float(p[1:].sum()) + float(q[1:].sum()) * alpha)
-                           + cfg.ct)
+    yc_sum = 1j * omega * (cfg.cs / m * (p_sum + q_sum * alpha) + cfg.ct)
     if fault is None or math.isinf(fault.rf):
         v_n = -e3 * yc_sum / y_sum
     else:
@@ -575,6 +595,22 @@ def _disturbance_trajectories(t: np.ndarray, load_pu: float, pf: float,
     return load_t, pf_t, speed_t, scale_n, scale_p
 
 
+def _run_starts(columns: Sequence[np.ndarray], cut: Optional[int]) -> np.ndarray:
+    """First sample of each run of samples equal bit for bit in every one
+    of the equal-length columns, with a run also starting at sample cut
+    when it lies inside the record."""
+    n = len(columns[0])
+    change = np.zeros(n, dtype=bool)
+    change[:1] = True  # no run in an empty record
+    for column in columns:
+        # compare the bits, so that -0.0 and 0.0 (or two NaNs) never share a run
+        bits = column.view(np.int64)
+        change[1:] |= bits[1:] != bits[:-1]
+    if cut is not None and 0 < cut < n:
+        change[cut] = True
+    return np.flatnonzero(change)
+
+
 def simulate_64g2_scenario(
     cfg: MachineConfig,
     fault: Optional[FaultSpec] = None,
@@ -590,12 +626,16 @@ def simulate_64g2_scenario(
 ) -> Scenario64G2Result:
     """End-to-end third-harmonic measurement scenario.
 
-    Per sample: evaluate the ladder at the instantaneous operating point
-    (load/pf trajectories from load_step/pf_swing disturbances, per-unit
-    speed from gen_start/gen_stop ramps scaling both EMF and frequency),
-    synthesize the 3*f1 waveforms at both measurement points from the
-    complex node phasors, apply PT-scale disturbances to their channels,
-    add noise, and extract fixed-bin phasors at 3*f1.
+    The record splits into runs of samples at one operating point (load/pf
+    trajectories from load_step/pf_swing disturbances, per-unit speed from
+    gen_start/gen_stop ramps scaling both EMF and frequency), with one more
+    cut at the fault onset.  The ladder is solved once per run, healthy
+    before the onset and faulted from it, and each sample takes its run's
+    solve, bit for bit the scalar solve at that sample's operating point;
+    a ramp is a run per sample.  From the node phasors it synthesizes the
+    3*f1 waveforms at both measurement points, applies PT-scale
+    disturbances to their channels, adds noise, and extracts fixed-bin
+    phasors at 3*f1.
 
     Frames are marked invalid during phasor warm-up, whenever the
     terminal magnitude sinks below supervision_frac of its rated healthy
@@ -614,24 +654,32 @@ def simulate_64g2_scenario(
     load_t, pf_t, speed_t, scale_n, scale_p = _disturbance_trajectories(
         t, load_pu, pf, disturbances)
 
-    v_n_t, v_p_t = third_harmonic_solve(cfg, None, load_t, pf_t, speed_t)
     onset = None if fault is None else fault.onset_index(fs, n)
+    starts = _run_starts((load_t, pf_t, speed_t), onset)
+    load_r, pf_r, speed_r = load_t[starts], pf_t[starts], speed_t[starts]
+    check_operating_point(load_r, pf_r)
+    v_n_r, v_p_r = _ladder(cfg, None, load_r, pf_r, speed_r)
     if onset is not None:
-        v_n_f, v_p_f = third_harmonic_solve(cfg, fault, load_t, pf_t, speed_t)
-        faulted = np.arange(n) >= onset
-        v_n_t = np.where(faulted, v_n_f, v_n_t)
-        v_p_t = np.where(faulted, v_p_f, v_p_t)
-
+        v_n_f, v_p_f = _ladder(cfg, fault, load_r, pf_r, speed_r)
+        faulted = starts >= onset
+        v_n_r = np.where(faulted, v_n_f, v_n_r)
+        v_p_r = np.where(faulted, v_p_f, v_p_r)
+    lengths = np.diff(starts, append=n)
     # Waveforms from instantaneous magnitude/angle with accumulated phase.
     theta = 2.0 * math.pi * 3.0 * cfg.f1 * np.cumsum(speed_t) * dt
-    wave_p = np.abs(v_p_t) * np.cos(theta + np.angle(v_p_t)) * scale_p
-    wave_n = np.abs(v_n_t) * np.cos(theta + np.angle(v_n_t)) * scale_n
+
+    def wave(v_r: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        return (np.repeat(np.abs(v_r), lengths)
+                * np.cos(theta + np.repeat(np.angle(v_r), lengths)) * scale)
+
+    wave_p = wave(v_p_r, scale_p)
+    wave_n = wave(v_n_r, scale_n)
     if noise_std > 0:
         rng = np.random.default_rng(seed)
         wave_p = wave_p + rng.normal(0.0, noise_std, size=n)
         wave_n = wave_n + rng.normal(0.0, noise_std, size=n)
 
-    result = frames_from_64g2_waveforms(
+    result = _frames_64g2(
         TimeSeries(fs=fs, t0=0.0, samples=wave_p),
         TimeSeries(fs=fs, t0=0.0, samples=wave_n),
         cfg, load_pu, pf, window_cycles, supervision_frac,
@@ -660,6 +708,15 @@ def frames_from_64g2_waveforms(
     optional in_band mask is False; supervision_frac must lie in [0, 1).
     The result has no onset_index; the simulator fills it in.
     """
+    check_operating_point(load_pu, pf)
+    return _frames_64g2(vp3_wave, vn3_wave, cfg, load_pu, pf, window_cycles,
+                        supervision_frac, in_band)
+
+
+def _frames_64g2(vp3_wave: TimeSeries, vn3_wave: TimeSeries, cfg: MachineConfig,
+                 load_pu, pf, window_cycles: int, supervision_frac: float,
+                 in_band: Optional[np.ndarray]) -> Scenario64G2Result:
+    """frames_from_64g2_waveforms at an operating point already checked."""
     if vp3_wave.fs != vn3_wave.fs or len(vp3_wave) != len(vn3_wave):
         raise ValueError("terminal and neutral waveforms must share fs and length")
     if not 0.0 <= supervision_frac < 1.0:
@@ -667,7 +724,7 @@ def frames_from_64g2_waveforms(
     ph_p = extract_phasor(vp3_wave, 3.0 * cfg.f1, window_cycles)
     ph_n = extract_phasor(vn3_wave, 3.0 * cfg.f1, window_cycles)
 
-    vp3_rated = float(abs(third_harmonic_solve(cfg, None, load_pu, pf)[1]))
+    vp3_rated = float(abs(_ladder(cfg, None, load_pu, pf, 1.0)[1]))
     valid = ph_p.valid & (ph_p.magnitude >= supervision_frac * vp3_rated)
     if in_band is not None:
         valid = valid & in_band

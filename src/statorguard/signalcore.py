@@ -143,27 +143,30 @@ def extract_phasor(
     t = ts.times()
     y = ts.samples * np.exp(-2j * np.pi * f0 * t)
 
-    sums = np.zeros(n, dtype=complex)
+    # each window's sum in its own slot of one array, block by block
     n_out = n - n_win + 1
+    sums = np.empty(n_out, dtype=complex)
     block = 10 * n_win
-    out = np.empty(n_out, dtype=complex)
     for s in range(0, n_out, block):
         e = min(s + block, n_out)
         anchor = y[s : s + n_win].sum()
-        out[s] = anchor
+        sums[s] = anchor
         if e > s + 1:
-            add = np.cumsum(y[s + n_win : e - 1 + n_win])
-            drop = np.cumsum(y[s : e - 1])
-            out[s + 1 : e] = anchor + add - drop
-    sums[n_win - 1 :] = out
+            rest = sums[s + 1 : e]
+            np.cumsum(y[s + n_win : e - 1 + n_win], out=rest)
+            rest += anchor
+            rest -= np.cumsum(y[s : e - 1])
+    np.multiply(2.0 / n_win, sums, out=sums)  # (2 / n_win) * sums, in place
 
-    phasor = (2.0 / n_win) * sums
-    magnitude = np.abs(phasor)
-    phase = np.angle(phasor)
+    warm = n_win - 1
+    magnitude = np.empty(n)
+    magnitude[:warm] = 0.0
+    np.abs(sums, out=magnitude[warm:])
+    phase = np.empty(n)
+    phase[:warm] = 0.0
+    np.arctan2(sums.imag, sums.real, out=phase[warm:])  # np.angle's arithmetic
     valid = np.zeros(n, dtype=bool)
-    valid[n_win - 1 :] = True
-    magnitude[~valid] = 0.0
-    phase[~valid] = 0.0
+    valid[warm:] = True
     return PhasorSeries(
         f0=f0,
         window_cycles=window_cycles,
@@ -223,12 +226,14 @@ def ingest_csv(path) -> Dict[str, TimeSeries]:
             raise ValueError(f"{path}: header column {i} has an empty channel name")
         if name in header[:i - 1]:
             raise ValueError(f"{path}: header repeats the channel name {name!r}")
-    # the body starts after the lines the header took
-    body = raw[max(m.end() for m in islice(_LINE.finditer(raw), reader.line_num)):]
-    data = _orjson_rows(body, len(header))
+    # the body starts after the lines the header took; the tiers read it
+    # from raw in place, with no copy of it
+    start = max(m.end() for m in islice(_LINE.finditer(raw), reader.line_num))
+    data = _orjson_rows(memoryview(raw)[start:], len(header))
     if data is None:
-        data = _loadtxt(io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline=""),
-                        len(header))
+        fh = io.BytesIO(raw)
+        fh.seek(start)
+        data = _loadtxt(io.TextIOWrapper(fh, encoding="utf-8", newline=""), len(header))
     if data is None:
         data = _walk_rows(path, reader, len(header))  # from the line after the header
     if len(data) < 2:
@@ -259,27 +264,29 @@ _JSON_BYTES = b"0123456789.eE+-,\r\n \t"
 _PARSE_LINES = 4096
 
 
-def _orjson_rows(body: bytes, width: int) -> Optional[np.ndarray]:
-    """The body as a (rows, width) array of finite floats when it is rows
-    of exactly ``width`` JSON floats, else None.
+def _orjson_rows(body, width: int) -> Optional[np.ndarray]:
+    """The body, bytes or a memoryview of them, as a (rows, width) array
+    of finite floats when it is rows of exactly ``width`` JSON floats,
+    else None.
 
-    A body with a byte outside ``_JSON_BYTES`` (a letter, a quote) is
-    refused before any parse, and so is a CR that ends no CRLF: csv ends
-    a line there, JSON reads it as a space.  Each line must hold
-    ``width - 1`` commas, checked from the positions of the commas and
-    LFs, so that ragged rows cannot make up the total.  orjson then parses
-    ``_PARSE_LINES`` lines per call into the array.  A JSON int (``1``,
+    A body with a CR that ends no CRLF is refused: csv ends a line there,
+    JSON reads it as a space.  Each line must hold ``width - 1`` commas,
+    checked from the positions of the commas and LFs, so that ragged rows
+    cannot make up the total.  orjson then parses ``_PARSE_LINES`` lines
+    per call into the array; a chunk with a byte outside ``_JSON_BYTES``
+    (a letter, a quote) is refused before its parse.  A JSON int (``1``,
     ``-0``) refuses the body: orjson reads ``-0`` as ``0``, where
     ``float`` keeps its sign.  orjson reads JSON floats as ``float`` does,
     bit for bit; it raises on a value out of range."""
-    if not body or body.translate(None, _JSON_BYTES):
-        return None
-    if b"\r" in body and body.count(b"\r") != body.count(b"\r\n"):
+    if not body:
         return None
     chars = np.frombuffer(body, dtype=np.uint8)
+    crs = np.flatnonzero(chars == ord("\r"))
+    if len(crs) and (crs[-1] + 1 == len(chars) or (chars[crs + 1] != ord("\n")).any()):
+        return None
     ends = np.flatnonzero(chars == ord("\n"))
-    if not body.endswith(b"\n"):
-        ends = np.append(ends, len(body))
+    if chars[-1] != ord("\n"):
+        ends = np.append(ends, len(chars))
     rows = len(ends)
     commas = np.flatnonzero(chars == ord(","))
     if len(commas) != rows * (width - 1):
@@ -292,9 +299,11 @@ def _orjson_rows(body: bytes, width: int) -> Optional[np.ndarray]:
     for first in range(0, rows, _PARSE_LINES):
         last = min(first + _PARSE_LINES, rows)
         start = int(ends[first - 1]) + 1 if first else 0
-        chunk = body[start:int(ends[last - 1])].replace(b"\n", b",")
+        chunk = bytes(body[start:int(ends[last - 1])])
+        if chunk.translate(None, _JSON_BYTES):
+            return None
         try:
-            values = orjson.loads(b"[" + chunk + b"]")
+            values = orjson.loads(b"[" + chunk.replace(b"\n", b",") + b"]")
         except orjson.JSONDecodeError:
             return None
         if {*map(type, values)} != {float}:

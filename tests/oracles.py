@@ -20,6 +20,7 @@ import scipy.signal
 import scipy.sparse
 import scipy.sparse.linalg
 
+from statorguard import plantsim
 from statorguard.a64s import HEALTHY_SENTINEL, CalibrationError
 from statorguard.plantsim import Subharmonic64SConfig
 from statorguard.signalcore import TimeSeries
@@ -176,6 +177,65 @@ def brute_force_phasor(x, fs, f0, n_window, k):
     t = (np.arange(k - n_window + 1, k + 1)) / fs
     z = (2.0 / n_window) * np.sum(seg * np.exp(-1j * 2.0 * np.pi * f0 * t))
     return z
+
+
+def block_recursion_phasor(ts: TimeSeries, f0: float, n_win: int):
+    """Magnitude and phase of the sliding single-bin DFT of ts over n_win
+    samples, as extract_phasor computed them before it wrote its window
+    sums in place: an exact sum every 10 windows, cumulative adds and
+    drops between, zeros padded in front, scaled and then masked."""
+    n = len(ts)
+    t = ts.times()
+    y = ts.samples * np.exp(-2j * np.pi * f0 * t)
+    sums = np.zeros(n, dtype=complex)
+    n_out = n - n_win + 1
+    block = 10 * n_win
+    out = np.empty(n_out, dtype=complex)
+    for s in range(0, n_out, block):
+        e = min(s + block, n_out)
+        anchor = y[s : s + n_win].sum()
+        out[s] = anchor
+        if e > s + 1:
+            add = np.cumsum(y[s + n_win : e - 1 + n_win])
+            drop = np.cumsum(y[s : e - 1])
+            out[s + 1 : e] = anchor + add - drop
+    sums[n_win - 1 :] = out
+    phasor = (2.0 / n_win) * sums
+    magnitude = np.abs(phasor)
+    phase = np.angle(phasor)
+    valid = np.zeros(n, dtype=bool)
+    valid[n_win - 1 :] = True
+    magnitude[~valid] = 0.0
+    phase[~valid] = 0.0
+    return magnitude, phase
+
+
+def per_sample_64g2_waves(cfg, fault, disturbances, load_pu, pf, duration, fs,
+                          noise_std, seed):
+    """The terminal and neutral waveforms and the in-band speed mask of a
+    64G2 scenario, with the ladder solved at every sample (healthy and
+    faulted over the whole record) and the two joined by np.where at the
+    fault onset, as simulate_64g2_scenario did before it solved per run."""
+    n = int(round(duration * fs))
+    dt = 1.0 / fs
+    t = np.arange(n) * dt
+    load_t, pf_t, speed_t, scale_n, scale_p = plantsim._disturbance_trajectories(
+        t, load_pu, pf, disturbances)
+    v_n_t, v_p_t = plantsim.third_harmonic_solve(cfg, None, load_t, pf_t, speed_t)
+    onset = None if fault is None else fault.onset_index(fs, n)
+    if onset is not None:
+        v_n_f, v_p_f = plantsim.third_harmonic_solve(cfg, fault, load_t, pf_t, speed_t)
+        faulted = np.arange(n) >= onset
+        v_n_t = np.where(faulted, v_n_f, v_n_t)
+        v_p_t = np.where(faulted, v_p_f, v_p_t)
+    theta = 2.0 * math.pi * 3.0 * cfg.f1 * np.cumsum(speed_t) * dt
+    wave_p = np.abs(v_p_t) * np.cos(theta + np.angle(v_p_t)) * scale_p
+    wave_n = np.abs(v_n_t) * np.cos(theta + np.angle(v_n_t)) * scale_n
+    if noise_std > 0:
+        rng = np.random.default_rng(seed)
+        wave_p = wave_p + rng.normal(0.0, noise_std, size=n)
+        wave_n = wave_n + rng.normal(0.0, noise_std, size=n)
+    return wave_p, wave_n, np.abs(speed_t - 1.0) <= 0.2
 
 
 def batch_scalar_rls_error(rho0_error, v_sequence, prior_variance, meas_noise):

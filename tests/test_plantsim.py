@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from statorguard import plantsim
 from statorguard.plantsim import (
+    DISTURBANCE_KINDS,
     DisturbanceSpec,
     FaultSpec,
     MachineConfig,
     Subharmonic64SConfig,
+    check_operating_point,
     constant_speed,
     e3_of_operating_point,
     emf_split_fraction,
@@ -23,7 +25,7 @@ from statorguard.plantsim import (
     simulate_64s_timeseries,
     third_harmonic_solve,
 )
-from statorguard.signalcore import extract_phasor
+from statorguard.signalcore import TimeSeries, extract_phasor
 
 import oracles
 from oracles import subharmonic_transfer
@@ -157,6 +159,64 @@ def test_ladder_on_arrays_equals_per_sample_scalar_calls(rf):
 def test_ladder_rejects_an_out_of_range_sample():
     with pytest.raises(ValueError, match="load_pu"):
         third_harmonic_solve(MachineConfig(), None, np.array([1.0, 1.3]), np.ones(2))
+
+
+def _ulp_up(x):
+    return float(np.nextafter(x, math.inf))
+
+
+def _ulp_down(x):
+    return float(np.nextafter(x, -math.inf))
+
+
+# (load_pu, pf) at and just past the bounds of the operating range
+_IN_RANGE = [(0.0, 1.0), (1.2, 1.0), (-0.0, 1.0), (1.0, 0.8), (1.0, -0.8), (1.0, 1.0),
+             (1.0, -1.0), (0.0, 0.8), (1.2, -1.0)]
+_LOAD_OUT = [_ulp_up(1.2), _ulp_down(0.0), math.nan, math.inf, -math.inf]
+_PF_OUT = [_ulp_down(0.8), -_ulp_down(0.8), _ulp_up(1.0), -_ulp_up(1.0), 0.0,
+           math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("load, pf", _IN_RANGE)
+def test_the_bounds_of_the_operating_range_are_accepted(load, pf):
+    check_operating_point(load, pf)
+    check_operating_point(np.array([1.0, load, 0.5]), np.array([0.9, pf, -0.9]))
+    third_harmonic_solve(MachineConfig(), None, load, pf)
+
+
+@pytest.mark.parametrize("load", _LOAD_OUT)
+def test_a_load_past_the_range_is_refused_as_a_scalar_and_in_an_array(load):
+    with pytest.raises(ValueError, match=r"load_pu must be in \[0, 1.2\]"):
+        check_operating_point(load, 1.0)
+    with pytest.raises(ValueError, match=r"load_pu must be in \[0, 1.2\]"):
+        check_operating_point(np.array([1.0, load, 0.5]), np.ones(3))
+
+
+@pytest.mark.parametrize("pf", _PF_OUT)
+def test_a_power_factor_past_the_range_is_refused_as_a_scalar_and_in_an_array(pf):
+    with pytest.raises(ValueError, match=r"power factor must satisfy 0.8 <= \|pf\| <= 1"):
+        check_operating_point(1.0, pf)
+    with pytest.raises(ValueError, match=r"power factor must satisfy 0.8 <= \|pf\| <= 1"):
+        check_operating_point(np.ones(3), np.array([0.9, pf, -0.9]))
+
+
+def test_an_empty_operating_point_array_is_accepted():
+    check_operating_point(np.array([]), np.array([]))
+    check_operating_point(np.array([]), 1.0)
+
+
+@pytest.mark.parametrize("load, pf, message", [
+    (math.nan, 1.0, "load_pu"), (1.0, math.nan, "power factor"),
+    (math.inf, 1.0, "load_pu"), (1.0, -math.inf, "power factor"),
+])
+def test_the_simulator_refuses_a_non_finite_operating_point_by_name(load, pf, message):
+    """A NaN load once passed the check and failed later as a bad v_p3."""
+    with pytest.raises(ValueError, match=message):
+        simulate_64g2_scenario(MachineConfig(), None, (), load, pf, 0.2)
+    with pytest.raises(ValueError, match=message):
+        frames_from_64g2_waveforms(TimeSeries(1000.0, 0.0, np.ones(200)),
+                                   TimeSeries(1000.0, 0.0, np.ones(200)),
+                                   MachineConfig(), load, pf)
 
 
 def test_ratio_invariant_to_emf_magnitude():
@@ -465,6 +525,93 @@ def test_64g2_determinism():
     b = simulate_64g2_scenario(cfg, None, duration=0.4, seed=9)
     assert np.array_equal(a.v_p3_wave.samples, b.v_p3_wave.samples)
     assert np.array_equal(a.v_n3_wave.samples, b.v_n3_wave.samples)
+
+
+def _assert_simulates_as_the_per_sample_oracle(cfg, fault, disturbances, load, pf,
+                                               duration=0.3, noise_std=0.05, seed=5):
+    """simulate_64g2_scenario's waveforms, frames and onset are bit for bit
+    those of the per-sample solve; returns the simulation."""
+    fs = 1000.0
+    sim = simulate_64g2_scenario(cfg, fault, disturbances, load, pf, duration, fs,
+                                 noise_std, seed=seed)
+    wave_p, wave_n, in_band = oracles.per_sample_64g2_waves(
+        cfg, fault, disturbances, load, pf, duration, fs, noise_std, seed)
+    assert sim.v_p3_wave.samples.tobytes() == wave_p.tobytes()
+    assert sim.v_n3_wave.samples.tobytes() == wave_n.tobytes()
+    want = frames_from_64g2_waveforms(TimeSeries(fs, 0.0, wave_p), TimeSeries(fs, 0.0, wave_n),
+                                      cfg, load, pf, in_band=in_band).frames
+    for name in ("v_p3", "v_n3", "valid"):
+        assert getattr(sim.frames, name).tobytes() == getattr(want, name).tobytes()
+    n = len(wave_p)
+    assert sim.onset_index == (None if fault is None else fault.onset_index(fs, n))
+    return sim
+
+
+# onset sample of a 300-sample record: the first, the second, one inside a
+# run, the last, and one past the end (no sample faulted)
+_ONSETS = {"first": 0, "second": 1, "inside": 137, "last": 299, "past": 400}
+
+
+def _signed_pf(draw_float):
+    return math.copysign(draw_float(0.8, 1.0), draw_float(-1.0, 1.0))
+
+
+def _disturbance(kind, draw_float):
+    """A disturbance of kind with drawn magnitude, onset and ramp."""
+    if kind.endswith("_pt_scale"):
+        magnitude = draw_float(0.5, 1.0)
+    elif kind == "load_step":
+        magnitude = draw_float(0.0, 1.2)
+    elif kind == "pf_swing":
+        magnitude = _signed_pf(draw_float)
+    else:
+        magnitude = 0.0
+    t_on = draw_float(0.0, 0.2)
+    ramp = kind in ("gen_start", "gen_stop") or draw_float(0.0, 1.0) < 0.5
+    return DisturbanceSpec(kind=kind, magnitude=magnitude, t_on=t_on,
+                           t_off=t_on + draw_float(0.01, 0.1) if ramp else None)
+
+
+@pytest.mark.parametrize("kind", (None,) + DISTURBANCE_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_the_run_solve_equals_the_per_sample_solve_bit_for_bit(kind, data):
+    """The simulator solves the ladder once per run of equal operating
+    points, cut at the onset; every waveform sample and frame is the
+    per-sample solve's, for any operating point, disturbance, fault
+    (none, bolted, resistive, rf = inf) and onset."""
+
+    def draw_float(lo, hi):
+        return data.draw(st.one_of(st.sampled_from([lo, hi]),
+                                   st.floats(lo, hi, allow_nan=False)))
+
+    load = draw_float(0.0, 1.2)
+    pf = _signed_pf(draw_float)
+    disturbances = () if kind is None else (_disturbance(kind, draw_float),)
+    rf = data.draw(st.sampled_from([None, 0.0, 200.0, math.inf]))
+    onset = data.draw(st.sampled_from(sorted(_ONSETS.values())))
+    fault = None if rf is None else FaultSpec(x=draw_float(0.0, 1.0), rf=rf, t_on=onset / 1000.0)
+    _assert_simulates_as_the_per_sample_oracle(MachineConfig(), fault, disturbances, load, pf)
+
+
+@pytest.mark.parametrize("onset", sorted(_ONSETS), ids=str)
+@pytest.mark.parametrize("rf", [0.0, 200.0, math.inf])
+@pytest.mark.parametrize("disturbances", [
+    (),
+    (DisturbanceSpec(kind="load_step", magnitude=0.4, t_on=0.1, t_off=0.2),),
+    (DisturbanceSpec(kind="pf_swing", magnitude=-0.9, t_on=0.05, t_off=0.25),),
+    (DisturbanceSpec(kind="gen_stop", t_on=0.1, t_off=0.2),
+     DisturbanceSpec(kind="terminal_pt_scale", magnitude=0.6, t_on=0.137)),
+    (DisturbanceSpec(kind="load_step", magnitude=0.4, t_on=0.1, t_off=0.2),
+     DisturbanceSpec(kind="pf_swing", magnitude=-0.9, t_on=0.1, t_off=0.2),
+     DisturbanceSpec(kind="gen_start", t_on=0.0, t_off=0.2)),
+], ids=["one run", "load ramp", "pf ramp", "speed ramp and PT step",
+        "load, pf and speed ramps at once"])
+def test_each_onset_splits_its_run_as_the_per_sample_solve_does(disturbances, rf, onset):
+    fault = FaultSpec(x=0.2, rf=rf, t_on=_ONSETS[onset] / 1000.0)
+    sim = _assert_simulates_as_the_per_sample_oracle(MachineConfig(), fault, disturbances,
+                                                     0.9, 0.95, noise_std=0.0)
+    assert sim.onset_index == (None if math.isinf(rf) else min(_ONSETS[onset], 300))
 
 
 def test_ramp_speed_clamps_outside_interval():

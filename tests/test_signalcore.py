@@ -141,6 +141,33 @@ def test_warmup_frames_marked_invalid():
     assert (ph.magnitude[: ph.window_samples - 1] == 0.0).all()
 
 
+@pytest.mark.parametrize("f0, cycles", [(20.0, 2), (60.0, 3), (180.0, 3)])
+@pytest.mark.parametrize("length", [
+    pytest.param(lambda w: w, id="n_win"),
+    pytest.param(lambda w: 10 * w - 1, id="10 n_win - 1"),
+    pytest.param(lambda w: 10 * w, id="10 n_win"),
+    pytest.param(lambda w: 10 * w + 1, id="10 n_win + 1"),
+    pytest.param(lambda w: 60000, id="60000"),
+])
+def test_extract_phasor_equals_the_block_recursion_bit_for_bit(f0, cycles, length):
+    """The in-place window sums, scale and warm-up give the magnitudes and
+    phases of the block recursion bit for bit, at block edges and over a
+    60 s record, for the frequencies and windows the schemes use."""
+    fs = 1000.0
+    n_win = signalcore._snap_window(cycles * fs / f0, f0, fs)
+    n = length(n_win)
+    rng = np.random.default_rng(n + int(f0))
+    ts = synth_waveform([(f0, 3.0, 0.4), (3.0 * f0 / 4.0, 0.5, 1.0)], fs, n / fs,
+                        noise_std=0.2, seed=n, t0=0.125)
+    ts.samples[rng.integers(0, n, size=3)] = [0.0, -0.0, 1e300]
+    ph = extract_phasor(ts, f0, window_cycles=cycles)
+    magnitude, phase = oracles.block_recursion_phasor(ts, f0, n_win)
+    assert ph.window_samples == n_win and len(ph) == n
+    assert ph.magnitude.tobytes() == magnitude.tobytes()
+    assert ph.phase.tobytes() == phase.tobytes()
+    assert ph.valid.tolist() == [False] * (n_win - 1) + [True] * (n - n_win + 1)
+
+
 def test_reconstruction_roundtrip_pure_tone():
     ts = synth_waveform([(20.0, 4.0, 1.0)], fs=1000.0, duration=0.5)
     ph = extract_phasor(ts, 20.0, window_cycles=2)
@@ -832,6 +859,30 @@ _NOT_JSON_BODIES = [
                          ids=[case[0] for case in _NOT_JSON_BODIES])
 def test_the_orjson_tier_refuses_a_body_that_is_not_rows_of_json_floats(body):
     assert signalcore._orjson_rows(body, 2) is None
+
+
+@pytest.mark.parametrize("body", [case[1] for case in _NOT_JSON_BODIES] + [
+    b"0.0,1.0\n0.001,2.0\n", b"0.0,1.0\r\n0.001,2.0", b"1e-05,-0.0\n"])
+def test_a_view_of_the_body_reads_as_its_bytes(body):
+    """ingest_csv hands the orjson tier a memoryview of the file from the
+    body's offset; a view reads, or is refused, as the body's bytes are."""
+    view = memoryview(b"t,x\n" + body)[4:]
+    got, want = signalcore._orjson_rows(view, 2), signalcore._orjson_rows(body, 2)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_orjson_tier_reads_the_file_in_place(tmp_path, monkeypatch):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(b"t,x\r\n0.0,1.0\r\n0.001,2.0\r\n")
+    seen = []
+    tier = signalcore._orjson_rows
+    monkeypatch.setattr(signalcore, "_orjson_rows",
+                        lambda body, width: seen.append(body) or tier(body, width))
+    assert ingest_csv(path)["x"].samples.tolist() == [1.0, 2.0]
+    assert isinstance(seen[0], memoryview)
+    assert bytes(seen[0]) == b"0.0,1.0\r\n0.001,2.0\r\n"
 
 
 def test_a_negative_int_zero_keeps_its_sign(tmp_path):
