@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .plantsim import HarmonicFrames, _frozen_column
+from .plantsim import HarmonicFrames, _by_frame, _frozen_column
 from .signalcore import _first_true, _seconds, write_table
 
 __all__ = [
@@ -174,16 +174,6 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
         for k in range(1, width):
             sums += values[k:k + count]
     return sums
-
-
-def _by_frame(values: Sequence[float], index: np.ndarray, fill: float) -> np.ndarray:
-    """A read-only per-frame column from one value per valid frame:
-    values[k - 1] where index holds k, fill where it holds 0."""
-    table = np.empty(len(values) + 1)
-    table[0], table[1:] = fill, values
-    column = table[index]
-    column.flags.writeable = False
-    return column
 
 
 def restraint_column(frames: HarmonicFrames, window: int) -> np.ndarray:

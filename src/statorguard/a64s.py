@@ -11,9 +11,9 @@ on the resistance estimate raises the trip.  When the machine is also
 spinning, the fundamental-frequency neutral voltage of a fault feeds a
 closed-form position estimate.
 
-A64SEstimator.run is the one per-sample path: a single loop steps the
-filter, the extraction smoothers, the capacitance filter, the drop latch
-and the locator with every state in locals.  Its per-step reference, the
+A64SEstimator.run steps only the recursions (the filter, the smoothers,
+the capacitance filter and the latch's streak) in one loop over bounded
+chunks of used samples; the rest is numpy.  Its per-step reference, the
 same arithmetic as separate kernels in the same operation order, lives in
 tests/oracles.py, and the tests hold run() to it bit for bit.
 """
@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .plantsim import Subharmonic64SConfig, _freeze_columns, _frozen_column
+from .plantsim import Subharmonic64SConfig, _by_frame, _freeze_columns
 from .signalcore import (TimeSeries, _first_true, _seconds, extract_phasor,
                          reconstruct_narrowband, write_table)
 
@@ -45,6 +45,8 @@ __all__ = [
 
 # Location reported while no fault is active.
 HEALTHY_SENTINEL = 2.0
+
+_CHUNK = 4096  # used samples per pass of A64SEstimator.run's loop
 
 
 class CalibrationError(RuntimeError):
@@ -171,9 +173,9 @@ class A64STrace:
     """Per-sample record of one estimator run plus summary fields.
 
     A run's columns are read-only numpy arrays, float64 and a bool
-    ``trip``; v_n and i_n are the frames' own arrays.  valid (the
-    samples the estimator took in) is a tuple of bools, so that ``sum``
-    of it counts them as an int."""
+    ``trip``; v_n and i_n are the frames' own arrays.  valid (the used
+    samples) is a tuple of bools, so that ``sum`` of it counts them; an
+    unused sample repeats the last estimates, with the sentinel x_hat."""
 
     fs: float
     t_index: Sequence[int] = range(0)
@@ -260,6 +262,17 @@ class A64SEstimator:
         if not 0.0 < fs < math.inf:
             raise ValueError(f"fs must be positive and finite, got {fs!r}")
         cfg, circuit = self.cfg, self.circuit
+        n = len(frames)
+        # a sample is used when it and the one before it are valid: the
+        # first valid sample after an invalid one only primes the regression
+        used = np.zeros(n, dtype=bool)
+        np.logical_and(frames.valid[1:], frames.valid[:-1], out=used[1:])
+        rows = np.flatnonzero(used)
+        m = len(rows)
+        # regression vector: negated previous voltage, summed current
+        phi0s = -frames.v_n[rows - 1]
+        phi1s = frames.i_n[rows - 1] + frames.i_n[rows]
+        v_ns = frames.v_n[rows]
         period = 1.0 / fs
         # the configs have checked their tunables; the loop keeps every
         # state in locals and steps the whole chain inline
@@ -273,39 +286,24 @@ class A64SEstimator:
         half_period = 0.5 * period
         rs_scale = circuit.turns_ratio**2 / period
         ratio_memory = gain_memory = None
-        tau0 = rs = 0.0
         c0_hat, c0_var = cfg.c0_initial, cfg.c0_initial_variance
         c0_q, c0_r = cfg.c0_process_noise, cfg.c0_measurement_noise
-        # drop latch, counted in used samples: skip baseline_start, learn the
-        # baseline over the next baseline_window, then count the streak
+        # drop latch, in used samples: the baseline is sealed between chunks
+        # as the median over [skip, seal), and from seal on a streak of
+        # persistence estimates below drop_level trips (-inf unarmed or tripped)
         detector = cfg.detector
-        skip, window_length = detector.baseline_start, detector.baseline_window
-        drop_fraction, persistence = detector.drop_fraction, detector.persistence
-        window: List[float] = []
-        baseline = drop_level = None
-        streak = 0
-        tripped = False
-        # locator constants: x = v_n60 / (un * r_n) * |r_n + rf + j*omega*r_n*tau0_f|
-        r_n = circuit.r_n_primary
-        v_scale = circuit.un * r_n
-        omega_r_n = 2.0 * math.pi * circuit.f1 * r_n
-        sentinel = HEALTHY_SENTINEL
-        prev_vn = prev_in = None
-        first_trip = len(frames)
-
-        columns: Dict[str, List[float]] = {
-            name: [] for name in ("a0_hat", "kd_hat", "tau0_hat", "rs_hat", "c0_hat", "x_hat")}
-        a0_col, kd_col, tau0_col, rs_col, c0_col, x_col = (col.append for col in columns.values())
-        done = columns["x_hat"]  # one cell per sample stepped so far
-        samples = zip(frames.v_n.tolist(), frames.i_n.tolist(), frames.v_n60.tolist(),
-                      frames.valid.tolist())
-        for v_n, i_n, v_n60, valid in samples:
-            x_hat = sentinel
-            if valid and prev_vn is not None:
-                # regression vector: negated previous voltage, summed current
-                phi0, phi1 = -prev_vn, prev_in + i_n
-                prev_vn, prev_in = v_n, i_n
-
+        skip, persistence = detector.baseline_start, detector.persistence
+        seal = skip + detector.baseline_window
+        baseline, drop_level, streak = None, -math.inf, 0
+        first = m  # the used sample that trips
+        out = np.empty((5, m))
+        # chunks of _CHUNK used samples, with one more stop where the window fills
+        stops = sorted({*range(_CHUNK, m, _CHUNK), min(seal, m), m})
+        for start, stop in zip([0, *stops], stops):
+            steps = [], [], [], [], []
+            a0_col, kd_col, tau0_col, rs_col, c0_col = (step.append for step in steps)
+            for phi0, phi1, v_n in zip(phi0s[start:stop].tolist(), phi1s[start:stop].tolist(),
+                                       v_ns[start:stop].tolist()):
                 # 2-state filter on (a0, kd) with the symmetric covariance
                 # [[p00, p01], [p01, p11]]: the covariance is propagated first
                 # (information-form shrink plus process noise), then the gain
@@ -345,59 +343,61 @@ class A64SEstimator:
                 c0_var = c0_var * c0_r / (c0_r + rs * rs * c0_var) + c0_q
                 c0_hat = c0_hat + c0_var * rs / c0_r * (tau0 - rs * c0_hat)
 
-                if baseline is None:
-                    if skip:
-                        skip -= 1
-                    else:
-                        window.append(rs)
-                        if len(window) == window_length:
-                            baseline = float(np.median(window))
-                            # also refuses a NaN median, which would never trip
-                            if not baseline > 0:
-                                raise CalibrationError(
-                                    f"baseline resistance {baseline!r} is not positive")
-                            drop_level = drop_fraction * baseline
-                            if min(window) < drop_level:
-                                raise CalibrationError(
-                                    "baseline window already contains a resistance drop")
-                elif not tripped:
-                    streak = streak + 1 if rs < drop_level else 0
-                    if streak >= persistence:
-                        tripped = True
-                        first_trip = len(done)
-                        # the circuit just changed structurally; re-open the
-                        # filter so the faulted parameters are re-identified
-                        # quickly instead of creeping in at the tracking rate
-                        p00 = p11 = p_initial
-                        p01 = 0.0
-                        ratio_memory = gain_memory = None
-                if tripped and not (rs <= 0 or rs >= baseline):
-                    # the measured drop is the parallel combination of the
-                    # healthy insulation and the fault path; undo it to get
-                    # the fault branch, then invert the divider it forms
-                    rf_hat = 1.0 / (1.0 / rs - 1.0 / baseline)
-                    tau0_f = rf_hat * (0.0 if c0_hat < 0.0 else c0_hat)
-                    x_hat = (v_n60 / v_scale) * math.hypot(r_n + rf_hat, omega_r_n * tau0_f)
-            else:
-                # an invalid sample clears the regression memory; the next
-                # valid one only primes it
-                prev_vn, prev_in = (v_n, i_n) if valid else (None, None)
-            a0_col(a0)
-            kd_col(kd)
-            tau0_col(tau0)
-            rs_col(rs)
-            c0_col(c0_hat)
-            x_col(x_hat)
-        trip = np.zeros(len(frames), dtype=bool)
-        trip[first_trip:] = True
+                streak = streak + 1 if rs < drop_level else 0
+                if streak >= persistence:
+                    first = start + len(steps[0])
+                    drop_level = -math.inf
+                    # the circuit just changed structurally; re-open the
+                    # filter so the faulted parameters are re-identified
+                    # quickly instead of creeping in at the tracking rate
+                    p00 = p11 = p_initial
+                    p01 = 0.0
+                    ratio_memory = gain_memory = None
+                a0_col(a0)
+                kd_col(kd)
+                tau0_col(tau0)
+                rs_col(rs)
+                c0_col(c0_hat)
+            out[:, start:stop] = steps
+            # a NaN estimate would never trip, nor seal a usable baseline
+            bad = start + np.flatnonzero(~np.isfinite(out[3, start:stop]))
+            if len(bad):
+                raise CalibrationError(f"the estimator diverged: resistance estimate "
+                                       f"{out[3, bad[0]].item()!r} at sample {rows[bad[0]]}")
+            if stop == seal:
+                window = out[3, skip:seal]
+                baseline = float(np.median(window))
+                if not baseline > 0:
+                    raise CalibrationError(f"baseline resistance {baseline!r} is not positive")
+                drop_level = detector.drop_fraction * baseline
+                if window.min() < drop_level:
+                    raise CalibrationError("baseline window already contains a resistance drop")
+
+        x_hat = np.full(m, HEALTHY_SENTINEL)
+        if first < m:
+            # from the trip on, undo the parallel drop (healthy insulation and
+            # fault path) to get the fault branch, then invert its divider:
+            # x = v_n60 / (un * r_n) * |r_n + rf + j*omega*r_n*tau0_f|, through
+            # math.hypot, as np.hypot may differ in the last bit
+            rs_f = out[3, first:]
+            located = first + np.flatnonzero(~((rs_f <= 0) | (rs_f >= baseline)))
+            rs_f, c0_f = out[3:, located]
+            r_n = circuit.r_n_primary
+            rf_hat = 1.0 / (1.0 / rs_f - 1.0 / baseline)
+            tau0_f = rf_hat * np.where(c0_f < 0.0, 0.0, c0_f)
+            span = map(math.hypot, (r_n + rf_hat).tolist(),
+                       (2.0 * math.pi * circuit.f1 * r_n * tau0_f).tolist())
+            x_hat[located] = (frames.v_n60[rows[located]] / (circuit.un * r_n)
+                              * np.fromiter(span, float, len(located)))
+        counts = np.cumsum(used)
+        a0_hat, kd_hat, tau0_hat, rs_hat, c0_hat = map(
+            _by_frame, out, [counts] * 5, (0.0, 0.0, 0.0, 0.0, cfg.c0_initial))
+        trip = np.arange(n) >= (rows[first] if first < m else n)
         trip.flags.writeable = False
-        # a sample is used when it and the one before it are valid
-        used = np.zeros(len(frames), dtype=bool)
-        np.logical_and(frames.valid[1:], frames.valid[:-1], out=used[1:])
-        return A64STrace(fs=fs, t_index=range(len(frames)), v_n=frames.v_n, i_n=frames.i_n,
-                         trip=trip, valid=tuple(used.tolist()), baseline=baseline,
-                         onset_index=onset_index,
-                         **{name: _frozen_column(column) for name, column in columns.items()})
+        return A64STrace(fs=fs, t_index=range(n), v_n=frames.v_n, i_n=frames.i_n, a0_hat=a0_hat,
+                         kd_hat=kd_hat, tau0_hat=tau0_hat, rs_hat=rs_hat, c0_hat=c0_hat,
+                         x_hat=_by_frame(x_hat, counts * used, HEALTHY_SENTINEL), trip=trip,
+                         valid=tuple(used.tolist()), baseline=baseline, onset_index=onset_index)
 
     def run_timeseries(self, v_ts: TimeSeries, i_ts: TimeSeries,
                        onset_index: Optional[int] = None) -> A64STrace:

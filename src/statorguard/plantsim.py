@@ -234,6 +234,16 @@ def _frozen_column(values, dtype=float) -> np.ndarray:
     return column
 
 
+def _by_frame(values: Sequence[float], index: np.ndarray, fill: float) -> np.ndarray:
+    """A read-only per-frame column from one value per counted frame
+    (valid, or used): values[k - 1] where index holds k, fill where 0."""
+    table = np.empty(len(values) + 1)
+    table[0], table[1:] = fill, values
+    column = table[index]
+    column.flags.writeable = False
+    return column
+
+
 def _freeze_columns(frames, magnitudes: Tuple[str, ...], signals: Tuple[str, ...] = ()) -> None:
     """Store each column of a frozen frame record as a read-only array
     (float64, valid bool) and check them once, in valid and invalid

@@ -581,8 +581,10 @@ class _DropLatch:
     estimate of each used sample; update returns whether it has tripped.
 
     Until the baseline window is full the latch is unarmed (baseline
-    None) and never trips.  A baseline that is not positive, or a window
-    that already holds a drop, raises CalibrationError.
+    None) and never trips.  A non-finite estimate (the estimator
+    diverged), a baseline that is not positive, or a window that already
+    holds a drop, raises CalibrationError; sample names the estimate's
+    frame in the message, by default its position among used samples.
     """
 
     def __init__(self, cfg):
@@ -593,10 +595,13 @@ class _DropLatch:
         self._streak = 0
         self.tripped = False
 
-    def update(self, rs_hat):
+    def update(self, rs_hat, sample=None):
         cfg = self.cfg
         pos = self._seen
         self._seen += 1
+        if not math.isfinite(rs_hat):
+            raise CalibrationError(f"the estimator diverged: resistance estimate {rs_hat!r} "
+                                   f"at sample {pos if sample is None else sample}")
         if self.baseline is None:
             if pos < cfg.baseline_start:
                 return False
@@ -692,7 +697,7 @@ def stepwise_a64s_run(frames, fs, circuit, cfg):
                            "x_hat", "trip", "valid")}
     samples = zip(frames.v_n.tolist(), frames.i_n.tolist(), frames.v_n60.tolist(),
                   frames.valid.tolist())
-    for v_n, i_n, v_n60, valid in samples:
+    for k, (v_n, i_n, v_n60, valid) in enumerate(samples):
         x_hat = HEALTHY_SENTINEL
         used = valid and prev is not None
         if used:
@@ -702,7 +707,7 @@ def stepwise_a64s_run(frames, fs, circuit, cfg):
                                                    alpha, period, rs_scale)
             c0 = _c0_step(*c0, cfg.c0_process_noise, cfg.c0_measurement_noise, tau0, rs)
             was_tripped = tripped
-            tripped = latch.update(rs)
+            tripped = latch.update(rs, k)
             if tripped and not was_tripped:
                 theta = (theta[0], theta[1], p0, 0.0, p0)
                 memories = (None, None)

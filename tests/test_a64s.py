@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from statorguard import a64s
 from statorguard.a64s import (
     HEALTHY_SENTINEL,
     A64SEstimator,
@@ -534,6 +535,76 @@ def test_a_negative_capacitance_estimate_locates_with_no_capacitance():
     cfg = est.circuit
     assert trace.x_hat[4] == locate_fault(1.0, cfg.un, cfg.r_n_primary, rf, 0.0, f1=cfg.f1)
     assert trace.x_hat[4] != HEALTHY_SENTINEL
+
+
+def test_a_resistance_at_the_drop_level_does_not_count():
+    """The latch counts estimates strictly below drop_fraction of the
+    baseline: 4 ohms against a baseline of 8 does not trip, 3.992 ohms
+    does."""
+    est = _exact_estimator()
+    trace = _assert_run_is_the_step_chain(est, _exact_record([1.0, 0.5]))
+    assert trace.baseline == 8.0 and trace.rs_hat[4] == 4.0
+    assert not trace.tripped
+    trace = _assert_run_is_the_step_chain(est, _exact_record([1.0, 0.499]))
+    assert trace.rs_hat[4] < 4.0 and trace.first_trip_index == 4
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1250, 4095])
+def test_run_is_the_step_chain_at_any_chunk_size(monkeypatch, chunk):
+    """The loop's chunks of used samples leave no trace in the columns:
+    one sample per chunk, 7, exactly up to the seal of the default
+    baseline (used sample 1250) and one short of the default size."""
+    monkeypatch.setattr(a64s, "_CHUNK", chunk)
+    cfg, frames = _fault_record_500_ohm()
+    est = A64SEstimator(cfg)
+    for record in (frames, _invalid_stretch(frames)):
+        assert _assert_run_is_the_step_chain(est, record).tripped
+
+
+@pytest.mark.parametrize("chunk", [3, 4])
+def test_a_chunk_may_start_or_end_on_the_trip(monkeypatch, chunk):
+    """Used samples 0-4 sit at frames 1, 4, 7, 10 and 13, and used sample
+    3 trips.  The seal adds a stop at used sample 1; chunks of 3 then
+    start on the trip, chunks of 4 end on it."""
+    monkeypatch.setattr(a64s, "_CHUNK", chunk)
+    trace = _assert_run_is_the_step_chain(_exact_estimator(),
+                                          _exact_record([1.0, 1.0, 1.0, 0.0, 1.0]))
+    assert trace.first_trip_index == 10
+    assert trace.rs_hat[10:].tolist() == [0.0, 0.0, 0.0, 8.0, 8.0]
+
+
+@pytest.mark.parametrize("valid", [[], [True], [True, False], [True, True], [False] * 5])
+def test_a_record_too_short_to_step_holds_the_initial_state(valid):
+    """Frames before the first used sample hold the filter's initial
+    state (0, and c0_initial for the capacitance) and the sentinel; none
+    of these records trips or arms the latch."""
+    frames = SubharmonicFrames(v_n=[1.0] * len(valid), i_n=[0.5] * len(valid),
+                               v_n60=[1.0] * len(valid), valid=valid)
+    est = A64SEstimator(Subharmonic64SConfig())
+    trace = _assert_run_is_the_step_chain(est, frames)
+    # only the record of two valid frames steps one, its second
+    held = len(valid) - (valid == [True, True])
+    for name, fill in (("a0_hat", 0.0), ("kd_hat", 0.0), ("tau0_hat", 0.0), ("rs_hat", 0.0),
+                       ("c0_hat", est.cfg.c0_initial)):
+        assert getattr(trace, name)[:held].tolist() == [fill] * held, name
+    assert trace.x_hat.tolist() == [HEALTHY_SENTINEL] * len(valid)
+    assert not trace.tripped and trace.baseline is None
+
+
+def test_an_estimate_that_overflows_after_the_seal_is_refused():
+    """An infinite resistance estimate after the baseline is sealed used
+    to run on without a word, never below the drop level; it now names
+    the sample where the estimator diverged."""
+    est = _exact_estimator()
+    with pytest.raises(CalibrationError,
+                       match=r"^the estimator diverged: resistance estimate inf at sample 4$"):
+        est.run(_exact_record([1.0, 1e308, 1.0]), 1000.0)
+    with pytest.raises(CalibrationError, match="diverged: resistance estimate inf at sample 4$"):
+        oracles.stepwise_a64s_run(_exact_record([1.0, 1e308, 1.0]), 1000.0, est.circuit,
+                                  est.cfg)
+    cfg = InsulationDetectorConfig(baseline_start=0, baseline_window=3)
+    with pytest.raises(CalibrationError, match="diverged: resistance estimate nan at sample 4$"):
+        _latch_states([2500.0] * 4 + [math.nan], cfg)
 
 
 @st.composite

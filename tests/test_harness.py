@@ -1884,3 +1884,20 @@ def test_contaminated_64s_baseline_is_a_cli_error(tmp_path, capsys):
     assert ("error: baseline window already contains a resistance drop"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+# a process noise of 1e-4 makes the 64S filter go NaN at frame 445, before
+# the baseline window; the error used to blame a NaN baseline
+_DIVERGING_64S = {"kind": "64s", "seed": 1, "profile": {"duration": 3.5, "speed": 1.0},
+                  "estimator": {"theta_process_noise": 1e-4},
+                  "fault": {"x": 0.3, "rf": 1000.0, "t_on": 1.6}}
+
+
+def test_a_diverging_64s_estimator_is_named_through_run_scenario_and_the_cli(tmp_path, capsys):
+    message = "the estimator diverged: resistance estimate nan at sample 445"
+    with pytest.raises(CalibrationError, match=f"^{message}$"):
+        run_scenario(copy.deepcopy(_DIVERGING_64S))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_DIVERGING_64S))
+    assert cli_main(["detect-64s", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
