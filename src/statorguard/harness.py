@@ -55,7 +55,7 @@ from . import signalcore
 # extract_phasor is not called here; it stays importable from harness
 # because perfbench/tracing.py wraps it by that binding.
 from .signalcore import (TimeSeries, extract_phasor, in_two_processes, output_file,  # noqa: F401
-                         write_table)
+                         remove_output, write_table)
 
 __all__ = [
     "ConfigError",
@@ -899,8 +899,10 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
     trace CSVs; fmt 'csv' adds tabular and long-format (trace, signal,
     t, value) files.  Each trace writer also melts its trace into
     long.csv, from the cell strings of the trace CSV: every signal of a
-    trace in sorted name order, values as floats.  When a writer raises,
-    every file this call wrote is removed and the error raised."""
+    trace in sorted name order, values as floats.  Each file is written
+    by ``output_file``, so a previous run's file is replaced by a new one.
+    When a writer raises, every file this call wrote is removed (through
+    its symlinks) and the error raised."""
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
     out = Path(out_dir)
@@ -914,7 +916,7 @@ def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:
     except BaseException:
         # each writer removes its own partial file; these are complete
         for path in written:
-            Path(path).unlink(missing_ok=True)
+            remove_output(path)
         raise
     return written
 
@@ -992,7 +994,7 @@ def _write_traces(traces: List[Tuple[str, Any]], out: Path, long: Optional[Binar
                 shutil.copyfileobj(melt, long)
     except BaseException:
         with suppress(OSError):
-            second_path.unlink()
+            remove_output(second_path)
         raise
     written.append(str(second_path))
 

@@ -22,7 +22,7 @@ import pickle
 import re
 import signal
 import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import (IO, Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Mapping,
@@ -40,6 +40,7 @@ __all__ = [
     "write_csv",
     "write_table",
     "output_file",
+    "remove_output",
     "in_two_processes",
 ]
 
@@ -487,15 +488,35 @@ def _melted(values) -> List[str]:
 def output_file(path, binary: bool = False) -> Iterator[IO]:
     """``path`` opened for writing as UTF-8 text with LF line ends, or as
     bytes (binary), and removed again, once closed, when the ``with``
-    block raises, so a failed write leaves no partial file.  A file that
-    could not be opened is left as it was."""
-    fh = open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="\n")
+    block raises, so a failed write leaves no partial file.
+
+    The path is followed through its symlinks.  An existing regular file
+    that this process may write is unlinked and a new one made, not
+    truncated: ext4 (by its default ``auto_da_alloc``) flushes a file
+    truncated and rewritten once it is closed, and truncating the last
+    run's output waits on that flush.  A hard link keeps the old bytes;
+    a symlink stays.  A file that cannot be unlinked is truncated in
+    place; a FIFO or a device is opened as it is and never removed.  A
+    path that cannot be opened is left as it was."""
+    real = os.path.realpath(path)
+    if os.path.isfile(real) and os.access(real, os.W_OK):
+        with suppress(OSError):
+            os.unlink(real)
+    fh = open(real, "wb") if binary else open(real, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
             yield fh
     except BaseException:
-        os.unlink(path)
+        remove_output(real)
         raise
+
+
+def remove_output(path) -> None:
+    """Remove the regular file that ``path`` names, through its symlinks,
+    which stay; a missing file, a FIFO or a device is left alone."""
+    target = os.path.realpath(path)
+    if os.path.isfile(target):
+        os.unlink(target)
 
 
 def write_table(path, columns: Mapping[str, Sequence[Any]],

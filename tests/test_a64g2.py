@@ -650,6 +650,13 @@ def test_calibrate_collinear_points_give_zero_guard():
     assert cal.beta_ng == pytest.approx(0.0, abs=1e-12)
 
 
+def test_calibrate_leaves_a_zero_terminal_point_out_of_the_guard():
+    """A point with V_P3 = 0 adds nothing to the slope's sums and has no
+    relative deviation, so the fit is that of the other points."""
+    points = [(1.0, 0.3), (2.0, 1.0)]
+    assert calibrate_64rat([(0.0, 0.2)] + points) == calibrate_64rat(points)
+
+
 def test_calibrate_input_validation():
     with pytest.raises(ValueError):
         calibrate_64rat([(1.0, 0.5)])

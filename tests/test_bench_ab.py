@@ -97,8 +97,40 @@ def test_out_records_each_workload_with_its_env_and_keeps_the_others(monkeypatch
     assert saved["replay_64s_60s"] == {"kept": True}
     entry = saved["security_sweep"]
     assert entry["env"]["rev_sha"] == entry["env"]["tree_sha"]
-    assert {"cpu", "python", "numpy", "orjson", "tree_dirty"} <= set(entry["env"])
+    assert {"cpu", "python", "numpy", "orjson", "tree_dirty", "rev_fs",
+            "tree_fs"} <= set(entry["env"])
     study = entry["metrics"]["study_s"]
     # pair 1 runs the checkout first (0.33), pair 2 the revision first (0.30)
     assert study["rev"]["values"] == [0.31, 0.30] and study["tree"]["values"] == [0.33, 0.34]
     assert study["tree_wins"] == 0 and entry["failed_pairs"] == 0
+
+
+# /proc/self/mountinfo: id, parent, device, root, mount point, mount
+# options, optional fields, "-", type, source, super block options
+_MOUNTINFO = """\
+28 1 254:0 / / rw,relatime - ext4 /dev/vda rw,discard
+29 28 254:16 / /data ro,nosuid shared:7 - xfs /dev/vdb ro,attr2
+31 28 0:27 / /data/scratch rw,relatime - tmpfs tmpfs rw,size=8222320k
+32 31 0:28 / /data/scratch rw,noatime master:1 shared:2 - btrfs /dev/vdc rw,ssd
+33 28 0:29 / /my\\040bench rw - ext4 /dev/vdd rw,noauto_da_alloc
+"""
+
+
+@pytest.mark.parametrize("path,mount", [
+    # the longest mount point that is a prefix of the path's components
+    ("/data/bench/.perfbench_out", ("xfs", "ro,nosuid", "ro,attr2")),
+    ("/data", ("xfs", "ro,nosuid", "ro,attr2")),
+    ("/database/.perfbench_out", ("ext4", "rw,relatime", "rw,discard")),
+    # stacked on one mount point: the last one listed
+    ("/data/scratch/rev/.perfbench_out", ("btrfs", "rw,noatime", "rw,ssd")),
+    # a space in a mount point is written as \\040
+    ("/my bench/.perfbench_out", ("ext4", "rw", "rw,noauto_da_alloc")),
+])
+def test_mount_is_the_longest_mount_point_prefix(path, mount):
+    found = bench_ab._mount(path, _MOUNTINFO)
+    assert (found["type"], found["options"], found["super_options"]) == mount
+
+
+def test_mount_is_null_without_mountinfo():
+    assert bench_ab._mount("/data/.perfbench_out", None) is None
+    assert bench_ab._mount("/data/.perfbench_out", "") is None

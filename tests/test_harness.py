@@ -599,6 +599,17 @@ def test_an_infinite_margin_is_an_error_not_a_report():
         harness._verdict_64g2(trace)
 
 
+def test_an_infinite_margin_whose_factors_multiply_to_one_names_the_overflow():
+    """operate * floor is exactly 1.0: each factor lies as far from 1 as
+    the other, and the tie names the operate energy's overflow."""
+    trace = SchemeTrace(scheme="ng64g2", fs=1000.0, sensitivity=1.0, operate=[2.0 ** 600],
+                        restraint=[2.0 ** -600], margin_peak=math.inf, margin_index=0)
+    with pytest.raises(ValueError, match="^the ng64g2 margin is infinite: it overflows at "
+                                         "frame 0, with operate energy 4.15e\\+180 against "
+                                         "restraint 2.41e-181$"):
+        harness._verdict_64g2(trace)
+
+
 @pytest.mark.parametrize("v_p3,ratio,floor", [(1e-9, 1.0, "0"), (1e-5, 10.0, "2.67e-317")])
 def test_an_infinite_margin_from_an_underflowing_floor_names_the_underflow(v_p3, ratio, floor):
     """A floor of 0 makes the margin infinite, and so does a subnormal one
@@ -1235,6 +1246,31 @@ def test_a_split_emission_hands_over_the_second_melt_in_a_shared_file(
     monkeypatch.setattr(shutil, "copyfileobj", logged_copy)
     assert _outputs(tmp_path) == _one_process_outputs("csv")
     assert len(sizes) > 2 and all(0 < size <= 1 << 20 for size in sizes)
+    assert _no_child()
+
+
+@pytest.mark.parametrize("paths", ["one_process", "two_processes"])
+def test_emit_report_over_a_previous_runs_larger_files_writes_the_fresh_files(
+        request, monkeypatch, tmp_path, forks, paths):
+    """Each file a previous run left, larger than this run's, is replaced
+    by a new file, not rewritten: the bytes are those written into an
+    empty directory, and a hard link to the previous file keeps it."""
+    if paths == "two_processes":
+        request.getfixturevalue("split")
+    else:
+        monkeypatch.setattr(signalcore, "_FORK_ROWS", 10**9)
+    expected = _one_process_outputs("csv")
+    out, kept = tmp_path / "out", tmp_path / "kept"
+    out.mkdir()
+    kept.mkdir()
+    previous = {name: b"previous run\n" * (len(data) // 13 + 100)
+                for name, data in expected.items()}
+    for name, data in previous.items():
+        (out / name).write_bytes(data)
+        os.link(out / name, kept / name)
+    assert _outputs(out) == expected
+    assert {name: (kept / name).read_bytes() for name in previous} == previous
+    assert len(forks) == (_SPLITS if paths == "two_processes" else 0)
     assert _no_child()
 
 

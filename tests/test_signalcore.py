@@ -5,8 +5,10 @@ import io
 import math
 import os
 import random
+import stat
 import struct
 import tempfile
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -484,6 +486,87 @@ def test_write_table_leaves_a_file_it_cannot_open_as_it_was(tmp_path):
     with pytest.raises(OSError):
         write_table(path, {"a": [1.0]})
     assert path.is_dir()
+
+
+# ------------------------------------------- replacing an existing output
+
+_OLD, _NEW = {"a": [1.0, 2.0, 3.0]}, {"b": [4.0]}
+
+
+def test_a_rewritten_output_is_a_new_file_and_a_hard_link_keeps_the_old_bytes(tmp_path):
+    path, old = tmp_path / "table.csv", tmp_path / "old.csv"
+    write_table(path, _OLD)
+    os.link(path, old)
+    write_table(path, _NEW)
+    assert old.read_bytes() == b"a\n1.0\n2.0\n3.0\n"
+    assert path.read_bytes() == b"b\n4.0\n"
+    assert not os.path.samefile(path, old)
+
+
+def test_a_symlinked_output_is_written_through_and_stays_a_link(tmp_path):
+    """The real file is replaced: a hard link to it keeps the old bytes,
+    and the symlink names the new file."""
+    real, old, link = tmp_path / "real.csv", tmp_path / "old.csv", tmp_path / "link.csv"
+    write_table(real, _OLD)
+    os.link(real, old)
+    link.symlink_to(real.name)
+    write_table(link, _NEW)
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_bytes() == b"b\n4.0\n"
+    assert old.read_bytes() == b"a\n1.0\n2.0\n3.0\n"
+
+
+def test_a_failed_write_through_a_symlink_removes_the_real_file_and_keeps_the_link(tmp_path):
+    """The write fails after a block of the new table is written; the
+    real file goes, so no partial table is left, and the old bytes live
+    on only in a hard link made before."""
+    real, old, link = tmp_path / "real.csv", tmp_path / "old.csv", tmp_path / "link.csv"
+    write_table(real, _OLD)
+    os.link(real, old)
+    link.symlink_to(real.name)
+    columns = _mixed_table(3 * signalcore._BLOCK)
+    columns["m"][-1] = _Unprintable()
+    with pytest.raises(RuntimeError, match="cell cannot be formatted"):
+        write_table(link, columns)
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert not real.exists()
+    assert old.read_bytes() == b"a\n1.0\n2.0\n3.0\n"
+
+
+@pytest.mark.parametrize("refusal", ["unlink", "access"])
+def test_an_output_that_cannot_be_replaced_is_rewritten_in_place(tmp_path, monkeypatch, refusal):
+    """A file in a directory this process may not write cannot be
+    unlinked, and a file it may not write is not; either is opened as
+    before, which truncates it (here, as the one opening may write it)."""
+    path, old = tmp_path / "table.csv", tmp_path / "old.csv"
+    write_table(path, _OLD)
+    os.link(path, old)
+    if refusal == "unlink":
+        def unlink(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(os, "unlink", unlink)
+    else:
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    write_table(path, _NEW)
+    assert old.read_bytes() == path.read_bytes() == b"b\n4.0\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_a_fifo_output_is_written_as_it_is_and_never_removed(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        with pytest.raises(RuntimeError, match="failed after a write"):
+            with signalcore.output_file(fifo) as fh:
+                fh.write("partial\n")
+                raise RuntimeError("failed after a write")
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive() and got == [b"partial\n"]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 # ------------------------------------------------------------ float cells

@@ -19,7 +19,9 @@ Several workloads run one after the other.  ``--out`` records, per
 workload, each metric's medians, quartiles and pairs won, with the
 machine, the Python, numpy and orjson versions and both sides' git
 SHAs (the checkout's HEAD, and whether uncommitted changes ran on top of
-it), into a JSON file.  An existing file keeps its other workloads, so a
+it), and the file system each side's perfbench writes into (its type and
+mount options, null where ``/proc/self/mountinfo`` is absent), into a
+JSON file.  An existing file keeps its other workloads, so a
 workload run later adds to it.
 
 A handful of pairs can read a change either way on a machine that drifts;
@@ -32,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -106,9 +109,39 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _env(rev_sha: str) -> Dict[str, Any]:
+def _mount(path: str, mountinfo: Optional[str]) -> Optional[Dict[str, str]]:
+    """The file system type, mount options and super block options of
+    the mount holding the absolute, resolved ``path``, read from the text
+    of ``/proc/self/mountinfo``: the entry whose mount point is the
+    longest prefix of the path, the last one listed where mounts are
+    stacked.  None without that text or such an entry."""
+    found, longest = None, -1
+    for line in (mountinfo or "").splitlines():
+        fields = line.split(" ")
+        if "-" not in fields[6:]:
+            continue
+        rest = fields[fields.index("-", 6) + 1:]
+        # the kernel writes a space, tab, LF or backslash as \ooo
+        point = re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), fields[4])
+        inside = path == point or path.startswith(point.rstrip("/") + "/")
+        if inside and len(point) >= longest and len(rest) >= 3:
+            found, longest = {"type": rest[0], "options": fields[5],
+                              "super_options": rest[2]}, len(point)
+    return found
+
+
+def _mountinfo() -> Optional[str]:
+    try:
+        return Path("/proc/self/mountinfo").read_text()
+    except OSError:
+        return None
+
+
+def _env(rev_sha: str, rev_tree: Path) -> Dict[str, Any]:
     """The machine and versions a record was taken with; the tree side is
-    this checkout's HEAD, plus its uncommitted changes when dirty."""
+    this checkout's HEAD, plus its uncommitted changes when dirty.  Each
+    side's ``*_fs`` is the mount its perfbench writes its outputs into,
+    since how fast a file is rewritten depends on the file system."""
     import numpy
     import orjson
     cpu = platform.processor()
@@ -116,10 +149,13 @@ def _env(rev_sha: str) -> Dict[str, Any]:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
             cpu = next((line.split(":", 1)[1].strip() for line in fh
                         if line.startswith("model name")), cpu)
+    mounts = _mountinfo()
     return {"cpu": cpu, "cpus": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "orjson": orjson.__version__, "rev_sha": rev_sha,
             "tree_sha": _git("rev-parse", "HEAD"),
-            "tree_dirty": bool(_git("status", "--porcelain", "--untracked-files=no"))}
+            "tree_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+            "rev_fs": _mount(os.path.realpath(rev_tree / ".perfbench_out"), mounts),
+            "tree_fs": _mount(os.path.realpath(ROOT / ".perfbench_out"), mounts)}
 
 
 def record(path: Path, workload: str, entry: Dict[str, Any]) -> None:
@@ -185,7 +221,7 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", rev_sha], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
-        env = _env(rev_sha)
+        env = _env(rev_sha, tree)
         for workload in args.workload:
             pairs, lost = _pairs(tree, workload, args)
             failed += lost
