@@ -280,9 +280,8 @@ class A64SEstimator:
         p_initial = float(cfg.theta_initial_variance)
         a0 = kd = p01 = 0.0
         p00 = p11 = p_initial
-        # first-order smoother factor; an infinite rate bypasses smoothing
-        gamma = cfg.smoothing_rate
-        alpha = 1.0 if math.isinf(gamma) else 1.0 - math.exp(-gamma * period)
+        # first-order smoother factor; an infinite rate gives 1.0, no smoothing
+        alpha = 1.0 - math.exp(-cfg.smoothing_rate * period)
         half_period = 0.5 * period
         rs_scale = circuit.turns_ratio**2 / period
         ratio_memory = gain_memory = None

@@ -526,27 +526,29 @@ def _scenario_64g2(scenario: _Scenario,
     profile = scenario.profile
     if input_channels is None:
         with _config_errors():
-            return simulate_64g2_scenario(
+            sim = simulate_64g2_scenario(
                 machine, scenario.fault, scenario.disturbances, profile.load_pu, profile.pf,
                 1.0 if profile.duration is None else profile.duration, profile.fs,
                 scenario.noise, window_cycles=profile.window_cycles,
                 supervision_frac=profile.supervision_frac, seed=scenario.seed,
             )
+        _onset_index(scenario.fault, sim.v_p3_wave, "simulated")  # refuses one past the end
+        return sim
     vp3, vn3 = _channels(input_channels, "vp3", "vn3")
-    onset = _onset_index(scenario.fault, vp3, replay=True)
+    onset = _onset_index(scenario.fault, vp3, "replayed")
     sim = frames_from_64g2_waveforms(vp3, vn3, machine, profile.load_pu, profile.pf,
                                      profile.window_cycles, profile.supervision_frac)
     return replace(sim, onset_index=onset)
 
 
-def _onset_index(fault: Optional[FaultSpec], ts: TimeSeries, replay: bool) -> Optional[int]:
-    """Fault onset sample of a replayed or 64s record; the 64g2 simulator
-    applies the same FaultSpec.onset_index rule.  A replay's fault is the
-    label its verdicts are scored against, so one whose onset lies past
-    the record's last sample is a config error."""
+def _onset_index(fault: Optional[FaultSpec], ts: TimeSeries, record: str) -> Optional[int]:
+    """Fault onset sample of a record, by the FaultSpec.onset_index rule
+    the 64g2 simulator applies.  An onset past the record's last sample is
+    a config error: the fault never shows in a simulated record, and a
+    replay's fault is only the label its verdicts are scored against."""
     onset = None if fault is None else fault.onset_index(ts.fs, len(ts))
-    if replay and onset == len(ts):
-        raise ConfigError(f"fault.t_on {fault.t_on!r} s lies past the end of the replayed "
+    if onset == len(ts):
+        raise ConfigError(f"fault.t_on {fault.t_on!r} s lies past the end of the {record} "
                           f"record, which is {len(ts) / ts.fs:g} s long ({len(ts)} samples)")
     return onset
 
@@ -627,8 +629,8 @@ def _scenario_64s(scenario: _Scenario,
             )
     else:
         v_ts, i_ts = _channels(input_channels, "vn", "in")
-    return circuit, v_ts, i_ts, _onset_index(scenario.fault, v_ts,
-                                             replay=input_channels is not None)
+    record = "simulated" if input_channels is None else "replayed"
+    return circuit, v_ts, i_ts, _onset_index(scenario.fault, v_ts, record)
 
 
 def _run_64s(scenario: _Scenario, name: str,
@@ -699,15 +701,43 @@ def _run_cells(run_cell: Callable[[int], Any], count: int) -> List[Any]:
     return [done[index] if index in done else run_cell(index) for index in range(count)]
 
 
+# the branch of the base seed each study derives its cells' seeds on
+_BRANCHES = {"sensitivity": 1, "security": 2}
+
+
+def _sweep(study: str, base: _Scenario, cells: List[Tuple[str, _Scenario]],
+           row: Callable[[_Scenario, ScenarioResult], List[Dict[str, Any]]],
+           **meta) -> ReliabilityReport:
+    """The frame of both studies: commission the fixed scheme from base
+    once, run each named cell record with that setting and the seed
+    derived from the base's, the study's branch and the cell's index
+    (through _run_cells), and report the rows row(cell, result) gives,
+    in cell order, with meta after the base seed."""
+    calibration = _resolve_calibration(base)
+    fixed = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
+    setting = _Commissioning(**fixed)
+    branch = _BRANCHES[study]
+
+    def run_cell(index: int) -> List[Dict[str, Any]]:
+        name, cell = cells[index]
+        cell = replace(cell, calibration=setting, seed=_derive_seed(base.seed, branch, index))
+        return row(cell, run_scenario(cell, name=name))
+
+    rows = [r for cell_rows in _run_cells(run_cell, len(cells)) for r in cell_rows]
+    return ReliabilityReport(study=study, cells=rows, calibration=fixed,
+                             meta={"seed": base.seed, **meta})
+
+
 def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) -> ReliabilityReport:
     """Fault-coverage study: run every (tap, Rf, load, pf) cell through
     both ratio schemes and derive the blind zone at the minimum fault
-    resistance.  grid None takes the base config's 'grid' section, or
-    the default SweepGrid when it has none.  A cell is the base's record
-    with the commissioned calibration, a derived seed, the cell's fault
-    at onset_sample and its load and pf; its duration is the base's, or
-    the onset, the detection window and 0.25 s when the base has none.
-    A base fault is refused, as every cell sets its own."""
+    resistance: the runs of taps where neither scheme detects that fault
+    at any load and pf.  grid None takes the base config's 'grid' section,
+    or the default SweepGrid when it has none.  A cell is the base's
+    record with the cell's fault at onset_sample and its load and pf; its
+    duration is the base's, or the onset, the detection window and 0.25 s
+    when the base has none.  A base fault is refused, as every cell sets
+    its own, and so is a duration that ends before the detection window."""
     base = _read(base_config)
     if base.kind != "64g2":
         raise ConfigError("sensitivity sweep applies to 64g2 configs")
@@ -719,77 +749,53 @@ def sweep_sensitivity(grid: Optional[SweepGrid], base_config: Dict[str, Any]) ->
                           "'schemes' must list 'adaptive' and 'fixed'")
     if grid is None:
         grid = base.grid or SweepGrid()
-    seed, fs, onset = base.seed, base.profile.fs, base.onset_sample
-    calibration = _resolve_calibration(base)
-    fixed = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
+    fs, onset = base.profile.fs, base.onset_sample
     duration = base.profile.duration
     if duration is None:
         duration = onset / fs + DETECTION_WINDOW_S + 0.25
-    base = replace(base, calibration=_Commissioning(**fixed),
-                   profile=replace(base.profile, duration=duration))
+    elif duration < onset / fs + DETECTION_WINDOW_S:
+        raise ConfigError(f"'profile.duration' {duration!r} s ends each sensitivity cell before "
+                          f"its detection window does: a fault at 'onset_sample' {onset} "
+                          f"({onset / fs:g} s) needs a record of at least "
+                          f"{onset / fs + DETECTION_WINDOW_S:g} s")
+    base = replace(base, profile=replace(base.profile, duration=duration))
+    cells = [(f"cell_{index}", replace(base, fault=FaultSpec(x, rf, onset / fs),
+                                       profile=replace(base.profile, load_pu=load, pf=pf)))
+             for index, (x, rf, load, pf) in enumerate(grid.cells())]
 
-    cells = grid.cells()
-
-    def run_cell(index: int) -> Dict[str, Any]:
-        x, rf, load, pf = cells[index]
-        cell = replace(base, fault=FaultSpec(x, rf, onset / fs), seed=_derive_seed(seed, 1, index),
-                       profile=replace(base.profile, load_pu=load, pf=pf))
-        result = run_scenario(cell, name=f"cell_{index}")
-        return {
-            "x": x, "rf": rf, "load_pu": load, "pf": pf,
-            "detected_adaptive": bool(result.verdicts["a64g2"]["detected"]),
-            "detected_fixed": bool(result.verdicts["ng64g2"]["detected"]),
-            "latency_adaptive_samples": result.verdicts["a64g2"]["latency_samples"],
-            "latency_fixed_samples": result.verdicts["ng64g2"]["latency_samples"],
-        }
-
-    rows = _run_cells(run_cell, len(cells))
+    def row(cell: _Scenario, result: ScenarioResult) -> List[Dict[str, Any]]:
+        adaptive, fixed = result.verdicts["a64g2"], result.verdicts["ng64g2"]
+        return [{
+            "x": cell.fault.x, "rf": cell.fault.rf,
+            "load_pu": cell.profile.load_pu, "pf": cell.profile.pf,
+            "detected_adaptive": bool(adaptive["detected"]),
+            "detected_fixed": bool(fixed["detected"]),
+            "latency_adaptive_samples": adaptive["latency_samples"],
+            "latency_fixed_samples": fixed["latency_samples"],
+        }]
 
     min_rf = min(grid.rfs)
-    blind_taps = []
-    for tap in sorted(set(grid.taps)):
-        tap_rows = [r for r in rows if r["x"] == tap and r["rf"] == min_rf]
-        if tap_rows and all(
-            not r["detected_adaptive"] and not r["detected_fixed"] for r in tap_rows
-        ):
-            blind_taps.append(tap)
-    blind_zone = _contiguous_intervals(blind_taps, sorted(set(grid.taps)))
-
-    return ReliabilityReport(
-        study="sensitivity",
-        cells=rows,
-        blind_zone=blind_zone,
-        calibration=fixed,
-        meta={
-            "seed": seed,
-            "fs": fs,
-            "onset_sample": onset,
-            "min_rf": min_rf,
-            "detection_window_s": DETECTION_WINDOW_S,
-            "grid": {"taps": list(grid.taps), "rfs": list(grid.rfs),
-                     "loads": list(grid.loads), "pfs": list(grid.pfs)},
-        },
-    )
+    report = _sweep("sensitivity", base, cells, row, fs=fs, onset_sample=onset, min_rf=min_rf,
+                    detection_window_s=DETECTION_WINDOW_S,
+                    grid={"taps": list(grid.taps), "rfs": list(grid.rfs),
+                          "loads": list(grid.loads), "pfs": list(grid.pfs)})
+    seen = {r["x"] for r in report.cells
+            if r["rf"] == min_rf and (r["detected_adaptive"] or r["detected_fixed"])}
+    report.blind_zone = _blind_intervals(sorted(set(grid.taps)), seen)
+    return report
 
 
-def _contiguous_intervals(blind_taps: List[float], all_taps: List[float]) -> List[List[float]]:
-    if not blind_taps:
-        return []
-    blind = set(blind_taps)
+def _blind_intervals(taps: List[float], seen: set) -> List[List[float]]:
+    """[first, last] of each run of consecutive taps (sorted) not in seen."""
     intervals: List[List[float]] = []
-    start = None
-    prev = None
-    for tap in all_taps:
-        if tap in blind:
-            if start is None:
-                start = tap
-            prev = tap
-        else:
-            if start is not None:
-                intervals.append([start, prev])
-                start = None
-    if start is not None:
-        intervals.append([start, prev])
+    previous = None
+    for tap in taps:
+        if tap not in seen:
+            if intervals and intervals[-1][1] == previous:
+                intervals[-1][1] = tap
+            else:
+                intervals.append([tap, tap])
+        previous = tap
     return intervals
 
 
@@ -846,9 +852,8 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
     schemes (and the injection scheme for speed scenarios); any trip is a
     misoperation.  scenarios None takes the base config's 'scenarios'
     list, or the default catalog when it has none.  A cell is the base's
-    record with the commissioned calibration, a derived seed, and the
-    entry's kind, disturbances and non-null profile keys; a fault is
-    refused in the base as in an entry."""
+    record with the entry's kind, disturbances and non-null profile keys;
+    a fault is refused in the base as in an entry."""
     base = _read(base_config, any_kind=True)
     if base.fault is not None:
         raise ConfigError("the security sweep runs no-fault scenarios; "
@@ -857,38 +862,28 @@ def sweep_security(scenarios: Optional[List[Dict[str, Any]]],
                                                               "scenarios")
     if catalog is None:
         catalog = _value(Tuple[_Entry, ...], default_security_catalog(), "scenarios")
-    # every entry's own keys are read, and refused, before any run
-    entries = [(entry, _read({"kind": entry.kind, "disturbances": entry.disturbances,
-                              "profile": entry.profile})) for entry in catalog]
-    calibration = _resolve_calibration(base)
-    fixed = {"ratio": calibration.ratio, "beta_ng": calibration.beta_ng}
     # a 64s cell runs at speed 1.0 unless its base or entry sets one
     speed = 1.0 if base.profile.speed is None else base.profile.speed
-    base = replace(base, calibration=_Commissioning(**fixed),
-                   profile=replace(base.profile, speed=speed))
-
-    def run_cell(index: int) -> List[Dict[str, Any]]:
-        entry, own = entries[index]
+    base = replace(base, profile=replace(base.profile, speed=speed))
+    # every entry's own keys are read, and refused, before any run
+    cells = []
+    for index, entry in enumerate(catalog):
+        own = _read({"kind": entry.kind, "disturbances": entry.disturbances,
+                     "profile": entry.profile})
         profile = {key: getattr(own.profile, key)
                    for key, value in (entry.profile or {}).items() if value is not None}
-        cell = replace(base, kind=own.kind, disturbances=own.disturbances,
-                       seed=_derive_seed(base.seed, 2, index),
-                       profile=replace(base.profile, **profile))
-        name = f"scenario_{index}" if entry.name is None else entry.name
-        result = run_scenario(cell, name=name)
-        return [{"scenario": name, "scheme": scheme, "tripped": bool(verdict["tripped"]),
+        cells.append((f"scenario_{index}" if entry.name is None else entry.name,
+                      replace(base, kind=own.kind, disturbances=own.disturbances,
+                              profile=replace(base.profile, **profile))))
+
+    def row(cell: _Scenario, result: ScenarioResult) -> List[Dict[str, Any]]:
+        return [{"scenario": result.name, "scheme": scheme, "tripped": bool(verdict["tripped"]),
                  "margin": verdict.get("margin")}
                 for scheme, verdict in result.verdicts.items()]
 
-    rows = [row for cell in _run_cells(run_cell, len(entries)) for row in cell]
-    misoperations = [row for row in rows if row["tripped"]]
-    return ReliabilityReport(
-        study="security",
-        cells=rows,
-        misoperations=misoperations,
-        calibration=fixed,
-        meta={"seed": base.seed, "scenario_count": len(catalog)},
-    )
+    report = _sweep("security", base, cells, row, scenario_count=len(cells))
+    report.misoperations = [r for r in report.cells if r["tripped"]]
+    return report
 
 
 def emit_report(obj, out_dir, fmt: str = "json") -> List[str]:

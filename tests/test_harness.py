@@ -794,6 +794,141 @@ def test_sensitivity_sweep_reads_grid_from_config():
     assert from_config.digest() == sweep_sensitivity(_small_grid(), base).digest()
 
 
+def test_a_sensitivity_cell_is_the_base_with_its_grid_fault_and_seed(monkeypatch):
+    """Every cell runs the base record with the fixed setting, cell_<index>
+    as its name, its seed derived on branch 1 of the base seed, and the
+    grid cell's fault at onset_sample and its load and pf."""
+    grid = {"taps": [0.0, 1.0], "rfs": [50.0, 500.0], "loads": [0.5, 1.0], "pfs": [1.0]}
+    base = {"seed": 3, "calibration": dict(CAL), "onset_sample": 300, "grid": grid}
+    cells = {}
+
+    def spy(config, name="scenario", input_channels=None):
+        cells[name] = config
+        return run_scenario(config, name, input_channels)
+
+    monkeypatch.setattr(harness, "run_scenario", spy)
+    # the spy sees only this process's cells, so none runs in a child
+    monkeypatch.delattr(os, "fork")
+    report = sweep_sensitivity(None, base)
+    grid_cells = SweepGrid(**grid).cells()
+    assert len(cells) == len(report.cells) == len(grid_cells) == 8
+    for index, ((x, rf, load, pf), row) in enumerate(zip(grid_cells, report.cells)):
+        cell = cells[f"cell_{index}"]
+        assert cell.seed == harness._derive_seed(3, 1, index)
+        assert cell.calibration == harness._Commissioning(**CAL)
+        assert (cell.fault.x, cell.fault.rf, cell.fault.t_on) == (x, rf, 0.3)
+        assert (cell.profile.load_pu, cell.profile.pf) == (load, pf)
+        assert cell.profile.duration == 0.3 + harness.DETECTION_WINDOW_S + 0.25
+        assert (row["x"], row["rf"], row["load_pu"], row["pf"]) == (x, rf, load, pf)
+    assert report.calibration == CAL and report.meta["seed"] == 3
+
+
+@pytest.mark.parametrize("sweep,cells,count", [
+    (sweep_sensitivity, _small_grid(), 3),
+    (sweep_security, [{"name": "steady", "kind": "64g2", "profile": {"duration": 0.5}},
+                      {"name": "spin", "kind": "64s", "profile": {"duration": 1.5}}], 2)])
+def test_a_sweep_commissions_once_and_runs_every_cell_with_that_setting(monkeypatch, sweep,
+                                                                       cells, count):
+    """A base without a fixed setting is commissioned once, and each cell
+    runs with the result, so no cell commissions again."""
+    commissioned, ran = [], []
+
+    def commission(config):
+        commissioned.append(config)
+        return harness.Calibration64RAT(**CAL), []
+
+    def spy(config, name="scenario", input_channels=None):
+        ran.append(config)
+        return run_scenario(config, name, input_channels)
+
+    monkeypatch.setattr(harness, "calibrate_from_config", commission)
+    monkeypatch.setattr(harness, "run_scenario", spy)
+    # the spies see only this process's cells, so none runs in a child
+    monkeypatch.delattr(os, "fork")
+    report = sweep(cells, {"seed": 2})
+    assert len(commissioned) == 1 and len(ran) == count
+    assert report.calibration == CAL
+    assert all(cell.calibration == harness._Commissioning(**CAL) for cell in ran)
+
+
+# detections per (tap, rf): adaptive only at tap 0, fixed only at load 0.5
+# at tap 0.25, neither at 0.5 and 0.75 and both at 1.0; at the higher rf
+# only tap 0.5 is detected, which the blind zone must not read
+_DETECTS = {(0.0, 50.0): (True, False), (0.25, 50.0): (False, None), (1.0, 50.0): (True, True),
+            (0.5, 500.0): (True, True)}
+
+
+def _scripted_cell(config, name="scenario", input_channels=None):
+    cell = harness._read(config)
+    adaptive, fixed = _DETECTS.get((cell.fault.x, cell.fault.rf), (False, False))
+    if fixed is None:
+        fixed = cell.profile.load_pu == 0.5
+    return harness.ScenarioResult(
+        kind="64g2", name=name, seed=cell.seed, traces={},
+        verdicts={"a64g2": {"detected": adaptive, "latency_samples": 1 if adaptive else None},
+                  "ng64g2": {"detected": fixed, "latency_samples": 2 if fixed else None}})
+
+
+def test_the_blind_zone_is_the_runs_of_taps_no_scheme_detects_at_the_minimum_rf(monkeypatch):
+    """A tap is blind when neither scheme detects its fault of the minimum
+    rf at any load and pf; detections at a higher rf do not count."""
+    monkeypatch.setattr(harness, "run_scenario", _scripted_cell)
+    grid = SweepGrid(taps=(1.0, 0.75, 0.5, 0.25, 0.0), rfs=(500.0, 50.0), loads=(0.5, 1.0))
+    report = sweep_sensitivity(grid, {"calibration": dict(CAL)})
+    assert len(report.cells) == 20
+    assert report.blind_zone == [[0.5, 0.75]]
+    assert report.meta["min_rf"] == 50.0
+    grid = SweepGrid(taps=(0.0, 0.5, 0.75, 0.9, 1.0), rfs=(50.0,), loads=(1.0,))
+    assert sweep_sensitivity(grid, {"calibration": dict(CAL)}).blind_zone == [[0.5, 0.9]]
+    grid = SweepGrid(taps=(0.5, 0.6, 1.0, 0.7), rfs=(50.0,), loads=(1.0,))
+    assert sweep_sensitivity(grid, {"calibration": dict(CAL)}).blind_zone == [[0.5, 0.7]]
+    grid = SweepGrid(taps=(0.0, 0.5, 1.0, 0.25), rfs=(50.0,), loads=(1.0,))
+    assert sweep_sensitivity(grid, {"calibration": dict(CAL)}).blind_zone == [[0.25, 0.5]]
+    grid = SweepGrid(taps=(0.0, 0.1, 0.25, 0.5, 1.0), rfs=(50.0,), loads=(0.5,))
+    assert sweep_sensitivity(grid, {"calibration": dict(CAL)}).blind_zone == [[0.1, 0.1],
+                                                                              [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("onset", [990, 5000])
+def test_a_sensitivity_record_ending_before_the_detection_window_is_refused(
+        monkeypatch, tmp_path, capsys, onset):
+    """A 1 s cell whose fault starts at sample 990 or 5000 cannot detect
+    it in time: every cell used to read undetected, and the blind zone was
+    the whole winding, [[0.0, 1.0]].  The sweep refuses such a base, and
+    never runs a cell whose fault lies past its record's end."""
+    message = (rf"^'profile.duration' 1.0 s ends each sensitivity cell before its detection "
+               rf"window does: a fault at 'onset_sample' {onset} \({onset / 1000:g} s\) "
+               rf"needs a record of at least {onset / 1000 + 0.5:g} s$")
+    base = {"onset_sample": onset, "profile": {"duration": 1.0}}
+
+    def never(*args, **kwargs):
+        raise AssertionError("a cell or commissioning run started")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "run_scenario", never)
+        patched.setattr(harness, "calibrate_from_config", never)
+        with pytest.raises(ConfigError, match=message):
+            sweep_sensitivity(None, base)
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({**base, "calibration": dict(CAL)}))
+    out = tmp_path / "out"
+    assert cli_main(["sweep-sensitivity", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"'onset_sample' {onset}" in err
+    assert not out.exists()
+
+
+def test_a_sensitivity_record_that_holds_the_detection_window_is_accepted():
+    """A record that ends exactly where the window does runs; one sample
+    short of it is refused."""
+    grid = {"taps": [0.0], "rfs": [50.0], "loads": [1.0], "pfs": [1.0]}
+    base = {"calibration": dict(CAL), "onset_sample": 500, "grid": grid}
+    report = sweep_sensitivity(None, {**base, "profile": {"duration": 1.0}})
+    assert report.cells[0]["detected_adaptive"]
+    with pytest.raises(ConfigError, match="needs a record of at least 1 s"):
+        sweep_sensitivity(None, {**base, "profile": {"duration": 0.999}})
+
+
 @pytest.mark.parametrize("axis,value", [("pfs", 0.5), ("loads", 1.5)])
 def test_grid_operating_point_is_a_grid_error_before_commissioning(monkeypatch, axis, value):
     """An operating point the machine model refuses is a grid error, found
@@ -1768,6 +1903,30 @@ def test_cli_replay_labelled_past_the_records_end_exits_1(tmp_path, capsys, kind
     err = capsys.readouterr().err
     assert "config error:" in err and "fault.t_on 5.0 s" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["64g2", "64s"])
+def test_a_simulated_fault_past_the_records_end_is_a_config_error(tmp_path, capsys, kind):
+    """A fault that starts after the record ends never shows in it: a 1 s
+    64g2 record with t_on 5.0 used to report both schemes undetected, a
+    3 s 64s one undetected with x_final 2.0.  A replay refused this case
+    already; every record now does, through run_scenario and the CLI."""
+    # the last sample, 0.899 s, still takes the fault
+    result = run_scenario(_relabelled(kind, 0.899))
+    assert "latency_samples" in next(iter(result.verdicts.values()))
+    for t_on in (0.9, 5.0):
+        with pytest.raises(ConfigError, match=rf"^fault\.t_on {t_on} s lies past the end of the "
+                                              r"simulated record, which is 0\.9 s long "
+                                              r"\(900 samples\)$"):
+            run_scenario(_relabelled(kind, t_on))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_relabelled(kind, 5.0)))
+    for command in (f"detect-{kind}", "simulate"):
+        out = tmp_path / command
+        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "fault.t_on 5.0 s" in err and "simulated" in err
+        assert not out.exists()
 
 
 _DISTURBED = [{"kind": "load_step", "magnitude": 0.75, "t_on": 0.5},
