@@ -19,7 +19,7 @@ def locate(cfg, x, rf, seed=0):
     v, i = simulate_64s_timeseries(
         cfg, [FaultSpec(x=x, rf=rf, t_on=1.45)], duration=2.35,
         noise_std=0.01, seed=seed, speed_profile=constant_speed(1.0))
-    trace = A64SEstimator(cfg).run_timeseries(v, i, onset_index=1450)
+    trace = A64SEstimator(cfg).run_timeseries(v, i)
     return trace.final_location()
 
 

@@ -43,7 +43,7 @@ def main():
     v, i = simulate_64s_timeseries(
         cfg, [FaultSpec(x=0.67, rf=rf, t_on=1.6)], duration=3.0,
         noise_std=0.01, seed=1, speed_profile=constant_speed(1.0))
-    trace = A64SEstimator(cfg).run_timeseries(v, i, onset_index=1600)
+    trace = A64SEstimator(cfg).run_timeseries(v, i)
     show(trace, f"running, {rf:.0f} ohm fault at sample 1600",
          (parallel, cfg.c0, parallel * cfg.c0))
     print(f"  tripped at sample {trace.first_trip_index} "

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .plantsim import HarmonicFrames, _by_frame, _frozen_column
+from .plantsim import HarmonicFrames, _by_frame
 from .signalcore import _first_true, _seconds, write_table
 
 __all__ = [
@@ -114,7 +114,7 @@ class SchemeTrace:
 
     A run's columns are read-only numpy arrays, float64 and a bool
     ``trip``; v_p3, v_n3 are the frames' own arrays and restraint the
-    column the run read.  valid holds the frames' flags as a tuple of
+    column the run built.  valid holds the frames' flags as a tuple of
     bools, so that ``sum`` of it counts them as an int."""
 
     scheme: str
@@ -129,7 +129,6 @@ class SchemeTrace:
     restraint: Sequence[float] = ()
     trip: Sequence[bool] = ()
     valid: Sequence[bool] = ()
-    onset_index: Optional[int] = None
     margin_peak: float = 0.0
     margin_index: Optional[int] = None
 
@@ -180,8 +179,7 @@ def restraint_column(frames: HarmonicFrames, window: int) -> np.ndarray:
     """The restraint energy JAR at every frame of a record, as a read-only
     array: the sum of the squared neutral magnitudes of the last window+1
     valid frames, repeated on invalid frames.  It depends only on the
-    frames and the window, so both ratio schemes of one record can share
-    it."""
+    frames and the window, not on the scheme."""
     counts = np.cumsum(frames.valid)
     squares = np.zeros(window + (int(counts[-1]) if len(counts) else 0))
     squares[window:] = frames.v_n3[frames.valid]
@@ -190,28 +188,28 @@ def restraint_column(frames: HarmonicFrames, window: int) -> np.ndarray:
     return _by_frame(_window_sums(squares, window + 1), counts, 0.0)
 
 
-def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
-             kaf: Optional[Tuple[float, float, float]], valid: np.ndarray) -> None:
+def _advance(trace: SchemeTrace, detector: "_RatioDetector", valid: np.ndarray) -> None:
     """Run a ratio scheme over the record a fresh trace holds (its frames,
     whose valid flags are given here as an array, and their restraint
     column), filling in the computed columns and the margin.
 
-    kaf holds the adaptive scheme's filter settings (process noise,
-    measurement noise, initial variance); the filter starts at the first
-    valid frame from ``ratio`` or, when that is None, from that frame's
-    own ratio.  Without kaf (fixed scheme) the residual uses the frozen
-    ``ratio``.  Invalid frames are recorded with the last ratio and
-    energies but do not advance the filter, the operate window (the
-    squared residuals of the last L+1 valid frames), or the trip logic.
-    Only the filter steps one frame at a time, on Python floats.  A filter
-    step that squares past the float range raises its OverflowError; an
-    operate window that overflows is inf, and so is its margin.
+    The fixed scheme's residual uses its frozen ratio.  The adaptive
+    scheme's filter starts at the first valid frame from rho0 or, when
+    that is None, from that frame's own ratio.  Invalid frames are
+    recorded with the last ratio and energies but do not advance the
+    filter, the operate window (the squared residuals of the last L+1
+    valid frames), or the trip logic.  Only the filter steps one frame at
+    a time, on Python floats.  A filter step that squares past the float
+    range raises its OverflowError; an operate window that overflows is
+    inf, and so is its margin.
     """
+    cfg = detector.cfg
     window, n = cfg.window, len(valid)
     counts = np.cumsum(valid)
     m = int(counts[-1]) if n else 0
     v_p3, v_n3 = trace.v_p3[valid], trace.v_n3[valid]
-    if kaf is None:
+    if isinstance(detector, FixedRatioDetector):
+        ratio = detector.ratio
         # one value, read-only, seen n times
         trace.rho_hat = np.broadcast_to(float(ratio), n)
         with np.errstate(all="ignore"):
@@ -220,14 +218,15 @@ def _advance(trace: SchemeTrace, cfg: DetectorConfig, ratio: Optional[float],
         # the filter steps on Python floats: numpy's square differs from
         # vp**2 in the last bit, and numpy scalars warn where it raises
         v_p3, v_n3 = v_p3.tolist(), v_n3.tolist()
-        rho_hat = ratio
+        rho_hat = detector.rho0
         if rho_hat is None and m:
             vp, vn = v_p3[0], v_n3[0]
             rho_hat = vn / vp if vp > 0 else 0.5
         ratios: List[float] = []
         residuals: List[float] = []
-        _kaf_track(rho_hat, kaf[2], kaf[0], kaf[1], v_p3, v_n3, ratios, residuals)
-        trace.rho_hat = _by_frame(ratios, counts, ratio or 0.0)
+        _kaf_track(rho_hat, detector.initial_variance, detector.process_noise,
+                   detector.measurement_noise, v_p3, v_n3, ratios, residuals)
+        trace.rho_hat = _by_frame(ratios, counts, detector.rho0 or 0.0)
         residual = residuals
     operate, jar = np.zeros(m), trace.restraint[valid]
     with np.errstate(all="ignore"):
@@ -291,40 +290,34 @@ def calibrate_64rat(
 
 
 class _RatioDetector:
-    """Batch runner over a whole record.  A subclass sets scheme, cfg, the
-    ratio (frozen, or the adaptive filter's prior) and _kaf (the adaptive
-    filter's settings, None for the fixed scheme)."""
+    """Batch runner over a whole record, for a frozen dataclass of a
+    scheme's settings that sets scheme and cfg."""
 
-    _kaf: Optional[Tuple[float, float, float]] = None
+    def __post_init__(self):
+        if not isinstance(self.cfg, DetectorConfig):
+            raise ValueError(f"cfg must be a DetectorConfig, got {self.cfg!r}")
 
-    def run(self, frames: HarmonicFrames, fs: float, onset_index: Optional[int] = None,
-            restraint: Optional[Sequence[float]] = None) -> SchemeTrace:
+    def run(self, frames: HarmonicFrames, fs: float) -> SchemeTrace:
         """Trace of the scheme over a record sampled at fs frames per
-        second.  restraint is the record's restraint_column(frames,
-        self.cfg.window), built here when None; a caller running both
-        schemes on one record builds it once.  The column, given or
-        built, must be finite and >= 0: a neutral magnitude whose square
-        overflows makes it infinite."""
+        second.  The restraint column is restraint_column(frames,
+        self.cfg.window), which is infinite where a neutral magnitude
+        squares, or a window of squares sums, past the float range: that
+        would blind the scheme, so it raises ValueError."""
         if not 0.0 < fs < math.inf:
             raise ValueError(f"fs must be positive and finite, got {fs!r}")
-        restraint = (restraint_column(frames, self.cfg.window) if restraint is None
-                     else _frozen_column(restraint))
-        if len(restraint) != len(frames):
-            raise ValueError("the restraint column must have one value per frame")
-        # a NaN or infinite restraint would blind the scheme, a negative one trip it
-        finite = np.isfinite(restraint)
-        bad = np.flatnonzero(~finite | (np.where(finite, restraint, 0.0) < 0.0))
+        restraint = restraint_column(frames, self.cfg.window)
+        bad = np.flatnonzero(np.isinf(restraint))
         if len(bad):
             raise ValueError(f"restraint must be finite and >= 0, got "
                              f"{restraint[bad[0]].item()!r} at frame {bad[0]}")
         trace = SchemeTrace(scheme=self.scheme, fs=fs, sensitivity=self.cfg.sensitivity,
                             t_index=range(len(frames)), v_p3=frames.v_p3, v_n3=frames.v_n3,
-                            restraint=restraint, valid=tuple(frames.valid.tolist()),
-                            onset_index=onset_index)
-        _advance(trace, self.cfg, self._ratio, self._kaf, frames.valid)
+                            restraint=restraint, valid=tuple(frames.valid.tolist()))
+        _advance(trace, self, frames.valid)
         return trace
 
 
+@dataclass(frozen=True)
 class AdaptiveRatioDetector(_RatioDetector):
     """Ratio scheme with a Kalman-tracked ratio.
 
@@ -335,45 +328,41 @@ class AdaptiveRatioDetector(_RatioDetector):
     rho0 is the starting ratio; None takes the first valid frame's own.
     """
 
+    cfg: DetectorConfig = DetectorConfig()
+    process_noise: float = 1e-8
+    measurement_noise: float = 1e-4
+    initial_variance: float = 1.0
+    rho0: Optional[float] = None
+
     scheme = "a64g2"
 
-    def __init__(
-        self,
-        cfg: Optional[DetectorConfig] = None,
-        process_noise: float = 1e-8,
-        measurement_noise: float = 1e-4,
-        initial_variance: float = 1.0,
-        rho0: Optional[float] = None,
-    ):
-        self.cfg = cfg or DetectorConfig()
+    def __post_init__(self):
+        super().__post_init__()
         # chained comparisons are False for NaN, so NaN is rejected too;
         # a NaN or infinite setting would leave the filter blind
-        if not 0.0 <= process_noise < math.inf:
-            raise ValueError(f"process_noise must be finite and >= 0, got {process_noise!r}")
-        for name, value in (("measurement_noise", measurement_noise),
-                            ("initial_variance", initial_variance)):
+        if not 0.0 <= self.process_noise < math.inf:
+            raise ValueError(f"process_noise must be finite and >= 0, got {self.process_noise!r}")
+        for name in ("measurement_noise", "initial_variance"):
+            value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if rho0 is not None and not (math.isfinite(rho0) and rho0 > 0):
-            raise ValueError(f"rho0 must be a positive finite ratio, got {rho0}")
-        self._kaf = (process_noise, measurement_noise, initial_variance)
-        self._ratio = rho0
+        if self.rho0 is not None and not (math.isfinite(self.rho0) and self.rho0 > 0):
+            raise ValueError(f"rho0 must be a positive finite ratio, got {self.rho0}")
 
 
+@dataclass(frozen=True)
 class FixedRatioDetector(_RatioDetector):
-    """Ratio scheme with a frozen ratio."""
+    """Ratio scheme with a frozen ratio, positive and finite."""
+
+    ratio: float
+    cfg: DetectorConfig = DetectorConfig()
 
     scheme = "ng64g2"
 
-    def __init__(self, ratio: float, cfg: Optional[DetectorConfig] = None):
-        if not 0.0 < ratio < math.inf:
-            raise ValueError(f"ratio must be positive and finite, got {ratio!r}")
-        self.cfg = cfg or DetectorConfig()
-        self.ratio = ratio
-
-    @property
-    def _ratio(self) -> float:
-        return self.ratio
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.ratio < math.inf:
+            raise ValueError(f"ratio must be positive and finite, got {self.ratio!r}")
 
     @classmethod
     def from_calibration(

@@ -190,7 +190,6 @@ class A64STrace:
     trip: Sequence[bool] = ()
     valid: Sequence[bool] = ()
     baseline: Optional[float] = None
-    onset_index: Optional[int] = None
 
     @property
     def first_trip_index(self) -> Optional[int]:
@@ -244,19 +243,19 @@ def _last(tail: int, backwards) -> list:
     return rows
 
 
+@dataclass(frozen=True)
 class A64SEstimator:
-    """Full identification chain for one monitored machine."""
+    """Full identification chain for one monitored machine: its circuit
+    and the chain's tunables, a frozen record."""
 
-    def __init__(
-        self,
-        circuit: Subharmonic64SConfig,
-        cfg: Optional[A64SEstimatorConfig] = None,
-    ):
-        self.circuit = circuit
-        self.cfg = cfg or A64SEstimatorConfig()
+    circuit: Subharmonic64SConfig
+    cfg: A64SEstimatorConfig = A64SEstimatorConfig()
 
-    def run(self, frames: SubharmonicFrames, fs: float,
-            onset_index: Optional[int] = None) -> A64STrace:
+    def __post_init__(self):
+        if not isinstance(self.cfg, A64SEstimatorConfig):
+            raise ValueError(f"cfg must be an A64SEstimatorConfig, got {self.cfg!r}")
+
+    def run(self, frames: SubharmonicFrames, fs: float) -> A64STrace:
         """Trace of the estimation chain over a record sampled at fs
         samples per second."""
         if not 0.0 < fs < math.inf:
@@ -396,12 +395,11 @@ class A64SEstimator:
         return A64STrace(fs=fs, t_index=range(n), v_n=frames.v_n, i_n=frames.i_n, a0_hat=a0_hat,
                          kd_hat=kd_hat, tau0_hat=tau0_hat, rs_hat=rs_hat, c0_hat=c0_hat,
                          x_hat=_by_frame(x_hat, counts * used, HEALTHY_SENTINEL), trip=trip,
-                         valid=tuple(used.tolist()), baseline=baseline, onset_index=onset_index)
+                         valid=tuple(used.tolist()), baseline=baseline)
 
-    def run_timeseries(self, v_ts: TimeSeries, i_ts: TimeSeries,
-                       onset_index: Optional[int] = None) -> A64STrace:
+    def run_timeseries(self, v_ts: TimeSeries, i_ts: TimeSeries) -> A64STrace:
         frames = frames_from_timeseries(v_ts, i_ts, self.circuit)
-        return self.run(frames, v_ts.fs, onset_index=onset_index)
+        return self.run(frames, v_ts.fs)
 
 
 def write_a64s_trace_csv(trace: A64STrace, path, long=None) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import json
 import math
 import numbers
@@ -20,7 +19,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import (Any, BinaryIO, Callable, Dict, Iterator, List, Literal, Optional, Tuple,
                     Union, get_args, get_origin, get_type_hints)
@@ -34,7 +33,6 @@ from .a64g2 import (
     FixedRatioDetector,
     SchemeTrace,
     calibrate_64rat,
-    restraint_column,
     write_trace_csv,
 )
 from .a64s import A64SEstimator, A64SEstimatorConfig, write_a64s_trace_csv
@@ -238,10 +236,10 @@ class _Scenario:
 
 @functools.cache
 def _schema(cls) -> Dict[str, Any]:
-    """The settings of cls, the parameters of its constructor, each with
-    its type hint."""
-    hints = get_type_hints(cls if is_dataclass(cls) else cls.__init__)
-    return {name: hints[name] for name in inspect.signature(cls).parameters}
+    """The settings of cls, the fields of its dataclass, each with its
+    type hint."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _build(cls, data, section: str, **given):
@@ -564,15 +562,12 @@ def _run_64g2(scenario: _Scenario, name: str,
             detectors.append(FixedRatioDetector.from_calibration(
                 calibration, window=det_cfg.window, persistence=det_cfg.persistence))
     sim = _scenario_64g2(scenario, input_channels)
-    # both schemes read one restraint column
-    restraint = restraint_column(sim.frames, det_cfg.window)
 
     verdicts: Dict[str, Dict[str, Any]] = {}
     traces: Dict[str, Any] = {}
     for detector in detectors:
-        trace = detector.run(sim.frames, sim.fs, onset_index=sim.onset_index,
-                             restraint=restraint)
-        verdicts[trace.scheme] = _verdict_64g2(trace)
+        trace = detector.run(sim.frames, sim.fs)
+        verdicts[trace.scheme] = _verdict_64g2(trace, sim.onset_index)
         traces[trace.scheme] = trace
     if "ng64g2" in verdicts:
         verdicts["ng64g2"]["calibration"] = {"ratio": calibration.ratio,
@@ -581,7 +576,9 @@ def _run_64g2(scenario: _Scenario, name: str,
                           verdicts=verdicts, traces=traces)
 
 
-def _verdict_64g2(trace: SchemeTrace) -> Dict[str, Any]:
+def _verdict_64g2(trace: SchemeTrace, onset: Optional[int]) -> Dict[str, Any]:
+    """A ratio scheme's verdict, scored against the record's fault onset
+    sample (None: no fault)."""
     first = trace.first_trip_index
     margin = trace.margin()
     if margin == math.inf:
@@ -603,7 +600,7 @@ def _verdict_64g2(trace: SchemeTrace) -> Dict[str, Any]:
         "tripped": first is not None,
         "first_trip_index": first,
         "margin": margin,
-        **_fault_verdict(first, trace.onset_index, trace.fs),
+        **_fault_verdict(first, onset, trace.fs),
     }
 
 
@@ -638,7 +635,7 @@ def _run_64s(scenario: _Scenario, name: str,
     circuit, v_ts, i_ts, onset_index = _scenario_64s(scenario, input_channels)
 
     estimator = A64SEstimator(circuit, scenario.estimator)
-    trace = estimator.run_timeseries(v_ts, i_ts, onset_index=onset_index)
+    trace = estimator.run_timeseries(v_ts, i_ts)
     first = trace.first_trip_index
     verdict: Dict[str, Any] = {
         "tripped": first is not None,

@@ -706,27 +706,26 @@ def frames_from_64g2_waveforms(
     pf: float = 1.0,
     window_cycles: int = 3,
     supervision_frac: float = 0.1,
-    in_band: Optional[np.ndarray] = None,
 ) -> Scenario64G2Result:
     """Turn terminal/neutral third-harmonic waveforms into phasor streams
     and detector frames.
 
     Phasors are extracted at 3*f1 over window_cycles cycles.  A frame is
     invalid during phasor warm-up, whenever the terminal magnitude sinks
-    below supervision_frac of its healthy value at the (load_pu, pf)
-    operating point (minimum-signal supervision), and wherever the
-    optional in_band mask is False; supervision_frac must lie in [0, 1).
-    The result has no onset_index; the simulator fills it in.
+    below supervision_frac (in [0, 1)) of its healthy value at the
+    (load_pu, pf) operating point (minimum-signal supervision).  The
+    result has no onset_index; the simulator fills it in.
     """
     check_operating_point(load_pu, pf)
     return _frames_64g2(vp3_wave, vn3_wave, cfg, load_pu, pf, window_cycles,
-                        supervision_frac, in_band)
+                        supervision_frac, None)
 
 
 def _frames_64g2(vp3_wave: TimeSeries, vn3_wave: TimeSeries, cfg: MachineConfig,
                  load_pu, pf, window_cycles: int, supervision_frac: float,
                  in_band: Optional[np.ndarray]) -> Scenario64G2Result:
-    """frames_from_64g2_waveforms at an operating point already checked."""
+    """frames_from_64g2_waveforms at an operating point already checked;
+    a frame is also invalid where the simulator's true-speed in_band is False."""
     if vp3_wave.fs != vn3_wave.fs or len(vp3_wave) != len(vn3_wave):
         raise ValueError("terminal and neutral waveforms must share fs and length")
     if not 0.0 <= supervision_frac < 1.0:

@@ -162,6 +162,19 @@ def test_operate_zero_through_window_prefix():
                 oracles.windowed_energy(vns, cfg.window, t))
 
 
+def test_an_operate_energy_equal_to_its_floor_never_trips():
+    """The trip inequality is strict.  Residual 1 against neutral 2 at
+    sensitivity 0.25 puts every operate energy exactly on its floor
+    (margin 1.0), and a record of zero magnitudes has operate and floor
+    both 0; neither trips."""
+    cfg = DetectorConfig(window=2, sensitivity=0.25)
+    detector = FixedRatioDetector(1.0, cfg)
+    on_floor = detector.run(_frames([_frame(i, 1.0, 2.0) for i in range(20)]), fs=1000.0)
+    assert on_floor.margin() == 1.0 and not on_floor.tripped
+    dead = detector.run(_frames([_frame(i, 0.0, 0.0) for i in range(20)]), fs=1000.0)
+    assert dead.margin() == 0.0 and not dead.tripped
+
+
 def test_two_sample_crossover_never_trips():
     """An operate/restraint crossing that lasts only two frames is shorter
     than the persistence count and never latches a trip."""
@@ -190,8 +203,7 @@ def test_step_change_trips_after_persistence_count():
     onset = 60
     frames = [_frame(i, 1.0, 1.0 if i < onset else 3.0) for i in range(120)]
     # nearly frozen gain: rho_hat stays ~1, every post-onset residual ~2
-    det.process_noise = 0.0
-    trace = det.run(_frames(frames), fs=1000.0, onset_index=onset)
+    trace = det.run(_frames(frames), fs=1000.0)
     assert trace.tripped
     assert trace.first_trip_index == onset + cfg.window - 1
 
@@ -487,39 +499,43 @@ def test_batch_run_checks_every_magnitude_before_writing_a_row(monkeypatch):
     assert calls == []
 
 
-def test_run_reads_a_given_restraint_column():
-    frames = _frames([_frame(i, 1.0, 1.0 + 0.01 * i, i % 4 != 1) for i in range(40)])
-    restraint = restraint_column(frames, 12)
-    for detector in (AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.0)):
-        assert oracles.plain_fields(detector.run(frames, fs=1000.0, restraint=restraint)) == (
-            oracles.plain_fields(detector.run(frames, fs=1000.0)))
-        with pytest.raises(ValueError, match="one value per frame"):
-            detector.run(frames, fs=1000.0, restraint=restraint[:-1])
-
-
 @functools.cache
 def _bolted_terminal_fault():
     return simulate_64g2_scenario(MachineConfig(), FaultSpec(x=0.0, rf=50.0, t_on=0.5),
                                   duration=1.0, seed=0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("scheme", ["adaptive", "fixed"])
-def test_run_refuses_a_restraint_column_that_is_not_finite_and_non_negative(scheme, bad):
-    """A NaN or infinite column used to blind the scheme (a bolted
-    terminal fault reported no trip and margin 0.0), a negative one to
-    trip it with margin 0.0; the column is refused, by name and frame."""
+def test_run_refuses_a_neutral_overflow_in_a_simulated_record_at_its_frame(scheme):
+    """An infinite restraint column used to blind the scheme (a bolted
+    terminal fault reported no trip and margin 0.0).  A neutral magnitude
+    of a simulated record whose square overflows makes the column run()
+    builds infinite from its frame on, and run() refuses it, by name and
+    first frame."""
     sim = _bolted_terminal_fault()
     detector = AdaptiveRatioDetector() if scheme == "adaptive" else FixedRatioDetector(ratio=1.2)
-    restraint = list(restraint_column(sim.frames, 12))
-    own = detector.run(sim.frames, sim.fs, restraint=restraint)
+    own = detector.run(sim.frames, sim.fs)
     assert own.tripped and own.margin() > 100.0
-    restraint[600] = bad
-    with pytest.raises(ValueError, match=rf"^restraint must be finite and >= 0, got "
-                                         rf"{bad!r} at frame 600$"):
-        detector.run(sim.frames, sim.fs, restraint=restraint)
-    with pytest.raises(ValueError, match="^restraint must be finite and >= 0"):
-        detector.run(sim.frames, sim.fs, restraint=[bad] * len(sim.frames))
+    v_n3 = sim.frames.v_n3.copy()
+    v_n3[600] = 1e155
+    frames = dataclasses.replace(sim.frames, v_n3=v_n3)
+    assert restraint_column(frames, 12)[600] == math.inf
+    with pytest.raises(ValueError, match="^restraint must be finite and >= 0, got inf at frame 600$"):
+        detector.run(frames, sim.fs)
+
+
+@pytest.mark.parametrize("cfg", [None, {"window": 12}])
+@pytest.mark.parametrize("make", [AdaptiveRatioDetector, lambda cfg: FixedRatioDetector(1.2, cfg)],
+                         ids=["adaptive", "fixed"])
+def test_a_detector_refuses_a_cfg_that_is_not_a_detector_config(make, cfg):
+    """cfg used to default to None, read as DetectorConfig(); anything
+    but a DetectorConfig would fail later, in run(), so the constructor
+    and dataclasses.replace refuse it by name."""
+    refusal = rf"^cfg must be a DetectorConfig, got {re.escape(repr(cfg))}$"
+    with pytest.raises(ValueError, match=refusal):
+        make(cfg)
+    with pytest.raises(ValueError, match=refusal):
+        dataclasses.replace(make(DetectorConfig()), cfg=cfg)
 
 
 @pytest.mark.parametrize("sensitivity", [math.nan, math.inf, 1e-320, 0.0, -0.1])
@@ -528,6 +544,37 @@ def test_detector_config_rejects_a_sensitivity_that_cannot_trip_or_overflows(sen
     # operate/(sensitivity*restraint) overflow
     with pytest.raises(ValueError, match="sensitivity"):
         DetectorConfig(sensitivity=sensitivity)
+
+
+@pytest.mark.parametrize("make,setting,value", [
+    (lambda: FixedRatioDetector(1.22, DetectorConfig(sensitivity=0.148**2)), "ratio", math.nan),
+    (lambda: FixedRatioDetector(1.22), "cfg", DetectorConfig(window=400)),
+    (AdaptiveRatioDetector, "process_noise", 1e-3),
+    (AdaptiveRatioDetector, "rho0", 5.0),
+    (AdaptiveRatioDetector, "cfg", DetectorConfig(window=400)),
+])
+def test_detector_settings_cannot_change_after_construction(make, setting, value):
+    """Assigning ratio = nan used to get past the constructor's check and
+    blind the fixed scheme on a bolted terminal fault (no trip, margin
+    0.0 instead of 717.5), and assigning an adaptive filter setting was
+    silently ignored.  A detector is a frozen record: the assignment
+    raises and the detector runs as before; a changed one is built by
+    dataclasses.replace, which checks it again."""
+    sim = _bolted_terminal_fault()
+    detector = make()
+    before = oracles.plain_fields(detector.run(sim.frames, sim.fs))
+    assert before["margin_peak"] > 100.0 and before["trip"][1][-1]
+    if setting == "ratio":
+        assert before["margin_peak"] == pytest.approx(717.48, rel=1e-5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(detector, setting, value)
+    assert oracles.plain_fields(detector.run(sim.frames, sim.fs)) == before
+    if setting == "ratio":
+        with pytest.raises(ValueError, match="^ratio must be positive and finite, got nan$"):
+            dataclasses.replace(detector, ratio=value)
+    else:
+        changed = dataclasses.replace(detector, **{setting: value})
+        assert getattr(changed, setting) == value
 
 
 @pytest.mark.parametrize("ratio", [math.inf, math.nan, 0.0])
@@ -600,9 +647,9 @@ def test_frame_and_trace_columns_are_shared_read_only_arrays():
     assert copied.v_n3[0] == frames.v_n3[0]
     restraint = restraint_column(frames, 12)
     for detector in (AdaptiveRatioDetector(), FixedRatioDetector(ratio=1.2)):
-        trace = detector.run(frames, sim.fs, restraint=restraint)
+        trace = detector.run(frames, sim.fs)
         assert trace.v_p3 is frames.v_p3 and trace.v_n3 is frames.v_n3
-        assert trace.restraint is restraint
+        np.testing.assert_array_equal(trace.restraint, restraint)
         columns = trace.columns()
         assert columns["JAO"] is trace.operate and columns["rho_hat"] is trace.rho_hat
         for name, column in columns.items():
@@ -703,7 +750,7 @@ def test_fixed_detector_uses_threshold_from_calibration():
     assert trace.scheme == "ng64g2"
     # a sustained deviation just past the guard band trips
     bad = [_frame(i, 1.0, 1.2 * (1.0 + 1.3 * 0.15)) for i in range(60, 140)]
-    trace2 = det.run(_frames(frames + bad), fs=1000.0, onset_index=60)
+    trace2 = det.run(_frames(frames + bad), fs=1000.0)
     assert trace2.tripped
 
 

@@ -1,6 +1,7 @@
 """Injection-based insulation estimation, detection, and fault location."""
 
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -357,6 +358,34 @@ def test_subharmonic_frames_cannot_change_after_construction():
     assert replace(frames, valid=frames.valid).v_n60 is frames.v_n60
 
 
+def test_estimator_settings_cannot_change_after_construction():
+    """The estimator is a frozen record of its circuit and tunables, like
+    its config sections: assigning either raises, and a changed estimator
+    is built by replace."""
+    cfg, frames = _fault_record_90_ohm()
+    estimator = A64SEstimator(cfg)
+    assert estimator.cfg == A64SEstimatorConfig()
+    for name, value in (("cfg", A64SEstimatorConfig(smoothing_rate=1.0)),
+                        ("circuit", Subharmonic64SConfig(rs=1e3))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(estimator, name, value)
+    assert estimator.run(frames, 1000.0).first_trip_index == 1799
+    slow = replace(estimator, cfg=A64SEstimatorConfig(smoothing_rate=1.0))
+    assert slow.circuit is cfg and slow.cfg.smoothing_rate == 1.0
+
+
+@pytest.mark.parametrize("tunables", [None, {"smoothing_rate": 1.0}])
+def test_the_estimator_refuses_a_cfg_that_is_not_its_config(tunables):
+    """cfg used to default to None, read as A64SEstimatorConfig();
+    anything else would fail later, in run(), so the constructor and
+    replace refuse it by name."""
+    refusal = rf"^cfg must be an A64SEstimatorConfig, got {re.escape(repr(tunables))}$"
+    with pytest.raises(ValueError, match=refusal):
+        A64SEstimator(Subharmonic64SConfig(), tunables)
+    with pytest.raises(ValueError, match=refusal):
+        replace(A64SEstimator(Subharmonic64SConfig()), cfg=tunables)
+
+
 @pytest.mark.parametrize("column", ["v_n", "i_n", "v_n60"])
 @pytest.mark.parametrize("valid", [True, False])
 def test_subharmonic_frames_check_every_replaced_column(column, valid):
@@ -666,7 +695,7 @@ def test_faulted_pipeline_recovers_parallel_resistance_and_location():
     v, i = simulate_64s_timeseries(
         cfg, [FaultSpec(x=x, rf=rf, t_on=1.6)], duration=3.0, noise_std=0.0,
         seed=0, speed_profile=lambda t: np.ones_like(t))
-    trace = A64SEstimator(cfg).run_timeseries(v, i, onset_index=1600)
+    trace = A64SEstimator(cfg).run_timeseries(v, i)
     assert trace.tripped
     assert trace.first_trip_index is not None
     assert trace.first_trip_index - 1600 <= 500
@@ -715,12 +744,11 @@ def test_pipeline_offline_replay_matches_online(tmp_path):
     v, i = simulate_64s_timeseries(
         cfg, [FaultSpec(x=0.25, rf=90.0, t_on=1.6)], duration=2.5,
         noise_std=0.01, seed=3, speed_profile=lambda t: np.ones_like(t))
-    online = A64SEstimator(cfg).run_timeseries(v, i, onset_index=1600)
+    online = A64SEstimator(cfg).run_timeseries(v, i)
     path = tmp_path / "rec.csv"
     write_csv(path, {"vn": v, "in": i})
     back = ingest_csv(path)
-    offline = A64SEstimator(cfg).run_timeseries(back["vn"], back["in"],
-                                                onset_index=1600)
+    offline = A64SEstimator(cfg).run_timeseries(back["vn"], back["in"])
     assert offline.first_trip_index == online.first_trip_index
     assert offline.final_estimates() == pytest.approx(
         online.final_estimates(), rel=1e-9)
@@ -737,7 +765,7 @@ def test_pipeline_fault_before_baseline_is_absorbed():
     v, i = simulate_64s_timeseries(
         cfg, [FaultSpec(x=0.5, rf=90.0, t_on=0.2)], duration=2.5,
         noise_std=0.0, seed=0, speed_profile=lambda t: np.ones_like(t))
-    trace = A64SEstimator(cfg).run_timeseries(v, i, onset_index=200)
+    trace = A64SEstimator(cfg).run_timeseries(v, i)
     assert not trace.tripped
     rs_want = cfg.rs * 90.0 / (cfg.rs + 90.0)
     assert trace.baseline == pytest.approx(rs_want, rel=0.05)

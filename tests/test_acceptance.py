@@ -58,8 +58,7 @@ def test_criterion_01_hard_fault_detection(announce):
             sim = simulate_64g2_scenario(
                 MachineConfig(), FaultSpec(x=x, rf=50.0, t_on=0.27),
                 duration=0.9, fs=1000.0, noise_std=0.05, seed=seed)
-            trace = AdaptiveRatioDetector().run(sim.frames, sim.fs,
-                                               onset_index=sim.onset_index)
+            trace = AdaptiveRatioDetector().run(sim.frames, sim.fs)
             trips[x] = trace.first_trip_index
         elapsed = time.perf_counter() - started
         detail = f"first trips {trips}, elapsed {elapsed:.2f} s"
@@ -294,8 +293,7 @@ def test_criterion_10_fault_response_and_replay(announce):
                 v, i = simulate_64s_timeseries(
                     cfg, events, duration=2.5, noise_std=0.01, seed=cell,
                     speed_profile=speed)
-                runs[label] = A64SEstimator(cfg).run_timeseries(
-                    v, i, onset_index=onset)
+                runs[label] = A64SEstimator(cfg).run_timeseries(v, i)
             want = cfg.rs * rf / (cfg.rs + rf)
             rs_got = runs["online"].final_estimates()[0]
             latency = (runs["online"].first_trip_index or 10**9) - onset
@@ -341,7 +339,7 @@ def _located_position(cfg, x, rf, seed):
     v, i = simulate_64s_timeseries(
         cfg, [FaultSpec(x=x, rf=rf, t_on=onset / 1000.0)], duration=2.35,
         noise_std=0.01, seed=seed, speed_profile=constant_speed(1.0))
-    trace = A64SEstimator(cfg).run_timeseries(v, i, onset_index=onset)
+    trace = A64SEstimator(cfg).run_timeseries(v, i)
     return trace.final_location()
 
 

@@ -221,7 +221,7 @@ def test_a_security_cell_gets_only_its_kinds_base_keys(monkeypatch):
     g2, s = cells
     assert (g2.kind, s.kind) == ("64g2", "64s")
     assert g2.detector == read.detector == harness.DetectorConfig(persistence=14)
-    assert vars(g2.kaf) == vars(read.kaf) and g2.kaf._ratio == 1.2
+    assert vars(g2.kaf) == vars(read.kaf) and g2.kaf.rho0 == 1.2
     assert (g2.profile.load_pu, g2.profile.fs, g2.profile.duration) == (0.9, 1000.0, 0.5)
     assert (s.sub64s, s.estimator) == (read.sub64s, read.estimator)
     assert (s.sub64s.rs, s.estimator.smoothing_rate) == (2.0e5, 12.0)
@@ -596,7 +596,7 @@ def test_sensitivity_out_of_range_is_a_config_error(tmp_path, capsys, sensitivit
 def test_an_infinite_margin_is_an_error_not_a_report():
     trace = SchemeTrace(scheme="a64g2", fs=1000.0, sensitivity=1e-300, margin_peak=math.inf)
     with pytest.raises(ValueError, match="underflows"):
-        harness._verdict_64g2(trace)
+        harness._verdict_64g2(trace, None)
 
 
 def test_an_infinite_margin_whose_factors_multiply_to_one_names_the_overflow():
@@ -607,7 +607,7 @@ def test_an_infinite_margin_whose_factors_multiply_to_one_names_the_overflow():
     with pytest.raises(ValueError, match="^the ng64g2 margin is infinite: it overflows at "
                                          "frame 0, with operate energy 4.15e\\+180 against "
                                          "restraint 2.41e-181$"):
-        harness._verdict_64g2(trace)
+        harness._verdict_64g2(trace, None)
 
 
 @pytest.mark.parametrize("v_p3,ratio,floor", [(1e-9, 1.0, "0"), (1e-5, 10.0, "2.67e-317")])
@@ -620,7 +620,7 @@ def test_an_infinite_margin_from_an_underflowing_floor_names_the_underflow(v_p3,
     assert trace.margin() == math.inf and trace.operate[trace.margin_index] < 1.0
     with pytest.raises(ValueError, match="^the ng64g2 margin is infinite: sensitivity .* "
                                          f"times the restraint underflows to {floor}$"):
-        harness._verdict_64g2(trace)
+        harness._verdict_64g2(trace, None)
 
 
 @pytest.mark.parametrize("latency,detected", [(0, True), (500, True), (501, False),
@@ -631,8 +631,8 @@ def test_a_trip_is_detected_up_to_the_end_of_the_detection_window(latency, detec
     onset."""
     onset, n = 100, 700
     trace = SchemeTrace(scheme="a64g2", fs=1000.0, sensitivity=1.0, t_index=range(n),
-                        trip=[i >= onset + latency for i in range(n)], onset_index=onset)
-    verdict = harness._verdict_64g2(trace)
+                        trip=[i >= onset + latency for i in range(n)])
+    verdict = harness._verdict_64g2(trace, onset)
     assert verdict["latency_samples"] == latency
     assert verdict["detected"] is detected
 
@@ -677,6 +677,25 @@ def test_sweep_grid_validation():
     for rf in (math.inf, math.nan):
         with pytest.raises(ConfigError, match="finite"):
             SweepGrid(rfs=(rf,))
+
+
+@pytest.mark.parametrize("axis", ["taps", "rfs", "loads", "pfs"])
+def test_sweep_grid_refuses_an_empty_axis(axis):
+    # an empty axis would leave the study without a cell
+    with pytest.raises(ConfigError, match="^sweep grid axes must be non-empty$"):
+        SweepGrid(**{axis: ()})
+
+
+def test_sweep_grid_axis_bounds_are_inclusive_and_refuse_nan():
+    """A tap lies in [0, 1], ends included, and a fault resistance in
+    [0, inf): a bolted fault (rf 0) is a cell.  NaN lies in neither."""
+    grid = SweepGrid(taps=(0.0, 1.0), rfs=(0.0, 1e9))
+    assert (grid.taps, grid.rfs) == ((0.0, 1.0), (0.0, 1e9))
+    for tap in (math.nan, -0.0625, 1.0625):
+        with pytest.raises(ConfigError, match=r"^grid taps must lie in \[0, 1\]$"):
+            SweepGrid(taps=(0.5, tap))
+    with pytest.raises(ConfigError, match="^grid fault resistances must be finite and >= 0$"):
+        SweepGrid(rfs=(50.0, -1e-9))
 
 
 def test_sensitivity_sweep_structure_and_dominance():
@@ -1751,6 +1770,69 @@ def test_bad_kaf_setting_or_schemes_is_config_error(command, config):
             run_scenario(_fault_config(**config))
         else:
             sweep_sensitivity(None, {"calibration": dict(CAL), **config})
+
+
+_KAF_KEYS = "['initial_variance', 'measurement_noise', 'process_noise', 'rho0']"
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"kaf": {"process_noise": -1}}, "kaf: process_noise must be finite and >= 0, got -1.0"),
+    ({"kaf": {"measurement_noise": 0}},
+     "kaf: measurement_noise must be positive and finite, got 0.0"),
+    ({"kaf": {"rho0": -5}}, "kaf: rho0 must be a positive finite ratio, got -5.0"),
+    ({"kaf": {"gain": 2}}, f"kaf: unknown keys ['gain']; recognized: {_KAF_KEYS}"),
+    # the adaptive detector's trip settings are the detector section's
+    ({"kaf": {"cfg": {}}}, f"kaf: unknown keys ['cfg']; recognized: {_KAF_KEYS}"),
+    ({"detector": {"window": 1}}, "detector: window must be >= 2, got 1"),
+    ({"detector": {"persistence": 0}}, "detector: persistence must be >= 1"),
+    ({"kind": "64s", "estimator": {"theta_measurement_noise": 0}},
+     "estimator: theta_measurement_noise must be positive and finite"),
+    ({"kind": "64s", "estimator": {"detector": {"drop_fraction": 1.5}}},
+     "estimator.detector: drop_fraction must be in (0, 1)"),
+])
+def test_cli_detector_and_estimator_errors_keep_their_messages(tmp_path, capsys, config,
+                                                               message):
+    """The detectors are frozen records read from their sections like
+    every other: a bad setting is refused by the record's own check,
+    with its message, and the CLI exits 1."""
+    kind = config.get("kind", "64g2")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config if kind == "64s" else {"calibration": dict(CAL), **config}))
+    assert cli_main([f"detect-{kind}", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@functools.cache
+def _unit_records():
+    """Seed-5 3 s replay configs of the fixed scheme at calibration
+    1.22/0.148, with their simulated channels: a 500 ohm fault at
+    x = 0.05, a 50 ohm fault at x = 0, and a healthy record."""
+    records = []
+    for fault in ({"x": 0.05, "rf": 500.0, "t_on": 2.0}, {"x": 0.0, "rf": 50.0, "t_on": 2.0},
+                  None):
+        config = {"kind": "64g2", "seed": 5, "profile": {"duration": 3.0}, "fault": fault,
+                  "calibration": {"ratio": 1.22, "beta_ng": 0.148}, "schemes": ["fixed"]}
+        records.append((config, harness.simulate_waveforms(config)[1]))
+    return records
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, 10.0])
+@pytest.mark.parametrize("record", range(3))
+def test_the_fixed_verdict_does_not_depend_on_the_record_units(record, k):
+    """Both channels of a replay scaled by one gain k: the fixed scheme
+    trips, or not, at the same frame, and its margin (0.6386, 713.1 and
+    0.01768) holds within 1e-12.  At k = 0.1 the model-referenced
+    minimum-signal floor drops frames of the healthy record, which then
+    reads 0.0088, so that gain is left out."""
+    config, channels = _unit_records()[record]
+    scaled = {name: TimeSeries(ts.fs, ts.t0, ts.samples * k) for name, ts in channels.items()}
+    want = run_scenario(config, input_channels=channels).verdicts["ng64g2"]
+    got = run_scenario(config, input_channels=scaled).verdicts["ng64g2"]
+    assert (got["tripped"], got["first_trip_index"]) == (want["tripped"],
+                                                         want["first_trip_index"])
+    assert want["tripped"] is (record == 1)
+    assert want["margin"] == pytest.approx((0.6386, 713.1063, 0.017676)[record], rel=1e-4)
+    assert got["margin"] == pytest.approx(want["margin"], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("estimator", _BAD_ESTIMATOR)
